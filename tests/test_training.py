@@ -1,0 +1,95 @@
+"""Golden values, resume equality and an end-to-end CLI run of the training loop.
+
+The golden numbers were recorded from a fixed-seed run of this config; a
+refactor that is meant to keep behaviour must reproduce them.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from markov_bridge import load_checkpoint, parse_config_text, train
+from markov_bridge.cli import cli
+
+CONFIG = """\
+dataset = synthetic
+n = 4
+d = 3
+seed = 7
+synthetic_samples = 500
+epochs = 3
+max_step_matrix = 20
+max_step_score = 30
+score_hidden = 16,16
+mu_trajectories = 256
+sampler_steps = 8
+mc_samples = 256
+deterministic_timing = true
+"""
+
+GOLDEN_HISTORY = [
+    [0.011339216862519087, 37.8524498036348, 18.208633549712488, 31.80015359532221],
+    [0.011310952801535908, 37.28812070933119, 17.93723502897856, 31.855526071620524],
+    [0.01010854477308754, 36.51728377416171, 17.565962585044286, 31.902861718158753],
+]
+
+GOLDEN_P0 = [
+    [0.3246816640509133, 0.0, 0.4497201508276521, 0.22559818512143454],
+    [0.1522344084735618, 0.414135117568096, 0.43363047395834226, 0.0],
+    [0.48235922397325537, 0.0, 0.14379477603787055, 0.3738459999888741],
+]
+
+
+def config_in(out_dir):
+    return parse_config_text(CONFIG + f"out_dir = {out_dir}\n")
+
+
+def test_golden_history_and_p0(tmp_path):
+    ck = train(config_in(tmp_path))
+    assert ck.epoch == 3
+    np.testing.assert_allclose(ck.epoch_history, GOLDEN_HISTORY, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(ck.p0_estimate, GOLDEN_P0, rtol=1e-9, atol=1e-15)
+
+
+def test_resume_matches_uninterrupted(tmp_path):
+    full_dir, split_dir = tmp_path / "full", tmp_path / "split"
+    full = train(config_in(full_dir))
+    config = config_in(split_dir)
+    first = train(config, stop_after=1)
+    assert first.epoch == 1
+    resumed = train(config, resume_from=str(split_dir / "epoch_0001.ckpt"))
+    assert resumed.epoch == full.epoch == 3
+    for name in ("perms", "a", "p0_estimate", "epoch_history"):
+        assert np.array_equal(getattr(resumed, name), getattr(full, name)), name
+    for got, want in zip(resumed.score_weights + resumed.score_biases, full.score_weights + full.score_biases):
+        assert np.array_equal(got, want)
+    assert resumed.rng_state == full.rng_state
+    with open(full_dir / "metrics.csv", "rb") as fh_full, open(split_dir / "metrics.csv", "rb") as fh_split:
+        assert fh_split.read() == fh_full.read()
+
+
+def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DMB_SEED", raising=False)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG + f"out_dir = {tmp_path / 'run'}\n", encoding="utf-8")
+    assert cli(["train", str(config_path)]) == 0
+    ckpt = str(tmp_path / "run" / "epoch_0003.ckpt")
+    assert load_checkpoint(ckpt).epoch == 3
+    samples = tmp_path / "samples.txt"
+    assert cli(["sample", ckpt, "--count", "8", "--out", str(samples)]) == 0
+    lines = samples.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 8
+    assert all(len(line.split()) == 3 and all(0 <= int(v) < 4 for v in line.split()) for line in lines)
+    capsys.readouterr()
+    assert cli(["eval", ckpt, "--mc-samples", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "bits_per_dim" in out
+    assert os.path.exists(tmp_path / "run" / "metrics.csv")
+
+
+@pytest.mark.parametrize("bad_key", ["epochs = 0", "bogus = 1"])
+def test_cli_train_rejects_bad_config(tmp_path, bad_key):
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(CONFIG + f"out_dir = {tmp_path}\n{bad_key}\n", encoding="utf-8")
+    assert cli(["train", str(config_path)]) == 1
