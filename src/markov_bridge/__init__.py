@@ -8,11 +8,10 @@ from .core import (
     NoiseSchedule,
     ProbVector,
     ProductDistribution,
-    evolve,
+    evolve_rows,
     kernel_rows,
     kl_divergence,
     materialize_dense,
-    reverse_rate_row,
     transition_kernel,
 )
 from .data import Dataset, load_dataset, synthetic_ground_truth
@@ -35,19 +34,15 @@ from .matrix_learning import (
     matrix_learning_loop,
     predict_terminal,
 )
-from .sampler import SamplerConfig, estimate_mu, euler_reverse_step, generate, tv_distance
+from .sampler import SamplerConfig, estimate_mu, generate, tv_distance
 from .score_learning import (
-    OptimizerConfig,
     ScoreBatch,
     ScoreModel,
-    exact_score_oracle,
     make_score_batch,
     oracle_ratio_fn,
-    sample_xt_given_x0,
     score_entropy_loss,
-    score_forward,
-    score_grad,
     score_learning_loop,
+    score_loss_and_grad,
 )
 from .solver import (
     SortedPair,
@@ -56,6 +51,6 @@ from .solver import (
     permutation_from_data,
     sort_permutation,
 )
-from .training import train
+from .training import restore, train
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ class Checkpoint:
     score_weights: list
     score_biases: list
     rng_state: str             # canonical JSON of the generator state
-    epoch_history: np.ndarray  # (k, 4) float64: j_q, j_score, elbo_bpd, kl_mu
+    epoch_history: np.ndarray  # (k, 4) float64: kl_term, j_score, elbo_bpd, kl_mu
     version: int = VERSION
 
 
@@ -112,18 +112,21 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
     reader = _Reader(blob, 9)
-    config_text = reader.text()
-    epoch = reader.u64()
-    perms = reader.array()
-    a = reader.array()
-    p0 = reader.array()
-    layers = reader.u64()
-    weights, biases = [], []
-    for _ in range(layers):
-        weights.append(reader.array())
-        biases.append(reader.array())
-    rng_state = reader.text()
-    history = reader.array()
+    try:
+        config_text = reader.text()
+        epoch = reader.u64()
+        perms = reader.array()
+        a = reader.array()
+        p0 = reader.array()
+        layers = reader.u64()
+        weights, biases = [], []
+        for _ in range(layers):
+            weights.append(reader.array())
+            biases.append(reader.array())
+        rng_state = reader.text()
+        history = reader.array()
+    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"corrupted checkpoint: {exc}") from exc
     return Checkpoint(
         config_text=config_text,
         epoch=epoch,

@@ -6,23 +6,21 @@ Exit codes: 0 success, 1 usage or bad input, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint
-from .config import RunConfig, load_config, parse_config_text
-from .core import FactorizedRateMatrix, NoiseSchedule, ProbVector, ProductDistribution, evolve
+from .checkpoint import load_checkpoint
+from .config import load_config
+from .core import ProbVector, evolve_rows
 from .data import load_dataset
 from .errors import BridgeError, CheckpointError, ConfigError
 from .evaluation import elbo_estimate
-from .matrix_learning import MatrixLearnState, predict_terminal
+from .matrix_learning import predict_terminal
 from .sampler import SamplerConfig, generate
-from .score_learning import ScoreModel
 from .solver import exact_rate_matrix
 from .selftest import run_selftest
-from .training import train
+from .training import restore, train
 
 _SAMPLE_SALT = 0x5A3B
 
@@ -53,23 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unpack(ck: Checkpoint):
-    config = parse_config_text(ck.config_text)
-    schedule = NoiseSchedule(
-        kind=config.schedule_kind,
-        sigma_min=config.sigma_min,
-        sigma_max=config.sigma_max,
-        horizon=config.horizon,
-    )
-    Q_per_dim = [FactorizedRateMatrix.from_parts(ck.perms[i], ck.a[i]) for i in range(config.d)]
-    model = ScoreModel(config.n, config.d, hidden=config.score_hidden)
-    for layer, (w, b) in enumerate(zip(ck.score_weights, ck.score_biases)):
-        model.weights[layer] = w.copy()
-        model.biases[layer] = b.copy()
-    p0 = ProductDistribution.from_array(ck.p0_estimate)
-    return config, schedule, Q_per_dim, model, p0
-
-
 def _read_vector(path: str) -> ProbVector:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,14 +75,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    config, schedule, Q_per_dim, model, p0 = _unpack(ck)
-    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0)
-    terminal = predict_terminal(state, schedule)
+    config, schedule, Q_per_dim, model, p0 = restore(load_checkpoint(args.checkpoint))
+    terminal = predict_terminal(Q_per_dim, p0, schedule)
     steps = args.steps if args.steps is not None else config.sampler_steps
-    sampler_cfg = SamplerConfig(num_steps=steps, eps_t=config.eps_t, ratio_source="network")
+    sampler_cfg = SamplerConfig(num_steps=steps, eps_t=config.eps_t)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLE_SALT]))
-    draws = generate(sampler_cfg, terminal, Q_per_dim, schedule, model.ratios, rng, args.count)
+    draws = generate(sampler_cfg, terminal, Q_per_dim, schedule, model.forward_batch, rng, args.count)
     dataset = load_dataset(config)
     lines = dataset.decode(draws)
     if args.out:
@@ -114,15 +93,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
-    config, schedule, Q_per_dim, model, p0 = _unpack(ck)
+    config, schedule, Q_per_dim, model, p0 = restore(load_checkpoint(args.checkpoint))
     dataset = load_dataset(config)
-    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0)
-    terminal = predict_terminal(state, schedule)
+    terminal = predict_terminal(Q_per_dim, p0, schedule)
     mc = args.mc_samples if args.mc_samples is not None else config.mc_samples
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE7A1]))
     report = elbo_estimate(
-        model, dataset.samples, Q_per_dim, schedule, terminal, mc, rng, eps_t=config.eps_t
+        model.forward_batch, dataset.samples, Q_per_dim, schedule, terminal, mc, rng, eps_t=config.eps_t
     )
     print(f"j_score        = {report.j_score:.6f} nats")
     print(f"kl_term        = {report.kl_term:.6f} nats")
@@ -136,7 +113,7 @@ def _cmd_solve(args) -> int:
     p = _read_vector(args.p_file)
     q = _read_vector(args.q_file)
     Q = exact_rate_matrix(p, q)
-    residual = float(np.abs(evolve(q.probs, Q, 1.0) - p.probs).max())
+    residual = float(np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max())
     print("perm =", " ".join(str(int(v)) for v in Q.perm))
     print("a    =", " ".join(f"{v:.6f}" for v in Q.a))
     print(f"residual = {residual:.3g}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .core import NoiseSchedule
 from .errors import ConfigError
 
 
@@ -79,6 +80,15 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         return self
+
+    def schedule(self) -> NoiseSchedule:
+        """The noise schedule these settings describe."""
+        return NoiseSchedule(
+            kind=self.schedule_kind,
+            sigma_min=self.sigma_min,
+            sigma_max=self.sigma_max,
+            horizon=self.horizon,
+        )
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

@@ -36,6 +36,8 @@ class ProbVector:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probability entries must be finite")
         if np.any(probs < 0.0):
             raise ValueError("probability entries must be nonnegative")
         total = float(probs.sum())
@@ -113,8 +115,8 @@ class FactorizedRateMatrix:
             raise ValueError("perm and inv_perm must have shape (n,)")
         if a.shape != (n - 1,):
             raise ValueError("a must have shape (n-1,)")
-        if np.any(a < 0.0):
-            raise ValueError("rate parameters must be nonnegative")
+        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
+            raise ValueError("rate parameters must be finite and nonnegative")
         if not np.array_equal(perm[inv_perm], np.arange(n)):
             raise ValueError("inv_perm is not the inverse of perm")
         object.__setattr__(self, "n", n)
@@ -184,55 +186,45 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _sorted_kernel(lambdas: np.ndarray, beta: float) -> np.ndarray:
-    # exp(beta*H) in sorted coordinates: diagonal e^{beta*lambda_j}, entry
-    # (i, j>i) = e^{beta*lambda_j} - e^{beta*lambda_{j-1}} (adjacent column
-    # difference = analytic application of the inverse eigenbasis).
-    n = lambdas.size
-    e = np.exp(beta * lambdas)
-    upper = e - np.concatenate(([0.0], e[:-1]))
-    return np.triu(np.broadcast_to(upper, (n, n)).copy(), k=1) + np.diag(e)
+def _sorted_rows(Q: FactorizedRateMatrix, betas, pos: np.ndarray):
+    """Rows exp(beta_b * H)[pos_b, :] in sorted coordinates, before clipping.
 
-
-def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
-    """Row-stochastic exp(beta * Q) computed through the closed-form spectrum.
-
-    Entries are clamped at zero (the eigen route can leave -1e-15-scale
-    negatives from cancellation) and rows renormalized, since downstream code
-    divides by kernel entries.
+    Returns (e, rows) with e = exp(beta_b * lambda), one row per beta (a
+    scalar beta gives a single row shared by the batch). Row entries are
+    e_{pos} on the diagonal and the adjacent column difference e_j - e_{j-1}
+    above it: the inverse eigenbasis applied analytically.
     """
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    Ks = _sorted_kernel(Q.lambdas, beta)
-    K = Ks[np.ix_(Q.inv_perm, Q.inv_perm)]
-    np.clip(K, 0.0, None, out=K)
-    K /= K.sum(axis=1, keepdims=True)
-    return K
+    e = np.exp(np.outer(betas, Q.lambdas))
+    upper = e - np.concatenate([np.zeros((e.shape[0], 1)), e[:, :-1]], axis=1)
+    rows = np.where(np.arange(Q.n)[None, :] > pos[:, None], upper, 0.0)
+    idx = np.arange(pos.size)
+    rows[idx, pos] = np.broadcast_to(e, rows.shape)[idx, pos]
+    return e, rows
 
 
 def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
-    """Rows exp(beta_b * Q)[state_b, :] for per-element beta values.
+    """Rows exp(beta_b * Q)[state_b, :] for per-element or shared beta values.
 
-    Same arithmetic as :func:`transition_kernel` restricted to one row each,
-    vectorized over a batch; this is the hot primitive behind conditional
-    sampling and the score-entropy loss.
+    Entries are clamped at zero (the eigen route can leave -1e-15-scale
+    negatives from cancellation) and rows renormalized, since downstream code
+    divides by kernel entries. This is the one kernel assembly: the full
+    kernel, conditional sampling and the score-entropy loss all go through it.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     states = np.atleast_1d(np.asarray(states, dtype=np.int64))
-    if betas.size == 1 and states.size > 1:
-        betas = np.broadcast_to(betas, states.shape)
-    B, n = states.size, Q.n
-    e = np.exp(np.outer(betas, Q.lambdas))
-    upper = e - np.concatenate([np.zeros((B, 1)), e[:, :-1]], axis=1)
-    pos = Q.inv_perm[states]
-    cols = np.arange(n)[None, :]
-    rows = np.where(cols > pos[:, None], upper, 0.0)
-    rows[np.arange(B), pos] = e[np.arange(B), pos]
+    _, rows = _sorted_rows(Q, betas, Q.inv_perm[states])
     rows = rows[:, Q.inv_perm]
     np.clip(rows, 0.0, None, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
+
+
+def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
+    """Row-stochastic exp(beta * Q): every row of :func:`kernel_rows`."""
+    beta = float(beta)
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    return kernel_rows(Q, beta, np.arange(Q.n))
 
 
 def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
@@ -240,7 +232,8 @@ def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
 
     Uses the telescoped cumulative form c_j e^{beta lambda_j} -
     c_{j-1} e^{beta lambda_{j-1}} with c the cumulative sums of p in sorted
-    coordinates, so the whole batch costs O(B n).
+    coordinates, so the whole batch costs O(B n). The entry sum of p is
+    conserved, so unnormalized inputs are fine.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     p = np.asarray(p, dtype=np.float64)
@@ -254,52 +247,27 @@ def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
 
 
 def materialize_dense(Q: FactorizedRateMatrix) -> np.ndarray:
-    """Dense generator matrix: zero row sums, nonnegative off-diagonals."""
+    """Dense generator matrix: zero row sums, nonnegative off-diagonals.
+
+    The dense reference for checks; no computation path builds it.
+    """
     n = Q.n
     H = np.triu(np.broadcast_to(np.concatenate(([0.0], Q.a)), (n, n)).copy(), k=1)
     H[np.diag_indices(n)] = Q.lambdas
     return H[np.ix_(Q.inv_perm, Q.inv_perm)]
 
 
-def dense_column(Q: FactorizedRateMatrix, x: int) -> np.ndarray:
-    """Column x of the dense generator without building the full matrix."""
-    jx = int(Q.inv_perm[x])
-    col = np.zeros(Q.n)
-    if jx > 0:
-        col[:jx] = Q.a[jx - 1]
-    col[jx] = Q.lambdas[jx]
-    return col[Q.inv_perm]
+def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:
+    """Off-diagonal rates into each state: sigma_b * Q[y, x_b], 0 at y = x_b.
 
-
-def evolve(p0, Q: FactorizedRateMatrix, beta: float):
-    """Push a distribution through exp(beta * Q); the entry sum is conserved.
-
-    Accepts a ProbVector (returns ProbVector) or a raw vector (returns a raw
-    vector, no normalization), so conservation holds for unnormalized inputs.
+    Column x of the generator is the constant a[pos(x) - 1] on the sorted
+    slots before pos(x) and 0 after it, so no dense matrix is built. Shape
+    (B, n); ``sigmas`` is a scalar or one value per state.
     """
-    raw = p0.probs if isinstance(p0, ProbVector) else np.asarray(p0, dtype=np.float64)
-    out = raw @ transition_kernel(Q, beta)
-    return ProbVector(out) if isinstance(p0, ProbVector) else out
-
-
-def reverse_rate_row(Q: FactorizedRateMatrix, sigma_t: float, p_ratio, x: int) -> np.ndarray:
-    """Row x of the reversed generator given probability ratios p_t(y)/p_t(x).
-
-    Off-diagonal entry y is sigma_t * Q[y, x] * p_ratio[y]; the diagonal is
-    set so the row sums to zero.
-    """
-    p_ratio = np.asarray(p_ratio, dtype=np.float64)
-    if p_ratio.shape != (Q.n,):
-        raise ValueError("p_ratio must have one entry per state")
-    row = float(sigma_t) * dense_column(Q, x) * p_ratio
-    row[x] = 0.0
-    if np.any(row < 0.0):
-        bad = int(np.argmin(row))
-        raise ValueError(
-            f"negative reverse rate toward state {bad}: ratio or rate matrix is corrupted"
-        )
-    row[x] = -row.sum()
-    return row
+    pos = Q.inv_perm[np.asarray(states, dtype=np.int64)]
+    rate = np.asarray(sigmas, dtype=np.float64) * np.concatenate(([0.0], Q.a))[pos]
+    rate = np.broadcast_to(rate, pos.shape)
+    return np.where(Q.inv_perm[None, :] < pos[:, None], rate[:, None], 0.0)
 
 
 def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,6 @@ from .errors import DivergenceError
 from .score_learning import (
     DEFAULT_EPS_T,
     ScoreBatch,
-    _as_ratio_fn,
     _per_sample_values,
     sample_xt_batch,
 )
@@ -52,33 +51,25 @@ class ElboReport:
         )
 
 
-def kl_term(x0, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
-    """Sum over dimensions of KL(kernel row of x0_i at beta(T) || terminal_i)."""
-    x0 = np.asarray(x0, dtype=np.int64).reshape(-1)
-    beta_T = schedule.beta(schedule.horizon)
-    total = 0.0
-    for i, Q in enumerate(Q_per_dim):
-        row = transition_kernel(Q, beta_T)[x0[i]]
-        total += kl_divergence(row, terminal.marginals[i].probs)
-    return total
+def kl_term(data, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
+    """Dataset mean of the summed per-dimension KL(kernel row of x0_i at beta(T) || terminal_i).
 
-
-def _kl_over_dataset(data, Q_per_dim, schedule, terminal) -> float:
-    # group by state value per dimension: the row KL depends on x0 only
-    # through its per-dimension entries
+    The row KL depends on x0 only through its per-dimension entries, so each
+    dimension costs one kernel and a histogram, whatever the dataset size.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=np.int64))
     beta_T = schedule.beta(schedule.horizon)
-    N = data.shape[0]
     total = 0.0
     for i, Q in enumerate(Q_per_dim):
         K = transition_kernel(Q, beta_T)
-        weights = np.bincount(data[:, i], minlength=Q.n) / N
+        weights = np.bincount(data[:, i], minlength=Q.n) / data.shape[0]
         kls = np.array([kl_divergence(K[x], terminal.marginals[i].probs) for x in range(Q.n)])
         total += float(weights @ kls)
     return total
 
 
 def elbo_estimate(
-    model_or_fn,
+    ratio_fn,
     dataset,
     Q_per_dim,
     schedule: NoiseSchedule,
@@ -91,15 +82,15 @@ def elbo_estimate(
 
     The score term is estimated with mc_samples iid draws (x0 uniform from
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
-    the KL term is averaged over the whole dataset. The reported standard
-    error covers the score term only.
+    the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
+    returns (B, d, n) ratio estimates. The reported standard error covers
+    the score term only.
     """
     data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
     if data.size == 0:
         raise ValueError("dataset is empty")
     if mc_samples < 2:
         raise ValueError("need at least 2 Monte Carlo samples")
-    ratio_fn = _as_ratio_fn(model_or_fn)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -116,5 +107,5 @@ def elbo_estimate(
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))
-    kl = _kl_over_dataset(data, Q_per_dim, schedule, terminal)
+    kl = kl_term(data, Q_per_dim, schedule, terminal)
     return ElboReport.build(mean, kl, data.shape[1], se)

@@ -19,7 +19,8 @@ from .core import (
     FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
-    evolve,
+    _sorted_rows,
+    evolve_rows,
     transition_kernel,
 )
 from .errors import DivergenceError
@@ -103,19 +104,17 @@ def jq_grad(state: MatrixLearnState, batch, schedule: NoiseSchedule, terminal: P
     grads = np.zeros((len(state.Q_per_dim), n - 1))
     cols = np.arange(n)[None, :]
     for i, Q in enumerate(state.Q_per_dim):
-        e = np.exp(beta_T * Q.lambdas)
-        upper = e - np.concatenate(([0.0], e[:-1]))
         target = state.p0_estimate.marginals[i].probs @ transition_kernel(Q, beta_T)
         target_sorted = target[Q.perm]
         pos = Q.inv_perm[batch[:, i]]
         B = pos.size
-        rows = np.where(cols > pos[:, None], upper[None, :], 0.0)
-        rows[np.arange(B), pos] = e[pos]
+        # sorted rows share one e = exp(beta_T * lambda) across the batch
+        e, rows = _sorted_rows(Q, beta_T, pos)
         w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(target_sorted, RATIO_FLOOR))[None, :]
         # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns
         dE = w - np.concatenate([w[:, 1:], np.zeros((B, 1))], axis=1)
         dE = np.where(cols >= pos[:, None], dE, 0.0)
-        dlam = beta_T * e[None, :] * dE
+        dlam = beta_T * e * dE
         grads[i] = -np.cumsum(dlam, axis=1)[:, : n - 1].mean(axis=0)
     return grads
 
@@ -173,12 +172,9 @@ def matrix_learning_loop(
     return state
 
 
-def predict_terminal(state: MatrixLearnState, schedule: NoiseSchedule) -> ProductDistribution:
-    """Evolve the current p0 estimate to the horizon, one dimension at a time."""
+def predict_terminal(Q_per_dim, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:
+    """Evolve p0 to the horizon, one dimension at a time."""
     beta_T = schedule.beta(schedule.horizon)
-    return ProductDistribution(
-        tuple(
-            evolve(state.p0_estimate.marginals[i], Q, beta_T)
-            for i, Q in enumerate(state.Q_per_dim)
-        )
+    return ProductDistribution.from_array(
+        np.concatenate([evolve_rows(p0.marginals[i].probs, Q, beta_T) for i, Q in enumerate(Q_per_dim)])
     )

@@ -1,11 +1,12 @@
 """Reverse-time generation by explicit Euler steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each Euler step forms, per dimension, the categorical delta_x(y) + dt * Qhat
-row (negative entries clamped, row renormalized) and samples it. The final
-step's categorical is what the mu estimator averages: returning the full
-distribution instead of a sample has the same expectation and strictly lower
-variance.
+Each Euler step forms, per dimension and for a whole batch at once, the
+categorical delta_x(y) + dt * Qhat row (negative entries clamped, row
+renormalized) and samples it. Generation and the mu estimator share one
+trajectory loop; the estimator stops one step early and averages that last
+step's categorical instead of sampling it, which has the same expectation
+and strictly lower variance.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NoiseSchedule,
-    ProbVector,
-    ProductDistribution,
-    materialize_dense,
-    reverse_rate_row,
-    sample_categorical,
-)
+from .core import NoiseSchedule, ProbVector, ProductDistribution, rate_columns, sample_categorical
+from .errors import DivergenceError
 
 diagnostics = {"euler_zero_rows": 0}
 
@@ -30,31 +25,31 @@ diagnostics = {"euler_zero_rows": 0}
 class SamplerConfig:
     num_steps: int = 128
     eps_t: float = 1e-3
-    ratio_source: str = "network"
-    batch_size: int = 1024
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         if self.eps_t <= 0.0:
             raise ValueError("eps_t must be positive")
-        if self.ratio_source not in ("network", "oracle"):
-            raise ValueError(f"unknown ratio source {self.ratio_source!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
-    """Per-dimension Euler categoricals, shape (B, d, n)."""
+    """Per-dimension Euler categoricals, shape (B, d, n).
+
+    ``ratios`` is (B, d, n); a row that clamps to all zeros falls back to
+    staying put. Non-finite or negative ratios raise DivergenceError rather
+    than turning into a distribution.
+    """
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if not (np.isfinite(ratios).all() and ratios.min() >= 0.0):
+        raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
     B, d = xt.shape
     n = Q_per_dim[0].n
     sigma = schedule.sigma(t)
     idx = np.arange(B)
     probs = np.empty((B, d, n))
     for i, Q in enumerate(Q_per_dim):
-        cols = materialize_dense(Q).T[xt[:, i]]  # (B, n): rates y <- x gathered per sample
-        off = sigma * cols * ratios[:, i, :]
-        off[idx, xt[:, i]] = 0.0
+        off = rate_columns(Q, sigma, xt[:, i]) * ratios[:, i, :]
         rows = dt * off
         rows[idx, xt[:, i]] = 1.0 - dt * off.sum(axis=1)
         np.clip(rows, 0.0, None, out=rows)
@@ -70,41 +65,23 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSche
     return probs
 
 
-def euler_reverse_step(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule, rng) -> tuple:
-    """One reverse Euler step for a single state tuple.
-
-    ``ratios`` is (d, n) with the self-ratio 1 at each dimension's current
-    state; a row that clamps to all zeros falls back to staying put.
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    if t - dt < -1e-12:
-        raise ValueError("step would cross t = 0")
-    xt = np.asarray(xt, dtype=np.int64).reshape(-1)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    sigma = schedule.sigma(t)
-    out = np.empty(xt.size, dtype=np.int64)
-    for i, Q in enumerate(Q_per_dim):
-        x = int(xt[i])
-        row = np.zeros(Q.n)
-        row[x] = 1.0
-        row += dt * reverse_rate_row(Q, sigma, ratios[i], x)
-        np.clip(row, 0.0, None, out=row)
-        total = row.sum()
-        if total <= 0.0:
-            diagnostics["euler_zero_rows"] += 1
-            row[:] = 0.0
-            row[x] = 1.0
-            total = 1.0
-        out[i] = sample_categorical((row / total)[None, :], rng)[0]
-    return tuple(int(v) for v in out)
+def _step_probs(config: SamplerConfig, k: int, xt, Q_per_dim, schedule: NoiseSchedule, ratio_fn):
+    """Euler categoricals of step k on the uniform grid from T down to eps_t."""
+    dt = (schedule.horizon - config.eps_t) / config.num_steps
+    t = schedule.horizon - k * dt
+    return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
 
 
-def _draw_terminal(terminal: ProductDistribution, rng, count: int) -> np.ndarray:
-    out = np.empty((count, terminal.d), dtype=np.int64)
+def _trajectories(config: SamplerConfig, terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, rng, count, steps):
+    """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
+    xt = np.empty((count, terminal.d), dtype=np.int64)
     for i, m in enumerate(terminal.marginals):
-        out[:, i] = rng.choice(m.n, size=count, p=m.probs)
-    return out
+        xt[:, i] = rng.choice(m.n, size=count, p=m.probs)
+    for k in range(steps):
+        probs = _step_probs(config, k, xt, Q_per_dim, schedule, ratio_fn)
+        for i in range(xt.shape[1]):
+            xt[:, i] = sample_categorical(probs[:, i, :], rng)
+    return xt
 
 
 def generate(
@@ -121,15 +98,7 @@ def generate(
     ``ratio_fn(xt_batch, t) -> (B, d, n)`` supplies the probability ratios
     (a trained model or the exact oracle). Returns an (count, d) int array.
     """
-    T = schedule.horizon
-    dt = (T - config.eps_t) / config.num_steps
-    xt = _draw_terminal(terminal, rng, count)
-    for k in range(config.num_steps):
-        t = T - k * dt
-        probs = _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
-        for i in range(xt.shape[1]):
-            xt[:, i] = sample_categorical(probs[:, i, :], rng)
-    return xt
+    return _trajectories(config, terminal, Q_per_dim, schedule, ratio_fn, rng, count, config.num_steps)
 
 
 def estimate_mu(
@@ -149,17 +118,9 @@ def estimate_mu(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    T = schedule.horizon
-    dt = (T - config.eps_t) / config.num_steps
-    xt = _draw_terminal(terminal, rng, M)
-    for k in range(config.num_steps - 1):
-        t = T - k * dt
-        probs = _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
-        for i in range(xt.shape[1]):
-            xt[:, i] = sample_categorical(probs[:, i, :], rng)
-    t_last = T - (config.num_steps - 1) * dt
-    probs = _euler_probs(xt, t_last, dt, ratio_fn(xt, t_last), Q_per_dim, schedule)
-    rows = probs.mean(axis=0)
+    last = config.num_steps - 1
+    xt = _trajectories(config, terminal, Q_per_dim, schedule, ratio_fn, rng, M, last)
+    rows = _step_probs(config, last, xt, Q_per_dim, schedule, ratio_fn).mean(axis=0)
     rows /= rows.sum(axis=1, keepdims=True)
     return ProductDistribution.from_array(rows)
 

@@ -6,6 +6,10 @@ integrand is rate * (s - r + r (ln r - ln s)) with r the conditional kernel
 ratio, a Bregman divergence that is nonnegative and zero only at s = r. Time
 is sampled uniformly on (eps_t, T) and weighted by (T - eps_t); the full sum
 over y is taken (no y-subsampling) since desk-scale n keeps it cheap.
+
+Everything works on batches: ratio estimators are functions
+``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
+:func:`oracle_ratio_fn`, and single tuples are batches of one.
 """
 
 from __future__ import annotations
@@ -16,18 +20,25 @@ import numpy as np
 
 from .core import (
     RATIO_FLOOR,
-    FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
     evolve_rows,
     kernel_rows,
-    materialize_dense,
+    rate_columns,
     sample_categorical,
 )
 from .errors import DegenerateStateError, DivergenceError
 
 TIME_EMBED_WIDTH = 16
 DEFAULT_EPS_T = 1e-3
+DEFAULT_LR = 3e-4
+
+# Adam hyperparameters and the smoothed-loss stop/divergence rules
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+SMOOTH_WINDOW = 50
+DIVERGENCE_FACTOR = 10.0
 
 _FREQS = np.pi * 2.0 ** np.arange(TIME_EMBED_WIDTH // 2)
 
@@ -87,9 +98,6 @@ class ScoreModel:
         _, out = self._forward_cached(self.encode(xt, t))
         return np.exp(out).reshape(-1, self.d, self.n)
 
-    def ratios(self, xt, t) -> np.ndarray:
-        return self.forward_batch(xt, t)
-
     def backward(self, acts, d_out):
         """Gradients for a cached forward pass given d(loss)/d(pre-exp output)."""
         grad_w = [None] * len(self.weights)
@@ -101,11 +109,6 @@ class ScoreModel:
             if layer > 0:
                 delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
         return grad_w, grad_b
-
-
-def score_forward(model: ScoreModel, xt, t: float) -> np.ndarray:
-    """Ratio estimates for one state tuple: shape (d, n), strictly positive."""
-    return model.forward_batch(np.atleast_2d(np.asarray(xt, dtype=np.int64)), float(t))[0]
 
 
 @dataclass(frozen=True)
@@ -138,19 +141,12 @@ class ScoreBatch:
 def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng) -> np.ndarray:
     """Per-dimension conditional draws from exp(beta(t_b) * Q_i) rows."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
-    betas = schedule.beta(np.atleast_1d(np.asarray(t, dtype=np.float64)))
-    betas = np.broadcast_to(np.atleast_1d(betas), (x0.shape[0],))
+    betas = schedule.beta(np.asarray(t, dtype=np.float64))
     out = np.empty_like(x0)
     for i, Q in enumerate(Q_per_dim):
         rows = kernel_rows(Q, betas, x0[:, i])
         out[:, i] = sample_categorical(rows, rng)
     return out
-
-
-def sample_xt_given_x0(x0, Q_per_dim, schedule: NoiseSchedule, t: float, rng) -> tuple:
-    """One conditional draw of x_t given x_0 at time t."""
-    drawn = sample_xt_batch(np.atleast_2d(np.asarray(x0, dtype=np.int64)), Q_per_dim, schedule, float(t), rng)
-    return tuple(int(v) for v in drawn[0])
 
 
 def make_score_batch(x0, Q_per_dim, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
@@ -159,12 +155,6 @@ def make_score_batch(x0, Q_per_dim, schedule: NoiseSchedule, rng, eps_t: float =
     t = rng.uniform(eps_t, schedule.horizon, size=x0.shape[0])
     xt = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
     return ScoreBatch(x0=x0, t=t, xt=xt)
-
-
-def _as_ratio_fn(model_or_fn):
-    if isinstance(model_or_fn, ScoreModel):
-        return model_or_fn.ratios
-    return model_or_fn
 
 
 def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule):
@@ -190,11 +180,6 @@ def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule)
     return ratios
 
 
-def exact_score_oracle(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule, xt, t: float) -> np.ndarray:
-    """Exact posterior ratios for one state tuple, shape (d, n)."""
-    return oracle_ratio_fn(mu, Q_per_dim, schedule)(np.atleast_2d(np.asarray(xt, dtype=np.int64)), float(t))[0]
-
-
 def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule):
     """Kernel ratio targets r and the off-state rate weights, both (B, d, n)."""
     B, d = batch.x0.shape
@@ -208,10 +193,7 @@ def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule):
         rows = kernel_rows(Q, betas, batch.x0[:, i])
         den = np.maximum(rows[idx, batch.xt[:, i]], RATIO_FLOOR)
         r[:, i, :] = rows / den[:, None]
-        # column xt_b of the dense generator, gathered per sample
-        dense_T = materialize_dense(Q).T
-        rates[:, i, :] = sigmas[:, None] * dense_T[batch.xt[:, i]]
-        rates[idx, i, batch.xt[:, i]] = 0.0
+        rates[:, i, :] = rate_columns(Q, sigmas, batch.xt[:, i])
     return r, rates
 
 
@@ -230,16 +212,18 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
     return weight * terms.sum(axis=(1, 2)), r, rates
 
 
-def score_entropy_loss(model_or_fn, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
+def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
     """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    s = _as_ratio_fn(model_or_fn)(batch.xt, batch.t)
-    values, _, _ = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
+    values, _, _ = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)
     return float(values.mean())
 
 
-def _loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float):
+def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T):
+    """Batch loss and its exact reverse-mode gradients for a fixed batch.
+
+    Returns (loss, grad_weights, grad_biases), the gradients shaped like the
+    model parameters.
+    """
     acts, out = model._forward_cached(model.encode(batch.xt, batch.t))
     s = np.exp(out).reshape(batch.size, model.d, model.n)
     values, r, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
@@ -250,29 +234,6 @@ def _loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedule: No
     return float(values.mean()), grad_w, grad_b
 
 
-def score_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T):
-    """Exact reverse-mode gradients of the Monte Carlo loss for a fixed batch.
-
-    Returns (grad_weights, grad_biases) shaped like the model parameters.
-    """
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    _, grad_w, grad_b = _loss_and_grad(model, batch, Q_per_dim, schedule, eps_t)
-    return grad_w, grad_b
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Adam hyperparameters plus the smoothed-loss stop/divergence rules."""
-
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    smooth_window: int = 50
-    divergence_factor: float = 10.0
-
-
 def score_learning_loop(
     model: ScoreModel,
     data_iter,
@@ -280,7 +241,7 @@ def score_learning_loop(
     schedule: NoiseSchedule,
     max_step: int,
     eps_score: float,
-    optimizer_config: OptimizerConfig = OptimizerConfig(),
+    lr: float = DEFAULT_LR,
     eps_t: float = DEFAULT_EPS_T,
 ) -> ScoreModel:
     """Adam on the score-entropy loss until the step cap or smoothed loss
@@ -288,7 +249,6 @@ def score_learning_loop(
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
-    cfg = optimizer_config
     m_w = [np.zeros_like(w) for w in model.weights]
     v_w = [np.zeros_like(w) for w in model.weights]
     m_b = [np.zeros_like(b) for b in model.biases]
@@ -297,25 +257,25 @@ def score_learning_loop(
     initial_smoothed = None
     for step in range(max_step):
         batch = next(data_iter)
-        loss, grad_w, grad_b = _loss_and_grad(model, batch, Q_per_dim, schedule, eps_t)
+        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q_per_dim, schedule, eps_t)
         history.append(loss)
-        smoothed = float(np.mean(history[-cfg.smooth_window:]))
+        smoothed = float(np.mean(history[-SMOOTH_WINDOW:]))
         if initial_smoothed is None:
             initial_smoothed = max(smoothed, 1e-30)
         if smoothed < eps_score:
             break
-        if smoothed > cfg.divergence_factor * initial_smoothed:
+        if smoothed > DIVERGENCE_FACTOR * initial_smoothed:
             raise DivergenceError(
                 "score training diverged",
                 diagnostics={"step": step, "smoothed": smoothed, "initial": initial_smoothed},
             )
         tt = step + 1
-        scale = cfg.lr * np.sqrt(1.0 - cfg.beta2**tt) / (1.0 - cfg.beta1**tt)
+        scale = lr * np.sqrt(1.0 - ADAM_BETA2**tt) / (1.0 - ADAM_BETA1**tt)
         for layer in range(len(model.weights)):
-            m_w[layer] = cfg.beta1 * m_w[layer] + (1.0 - cfg.beta1) * grad_w[layer]
-            v_w[layer] = cfg.beta2 * v_w[layer] + (1.0 - cfg.beta2) * grad_w[layer] ** 2
-            model.weights[layer] -= scale * m_w[layer] / (np.sqrt(v_w[layer]) + cfg.eps)
-            m_b[layer] = cfg.beta1 * m_b[layer] + (1.0 - cfg.beta1) * grad_b[layer]
-            v_b[layer] = cfg.beta2 * v_b[layer] + (1.0 - cfg.beta2) * grad_b[layer] ** 2
-            model.biases[layer] -= scale * m_b[layer] / (np.sqrt(v_b[layer]) + cfg.eps)
+            m_w[layer] = ADAM_BETA1 * m_w[layer] + (1.0 - ADAM_BETA1) * grad_w[layer]
+            v_w[layer] = ADAM_BETA2 * v_w[layer] + (1.0 - ADAM_BETA2) * grad_w[layer] ** 2
+            model.weights[layer] -= scale * m_w[layer] / (np.sqrt(v_w[layer]) + ADAM_EPS)
+            m_b[layer] = ADAM_BETA1 * m_b[layer] + (1.0 - ADAM_BETA1) * grad_b[layer]
+            v_b[layer] = ADAM_BETA2 * v_b[layer] + (1.0 - ADAM_BETA2) * grad_b[layer] ** 2
+            model.biases[layer] -= scale * m_b[layer] / (np.sqrt(v_b[layer]) + ADAM_EPS)
     return model

@@ -5,17 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    RATIO_FLOOR,
     FactorizedRateMatrix,
     NoiseSchedule,
     ProbVector,
     ProductDistribution,
-    evolve,
+    evolve_rows,
+    kernel_rows,
     materialize_dense,
     transition_kernel,
 )
-from .matrix_learning import MatrixLearnState, jq_grad, jq_loss
+from .matrix_learning import MatrixLearnState, jq_grad
 from .reference import taylor_expm
-from .score_learning import ScoreBatch, exact_score_oracle, make_score_batch, score_entropy_loss
+from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
 from .solver import exact_rate_matrix
 
 
@@ -48,7 +50,7 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(200):
         n = int(rng.integers(2, 33))
         p, q = _positive_pair(rng, n)
-        residual = np.abs(evolve(q.probs, exact_rate_matrix(p, q), 1.0) - p.probs).max()
+        residual = np.abs(evolve_rows(q.probs, exact_rate_matrix(p, q), 1.0)[0] - p.probs).max()
         worst = max(worst, float(residual))
     checks.append(("bridge round trip (200 cases)", worst <= 1e-9, f"max residual {worst:.3g}"))
 
@@ -56,7 +58,7 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(1000):
         Q = _random_matrix(rng, n_max=12)
         v = rng.uniform(0.0, 2.0, Q.n)
-        out = evolve(v, Q, rng.uniform(0.0, 4.0))
+        out = evolve_rows(v, Q, rng.uniform(0.0, 4.0))[0]
         worst = max(worst, abs(float(out.sum() - v.sum())))
     checks.append(("conservation fuzz (1000 cases)", worst <= 1e-12, f"max drift {worst:.3g}"))
 
@@ -66,13 +68,14 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(20):
         n = int(rng.integers(2, 9))
         Q = [_fixed_n_matrix(rng, n)]
-        x0 = np.full((16, 1), int(rng.integers(0, n)), dtype=np.int64)
-        mu = _point_mass(n, int(x0[0, 0]))
-        batch = make_score_batch(x0, Q, schedule, rng)
-        oracle = lambda xt, t: _oracle_batch(mu, Q, schedule, xt, t)
+        # sorted-first x0: its kernel row has full support, so the ratios
+        # off the diagonal are positive and a perturbation must show
+        x0 = int(Q[0].perm[0])
+        batch = make_score_batch(np.full((16, 1), x0, dtype=np.int64), Q, schedule, rng)
+        oracle = oracle_ratio_fn(_point_mass(n, x0), Q, schedule)
         loss = score_entropy_loss(oracle, batch, Q, schedule)
         worst = max(worst, loss)
-        bumped = score_entropy_loss(lambda xt, t: np.e * _oracle_batch(mu, Q, schedule, xt, t), batch, Q, schedule)
+        bumped = score_entropy_loss(lambda xt, t: np.e * oracle(xt, t), batch, Q, schedule)
         perturbed_ok = perturbed_ok and bumped > 0.0
     checks.append(("score loss at the exact ratio (20 batches)", worst <= 1e-10, f"max {worst:.3g}"))
     checks.append(("score loss positive once perturbed", perturbed_ok, ""))
@@ -86,7 +89,7 @@ def run_selftest(verbose: bool = True) -> bool:
         batch = rng.integers(0, n, size=(8, 1))
         terminal = ProductDistribution.uniform(n, 1)
         grad = jq_grad(state, batch, schedule, terminal)
-        frozen = evolve(p0.marginals[0].probs, Q[0], schedule.beta(schedule.horizon))
+        frozen = evolve_rows(p0.marginals[0].probs, Q[0], schedule.beta(schedule.horizon))[0]
         fd = _fd_grad(Q[0], batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
@@ -111,15 +114,7 @@ def _point_mass(n, x):
     return ProductDistribution.from_array(row[None, :])
 
 
-def _oracle_batch(mu, Q_per_dim, schedule, xt, t):
-    from .score_learning import oracle_ratio_fn
-
-    return oracle_ratio_fn(mu, Q_per_dim, schedule)(xt, t)
-
-
 def _fd_grad(Q, batch, schedule, frozen_target, h=1e-5):
-    from .core import RATIO_FLOOR, kernel_rows
-
     beta_T = schedule.beta(schedule.horizon)
     out = np.zeros(Q.n - 1)
     logt = np.log(np.maximum(frozen_target, RATIO_FLOOR))

@@ -17,29 +17,20 @@ import time
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, rng_from_json, rng_state_to_json, save_checkpoint
-from .config import RunConfig, config_echo
-from .core import NoiseSchedule, ProductDistribution, kl_divergence
+from .config import RunConfig, config_echo, parse_config_text
+from .core import FactorizedRateMatrix, ProductDistribution, kl_divergence
 from .data import Dataset, load_dataset
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .evaluation import elbo_estimate
 from .matrix_learning import MatrixLearnState, init_rate_matrices, matrix_learning_loop, predict_terminal
 from .sampler import SamplerConfig, estimate_mu
-from .score_learning import OptimizerConfig, ScoreModel, make_score_batch, score_learning_loop
+from .score_learning import ScoreModel, make_score_batch, score_learning_loop
 from .solver import estimate_marginals, permutation_from_data
 
 _MU_SALT = 0xB41D
 _MODEL_SALT = 0x5C0E
 
-METRICS_HEADER = "epoch,j_q,j_score,elbo_bits_per_dim,kl_mu_p0,wall_seconds"
-
-
-def _schedule_from(config: RunConfig) -> NoiseSchedule:
-    return NoiseSchedule(
-        kind=config.schedule_kind,
-        sigma_min=config.sigma_min,
-        sigma_max=config.sigma_max,
-        horizon=config.horizon,
-    )
+METRICS_HEADER = "epoch,kl_term,j_score,elbo_bits_per_dim,kl_mu_p0,wall_seconds"
 
 
 def _score_batches(dataset: Dataset, Q_per_dim, schedule, config: RunConfig, rng):
@@ -49,17 +40,29 @@ def _score_batches(dataset: Dataset, Q_per_dim, schedule, config: RunConfig, rng
         yield make_score_batch(dataset.samples[idx], Q_list, schedule, rng, eps_t=config.eps_t)
 
 
-def _restore(config: RunConfig, ck: Checkpoint, model: ScoreModel, state: MatrixLearnState):
-    if ck.config_text != config_echo(config):
-        raise ConfigError("checkpoint was written with a different configuration")
-    state.Q_per_dim = [
-        Q.replace_a(ck.a[i]) for i, Q in enumerate(state.Q_per_dim)
-    ]
-    state.p0_estimate = ProductDistribution.from_array(ck.p0_estimate)
+def restore(ck: Checkpoint):
+    """Rebuild a run from a checkpoint: (config, schedule, Q_per_dim, model, p0).
+
+    Arrays whose shapes disagree with the checkpoint's own configuration, and
+    rates or p0 that violate their invariants, raise CheckpointError.
+    """
+    config = parse_config_text(ck.config_text)
+    d, n = config.d, config.n
+    model = ScoreModel(n, d, hidden=config.score_hidden)
+    expected = [(d, n), (d, n - 1), (d, n)] + [p.shape for p in model.weights + model.biases]
+    found = [np.shape(x) for x in [ck.perms, ck.a, ck.p0_estimate, *ck.score_weights, *ck.score_biases]]
+    if found != expected:
+        raise CheckpointError("checkpoint arrays do not have the shapes its configuration implies")
+    try:
+        Q_per_dim = [FactorizedRateMatrix.from_parts(ck.perms[i], ck.a[i]) for i in range(d)]
+        p0 = ProductDistribution.from_array(ck.p0_estimate)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not hold a valid run: {exc}") from exc
+    # layer by layer, so each random initial layer is freed as its copy arrives
     for layer, (w, b) in enumerate(zip(ck.score_weights, ck.score_biases)):
         model.weights[layer] = w.copy()
         model.biases[layer] = b.copy()
-    return list(ck.epoch_history), rng_from_json(ck.rng_state), ck.epoch
+    return config, config.schedule(), Q_per_dim, model, p0
 
 
 def train(config: RunConfig, resume_from: str | None = None, stop_after: int | None = None) -> Checkpoint:
@@ -71,29 +74,33 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
     how many epochs this call performs (for interruption tests).
     """
     config.validate()
-    schedule = _schedule_from(config)
+    schedule = config.schedule()
     dataset = load_dataset(config)
     os.makedirs(config.out_dir, exist_ok=True)
 
-    mu_hat = estimate_marginals(dataset.samples, config.n)
-    perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
-    p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
-    state = MatrixLearnState(
-        Q_per_dim=init_rate_matrices(perms, config.n, config.init_scheme),
-        p0_estimate=p0,
-        step_size=config.matrix_step_size,
-    )
-    model = ScoreModel(
-        config.n,
-        config.d,
-        hidden=config.score_hidden,
-        rng=np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_SALT])),
-    )
-    run_rng = np.random.default_rng(config.seed)
-    history = []
-    start_epoch = 0
-    if resume_from is not None:
-        history, run_rng, start_epoch = _restore(config, load_checkpoint(resume_from), model, state)
+    if resume_from is None:
+        mu_hat = estimate_marginals(dataset.samples, config.n)
+        perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
+        Q_per_dim = init_rate_matrices(perms, config.n, config.init_scheme)
+        p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
+        model = ScoreModel(
+            config.n,
+            config.d,
+            hidden=config.score_hidden,
+            rng=np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_SALT])),
+        )
+        run_rng = np.random.default_rng(config.seed)
+        history = []
+        start_epoch = 0
+    else:
+        saved = load_checkpoint(resume_from)
+        if saved.config_text != config_echo(config):
+            raise ConfigError("checkpoint was written with a different configuration")
+        _, _, Q_per_dim, model, p0 = restore(saved)
+        run_rng = rng_from_json(saved.rng_state)
+        history = list(saved.epoch_history)
+        start_epoch = saved.epoch
+    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0, step_size=config.matrix_step_size)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
     mode = "a" if (start_epoch > 0 and os.path.exists(metrics_path)) else "w"
@@ -102,13 +109,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         metrics.write(METRICS_HEADER + "\n")
         metrics.flush()
 
-    sampler_cfg = SamplerConfig(
-        num_steps=config.sampler_steps,
-        eps_t=config.eps_t,
-        ratio_source="network",
-        batch_size=config.mu_trajectories,
-    )
-    opt_cfg = OptimizerConfig(lr=config.score_lr)
+    sampler_cfg = SamplerConfig(num_steps=config.sampler_steps, eps_t=config.eps_t)
     ck = None
     last = min(config.epochs, start_epoch + stop_after) if stop_after is not None else config.epochs
     try:
@@ -118,11 +119,11 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
 
             idx = run_rng.integers(0, dataset.size, size=min(config.matrix_batch_size, dataset.size))
             batch = dataset.samples[idx]
-            terminal = predict_terminal(state, schedule)
+            terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
             state = matrix_learning_loop(
                 state, iter([batch]), schedule, terminal, config.max_step_matrix, config.eps_q
             )
-            terminal = predict_terminal(state, schedule)
+            terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
 
             model = score_learning_loop(
                 model,
@@ -131,17 +132,17 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
                 schedule,
                 config.max_step_score,
                 config.eps_score,
-                optimizer_config=opt_cfg,
+                lr=config.score_lr,
                 eps_t=config.eps_t,
             )
 
             mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
             state.p0_estimate = estimate_mu(
-                sampler_cfg, terminal, state.Q_per_dim, schedule, model.ratios, mu_rng, config.mu_trajectories
+                sampler_cfg, terminal, state.Q_per_dim, schedule, model.forward_batch, mu_rng, config.mu_trajectories
             )
 
             report = elbo_estimate(
-                model, dataset.samples, state.Q_per_dim, schedule, terminal,
+                model.forward_batch, dataset.samples, state.Q_per_dim, schedule, terminal,
                 config.mc_samples, run_rng, eps_t=config.eps_t,
             )
             kl_mu = ""

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from markov_bridge import (
+    DivergenceError,
     FactorizedRateMatrix,
     NoiseSchedule,
     ProbVector,
     ProductDistribution,
-    evolve,
+    evolve_rows,
     kernel_rows,
     kl_divergence,
     materialize_dense,
-    reverse_rate_row,
     transition_kernel,
 )
-from markov_bridge.core import evolve_rows, sample_categorical
+from markov_bridge.core import rate_columns, sample_categorical
+from markov_bridge.sampler import _euler_probs
 
 from oracles import taylor_expm
 
@@ -45,6 +46,11 @@ class TestProbVector:
         with pytest.raises(ValueError):
             v.probs[0] = 1.0
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, -np.inf, np.inf]])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ProbVector(np.array(bad))
+
 
 class TestProductDistribution:
     def test_mismatched_n_rejected(self):
@@ -61,6 +67,11 @@ class TestFactorizedRateMatrix:
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
             FactorizedRateMatrix.with_identity_perm([-0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_a_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FactorizedRateMatrix.with_identity_perm([0.5, bad])
 
     def test_bad_inverse_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +165,7 @@ class TestKernelRows:
                 assert np.allclose(rows[b], transition_kernel(Q, beta)[x], atol=1e-13)
 
     def test_evolve_rows_matches_evolve(self):
+        # the telescoped marginals equal p pushed through the full kernel
         rng = np.random.default_rng(19)
         for _ in range(50):
             Q = random_matrix(rng, n_max=10)
@@ -161,7 +173,16 @@ class TestKernelRows:
             betas = rng.uniform(0.0, 4.0, 5)
             rows = evolve_rows(p, Q, betas)
             for b, beta in enumerate(betas):
-                assert np.allclose(rows[b], evolve(p, Q, beta), atol=1e-13)
+                assert np.allclose(rows[b], p @ transition_kernel(Q, beta), atol=1e-13)
+
+    def test_shared_beta_matches_per_row_betas(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            Q = random_matrix(rng, n_max=10)
+            beta = rng.uniform(0.0, 4.0)
+            states = rng.integers(0, Q.n, 8)
+            shared = kernel_rows(Q, beta, states)
+            assert np.allclose(shared, kernel_rows(Q, np.full(8, beta), states), rtol=0.0, atol=1e-15)
 
 
 class TestMaterializeDense:
@@ -192,14 +213,14 @@ class TestMaterializeDense:
 class TestEvolve:
     def test_half_life_mixture(self):
         Q = FactorizedRateMatrix.with_identity_perm([LN2])
-        out = evolve(ProbVector([0.5, 0.5]), Q, 1.0)
-        assert np.allclose(out.probs, [0.25, 0.75], atol=1e-12)
+        out = evolve_rows([0.5, 0.5], Q, 1.0)[0]
+        assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_zero_beta_identity(self):
         rng = np.random.default_rng(29)
         Q = random_matrix(rng, n=6)
-        p = ProbVector(rng.dirichlet(np.ones(6)))
-        assert np.allclose(evolve(p, Q, 0.0).probs, p.probs, atol=1e-15)
+        p = rng.dirichlet(np.ones(6))
+        assert np.allclose(evolve_rows(p, Q, 0.0)[0], p, atol=1e-15)
 
     def test_absorbing_concentrates_on_permuted_last(self):
         perm = np.array([3, 0, 2, 1])
@@ -208,7 +229,7 @@ class TestEvolve:
         Q = FactorizedRateMatrix.from_parts(perm, a)
         start = np.zeros(4)
         start[0] = 1.0
-        out = evolve(start, Q, 60.0)
+        out = evolve_rows(start, Q, 60.0)[0]
         assert out[perm[-1]] == pytest.approx(1.0, abs=1e-12)
 
     def test_conservation_fuzz(self):
@@ -218,41 +239,53 @@ class TestEvolve:
             Q = random_matrix(rng, n_max=12)
             scale = rng.uniform(0.1, 3.0)
             v = rng.uniform(0.0, scale, Q.n)
-            out = evolve(v, Q, rng.uniform(0.0, 5.0))
+            out = evolve_rows(v, Q, rng.uniform(0.0, 5.0))[0]
             worst = max(worst, abs(float(out.sum() - v.sum())))
         assert worst <= 1e-12
 
 
 class TestReverseRateRow:
+    """Rates into the current state, the off-diagonal part of the reversed row."""
+
     def test_uniform_ratios_transpose(self):
+        # with ratio 1 everywhere the reversed row is sigma times column x of Q
         rng = np.random.default_rng(37)
         Q = random_matrix(rng, n=5)
         dense = materialize_dense(Q)
         sigma = 1.7
+        cols = rate_columns(Q, sigma, np.arange(5))
         for x in range(5):
-            row = reverse_rate_row(Q, sigma, np.ones(5), x)
             expected = sigma * dense[:, x].copy()
             expected[x] = 0.0
-            expected[x] = -expected.sum()
-            assert np.allclose(row, expected, atol=1e-14)
-            assert abs(row.sum()) <= 1e-13
+            assert np.array_equal(cols[x], expected)
+
+    def test_per_state_sigmas(self):
+        rng = np.random.default_rng(39)
+        Q = random_matrix(rng, n=6)
+        states = rng.integers(0, 6, 10)
+        sigmas = rng.uniform(0.1, 3.0, 10)
+        cols = rate_columns(Q, sigmas, states)
+        expected = sigmas[:, None] * materialize_dense(Q).T[states]
+        expected[np.arange(10), states] = 0.0
+        assert np.array_equal(cols, expected)
 
     def test_two_state_ratio_example(self):
         Q = FactorizedRateMatrix.with_identity_perm([1.0])
-        row = reverse_rate_row(Q, 1.0, np.array([2.0, 1.0]), 1)
-        assert np.allclose(row, [2.0, -2.0], atol=0)
+        row = rate_columns(Q, 1.0, [1])[0] * np.array([2.0, 1.0])
+        assert np.array_equal(row, [2.0, 0.0])
 
     def test_zero_ratios_zero_flux(self):
         Q = FactorizedRateMatrix.with_identity_perm([1.0, 0.5])
         ratios = np.zeros(3)
         ratios[1] = 1.0
-        row = reverse_rate_row(Q, 2.0, ratios, 1)
+        row = rate_columns(Q, 2.0, [1])[0] * ratios
         assert np.all(row == 0.0)
 
     def test_negative_ratio_rejected(self):
-        Q = FactorizedRateMatrix.with_identity_perm([1.0])
-        with pytest.raises(ValueError):
-            reverse_rate_row(Q, 1.0, np.array([-1.0, 1.0]), 1)
+        Q = [FactorizedRateMatrix.with_identity_perm([1.0])]
+        schedule = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
+        with pytest.raises(DivergenceError):
+            _euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
 
 
 class TestSmallHelpers:

@@ -12,7 +12,7 @@ from markov_bridge import (
     ProbVector,
     ProductDistribution,
     elbo_estimate,
-    evolve,
+    evolve_rows,
     kl_term,
     oracle_ratio_fn,
     transition_kernel,
@@ -30,12 +30,12 @@ class TestKlTerm:
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
         row = transition_kernel(Q[0], 1.0)[0]
         terminal = ProductDistribution.from_array(row[None, :])
-        assert kl_term((0,), Q, SCHEDULE_UNIT, terminal) == pytest.approx(0.0, abs=1e-15)
+        assert kl_term([[0]], Q, SCHEDULE_UNIT, terminal) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
         terminal = ProductDistribution.from_array([[0.25, 0.75]])
-        val = kl_term((0,), Q, SCHEDULE_UNIT, terminal)
+        val = kl_term([[0]], Q, SCHEDULE_UNIT, terminal)
         assert val == pytest.approx(0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0), abs=1e-12)
 
     def test_identical_dims_double(self):
@@ -43,8 +43,8 @@ class TestKlTerm:
         Q2 = Q1 * 2
         t1 = ProductDistribution.from_array([[0.25, 0.75]])
         t2 = ProductDistribution.from_array([[0.25, 0.75]] * 2)
-        assert kl_term((0, 0), Q2, SCHEDULE_UNIT, t2) == pytest.approx(
-            2.0 * kl_term((0,), Q1, SCHEDULE_UNIT, t1), rel=1e-12
+        assert kl_term([[0, 0]], Q2, SCHEDULE_UNIT, t2) == pytest.approx(
+            2.0 * kl_term([[0]], Q1, SCHEDULE_UNIT, t1), rel=1e-12
         )
 
     def test_joint_enumeration_matches_per_dim_sum(self):
@@ -65,8 +65,17 @@ class TestKlTerm:
             joint_row = joint_kernel_row(rows)
             joint_terminal = joint_kernel_row([m.probs for m in terminal.marginals])
             joint_kl = kl_brute(joint_row, joint_terminal)
-            per_dim = kl_term(x0, Qs, SCHEDULE_UNIT, terminal)
+            per_dim = kl_term([x0], Qs, SCHEDULE_UNIT, terminal)
             assert abs(joint_kl - per_dim) <= 1e-12
+
+    def test_dataset_mean_of_rows(self):
+        # the histogram form equals the plain mean of the per-row KL sums
+        rng = np.random.default_rng(505)
+        Qs = [FactorizedRateMatrix.from_parts(rng.permutation(4), rng.uniform(0.1, 2.0, 3)) for _ in range(3)]
+        terminal = ProductDistribution.from_array(rng.dirichlet(np.ones(4), size=3) * 0.9 + 0.1 / 4)
+        data = rng.integers(0, 4, size=(50, 3))
+        per_row = [kl_term(row[None, :], Qs, SCHEDULE_UNIT, terminal) for row in data]
+        assert kl_term(data, Qs, SCHEDULE_UNIT, terminal) == pytest.approx(np.mean(per_row), rel=1e-12)
 
 
 def point_mass_dataset(n, value, size, d=1):
@@ -85,7 +94,7 @@ class TestElboEstimate:
         mu = ProductDistribution.from_array(mu_row[None, :])
         data = point_mass_dataset(n, 2, 64)
         terminal = ProductDistribution.from_array(
-            evolve(mu.marginals[0].probs, Q[0], SCHEDULE_UNIT.beta(1.0))[None, :] * (1 - n * 1e-9) + 1e-9
+            evolve_rows(mu.marginals[0].probs, Q[0], SCHEDULE_UNIT.beta(1.0)) * (1 - n * 1e-9) + 1e-9
         )
         report = elbo_estimate(
             oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), data, Q, SCHEDULE_UNIT, terminal, 2048, rng
@@ -144,15 +153,15 @@ class TestElboEstimate:
         data = np.stack(
             [rng.choice(n, size=20000, p=mu.marginals[i].probs) for i in range(d)], axis=1
         ).astype(np.int64)
-        terminal = ProductDistribution(
-            tuple(evolve(mu.marginals[i], Qs[i], schedule.beta(1.0)) for i in range(d))
+        terminal = ProductDistribution.from_array(
+            np.concatenate([evolve_rows(mu.marginals[i].probs, Qs[i], schedule.beta(1.0)) for i in range(d)])
         )
         report = elbo_estimate(
             oracle_ratio_fn(mu, Qs, schedule), data, Qs, schedule, terminal, 20000, rng, eps_t=eps_t
         )
         nll = 0.0
         for i in range(d):
-            pt_of = lambda t, i=i: evolve(mu.marginals[i].probs, Qs[i], schedule.beta(t))
+            pt_of = lambda t, i=i: evolve_rows(mu.marginals[i].probs, Qs[i], schedule.beta(t))[0]
 
             def ratio_matrix(t, i=i):
                 pt = pt_of(t)

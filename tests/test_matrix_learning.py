@@ -10,7 +10,7 @@ from markov_bridge import (
     MatrixLearnState,
     NoiseSchedule,
     ProductDistribution,
-    evolve,
+    evolve_rows,
     jq_grad,
     jq_loss,
     matrix_learning_loop,
@@ -121,7 +121,7 @@ class TestJqGrad:
             batch = rng.integers(0, n, size=(6, d))
             terminal = ProductDistribution.uniform(n, d)
             grad = jq_grad(state, batch, schedule, terminal)
-            targets = [evolve(p0[i], Qs[i], beta_T) for i in range(d)]
+            targets = [evolve_rows(p0[i], Qs[i], beta_T)[0] for i in range(d)]
             fd = np.zeros_like(grad)
             for i, k in itertools.product(range(d), range(n - 1)):
                 for sign, slot in ((+1.0, 0), (-1.0, 1)):
@@ -188,12 +188,12 @@ class TestPredictTerminal:
     def test_zero_beta_returns_p0(self):
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
         schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9, horizon=1.0)
-        out = predict_terminal(state, schedule)
+        out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         assert np.allclose(out.as_array(), [[0.2, 0.3, 0.5]], atol=1e-8)
 
     def test_half_life_example(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
-        out = predict_terminal(state, SCHEDULE_UNIT)
+        out = predict_terminal(state.Q_per_dim, state.p0_estimate, SCHEDULE_UNIT)
         assert np.allclose(out.as_array(), [[0.25, 0.75]], atol=1e-12)
 
     def test_absorbing_init_large_beta(self):
@@ -201,7 +201,7 @@ class TestPredictTerminal:
         Qs = init_rate_matrices(perms, 3, "absorbing_text")
         state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.uniform(3, 1))
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0, horizon=1.0)
-        out = predict_terminal(state, schedule)
+        out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         # mass concentrates on the state occupying the last sorted slot
         assert out.marginals[0].probs[perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
 

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from markov_bridge import (
+    DivergenceError,
     FactorizedRateMatrix,
     NoiseSchedule,
     ProbVector,
     ProductDistribution,
     SamplerConfig,
     estimate_mu,
-    euler_reverse_step,
-    evolve,
+    evolve_rows,
     generate,
+    materialize_dense,
     oracle_ratio_fn,
     tv_distance,
 )
 from markov_bridge.data import synthetic_ground_truth
-from markov_bridge.matrix_learning import MatrixLearnState, predict_terminal
+from markov_bridge.matrix_learning import predict_terminal
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.solver import exact_rate_matrix
 
@@ -34,9 +35,7 @@ def oracle_system(rng, n, sigma_max=10.0):
     # bridge mu to uniform over the full horizon budget
     Q_unit = exact_rate_matrix(target, mu.marginals[0])
     Q = [Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))]
-    terminal = ProductDistribution(
-        (evolve(mu.marginals[0], Q[0], schedule.beta(1.0)),)
-    )
+    terminal = ProductDistribution.from_array(evolve_rows(mu.marginals[0].probs, Q[0], schedule.beta(1.0)))
     return mu, Q, schedule, terminal
 
 
@@ -46,39 +45,41 @@ class TestSamplerConfig:
             SamplerConfig(num_steps=0)
         with pytest.raises(ValueError):
             SamplerConfig(eps_t=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(ratio_source="magic")
 
 
 class TestEulerReverseStep:
+    """The batched Euler categoricals of one reverse step."""
+
     def test_dt_zero_returns_xt(self):
-        rng = np.random.default_rng(401)
         Q = [FactorizedRateMatrix.with_identity_perm([1.0, 0.5])]
-        for _ in range(10):
-            xt = (int(rng.integers(0, 3)),)
-            out = euler_reverse_step(xt, 0.5, 0.0, np.ones((1, 3)), Q, SCHEDULE_UNIT, rng)
-            assert out == xt
+        xt = np.arange(3)[:, None]
+        probs = _euler_probs(xt, 0.5, 0.0, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
+        assert np.array_equal(probs[:, 0, :], np.eye(3))
 
     def test_two_state_move_probability(self):
         # reversed row at x=1 is (1, -1); dt = 0.1 moves with probability 0.1
         Q = [FactorizedRateMatrix.with_identity_perm([1.0])]
-        moved = 0
-        trials = 40000
-        rng = np.random.default_rng(403)
-        for _ in range(trials):
-            out = euler_reverse_step((1,), 0.5, 0.1, np.ones((1, 2)), Q, SCHEDULE_UNIT, rng)
-            moved += out[0] == 0
-        assert abs(moved / trials - 0.1) <= 3.0 * np.sqrt(0.1 * 0.9 / trials)
+        probs = _euler_probs(np.array([[1]]), 0.5, 0.1, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
+        assert probs[0, 0, 0] == 0.1
+        assert probs[0, 0, 1] == 0.9
 
     def test_zero_ratios_stay(self):
-        rng = np.random.default_rng(407)
         Q = [FactorizedRateMatrix.with_identity_perm([1.0, 2.0])]
-        ratios = np.zeros((1, 3))
-        ratios[0, 1] = 1.0
-        out = euler_reverse_step((1,), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT, rng)
-        assert out == (1,)
+        ratios = np.zeros((1, 1, 3))
+        ratios[0, 0, 1] = 1.0
+        probs = _euler_probs(np.array([[1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
+        assert np.array_equal(probs[0, 0], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_ratio_rejected(self, bad):
+        Q = [FactorizedRateMatrix.with_identity_perm([1.0, 2.0])]
+        ratios = np.ones((2, 1, 3))
+        ratios[1, 0, 2] = bad
+        with pytest.raises(DivergenceError):
+            _euler_probs(np.array([[0], [1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
 
     def test_matches_batched_path(self):
+        # per-tuple reference built from the dense generator's columns
         rng = np.random.default_rng(409)
         n, d = 5, 3
         Q = [
@@ -88,13 +89,12 @@ class TestEulerReverseStep:
         xt = rng.integers(0, n, size=(1, d))
         ratios = rng.uniform(0.1, 3.0, size=(1, d, n))
         probs = _euler_probs(xt, 0.6, 0.05, ratios, Q, SCHEDULE_UNIT)
-        from markov_bridge.core import reverse_rate_row
-
         for i in range(d):
             x = int(xt[0, i])
-            row = np.zeros(n)
-            row[x] = 1.0
-            row += 0.05 * reverse_rate_row(Q[i], SCHEDULE_UNIT.sigma(0.6), ratios[0, i], x)
+            off = SCHEDULE_UNIT.sigma(0.6) * materialize_dense(Q[i])[:, x] * ratios[0, i]
+            off[x] = 0.0
+            row = 0.05 * off
+            row[x] = 1.0 - row.sum()
             np.clip(row, 0.0, None, out=row)
             assert np.allclose(probs[0, i], row / row.sum(), atol=1e-14)
 
@@ -159,6 +159,15 @@ class TestEstimateMu:
         est = estimate_mu(config, terminal, Q, SCHEDULE_UNIT, uniform_ratios, np.random.default_rng(5), 4000)
         assert tv_distance(est.marginals[0], terminal.marginals[0]) <= 0.03
 
+    def test_infinite_ratios_raise(self):
+        # an overflowing ratio estimate must fail loudly, not become a NaN p0
+        terminal = ProductDistribution.from_array([[0.3, 0.2, 0.5]])
+        Q = [FactorizedRateMatrix.with_identity_perm([0.5, 1.0])]
+        config = SamplerConfig(num_steps=4, eps_t=1e-3)
+        infinite = lambda xt, t: np.full((xt.shape[0], 1, 3), np.inf)
+        with pytest.raises(DivergenceError):
+            estimate_mu(config, terminal, Q, SCHEDULE_UNIT, infinite, np.random.default_rng(5), 16)
+
     def test_oracle_accuracy(self):
         rng = np.random.default_rng(443)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
@@ -174,9 +183,8 @@ class TestEstimateMu:
             FactorizedRateMatrix.from_parts(rng.permutation(5), rng.uniform(0, 1.5, 4))
             for _ in range(3)
         ]
-        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=truth)
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=6.0, horizon=1.0)
-        terminal = predict_terminal(state, schedule)
+        terminal = predict_terminal(Qs, truth, schedule)
         config = SamplerConfig(num_steps=16, eps_t=1e-3)
         fn = oracle_ratio_fn(truth, Qs, schedule)
         est = estimate_mu(config, terminal, Qs, schedule, fn, rng, 256)

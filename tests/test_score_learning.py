@@ -8,21 +8,17 @@ import pytest
 from markov_bridge import (
     FactorizedRateMatrix,
     NoiseSchedule,
-    OptimizerConfig,
     ProductDistribution,
     ScoreBatch,
     ScoreModel,
-    exact_score_oracle,
     make_score_batch,
     oracle_ratio_fn,
-    sample_xt_given_x0,
     score_entropy_loss,
-    score_forward,
-    score_grad,
     score_learning_loop,
+    score_loss_and_grad,
     transition_kernel,
 )
-from markov_bridge.score_learning import _loss_and_grad, sample_xt_batch
+from markov_bridge.score_learning import sample_xt_batch
 
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)
@@ -45,9 +41,8 @@ class TestSampleXt:
     def test_t_zero_returns_x0(self):
         rng = np.random.default_rng(301)
         Q = random_chain(rng, 5, d=3)
-        for _ in range(20):
-            x0 = tuple(rng.integers(0, 5, 3))
-            assert sample_xt_given_x0(x0, Q, SCHEDULE_UNIT, 0.0, rng) == x0
+        x0 = rng.integers(0, 5, size=(20, 3))
+        assert np.array_equal(sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng), x0)
 
     def test_half_life_frequencies(self):
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
@@ -71,8 +66,8 @@ class TestSampleXt:
 class TestScoreForward:
     def test_fresh_model_outputs_one(self):
         model = ScoreModel(4, 2, hidden=(16,), rng=np.random.default_rng(0))
-        out = score_forward(model, (1, 3), 0.5)
-        assert out.shape == (2, 4)
+        out = model.forward_batch([[1, 3]], 0.5)
+        assert out.shape == (1, 2, 4)
         assert np.all(out == 1.0)
 
     def test_positive_and_finite(self):
@@ -81,15 +76,15 @@ class TestScoreForward:
         for w in model.weights[:-1]:
             w += rng.normal(0, 0.3, w.shape)
         model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
-        out = score_forward(model, (0, 4, 2), 0.73)
+        out = model.forward_batch([[0, 4, 2], [1, 1, 1]], [0.73, 0.2])
         assert np.all(out > 0.0) and np.all(np.isfinite(out))
 
     def test_deterministic(self):
         model = ScoreModel(4, 2, rng=np.random.default_rng(5))
         model.weights[-1] += 0.1
-        a = score_forward(model, (1, 2), 0.3)
-        b = score_forward(model, (1, 2), 0.3)
-        assert np.array_equal(a, b)
+        a = model.forward_batch([[1, 2]], 0.3)
+        b = model.forward_batch([[1, 2], [0, 3]], 0.3)
+        assert np.array_equal(a[0], b[0])
 
 
 class TestExactScoreOracle:
@@ -102,14 +97,14 @@ class TestExactScoreOracle:
         for xt in range(6):
             if row[xt] <= 0:
                 continue
-            out = exact_score_oracle(point_mass(6, x0), Q, SCHEDULE_UNIT, (xt,), t)
-            assert np.allclose(out[0], row / row[xt], atol=1e-12)
+            out = oracle_ratio_fn(point_mass(6, x0), Q, SCHEDULE_UNIT)([[xt]], t)
+            assert np.allclose(out[0, 0], row / row[xt], atol=1e-12)
 
     def test_early_time_self_ratio(self):
         rng = np.random.default_rng(317)
         mu = ProductDistribution.from_array(rng.dirichlet(np.ones(4), size=1) * 0.9 + 0.1 / 4)
         Q = random_chain(rng, 4)
-        out = exact_score_oracle(mu, Q, SCHEDULE_UNIT, (1,), 1e-6)
+        out = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)([[1]], 1e-6)[0]
         target = mu.marginals[0].probs / mu.marginals[0].probs[1]
         assert out[0][1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out[0], target, rtol=1e-4)
@@ -120,7 +115,7 @@ class TestExactScoreOracle:
         mu = point_mass(3, 0)
         Q = [FactorizedRateMatrix.with_identity_perm([0.0, 0.0])]
         with pytest.raises(DegenerateStateError):
-            exact_score_oracle(mu, Q, SCHEDULE_UNIT, (2,), 1e-3)
+            oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)([[2]], 1e-3)
 
 
 class TestScoreEntropyLoss:
@@ -216,7 +211,7 @@ class TestScoreEntropyLoss:
             means = []
             for _ in range(chunks):
                 batch = make_score_batch(np.full((chunk, 1), 1, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
-                means.append(score_entropy_loss(model, batch, Q, SCHEDULE_UNIT))
+                means.append(score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT))
             means = np.asarray(means)
             return means.mean(), means.std(ddof=1) / np.sqrt(chunks)
 
@@ -236,7 +231,7 @@ class TestScoreGrad:
             t=np.ones(8),
             xt=np.array([[0], [1]] * 4, dtype=np.int64),
         )
-        grad_w, grad_b = score_grad(model, batch, Q, SCHEDULE_UNIT)
+        _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert max(np.abs(g).max() for g in grad_w) <= 1e-14
         assert max(np.abs(g).max() for g in grad_b) <= 1e-14
 
@@ -250,7 +245,7 @@ class TestScoreGrad:
             for w in model.weights:
                 w += rng.normal(0, 0.2, w.shape)
             batch = make_score_batch(rng.integers(0, n, size=(4, d)), Q, SCHEDULE_UNIT, rng)
-            grad_w, grad_b = score_grad(model, batch, Q, SCHEDULE_UNIT)
+            _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
             flat_params = model.weights + model.biases
             flat_grads = grad_w + grad_b
             worst_abs, scale = 0.0, 0.0
@@ -260,9 +255,9 @@ class TestScoreGrad:
                     idx = it.multi_index
                     orig = param[idx]
                     param[idx] = orig + h
-                    up = score_entropy_loss(model, batch, Q, SCHEDULE_UNIT)
+                    up = score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
                     param[idx] = orig - h
-                    down = score_entropy_loss(model, batch, Q, SCHEDULE_UNIT)
+                    down = score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
                     param[idx] = orig
                     fd = (up - down) / (2 * h)
                     worst_abs = max(worst_abs, abs(fd - grad[idx]))
@@ -277,8 +272,8 @@ class TestScoreGrad:
         model.weights[-1] += rng.normal(0, 0.1, model.weights[-1].shape)
         single = ScoreBatch(x0=[[2]], t=[0.7], xt=[[1]])
         tripled = ScoreBatch(x0=[[2]] * 3, t=[0.7] * 3, xt=[[1]] * 3)
-        gw1, gb1 = score_grad(model, single, Q, SCHEDULE_UNIT)
-        gw3, gb3 = score_grad(model, tripled, Q, SCHEDULE_UNIT)
+        _, gw1, gb1 = score_loss_and_grad(model, single, Q, SCHEDULE_UNIT)
+        _, gw3, gb3 = score_loss_and_grad(model, tripled, Q, SCHEDULE_UNIT)
         for g1, g3 in zip(gw1 + gb1, gw3 + gb3):
             assert np.allclose(g1, g3, atol=1e-14)
 
@@ -311,7 +306,7 @@ class TestScoreLearningLoop:
         stream = _batch_stream(rng, 4, 1, Q, mu, 16)
         score_learning_loop(
             model, stream, Q, SCHEDULE_UNIT, max_step=10, eps_score=0.0,
-            optimizer_config=OptimizerConfig(lr=0.0),
+            lr=0.0,
         )
         after = model.weights + model.biases
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
@@ -351,8 +346,8 @@ class TestScoreLearningLoop:
         reached = None
         for _ in range(20):  # up to 20k steps in 1k chunks, stop early once close
             score_learning_loop(model, stream, Q, schedule, max_step=1000, eps_score=0.0,
-                                optimizer_config=OptimizerConfig(lr=1e-3))
-            current = big_loss(model.ratios)
+                                lr=1e-3)
+            current = big_loss(model.forward_batch)
             if current <= 1.10 * floor:
                 reached = current
                 break

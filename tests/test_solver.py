@@ -9,7 +9,7 @@ from markov_bridge import (
     ProductDistribution,
     UnsolvableSupportError,
     estimate_marginals,
-    evolve,
+    evolve_rows,
     exact_rate_matrix,
     permutation_from_data,
     sort_permutation,
@@ -78,7 +78,7 @@ class TestExactRateMatrix:
         p = ProbVector(random_positive_vector(rng, 8))
         q = ProbVector(random_positive_vector(rng, 8))
         Q = exact_rate_matrix(p, q)
-        assert np.abs(evolve(q.probs, Q, 1.0) - p.probs).max() <= 1e-9
+        assert np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max() <= 1e-9
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(107)
@@ -88,7 +88,7 @@ class TestExactRateMatrix:
             p = ProbVector(random_positive_vector(rng, n))
             q = ProbVector(random_positive_vector(rng, n))
             Q = exact_rate_matrix(p, q)
-            worst = max(worst, float(np.abs(evolve(q.probs, Q, 1.0) - p.probs).max()))
+            worst = max(worst, float(np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max()))
         assert worst <= 1e-9
 
     def test_parameters_nonnegative(self):
@@ -113,7 +113,7 @@ class TestExactRateMatrix:
             k = int(rng.integers(0, n - 1))
             bumped = Q.a.copy()
             bumped[k] += 1e-3
-            residual = np.abs(evolve(q.probs, Q.replace_a(bumped), 1.0) - p.probs).max()
+            residual = np.abs(evolve_rows(q.probs, Q.replace_a(bumped), 1.0)[0] - p.probs).max()
             assert residual > 1e-5
 
     def test_zero_zero_prefix_contributes_zero_rate(self):
@@ -121,7 +121,7 @@ class TestExactRateMatrix:
         q = ProbVector([0.0, 0.5, 0.5])
         Q = exact_rate_matrix(p, q)
         assert Q.a[0] == 0.0
-        assert np.abs(evolve(q.probs, Q, 1.0) - p.probs).max() <= 1e-12
+        assert np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max() <= 1e-12
 
     def test_zero_target_prefix_rejected(self):
         # moving all mass out of a state needs an unbounded rate
