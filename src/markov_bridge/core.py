@@ -266,7 +266,6 @@ def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:
     """
     pos = Q.inv_perm[np.asarray(states, dtype=np.int64)]
     rate = np.asarray(sigmas, dtype=np.float64) * np.concatenate(([0.0], Q.a))[pos]
-    rate = np.broadcast_to(rate, pos.shape)
     return np.where(Q.inv_perm[None, :] < pos[:, None], rate[:, None], 0.0)
 
 

@@ -85,6 +85,15 @@ class TestCliExitCodes:
         assert cli(["eval", path]) == 1
         assert cli(["sample", path]) == 1
 
+    def test_solve(self, tmp_path, capsys):
+        (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")
+        (tmp_path / "q.txt").write_text("0.5 0.25 0.25\n", encoding="utf-8")
+        (tmp_path / "bad.txt").write_text("0.5 0.6\n", encoding="utf-8")
+        assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 0
+        residual = float(capsys.readouterr().out.split("residual =")[1])
+        assert residual <= 1e-12
+        assert cli(["solve", str(tmp_path / "bad.txt"), str(tmp_path / "q.txt")]) == 1
+
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1
 
