@@ -7,7 +7,9 @@ dtype tag and shape so the round trip is byte-exact on any host.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -142,8 +144,24 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_checkpoint(ck))
+    """Write ``ck`` to ``path`` so that a crash mid-save never damages it.
+
+    The bytes go to ``path + ".tmp"`` in the same directory, are flushed to
+    disk, and only then replace ``path`` in one rename; on any failure the
+    temp file is removed and the previous file at ``path`` is left as it was.
+    """
+    tmp = path + ".tmp"
+    try:
+        blob = serialize_checkpoint(ck)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:

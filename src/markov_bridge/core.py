@@ -269,6 +269,18 @@ def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:
     return np.where(Q.inv_perm[None, :] < pos[:, None], rate[:, None], 0.0)
 
 
+def state_frequencies(samples, n: int) -> np.ndarray:
+    """(d, n) table of how often each state occurs in each column of a (B, d) array."""
+    samples = np.asarray(samples, dtype=np.int64)
+    # one bincount over all columns, each shifted into its own n bins; an
+    # out-of-range state would land in a neighbour's bins, so refuse it
+    if samples.min() < 0 or samples.max() >= n:
+        raise ValueError(f"states must lie in [0, {n})")
+    B, d = samples.shape
+    counts = np.bincount((samples + n * np.arange(d)).ravel(), minlength=d * n)
+    return counts.reshape(d, n) / B
+
+
 def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one state per row from a (B, n) array of row distributions."""
     u = rng.random(rows.shape[0])

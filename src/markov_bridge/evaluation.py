@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, kl_divergence, transition_kernel
+from .core import NoiseSchedule, ProductDistribution, kl_divergence, state_frequencies, transition_kernel
 from .errors import DivergenceError
 from .score_learning import (
     DEFAULT_EPS_T,
@@ -59,12 +59,12 @@ def kl_term(data, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribut
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.int64))
     beta_T = schedule.beta(schedule.horizon)
+    weights = state_frequencies(data, terminal.n)
     total = 0.0
     for i, Q in enumerate(Q_per_dim):
         K = transition_kernel(Q, beta_T)
-        weights = np.bincount(data[:, i], minlength=Q.n) / data.shape[0]
         kls = np.array([kl_divergence(K[x], terminal.marginals[i].probs) for x in range(Q.n)])
-        total += float(weights @ kls)
+        total += float(weights[i] @ kls)
     return total
 
 
@@ -100,7 +100,7 @@ def elbo_estimate(
         t = rng.uniform(eps_t, schedule.horizon, size=B)
         xt = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
         batch = ScoreBatch(x0=x0, t=t, xt=xt)
-        values, _, _ = _per_sample_values(ratio_fn(xt, t), batch, Q_per_dim, schedule, eps_t)
+        values = _per_sample_values(ratio_fn(xt, t), batch, Q_per_dim, schedule, eps_t)[0]
         total += float(values.sum())
         total_sq += float((values**2).sum())
         done += B

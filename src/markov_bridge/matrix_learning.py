@@ -1,6 +1,12 @@
 """Forward-stage optimization: fit the rate parameters a by minimizing the
 expected KL between conditional terminal rows and the evolved terminal.
 
+J_Q is a batch mean of per-dimension KL(kernel row of x0_i || evolved p0_i),
+so it depends on the drawn batch only through each dimension's state
+frequencies. The stage works on that (d, n) frequency table and the n kernel
+rows of each dimension: O(d n^2) per loss or gradient, whatever the batch
+size.
+
 The loss target p_T = p0_estimate @ exp(beta_T * Q) is recomputed at every
 evaluation but treated as constant in the gradient (the outer loop alternates
 between estimating p0 and fitting Q, so no gradient flows through the
@@ -21,6 +27,7 @@ from .core import (
     ProductDistribution,
     _sorted_rows,
     evolve_rows,
+    state_frequencies,
     transition_kernel,
 )
 from .errors import DivergenceError
@@ -61,61 +68,62 @@ def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
     return [FactorizedRateMatrix.from_parts(perm, a.copy()) for perm in perms]
 
 
-def _check_inputs(batch, terminal: ProductDistribution):
+def _check_inputs(batch, terminal: ProductDistribution) -> np.ndarray:
+    """Validate a (B, d) batch of states and return its (d, n) state frequencies."""
     batch = np.atleast_2d(np.asarray(batch, dtype=np.int64))
     if batch.size == 0:
         raise ValueError("batch is empty")
+    if batch.ndim != 2 or batch.shape[1] != terminal.d:
+        raise ValueError(f"batch must have shape (B, {terminal.d})")
     if np.any(terminal.as_array() <= 0.0):
         raise ValueError("terminal must be strictly positive (smooth it first)")
-    return batch
+    return state_frequencies(batch, terminal.n)
 
 
-def _loss_dims(Q_per_dim, p0: ProductDistribution, batch, beta_T: float) -> float:
+def _loss_dims(Q_per_dim, p0: ProductDistribution, weights: np.ndarray, beta_T: float) -> float:
     total = 0.0
     for i, Q in enumerate(Q_per_dim):
         K = transition_kernel(Q, beta_T)
         target = p0.marginals[i].probs @ K
-        rows = K[batch[:, i]]
-        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(target, RATIO_FLOOR))[None, :]
-        total += float(np.mean(np.sum(rows * w, axis=1)))
+        w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(target, RATIO_FLOOR))[None, :]
+        total += float(weights[i] @ np.sum(K * w, axis=1))
     return total
 
 
 def jq_loss(state: MatrixLearnState, batch, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
     """Batch mean over samples of the per-dimension KL(kernel row || evolved p0).
 
-    Zero target entries under kernel mass are clamped at 1e-12 rather than
+    Computed from the batch's per-dimension state frequencies: each
+    dimension's n row KLs weighted by how often each state occurs. Zero
+    target entries under kernel mass are clamped at 1e-12 rather than
     raising, so the loss stays finite at absorbing-style parameter points.
     """
-    batch = _check_inputs(batch, terminal)
+    weights = _check_inputs(batch, terminal)
     beta_T = schedule.beta(schedule.horizon)
-    return _loss_dims(state.Q_per_dim, state.p0_estimate, batch, beta_T)
+    return _loss_dims(state.Q_per_dim, state.p0_estimate, weights, beta_T)
 
 
 def jq_grad(state: MatrixLearnState, batch, schedule: NoiseSchedule, terminal: ProductDistribution) -> np.ndarray:
     """Analytic gradient of jq_loss w.r.t. each a vector, target held fixed.
 
-    Returns a (d, n-1) array. Matches central finite differences of the
-    frozen-target objective.
+    Like the loss, it is computed from the batch's per-dimension state
+    frequencies: the gradient of each of the n kernel rows, weighted by how
+    often its state occurs. Returns a (d, n-1) array. Matches central finite
+    differences of the frozen-target objective.
     """
-    batch = _check_inputs(batch, terminal)
+    weights = _check_inputs(batch, terminal)
     beta_T = schedule.beta(schedule.horizon)
-    n = state.Q_per_dim[0].n
+    n = terminal.n
     grads = np.zeros((len(state.Q_per_dim), n - 1))
-    cols = np.arange(n)[None, :]
     for i, Q in enumerate(state.Q_per_dim):
         target = state.p0_estimate.marginals[i].probs @ transition_kernel(Q, beta_T)
-        target_sorted = target[Q.perm]
-        pos = Q.inv_perm[batch[:, i]]
-        B = pos.size
-        # sorted rows share one e = exp(beta_T * lambda) across the batch
-        e, rows = _sorted_rows(Q, beta_T, pos)
-        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(target_sorted, RATIO_FLOOR))[None, :]
-        # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns
-        dE = w - np.concatenate([w[:, 1:], np.zeros((B, 1))], axis=1)
-        dE = np.where(cols >= pos[:, None], dE, 0.0)
+        # row k is the kernel row of the state in sorted slot k
+        e, rows = _sorted_rows(Q, beta_T, np.arange(n))
+        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(target[Q.perm], RATIO_FLOOR))[None, :]
+        # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k
+        dE = np.triu(w - np.concatenate([w[:, 1:], np.zeros((n, 1))], axis=1))
         dlam = beta_T * e * dE
-        grads[i] = -np.cumsum(dlam, axis=1)[:, : n - 1].mean(axis=0)
+        grads[i] = -(weights[i][Q.perm] @ np.cumsum(dlam, axis=1))[: n - 1]
     return grads
 
 
@@ -136,9 +144,10 @@ def matrix_learning_loop(
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
-    batch = _check_inputs(next(data_iter), terminal)
+    batch = next(data_iter)
+    weights = _check_inputs(batch, terminal)
     beta_T = schedule.beta(schedule.horizon)
-    loss = _loss_dims(state.Q_per_dim, state.p0_estimate, batch, beta_T)
+    loss = _loss_dims(state.Q_per_dim, state.p0_estimate, weights, beta_T)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite matrix loss", diagnostics={"state": state, "loss": loss})
     state.loss_history.append(loss)
@@ -153,7 +162,7 @@ def matrix_learning_loop(
                 Q.replace_a(np.maximum(Q.a - state.step_size * grads[i], 0.0))
                 for i, Q in enumerate(state.Q_per_dim)
             ]
-            cand_loss = _loss_dims(candidate, state.p0_estimate, batch, beta_T)
+            cand_loss = _loss_dims(candidate, state.p0_estimate, weights, beta_T)
             if not np.isfinite(cand_loss):
                 raise DivergenceError(
                     "non-finite matrix loss during line search",

@@ -199,10 +199,17 @@ def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule):
 
 def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float):
     r, rates = _conditional_ratios(batch, Q_per_dim, schedule)
-    bregman = s - r + r * (np.log(np.maximum(r, RATIO_FLOOR)) - np.log(np.maximum(s, RATIO_FLOOR)))
+    # rate * (s - r + r (ln r - ln s)), built in place so that only one
+    # (B, d, n) scratch array lives beside r, rates and s
+    terms = np.log(np.maximum(r, RATIO_FLOOR))
+    scratch = np.maximum(s, RATIO_FLOOR)
+    terms -= np.log(scratch, out=scratch)
+    terms *= r
+    terms += np.subtract(s, r, out=scratch)
+    del scratch
     # each term is a Bregman divergence, so negatives can only be roundoff
-    np.clip(bregman, 0.0, None, out=bregman)
-    terms = rates * bregman
+    np.clip(terms, 0.0, None, out=terms)
+    terms *= rates
     if not np.isfinite(terms).all():
         b, i, y = np.argwhere(~np.isfinite(terms))[0]
         raise DivergenceError(
@@ -214,7 +221,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
 
 def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
     """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    values, _, _ = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)
+    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)[0]
     return float(values.mean())
 
 
@@ -229,7 +236,9 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
     values, r, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
     weight = (schedule.horizon - eps_t) / batch.size
-    d_out = (weight * rates * (s - r)).reshape(batch.size, model.d * model.n)
+    d_out = weight * rates
+    d_out *= s - r
+    d_out = d_out.reshape(batch.size, model.d * model.n)
     grad_w, grad_b = model.backward(acts, d_out)
     return float(values.mean()), grad_w, grad_b
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorizedRateMatrix, ProbVector, ProductDistribution
+from .core import FactorizedRateMatrix, ProbVector, ProductDistribution, state_frequencies
 from .errors import DegeneratePrefixError, UnsolvableSupportError
 
 HISTOGRAM_SMOOTHING = 1e-6
@@ -97,13 +97,8 @@ def estimate_marginals(dataset, n: int) -> ProductDistribution:
         data = data[:, None]
     if data.size == 0:
         raise ValueError("dataset is empty")
-    if data.min() < 0 or data.max() >= n:
-        raise ValueError(f"states must lie in [0, {n})")
-    rows = []
-    for i in range(data.shape[1]):
-        freq = np.bincount(data[:, i], minlength=n) / data.shape[0]
-        rows.append((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
-    return ProductDistribution.from_array(np.stack(rows))
+    freq = state_frequencies(data, n)
+    return ProductDistribution.from_array((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
 
 
 def permutation_from_data(mu_hat: ProductDistribution, terminal: ProductDistribution) -> list:

@@ -11,6 +11,7 @@ drowned in Monte Carlo noise.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 
@@ -103,9 +104,15 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
     state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0, step_size=config.matrix_step_size)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
-    mode = "a" if (start_epoch > 0 and os.path.exists(metrics_path)) else "w"
-    metrics = open(metrics_path, mode, encoding="utf-8")
-    if mode == "w":
+    if start_epoch > 0 and os.path.exists(metrics_path):
+        # keep the header and the checkpoint's epochs: a crash between the
+        # metrics write and the checkpoint save leaves a row past them
+        with open(metrics_path, "rb") as fh:
+            keep = sum(len(line) for line in itertools.islice(fh, start_epoch + 1))
+        os.truncate(metrics_path, keep)
+        metrics = open(metrics_path, "a", encoding="utf-8")
+    else:
+        metrics = open(metrics_path, "w", encoding="utf-8")
         metrics.write(METRICS_HEADER + "\n")
         metrics.flush()
 

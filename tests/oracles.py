@@ -23,6 +23,67 @@ def taylor_expm(M, terms=45):
     return out
 
 
+def dense_generator(perm, a):
+    """Dense rate matrix from (perm, a), entry by entry.
+
+    Sorted slot i jumps to each later slot j at rate a[j-1]; ``perm[i]`` is
+    the original state in slot i.
+    """
+    n = len(perm)
+    H = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            H[i, j] = a[j - 1]
+        H[i, i] = -H[i].sum()
+    G = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            G[perm[i], perm[j]] = H[i, j]
+    return G
+
+
+def expm_frechet(M, E):
+    """Derivative of expm at M in direction E: the top-right block of the
+    exponential of [[M, E], [0, M]]."""
+    n = M.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = M
+    block[n:, n:] = M
+    block[:n, n:] = E
+    return taylor_expm(block)[:n, n:]
+
+
+def jq_per_row(perms, a, p0, batch, beta_T, floor=1e-12):
+    """Per-row brute-force matrix-stage loss J_Q and its frozen-target gradient.
+
+    J_Q is the mean over batch rows of the summed per-dimension
+    KL(exp(beta_T Q_i)[x_i] || p0_i exp(beta_T Q_i)), with dense Taylor
+    kernels. The gradient holds the target and the floored logs fixed and
+    differentiates the kernel rows through the Frechet derivative of expm.
+    """
+    batch = np.asarray(batch)
+    B, d = batch.shape
+    n = len(perms[0])
+    loss = 0.0
+    grad = np.zeros((d, n - 1))
+    for i in range(d):
+        G = dense_generator(perms[i], a[i])
+        K = taylor_expm(beta_T * G)
+        log_target = np.log(np.maximum(p0[i] @ K, floor))
+        dK = []
+        for k in range(n - 1):
+            bump = np.zeros(n - 1)
+            bump[k] = 1.0
+            dK.append(expm_frechet(beta_T * G, beta_T * dense_generator(perms[i], bump)))
+        for row in batch:
+            x = row[i]
+            w = np.log(np.maximum(K[x], floor)) - log_target
+            loss += float(np.sum(K[x] * w)) / B
+            for k in range(n - 1):
+                grad[i, k] += float(dK[k][x] @ w) / B
+    return loss, grad
+
+
 def kl_brute(p, q, floor=1e-12):
     """Plain elementwise KL with clamped logs."""
     p = np.asarray(p, dtype=np.float64)

@@ -1,5 +1,7 @@
 """Checkpoint decoding of damaged files, CLI exit codes and the bundled self-checks."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,38 @@ class TestCorruptedCheckpoint:
             outcomes.append(loads_or_checkpoint_error(bytes(damaged)))
         # both outcomes occur: payload bytes load, framing bytes are refused
         assert any(outcomes) and not all(outcomes)
+
+
+class TestCrashSafeSave:
+    """A save that fails part way leaves the previous file whole and nothing else."""
+
+    def check_failed_save_keeps_previous(self, tmp_path, next_checkpoint, break_save=lambda: None):
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(small_checkpoint(seed=0), path)
+        break_save()
+        with pytest.raises((ValueError, OSError)):
+            save_checkpoint(next_checkpoint, path)
+        assert serialize_checkpoint(load_checkpoint(path)) == serialize_checkpoint(small_checkpoint(seed=0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+    def test_serialization_error(self, tmp_path):
+        broken = small_checkpoint(seed=1)
+        # the last block does not convert to float64, so serialization fails late
+        broken.score_biases[-1] = np.array(["not a number"] * broken.score_biases[-1].size)
+        self.check_failed_save_keeps_previous(tmp_path, broken)
+
+    def test_write_error(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+
+        def fsync_then_fail(fd):
+            real_fsync(fd)
+            raise OSError("no space left on device")
+
+        self.check_failed_save_keeps_previous(
+            tmp_path,
+            small_checkpoint(seed=1),
+            lambda: monkeypatch.setattr(os, "fsync", fsync_then_fail),
+        )
 
 
 class TestCliExitCodes:

@@ -20,6 +20,8 @@ from markov_bridge import (
 from markov_bridge.core import RATIO_FLOOR
 from markov_bridge.matrix_learning import init_rate_matrices
 
+from oracles import jq_per_row
+
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)  # beta(T) = 1
 
@@ -89,6 +91,23 @@ class TestJqLoss:
         with pytest.raises(ValueError):
             jq_loss(state, np.empty((0, 1), dtype=int), SCHEDULE_UNIT, ProductDistribution.uniform(2, 1))
 
+    @pytest.mark.parametrize("state_value", [-1, 3])
+    def test_out_of_range_state_rejected(self, state_value):
+        # n = 3: -1 must not wrap round to state 2, and 3 is past the last state
+        state = make_state([[0.4, 0.9]], [[0.2, 0.3, 0.5]])
+        terminal = ProductDistribution.uniform(3, 1)
+        for fn in (jq_loss, jq_grad):
+            with pytest.raises(ValueError, match="states must lie in"):
+                fn(state, [[state_value]], SCHEDULE_UNIT, terminal)
+        with pytest.raises(ValueError, match="states must lie in"):
+            matrix_learning_loop(state, iter([[[0], [state_value]]]), SCHEDULE_UNIT, terminal, max_step=1, eps_Q=0.0)
+
+    def test_batch_width_must_match_dimensions(self):
+        state = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
+        terminal = ProductDistribution.uniform(2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            jq_loss(state, [[0]], SCHEDULE_UNIT, terminal)
+
     def test_nonpositive_terminal_rejected(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
         with pytest.raises(ValueError):
@@ -140,6 +159,48 @@ class TestJqGrad:
         terminal = ProductDistribution.uniform(3, 2)
         grad = jq_grad(state, np.array([[1, 1], [0, 0]]), SCHEDULE_UNIT, terminal)
         assert np.allclose(grad[0], grad[1], atol=1e-14)
+
+
+class TestCountsFormMatchesPerRow:
+    """jq_loss and jq_grad work on state frequencies; the oracle walks the
+    batch row by row through dense Taylor kernels and their derivatives."""
+
+    SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
+
+    def check(self, Qs, p0, batch):
+        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0))
+        terminal = ProductDistribution.uniform(Qs[0].n, len(Qs))
+        want_loss, want_grad = jq_per_row(
+            [Q.perm for Q in Qs], [Q.a for Q in Qs], p0, batch, self.SCHEDULE.beta(1.0)
+        )
+        assert jq_loss(state, batch, self.SCHEDULE, terminal) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        grad = jq_grad(state, batch, self.SCHEDULE, terminal)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small", "random"])
+    def test_random_batches(self, scheme):
+        rng = np.random.default_rng(233)
+        for _ in range(12):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            perms = [rng.permutation(n) for _ in range(d)]
+            if scheme == "random":
+                Qs = [FactorizedRateMatrix.from_parts(perm, rng.uniform(0.1, 2.0, n - 1)) for perm in perms]
+            else:
+                Qs = init_rate_matrices(perms, n, scheme)
+            p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
+            self.check(Qs, p0, rng.integers(0, n, size=(int(rng.integers(1, 10)), d)))
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
+    def test_duplicate_rows_and_missing_states(self, scheme):
+        rng = np.random.default_rng(239)
+        n, d = 6, 3
+        Qs = init_rate_matrices([rng.permutation(n) for _ in range(d)], n, scheme)
+        p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
+        # two distinct rows repeated, so most states never occur
+        rows = np.array([[0, 5, 2], [3, 5, 2]])
+        self.check(Qs, p0, rows[[0, 1, 1, 0, 1, 1, 1]])
+        # one row only: a single state per dimension
+        self.check(Qs, p0, np.array([[4, 1, 1]] * 5))
 
 
 class TestMatrixLearningLoop:

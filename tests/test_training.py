@@ -69,6 +69,18 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert fh_split.read() == fh_full.read()
 
 
+def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
+    # a crash after the epoch-2 metrics row but before its checkpoint
+    full_dir, split_dir = tmp_path / "full", tmp_path / "split"
+    train(config_in(full_dir))
+    config = config_in(split_dir)
+    train(config, stop_after=1)
+    with open(split_dir / "metrics.csv", "a", encoding="utf-8") as fh:
+        fh.write("2,0.5,0.5,0.5,0.5,0.000\n")
+    train(config, resume_from=str(split_dir / "epoch_0001.ckpt"))
+    assert (split_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
+
+
 def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DMB_SEED", raising=False)
     config_path = tmp_path / "run.cfg"
