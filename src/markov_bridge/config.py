@@ -6,6 +6,7 @@ The DMB_SEED environment variable overrides the seed at load time.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -34,7 +35,6 @@ class RunConfig:
     eps_score: float = 1e-6
     eps_total: float = 1e-3
     matrix_step_size: float = 0.1
-    matrix_batch_size: int = 1024
     score_lr: float = 3e-4
     score_batch_size: int = 256
     score_hidden: tuple = (128, 128)
@@ -46,6 +46,13 @@ class RunConfig:
     deterministic_timing: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a value the ``key = value`` line cannot carry would not come back
+            if isinstance(value, str) and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} cannot hold '#', line breaks or surrounding whitespace")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         if self.n < 2:
             raise ConfigError("n must be >= 2")
         if self.d < 1:
@@ -70,7 +77,6 @@ class RunConfig:
             "epochs",
             "max_step_matrix",
             "max_step_score",
-            "matrix_batch_size",
             "score_batch_size",
             "sampler_steps",
             "mu_trajectories",
@@ -79,6 +85,14 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if any(width < 1 for width in self.score_hidden):
+            raise ConfigError("score_hidden widths must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ConfigError(f"bad noise schedule: {exc}") from exc
         return self
 
     def schedule(self) -> NoiseSchedule:
@@ -144,7 +158,7 @@ def load_config(path: str) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"DMB_SEED is not an integer: {env_seed!r}") from exc
-    return cfg
+    return cfg.validate()
 
 
 def config_echo(cfg: RunConfig) -> str:

@@ -272,6 +272,8 @@ def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:
 def state_frequencies(samples, n: int) -> np.ndarray:
     """(d, n) table of how often each state occurs in each column of a (B, d) array."""
     samples = np.asarray(samples, dtype=np.int64)
+    if samples.ndim != 2 or samples.size == 0:
+        raise ValueError("samples must be a nonempty (B, d) array")
     # one bincount over all columns, each shifted into its own n bins; an
     # out-of-range state would land in a neighbour's bins, so refuse it
     if samples.min() < 0 or samples.max() >= n:
@@ -279,6 +281,17 @@ def state_frequencies(samples, n: int) -> np.ndarray:
     B, d = samples.shape
     counts = np.bincount((samples + n * np.arange(d)).ravel(), minlength=d * n)
     return counts.reshape(d, n) / B
+
+
+def row_kl_sum(Q_per_dim, beta: float, freqs: np.ndarray, targets: np.ndarray) -> float:
+    """Sum over i, x of freqs[i, x] * KL(exp(beta Q_i)[x] || targets[i]), logs clamped
+    as in :func:`kl_divergence`: both the matrix-stage loss and the bound's KL term."""
+    total = 0.0
+    for i, Q in enumerate(Q_per_dim):
+        K = transition_kernel(Q, beta)
+        w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(targets[i], RATIO_FLOOR))[None, :]
+        total += float(freqs[i] @ np.sum(K * w, axis=1))
+    return total
 
 
 def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, kl_divergence, state_frequencies, transition_kernel
+from .core import NoiseSchedule, ProductDistribution, row_kl_sum, state_frequencies
 from .errors import DivergenceError
 from .score_learning import (
     DEFAULT_EPS_T,
@@ -57,15 +57,8 @@ def kl_term(data, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribut
     The row KL depends on x0 only through its per-dimension entries, so each
     dimension costs one kernel and a histogram, whatever the dataset size.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.int64))
-    beta_T = schedule.beta(schedule.horizon)
-    weights = state_frequencies(data, terminal.n)
-    total = 0.0
-    for i, Q in enumerate(Q_per_dim):
-        K = transition_kernel(Q, beta_T)
-        kls = np.array([kl_divergence(K[x], terminal.marginals[i].probs) for x in range(Q.n)])
-        total += float(weights[i] @ kls)
-    return total
+    freqs = state_frequencies(np.atleast_2d(data), terminal.n)
+    return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, terminal.as_array())
 
 
 def elbo_estimate(

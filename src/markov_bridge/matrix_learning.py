@@ -1,11 +1,11 @@
 """Forward-stage optimization: fit the rate parameters a by minimizing the
 expected KL between conditional terminal rows and the evolved terminal.
 
-J_Q is a batch mean of per-dimension KL(kernel row of x0_i || evolved p0_i),
-so it depends on the drawn batch only through each dimension's state
-frequencies. The stage works on that (d, n) frequency table and the n kernel
-rows of each dimension: O(d n^2) per loss or gradient, whatever the batch
-size.
+J_Q is the data mean of per-dimension KL(kernel row of x0_i || evolved p0_i),
+so it depends on the data only through each dimension's state frequencies.
+The stage fits the full data's (d, n) frequency table, counted once per run:
+O(d n^2) per loss or gradient, whatever the dataset size. Its loss is the
+bound's KL term (``evaluation.kl_term``); both go through ``core.row_kl_sum``.
 
 The loss target p_T = p0_estimate @ exp(beta_T * Q) is recomputed at every
 evaluation but treated as constant in the gradient (the outer loop alternates
@@ -27,8 +27,7 @@ from .core import (
     ProductDistribution,
     _sorted_rows,
     evolve_rows,
-    state_frequencies,
-    transition_kernel,
+    row_kl_sum,
 )
 from .errors import DivergenceError
 
@@ -68,68 +67,57 @@ def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
     return [FactorizedRateMatrix.from_parts(perm, a.copy()) for perm in perms]
 
 
-def _check_inputs(batch, terminal: ProductDistribution) -> np.ndarray:
-    """Validate a (B, d) batch of states and return its (d, n) state frequencies."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.int64))
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    if batch.ndim != 2 or batch.shape[1] != terminal.d:
-        raise ValueError(f"batch must have shape (B, {terminal.d})")
+def _check_inputs(freqs, terminal: ProductDistribution) -> np.ndarray:
+    """Validate a (d, n) state-frequency table against the terminal's shape."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.shape != (terminal.d, terminal.n):
+        raise ValueError(f"state frequencies must have shape ({terminal.d}, {terminal.n})")
     if np.any(terminal.as_array() <= 0.0):
         raise ValueError("terminal must be strictly positive (smooth it first)")
-    return state_frequencies(batch, terminal.n)
+    return freqs
 
 
-def _loss_dims(Q_per_dim, p0: ProductDistribution, weights: np.ndarray, beta_T: float) -> float:
-    total = 0.0
-    for i, Q in enumerate(Q_per_dim):
-        K = transition_kernel(Q, beta_T)
-        target = p0.marginals[i].probs @ K
-        w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(target, RATIO_FLOOR))[None, :]
-        total += float(weights[i] @ np.sum(K * w, axis=1))
-    return total
+def _loss(Q_per_dim, p0: ProductDistribution, freqs: np.ndarray, schedule: NoiseSchedule) -> float:
+    targets = predict_terminal(Q_per_dim, p0, schedule).as_array()
+    return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, targets)
 
 
-def jq_loss(state: MatrixLearnState, batch, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
-    """Batch mean over samples of the per-dimension KL(kernel row || evolved p0).
+def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
+    """Per-dimension KL(kernel row || evolved p0), weighted by state frequency.
 
-    Computed from the batch's per-dimension state frequencies: each
-    dimension's n row KLs weighted by how often each state occurs. Zero
-    target entries under kernel mass are clamped at 1e-12 rather than
-    raising, so the loss stays finite at absorbing-style parameter points.
+    ``freqs`` is the (d, n) table :func:`core.state_frequencies` makes of the
+    data. Zero target entries are clamped at 1e-12, so the loss stays finite
+    at absorbing-style parameter points.
     """
-    weights = _check_inputs(batch, terminal)
-    beta_T = schedule.beta(schedule.horizon)
-    return _loss_dims(state.Q_per_dim, state.p0_estimate, weights, beta_T)
+    return _loss(state.Q_per_dim, state.p0_estimate, _check_inputs(freqs, terminal), schedule)
 
 
-def jq_grad(state: MatrixLearnState, batch, schedule: NoiseSchedule, terminal: ProductDistribution) -> np.ndarray:
+def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule, terminal: ProductDistribution) -> np.ndarray:
     """Analytic gradient of jq_loss w.r.t. each a vector, target held fixed.
 
-    Like the loss, it is computed from the batch's per-dimension state
-    frequencies: the gradient of each of the n kernel rows, weighted by how
-    often its state occurs. Returns a (d, n-1) array. Matches central finite
-    differences of the frozen-target objective.
+    The gradient of each of the n kernel rows, weighted by the frequency of
+    its state. Returns a (d, n-1) array. Matches central finite differences
+    of the frozen-target objective.
     """
-    weights = _check_inputs(batch, terminal)
+    freqs = _check_inputs(freqs, terminal)
     beta_T = schedule.beta(schedule.horizon)
+    targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).as_array()
     n = terminal.n
     grads = np.zeros((len(state.Q_per_dim), n - 1))
     for i, Q in enumerate(state.Q_per_dim):
-        target = state.p0_estimate.marginals[i].probs @ transition_kernel(Q, beta_T)
         # row k is the kernel row of the state in sorted slot k
         e, rows = _sorted_rows(Q, beta_T, np.arange(n))
-        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(target[Q.perm], RATIO_FLOOR))[None, :]
+        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(targets[i][Q.perm], RATIO_FLOOR))[None, :]
         # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k
         dE = np.triu(w - np.concatenate([w[:, 1:], np.zeros((n, 1))], axis=1))
         dlam = beta_T * e * dE
-        grads[i] = -(weights[i][Q.perm] @ np.cumsum(dlam, axis=1))[: n - 1]
+        grads[i] = -(freqs[i][Q.perm] @ np.cumsum(dlam, axis=1))[: n - 1]
     return grads
 
 
 def matrix_learning_loop(
     state: MatrixLearnState,
-    data_iter,
+    freqs,
     schedule: NoiseSchedule,
     terminal: ProductDistribution,
     max_step: int,
@@ -137,17 +125,15 @@ def matrix_learning_loop(
 ) -> MatrixLearnState:
     """Projected gradient descent on a with backtracking line search.
 
-    Consumes one batch from ``data_iter`` and descends on it until the step
-    cap or loss < eps_Q; a is clamped at 0 after every step. The recorded
-    loss history is nonincreasing because steps are only accepted when they
-    do not increase the loss on the batch.
+    Descends on the loss of the (d, n) state-frequency table ``freqs`` until
+    the step cap or loss < eps_Q; a is clamped at 0 after every step. The
+    recorded loss history is nonincreasing because steps are only accepted
+    when they do not increase the loss.
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
-    batch = next(data_iter)
-    weights = _check_inputs(batch, terminal)
-    beta_T = schedule.beta(schedule.horizon)
-    loss = _loss_dims(state.Q_per_dim, state.p0_estimate, weights, beta_T)
+    freqs = _check_inputs(freqs, terminal)
+    loss = _loss(state.Q_per_dim, state.p0_estimate, freqs, schedule)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite matrix loss", diagnostics={"state": state, "loss": loss})
     state.loss_history.append(loss)
@@ -155,14 +141,14 @@ def matrix_learning_loop(
         return state
     initial_step = state.step_size
     for _ in range(max_step):
-        grads = jq_grad(state, batch, schedule, terminal)
+        grads = jq_grad(state, freqs, schedule, terminal)
         accepted = False
         for _ in range(_MAX_HALVINGS):
             candidate = [
                 Q.replace_a(np.maximum(Q.a - state.step_size * grads[i], 0.0))
                 for i, Q in enumerate(state.Q_per_dim)
             ]
-            cand_loss = _loss_dims(candidate, state.p0_estimate, weights, beta_T)
+            cand_loss = _loss(candidate, state.p0_estimate, freqs, schedule)
             if not np.isfinite(cand_loss):
                 raise DivergenceError(
                     "non-finite matrix loss during line search",

@@ -72,10 +72,6 @@ class ScoreModel:
             self.biases.append(np.zeros(fan_out))
         self.weights[-1][:] = 0.0
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def encode(self, xt, t) -> np.ndarray:
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
@@ -180,27 +176,23 @@ def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule)
     return ratios
 
 
-def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule):
-    """Kernel ratio targets r and the off-state rate weights, both (B, d, n)."""
+def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
+    """Kernel ratio targets r, shape (B, d, n)."""
     B, d = batch.x0.shape
-    n = Q_per_dim[0].n
     betas = schedule.beta(batch.t)
-    sigmas = schedule.sigma(batch.t)
-    r = np.empty((B, d, n))
-    rates = np.empty((B, d, n))
+    r = np.empty((B, d, Q_per_dim[0].n))
     idx = np.arange(B)
     for i, Q in enumerate(Q_per_dim):
         rows = kernel_rows(Q, betas, batch.x0[:, i])
         den = np.maximum(rows[idx, batch.xt[:, i]], RATIO_FLOOR)
         r[:, i, :] = rows / den[:, None]
-        rates[:, i, :] = rate_columns(Q, sigmas, batch.xt[:, i])
-    return r, rates
+    return r
 
 
 def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float):
-    r, rates = _conditional_ratios(batch, Q_per_dim, schedule)
-    # rate * (s - r + r (ln r - ln s)), built in place so that only one
-    # (B, d, n) scratch array lives beside r, rates and s
+    r = _conditional_ratios(batch, Q_per_dim, schedule)
+    # rate * (s - r + r (ln r - ln s)), built in place: at most four (B, d, n)
+    # arrays live, s, r, terms and a scratch that the rates replace
     terms = np.log(np.maximum(r, RATIO_FLOOR))
     scratch = np.maximum(s, RATIO_FLOOR)
     terms -= np.log(scratch, out=scratch)
@@ -209,6 +201,10 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
     del scratch
     # each term is a Bregman divergence, so negatives can only be roundoff
     np.clip(terms, 0.0, None, out=terms)
+    sigmas = schedule.sigma(batch.t)
+    rates = np.empty_like(terms)
+    for i, Q in enumerate(Q_per_dim):
+        rates[:, i, :] = rate_columns(Q, sigmas, batch.xt[:, i])
     terms *= rates
     if not np.isfinite(terms).all():
         b, i, y = np.argwhere(~np.isfinite(terms))[0]
@@ -245,7 +241,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
 
 def score_learning_loop(
     model: ScoreModel,
-    data_iter,
+    batches,
     Q_per_dim,
     schedule: NoiseSchedule,
     max_step: int,
@@ -265,7 +261,7 @@ def score_learning_loop(
     history = []
     initial_smoothed = None
     for step in range(max_step):
-        batch = next(data_iter)
+        batch = next(batches)
         loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q_per_dim, schedule, eps_t)
         history.append(loss)
         smoothed = float(np.mean(history[-SMOOTH_WINDOW:]))

@@ -92,12 +92,7 @@ def estimate_marginals(dataset, n: int) -> ProductDistribution:
     Smoothing keeps every state strictly positive so the estimate can serve
     as the source side of a bridge: (f + eps) / (1 + n*eps) with eps = 1e-6.
     """
-    data = np.asarray(dataset, dtype=np.int64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.size == 0:
-        raise ValueError("dataset is empty")
-    freq = state_frequencies(data, n)
+    freq = state_frequencies(dataset, n)
     return ProductDistribution.from_array((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
 
 

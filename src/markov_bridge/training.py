@@ -1,6 +1,10 @@
 """Outer alternating training loop: matrix stage, score stage, then a fresh
 estimate of the data distribution feeding the next epoch.
 
+The matrix stage fits the full data's state frequencies, counted once per
+run, and draws nothing at random; its final loss is the epoch's ``kl_term``,
+the KL part of the bound written to ``metrics.csv``.
+
 Permutations are fixed once at startup from the data histograms (sorted
 against a uniform terminal, i.e. by ascending marginal) and never re-sorted.
 All stochastic work inside an epoch draws from one advancing generator whose
@@ -19,7 +23,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, rng_from_json, rng_state_to_json, save_checkpoint
 from .config import RunConfig, config_echo, parse_config_text
-from .core import FactorizedRateMatrix, ProductDistribution, kl_divergence
+from .core import FactorizedRateMatrix, ProductDistribution, kl_divergence, state_frequencies
 from .data import Dataset, load_dataset
 from .errors import CheckpointError, ConfigError
 from .evaluation import elbo_estimate
@@ -102,6 +106,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         history = list(saved.epoch_history)
         start_epoch = saved.epoch
     state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0, step_size=config.matrix_step_size)
+    freqs = state_frequencies(dataset.samples, config.n)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
     if start_epoch > 0 and os.path.exists(metrics_path):
@@ -124,12 +129,8 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             tick = time.perf_counter()
             state.step_size = config.matrix_step_size
 
-            idx = run_rng.integers(0, dataset.size, size=min(config.matrix_batch_size, dataset.size))
-            batch = dataset.samples[idx]
             terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
-            state = matrix_learning_loop(
-                state, iter([batch]), schedule, terminal, config.max_step_matrix, config.eps_q
-            )
+            state = matrix_learning_loop(state, freqs, schedule, terminal, config.max_step_matrix, config.eps_q)
             terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
 
             model = score_learning_loop(

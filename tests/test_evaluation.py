@@ -18,6 +18,7 @@ from markov_bridge import (
     transition_kernel,
 )
 from markov_bridge.core import kl_divergence, materialize_dense
+from markov_bridge.matrix_learning import init_rate_matrices
 
 from oracles import joint_kernel_row, kl_brute, reverse_marginal_dense
 
@@ -76,6 +77,19 @@ class TestKlTerm:
         data = rng.integers(0, 4, size=(50, 3))
         per_row = [kl_term(row[None, :], Qs, SCHEDULE_UNIT, terminal) for row in data]
         assert kl_term(data, Qs, SCHEDULE_UNIT, terminal) == pytest.approx(np.mean(per_row), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
+    def test_matches_per_row_kl_divergence(self, scheme):
+        # reference: one kl_divergence call per data row and dimension
+        rng = np.random.default_rng(509)
+        schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
+        n, d = 5, 4
+        Qs = init_rate_matrices([rng.permutation(n) for _ in range(d)], n, scheme)
+        terminal = ProductDistribution.from_array(rng.dirichlet(np.ones(n), size=d))
+        data = rng.integers(0, n, size=(40, d))
+        kernels = [transition_kernel(Q, schedule.beta(1.0)) for Q in Qs]
+        per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.marginals[i]) for i in range(d)) for x in data]
+        assert kl_term(data, Qs, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
 
 
 def point_mass_dataset(n, value, size, d=1):

@@ -17,7 +17,7 @@ from markov_bridge import (
     predict_terminal,
     transition_kernel,
 )
-from markov_bridge.core import RATIO_FLOOR
+from markov_bridge.core import RATIO_FLOOR, state_frequencies
 from markov_bridge.matrix_learning import init_rate_matrices
 
 from oracles import jq_per_row
@@ -54,13 +54,13 @@ class TestJqLoss:
         state = make_state([np.zeros(3)], p0)
         terminal = ProductDistribution.from_array(p0 * (1 - 4e-9) + 1e-9)
         batch = np.array([[2], [2], [2]])
-        assert jq_loss(state, batch, SCHEDULE_UNIT, terminal) == 0.0
+        assert jq_loss(state, state_frequencies(batch, 4), SCHEDULE_UNIT, terminal) == 0.0
 
     def test_hand_kl_example(self):
         # kernel row (0.5, 0.5) against evolved target (0.25, 0.75)
         state = make_state([[LN2]], [[0.5, 0.5]])
         terminal = ProductDistribution.from_array([[0.25, 0.75]])
-        loss = jq_loss(state, np.array([[0]]), SCHEDULE_UNIT, terminal)
+        loss = jq_loss(state, state_frequencies([[0]], 2), SCHEDULE_UNIT, terminal)
         expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.1438, abs=2e-4)
@@ -70,8 +70,8 @@ class TestJqLoss:
         two = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
         terminal1 = ProductDistribution.from_array([[0.25, 0.75]])
         terminal2 = ProductDistribution.from_array([[0.25, 0.75], [0.25, 0.75]])
-        l1 = jq_loss(one, np.array([[0]]), SCHEDULE_UNIT, terminal1)
-        l2 = jq_loss(two, np.array([[0, 0]]), SCHEDULE_UNIT, terminal2)
+        l1 = jq_loss(one, state_frequencies([[0]], 2), SCHEDULE_UNIT, terminal1)
+        l2 = jq_loss(two, state_frequencies([[0, 0]], 2), SCHEDULE_UNIT, terminal2)
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
     def test_nonnegative_fuzz(self):
@@ -84,34 +84,38 @@ class TestJqLoss:
             )
             batch = rng.integers(0, n, size=(5, d))
             terminal = ProductDistribution.uniform(n, d)
-            assert jq_loss(state, batch, SCHEDULE_UNIT, terminal) >= 0.0
+            assert jq_loss(state, state_frequencies(batch, n), SCHEDULE_UNIT, terminal) >= 0.0
+
+    # the matrix stage takes the table state_frequencies makes of the data,
+    # so the batch checks live there
 
     def test_empty_batch_rejected(self):
-        state = make_state([[LN2]], [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            jq_loss(state, np.empty((0, 1), dtype=int), SCHEDULE_UNIT, ProductDistribution.uniform(2, 1))
+        for empty in (np.empty((0, 1), dtype=int), np.empty((3, 0), dtype=int), np.empty(0, dtype=int)):
+            with pytest.raises(ValueError, match="nonempty"):
+                state_frequencies(empty, 2)
 
     @pytest.mark.parametrize("state_value", [-1, 3])
     def test_out_of_range_state_rejected(self, state_value):
         # n = 3: -1 must not wrap round to state 2, and 3 is past the last state
-        state = make_state([[0.4, 0.9]], [[0.2, 0.3, 0.5]])
-        terminal = ProductDistribution.uniform(3, 1)
-        for fn in (jq_loss, jq_grad):
-            with pytest.raises(ValueError, match="states must lie in"):
-                fn(state, [[state_value]], SCHEDULE_UNIT, terminal)
         with pytest.raises(ValueError, match="states must lie in"):
-            matrix_learning_loop(state, iter([[[0], [state_value]]]), SCHEDULE_UNIT, terminal, max_step=1, eps_Q=0.0)
+            state_frequencies([[0], [state_value]], 3)
+        # d = 2: an out-of-range state must not land in the other column's bins
+        with pytest.raises(ValueError, match="states must lie in"):
+            state_frequencies([[0, 1], [state_value, 1]], 3)
 
     def test_batch_width_must_match_dimensions(self):
         state = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
         terminal = ProductDistribution.uniform(2, 2)
+        for fn in (jq_loss, jq_grad):
+            with pytest.raises(ValueError, match="shape"):
+                fn(state, state_frequencies([[0]], 2), SCHEDULE_UNIT, terminal)
         with pytest.raises(ValueError, match="shape"):
-            jq_loss(state, [[0]], SCHEDULE_UNIT, terminal)
+            matrix_learning_loop(state, state_frequencies([[0]], 2), SCHEDULE_UNIT, terminal, max_step=1, eps_Q=0.0)
 
     def test_nonpositive_terminal_rejected(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
         with pytest.raises(ValueError):
-            jq_loss(state, [[0]], SCHEDULE_UNIT, ProductDistribution.from_array([[0.0, 1.0]]))
+            jq_loss(state, state_frequencies([[0]], 2), SCHEDULE_UNIT, ProductDistribution.from_array([[0.0, 1.0]]))
 
 
 class TestJqGrad:
@@ -120,7 +124,7 @@ class TestJqGrad:
         p0[0, 1] = 1.0
         state = make_state([np.zeros(3)], p0)
         terminal = ProductDistribution.uniform(4, 1)
-        grad = jq_grad(state, np.array([[1], [1]]), SCHEDULE_UNIT, terminal)
+        grad = jq_grad(state, state_frequencies([[1], [1]], 4), SCHEDULE_UNIT, terminal)
         assert np.abs(grad).max() <= 1e-8
 
     def test_matches_finite_differences(self):
@@ -139,7 +143,7 @@ class TestJqGrad:
             state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0))
             batch = rng.integers(0, n, size=(6, d))
             terminal = ProductDistribution.uniform(n, d)
-            grad = jq_grad(state, batch, schedule, terminal)
+            grad = jq_grad(state, state_frequencies(batch, n), schedule, terminal)
             targets = [evolve_rows(p0[i], Qs[i], beta_T)[0] for i in range(d)]
             fd = np.zeros_like(grad)
             for i, k in itertools.product(range(d), range(n - 1)):
@@ -157,24 +161,26 @@ class TestJqGrad:
     def test_identical_dims_identical_gradients(self):
         state = make_state([[0.4, 0.9], [0.4, 0.9]], [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
         terminal = ProductDistribution.uniform(3, 2)
-        grad = jq_grad(state, np.array([[1, 1], [0, 0]]), SCHEDULE_UNIT, terminal)
+        grad = jq_grad(state, state_frequencies([[1, 1], [0, 0]], 3), SCHEDULE_UNIT, terminal)
         assert np.allclose(grad[0], grad[1], atol=1e-14)
 
 
 class TestCountsFormMatchesPerRow:
-    """jq_loss and jq_grad work on state frequencies; the oracle walks the
-    batch row by row through dense Taylor kernels and their derivatives."""
+    """jq_loss and jq_grad work on a batch's state frequencies; the oracle
+    walks the batch row by row through dense Taylor kernels and their
+    derivatives."""
 
     SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
 
     def check(self, Qs, p0, batch):
         state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0))
         terminal = ProductDistribution.uniform(Qs[0].n, len(Qs))
+        freqs = state_frequencies(batch, Qs[0].n)
         want_loss, want_grad = jq_per_row(
             [Q.perm for Q in Qs], [Q.a for Q in Qs], p0, batch, self.SCHEDULE.beta(1.0)
         )
-        assert jq_loss(state, batch, self.SCHEDULE, terminal) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
-        grad = jq_grad(state, batch, self.SCHEDULE, terminal)
+        assert jq_loss(state, freqs, self.SCHEDULE, terminal) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        grad = jq_grad(state, freqs, self.SCHEDULE, terminal)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small", "random"])
@@ -210,7 +216,7 @@ class TestMatrixLearningLoop:
         state = make_state([np.zeros(2)], p0)
         terminal = ProductDistribution.uniform(3, 1)
         a_before = state.Q_per_dim[0].a.copy()
-        out = matrix_learning_loop(state, iter([[[0]]]), SCHEDULE_UNIT, terminal, max_step=50, eps_Q=1e-6)
+        out = matrix_learning_loop(state, state_frequencies([[0]], 3), SCHEDULE_UNIT, terminal, max_step=50, eps_Q=1e-6)
         assert np.array_equal(out.Q_per_dim[0].a, a_before)
         assert len(out.loss_history) == 1
 
@@ -219,7 +225,7 @@ class TestMatrixLearningLoop:
         state = make_state([[0.5, 0.5, 0.5]], [rng.dirichlet(np.ones(4))])
         terminal = ProductDistribution.uniform(4, 1)
         batch = rng.integers(0, 4, size=(8, 1))
-        out = matrix_learning_loop(state, iter([batch]), SCHEDULE_UNIT, terminal, max_step=3, eps_Q=0.0)
+        out = matrix_learning_loop(state, state_frequencies(batch, 4), SCHEDULE_UNIT, terminal, max_step=3, eps_Q=0.0)
         # initial loss plus at most 3 accepted updates
         assert len(out.loss_history) <= 4
 
@@ -229,7 +235,7 @@ class TestMatrixLearningLoop:
         state = make_state([[1.5, 0.01, 0.8]], [rng.dirichlet(np.ones(4))], step_size=0.5)
         terminal = ProductDistribution.uniform(4, 1)
         batch = rng.integers(0, 4, size=(16, 1))
-        out = matrix_learning_loop(state, iter([batch]), schedule, terminal, max_step=60, eps_Q=0.0)
+        out = matrix_learning_loop(state, state_frequencies(batch, 4), schedule, terminal, max_step=60, eps_Q=0.0)
         history = np.asarray(out.loss_history)
         assert np.all(np.diff(history) <= 1e-15)
         assert out.Q_per_dim[0].a.min() >= 0.0
@@ -240,7 +246,7 @@ class TestMatrixLearningLoop:
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
         terminal = ProductDistribution.uniform(2, 1)
         batch = np.array([[0]])
-        out = matrix_learning_loop(state, iter([batch]), schedule, terminal, max_step=500, eps_Q=1e-8)
+        out = matrix_learning_loop(state, state_frequencies(batch, 2), schedule, terminal, max_step=500, eps_Q=1e-8)
         assert out.loss_history[-1] < 0.05 * out.loss_history[0]
         assert out.Q_per_dim[0].a[0] > 0.0
 

@@ -4,12 +4,13 @@ The golden numbers were recorded from a fixed-seed run of this config; a
 refactor that is meant to keep behaviour must reproduce them.
 """
 
+import csv
 import os
 
 import numpy as np
 import pytest
 
-from markov_bridge import load_checkpoint, parse_config_text, train
+from markov_bridge import load_checkpoint, matrix_learning_loop, parse_config_text, train, training
 from markov_bridge.cli import cli
 
 CONFIG = """\
@@ -29,15 +30,15 @@ deterministic_timing = true
 """
 
 GOLDEN_HISTORY = [
-    [0.011339216862519087, 37.8524498036348, 18.208633549712488, 31.80015359532221],
-    [0.011310952801535908, 37.28812070933119, 17.93723502897856, 31.855526071620524],
-    [0.01010854477308754, 36.51728377416171, 17.565962585044286, 31.902861718158753],
+    [0.01128342926315828, 37.835113273938475, 18.20026961307514, 31.80433805429545],
+    [0.011240792106710841, 36.178124169656435, 17.40340578775217, 31.85551811155991],
+    [0.010031282148619067, 33.68150304362764, 16.202203163912568, 31.915924267264582],
 ]
 
 GOLDEN_P0 = [
-    [0.3246816640509133, 0.0, 0.4497201508276521, 0.22559818512143454],
-    [0.1522344084735618, 0.414135117568096, 0.43363047395834226, 0.0],
-    [0.48235922397325537, 0.0, 0.14379477603787055, 0.3738459999888741],
+    [0.328650696004268, 0.0, 0.4496230435146259, 0.22172626048110608],
+    [0.15223943370020285, 0.4179488171716759, 0.42981174912812126, 0.0],
+    [0.4823422619543917, 0.0, 0.13610483937235143, 0.3815528986732568],
 ]
 
 
@@ -50,6 +51,23 @@ def test_golden_history_and_p0(tmp_path):
     assert ck.epoch == 3
     np.testing.assert_allclose(ck.epoch_history, GOLDEN_HISTORY, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(ck.p0_estimate, GOLDEN_P0, rtol=1e-9, atol=1e-15)
+
+
+def test_kl_term_is_the_matrix_stage_loss(tmp_path, monkeypatch):
+    final_losses = []
+
+    def recording_loop(*args, **kwargs):
+        state = matrix_learning_loop(*args, **kwargs)
+        final_losses.append(state.loss_history[-1])
+        return state
+
+    monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
+    ck = train(config_in(tmp_path))
+    assert len(final_losses) == ck.epoch == 3
+    np.testing.assert_allclose(ck.epoch_history[:, 0], final_losses, rtol=1e-12, atol=0.0)
+    with open(tmp_path / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["kl_term"] for row in rows] == [f"{loss:.12g}" for loss in final_losses]
 
 
 def test_resume_matches_uninterrupted(tmp_path):
@@ -100,7 +118,15 @@ def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
     assert os.path.exists(tmp_path / "run" / "metrics.csv")
 
 
-@pytest.mark.parametrize("bad_key", ["epochs = 0", "bogus = 1"])
+@pytest.mark.parametrize("bad_key", [
+    "epochs = 0",
+    "bogus = 1",
+    "sigma_min = -1",
+    "sigma_max = 0.01",
+    "schedule_kind = cosine",
+    "score_hidden = 0",
+    "score_hidden = -5",
+])
 def test_cli_train_rejects_bad_config(tmp_path, bad_key):
     config_path = tmp_path / "bad.cfg"
     config_path.write_text(CONFIG + f"out_dir = {tmp_path}\n{bad_key}\n", encoding="utf-8")
