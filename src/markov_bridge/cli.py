@@ -25,6 +25,19 @@ from .training import restore, train
 _SAMPLE_SALT = 0x5A3B
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low, so a bad size is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dmb", description="Discrete bridge trainer and sampler")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -35,13 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="generate sequences from a checkpoint")
     p_sample.add_argument("checkpoint")
-    p_sample.add_argument("--count", type=int, default=16)
-    p_sample.add_argument("--steps", type=int, default=None)
+    p_sample.add_argument("--count", type=_int_at_least(1), default=16)
+    p_sample.add_argument("--steps", type=_int_at_least(1), default=None)
     p_sample.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p_eval = sub.add_parser("eval", help="estimate the variational bound from a checkpoint")
     p_eval.add_argument("checkpoint")
-    p_eval.add_argument("--mc-samples", type=int, default=None)
+    p_eval.add_argument("--mc-samples", type=_int_at_least(2), default=None)
 
     p_solve = sub.add_parser("solve", help="exact rate matrix between two probability vectors")
     p_solve.add_argument("p_file")

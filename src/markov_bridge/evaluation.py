@@ -14,12 +14,7 @@ import numpy as np
 
 from .core import NoiseSchedule, ProductDistribution, row_kl_sum, state_frequencies
 from .errors import DivergenceError
-from .score_learning import (
-    DEFAULT_EPS_T,
-    ScoreBatch,
-    _per_sample_values,
-    sample_xt_batch,
-)
+from .score_learning import DEFAULT_EPS_T, _per_sample_values, make_score_batch
 
 _CHUNK = 65536
 
@@ -84,19 +79,13 @@ def elbo_estimate(
         raise ValueError("dataset is empty")
     if mc_samples < 2:
         raise ValueError("need at least 2 Monte Carlo samples")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < mc_samples:
+    total = total_sq = 0.0
+    for done in range(0, mc_samples, _CHUNK):
         B = min(_CHUNK, mc_samples - done)
-        x0 = data[rng.integers(0, data.shape[0], size=B)]
-        t = rng.uniform(eps_t, schedule.horizon, size=B)
-        xt = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
-        batch = ScoreBatch(x0=x0, t=t, xt=xt)
-        values = _per_sample_values(ratio_fn(xt, t), batch, Q_per_dim, schedule, eps_t)[0]
+        batch = make_score_batch(data[rng.integers(0, data.shape[0], size=B)], Q_per_dim, schedule, rng, eps_t=eps_t)
+        values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)[0]
         total += float(values.sum())
         total_sq += float((values**2).sum())
-        done += B
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))

@@ -67,13 +67,12 @@ def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
     return [FactorizedRateMatrix.from_parts(perm, a.copy()) for perm in perms]
 
 
-def _check_inputs(freqs, terminal: ProductDistribution) -> np.ndarray:
-    """Validate a (d, n) state-frequency table against the terminal's shape."""
+def _check_inputs(freqs, Q_per_dim) -> np.ndarray:
+    """Validate a (d, n) state-frequency table against the rate matrices."""
     freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.shape != (terminal.d, terminal.n):
-        raise ValueError(f"state frequencies must have shape ({terminal.d}, {terminal.n})")
-    if np.any(terminal.as_array() <= 0.0):
-        raise ValueError("terminal must be strictly positive (smooth it first)")
+    shape = (len(Q_per_dim), Q_per_dim[0].n)
+    if freqs.shape != shape:
+        raise ValueError(f"state frequencies must have shape {shape}")
     return freqs
 
 
@@ -82,27 +81,27 @@ def _loss(Q_per_dim, p0: ProductDistribution, freqs: np.ndarray, schedule: Noise
     return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, targets)
 
 
-def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
+def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> float:
     """Per-dimension KL(kernel row || evolved p0), weighted by state frequency.
 
     ``freqs`` is the (d, n) table :func:`core.state_frequencies` makes of the
     data. Zero target entries are clamped at 1e-12, so the loss stays finite
     at absorbing-style parameter points.
     """
-    return _loss(state.Q_per_dim, state.p0_estimate, _check_inputs(freqs, terminal), schedule)
+    return _loss(state.Q_per_dim, state.p0_estimate, _check_inputs(freqs, state.Q_per_dim), schedule)
 
 
-def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule, terminal: ProductDistribution) -> np.ndarray:
+def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarray:
     """Analytic gradient of jq_loss w.r.t. each a vector, target held fixed.
 
     The gradient of each of the n kernel rows, weighted by the frequency of
     its state. Returns a (d, n-1) array. Matches central finite differences
     of the frozen-target objective.
     """
-    freqs = _check_inputs(freqs, terminal)
+    freqs = _check_inputs(freqs, state.Q_per_dim)
     beta_T = schedule.beta(schedule.horizon)
     targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).as_array()
-    n = terminal.n
+    n = targets.shape[1]
     grads = np.zeros((len(state.Q_per_dim), n - 1))
     for i, Q in enumerate(state.Q_per_dim):
         # row k is the kernel row of the state in sorted slot k
@@ -119,7 +118,6 @@ def matrix_learning_loop(
     state: MatrixLearnState,
     freqs,
     schedule: NoiseSchedule,
-    terminal: ProductDistribution,
     max_step: int,
     eps_Q: float,
 ) -> MatrixLearnState:
@@ -132,7 +130,7 @@ def matrix_learning_loop(
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
-    freqs = _check_inputs(freqs, terminal)
+    freqs = _check_inputs(freqs, state.Q_per_dim)
     loss = _loss(state.Q_per_dim, state.p0_estimate, freqs, schedule)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite matrix loss", diagnostics={"state": state, "loss": loss})
@@ -141,7 +139,7 @@ def matrix_learning_loop(
         return state
     initial_step = state.step_size
     for _ in range(max_step):
-        grads = jq_grad(state, freqs, schedule, terminal)
+        grads = jq_grad(state, freqs, schedule)
         accepted = False
         for _ in range(_MAX_HALVINGS):
             candidate = [

@@ -7,6 +7,9 @@ ratio, a Bregman divergence that is nonnegative and zero only at s = r. Time
 is sampled uniformly on (eps_t, T) and weighted by (T - eps_t); the full sum
 over y is taken (no y-subsampling) since desk-scale n keeps it cheap.
 
+A :class:`ScoreBatch` carries its target r = K_t[x0, :] / K_t[x0, xt], built
+from the kernel rows xt was drawn from: one kernel-row pass per dimension.
+
 Everything works on batches: ratio estimators are functions
 ``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
 :func:`oracle_ratio_fn`, and single tuples are batches of one.
@@ -83,10 +86,14 @@ class ScoreModel:
     def _forward_cached(self, X):
         acts = [X]
         h = X
+        # each layer in place, so none holds two (B, width) temporaries
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ W.T + b)
+            h = h @ W.T
+            h += b
+            np.tanh(h, out=h)
             acts.append(h)
-        out = h @ self.weights[-1].T + self.biases[-1]
+        out = h @ self.weights[-1].T
+        out += self.biases[-1]
         return acts, out
 
     def forward_batch(self, xt, t) -> np.ndarray:
@@ -109,48 +116,54 @@ class ScoreModel:
 
 @dataclass(frozen=True)
 class ScoreBatch:
-    """Joint draws (x0, t, xt) with xt sampled per-dimension from the kernel."""
+    """Draws (t, xt) with the target r[b, i] = K[x0_bi, :] / K[x0_bi, xt_bi] of the
+    rows K = exp(beta(t_b) Q_i) xt was drawn from (denominator floored); no x0."""
 
-    x0: np.ndarray
     t: np.ndarray
     xt: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        x0 = np.atleast_2d(np.asarray(self.x0, dtype=np.int64))
         xt = np.atleast_2d(np.asarray(self.xt, dtype=np.int64))
         t = np.atleast_1d(np.asarray(self.t, dtype=np.float64))
-        if x0.shape != xt.shape or t.shape != (x0.shape[0],):
-            raise ValueError("x0, xt must be (B, d) and t must be (B,)")
-        if x0.shape[0] == 0:
+        r = np.asarray(self.r, dtype=np.float64)
+        if t.shape != (xt.shape[0],) or r.ndim != 3 or r.shape[:2] != xt.shape:
+            raise ValueError("xt must be (B, d), t (B,) and r (B, d, n)")
+        if xt.shape[0] == 0:
             raise ValueError("batch is empty")
         if np.any(t <= 0.0):
             raise ValueError("t entries must be positive")
-        object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xt", xt)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
 
     @property
     def size(self) -> int:
-        return self.x0.shape[0]
+        return self.xt.shape[0]
 
 
-def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng) -> np.ndarray:
-    """Per-dimension conditional draws from exp(beta(t_b) * Q_i) rows."""
+def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng):
+    """Draws xt from the rows exp(beta(t_b) Q_i)[x0_bi] and the (B, d, n) ratio
+    target r of the same rows: the one kernel-row pass of a batch."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     betas = schedule.beta(np.asarray(t, dtype=np.float64))
-    out = np.empty_like(x0)
+    xt = np.empty_like(x0)
+    r = np.empty((*x0.shape, Q_per_dim[0].n))
+    idx = np.arange(x0.shape[0])
     for i, Q in enumerate(Q_per_dim):
         rows = kernel_rows(Q, betas, x0[:, i])
-        out[:, i] = sample_categorical(rows, rng)
-    return out
+        xt[:, i] = sample_categorical(rows, rng)
+        den = np.maximum(rows[idx, xt[:, i]], RATIO_FLOOR)
+        np.divide(rows, den[:, None], out=r[:, i, :])
+    return xt, r
 
 
 def make_score_batch(x0, Q_per_dim, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
-    """Draw times uniformly on (eps_t, T) and the matching xt per sample."""
+    """Draw times uniformly on (eps_t, T), then each xt and its ratio target."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     t = rng.uniform(eps_t, schedule.horizon, size=x0.shape[0])
-    xt = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
-    return ScoreBatch(x0=x0, t=t, xt=xt)
+    xt, r = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
+    return ScoreBatch(t=t, xt=xt, r=r)
 
 
 def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule):
@@ -176,24 +189,12 @@ def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule)
     return ratios
 
 
-def _conditional_ratios(batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
-    """Kernel ratio targets r, shape (B, d, n)."""
-    B, d = batch.x0.shape
-    betas = schedule.beta(batch.t)
-    r = np.empty((B, d, Q_per_dim[0].n))
-    idx = np.arange(B)
-    for i, Q in enumerate(Q_per_dim):
-        rows = kernel_rows(Q, betas, batch.x0[:, i])
-        den = np.maximum(rows[idx, batch.xt[:, i]], RATIO_FLOOR)
-        r[:, i, :] = rows / den[:, None]
-    return r
-
-
 def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float):
-    r = _conditional_ratios(batch, Q_per_dim, schedule)
+    r = batch.r
     # rate * (s - r + r (ln r - ln s)), built in place: at most four (B, d, n)
     # arrays live, s, r, terms and a scratch that the rates replace
-    terms = np.log(np.maximum(r, RATIO_FLOOR))
+    terms = np.maximum(r, RATIO_FLOOR)
+    np.log(terms, out=terms)
     scratch = np.maximum(s, RATIO_FLOOR)
     terms -= np.log(scratch, out=scratch)
     terms *= r
@@ -212,7 +213,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
             f"non-finite score-entropy term at dim {i}, state {y}, t={batch.t[b]:.6g}"
         )
     weight = schedule.horizon - eps_t
-    return weight * terms.sum(axis=(1, 2)), r, rates
+    return weight * terms.sum(axis=(1, 2)), rates
 
 
 def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
@@ -229,11 +230,11 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
     """
     acts, out = model._forward_cached(model.encode(batch.xt, batch.t))
     s = np.exp(out).reshape(batch.size, model.d, model.n)
-    values, r, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
+    values, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
     weight = (schedule.horizon - eps_t) / batch.size
     d_out = weight * rates
-    d_out *= s - r
+    d_out *= s - batch.r
     d_out = d_out.reshape(batch.size, model.d * model.n)
     grad_w, grad_b = model.backward(acts, d_out)
     return float(values.mean()), grad_w, grad_b

@@ -88,8 +88,7 @@ def run_selftest(verbose: bool = True) -> bool:
         p0 = ProductDistribution.from_array(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
         state = MatrixLearnState(Q_per_dim=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
-        terminal = ProductDistribution.uniform(n, 1)
-        grad = jq_grad(state, state_frequencies(batch, n), schedule, terminal)
+        grad = jq_grad(state, state_frequencies(batch, n), schedule)
         frozen = evolve_rows(p0.marginals[0].probs, Q[0], schedule.beta(schedule.horizon))[0]
         fd = _fd_grad(Q[0], batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)

@@ -129,8 +129,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             tick = time.perf_counter()
             state.step_size = config.matrix_step_size
 
-            terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
-            state = matrix_learning_loop(state, freqs, schedule, terminal, config.max_step_matrix, config.eps_q)
+            state = matrix_learning_loop(state, freqs, schedule, config.max_step_matrix, config.eps_q)
             terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
 
             model = score_learning_loop(

@@ -131,9 +131,23 @@ class TestCliExitCodes:
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1
 
-    @pytest.mark.parametrize("argv", [[], ["bogus"], ["eval"]])
-    def test_usage_errors(self, argv, capsys):
-        assert cli(argv) == 1
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["eval"],
+        ["sample", "CKPT", "--count", "0"],
+        ["sample", "CKPT", "--count", "-1"],
+        ["sample", "CKPT", "--count", "two"],
+        ["sample", "CKPT", "--steps", "0"],
+        ["eval", "CKPT", "--mc-samples", "0"],
+        ["eval", "CKPT", "--mc-samples", "1"],
+    ])
+    def test_usage_errors(self, argv, tmp_path, capsys):
+        # CKPT names a good checkpoint, so only the bad value can fail
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(small_checkpoint(), path)
+        assert cli([path if arg == "CKPT" else arg for arg in argv]) == 1
+        assert "runtime failure" not in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert cli(["selftest"]) == 0

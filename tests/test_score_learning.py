@@ -18,6 +18,7 @@ from markov_bridge import (
     score_loss_and_grad,
     transition_kernel,
 )
+from markov_bridge import evaluation, score_learning
 from markov_bridge.score_learning import sample_xt_batch
 
 LN2 = np.log(2.0)
@@ -42,12 +43,15 @@ class TestSampleXt:
         rng = np.random.default_rng(301)
         Q = random_chain(rng, 5, d=3)
         x0 = rng.integers(0, 5, size=(20, 3))
-        assert np.array_equal(sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng), x0)
+        xt, r = sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng)
+        assert np.array_equal(xt, x0)
+        # the identity kernel: r is the one-hot row of x0
+        assert np.array_equal(r, np.eye(5)[x0])
 
     def test_half_life_frequencies(self):
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
         rng = np.random.default_rng(303)
-        draws = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng)
+        draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng)
         freq = float(np.mean(draws == 0))
         # binomial 3 sigma around 0.5 at 1e5 draws
         assert abs(freq - 0.5) <= 3.0 * 0.5 / np.sqrt(100000)
@@ -59,8 +63,45 @@ class TestSampleXt:
         Q = [FactorizedRateMatrix.from_parts(perm, a)]
         schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0, horizon=1.0)
         rng = np.random.default_rng(307)
-        draws = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng)
+        draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng)
         assert np.all(draws == perm[-1])
+
+
+class TestOneKernelRowPass:
+    """A score batch carries the ratio target of the rows its xt was drawn
+    from; the loss and the bound build no kernel rows of their own."""
+
+    def test_ratio_target_matches_dense_kernel(self):
+        rng = np.random.default_rng(401)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0, horizon=1.0)
+        for _ in range(10):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            Q = random_chain(rng, n, d=d)
+            x0 = rng.integers(0, n, size=(32, d))
+            batch = make_score_batch(x0, Q, schedule, rng)
+            for b, i in itertools.product(range(batch.size), range(d)):
+                row = transition_kernel(Q[i], schedule.beta(batch.t[b]))[x0[b, i]]
+                np.testing.assert_allclose(batch.r[b, i], row / row[batch.xt[b, i]], rtol=1e-12, atol=0.0)
+
+    def test_kernel_rows_built_once_per_dimension(self, monkeypatch):
+        calls = []
+        real = score_learning.kernel_rows
+        monkeypatch.setattr(score_learning, "kernel_rows", lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(409)
+        n, d = 5, 3
+        Q = random_chain(rng, n, d=d)
+        model = ScoreModel(n, d, hidden=(8,), rng=rng)
+        batch = make_score_batch(rng.integers(0, n, size=(16, d)), Q, SCHEDULE_UNIT, rng)
+        assert len(calls) == d
+        score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
+        score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
+        assert len(calls) == d
+        # the bound draws its chunks the same way: d calls per chunk
+        monkeypatch.setattr(evaluation, "_CHUNK", 40)
+        data = rng.integers(0, n, size=(50, d))
+        evaluation.elbo_estimate(model.forward_batch, data, Q, SCHEDULE_UNIT,
+                                 ProductDistribution.uniform(n, d), 100, rng)
+        assert len(calls) == d + 3 * d
 
 
 class TestScoreForward:
@@ -163,11 +204,7 @@ class TestScoreEntropyLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ScoreBatch(
-                x0=np.empty((0, 1), dtype=np.int64),
-                t=np.empty(0),
-                xt=np.empty((0, 1), dtype=np.int64),
-            )
+            ScoreBatch(t=np.empty(0), xt=np.empty((0, 1), dtype=np.int64), r=np.empty((0, 1, 2)))
 
     def test_pointwise_bregman_nonnegative(self):
         # the integrand term s - r + r (ln r - ln s) is a Bregman divergence:
@@ -226,11 +263,7 @@ class TestScoreGrad:
         # zero-initialized model outputs, so the gradient vanishes
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
         model = ScoreModel(2, 1, hidden=(8,), rng=np.random.default_rng(3))
-        batch = ScoreBatch(
-            x0=np.zeros((8, 1), dtype=np.int64),
-            t=np.ones(8),
-            xt=np.array([[0], [1]] * 4, dtype=np.int64),
-        )
+        batch = ScoreBatch(t=np.ones(8), xt=np.array([[0], [1]] * 4, dtype=np.int64), r=np.ones((8, 1, 2)))
         _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert max(np.abs(g).max() for g in grad_w) <= 1e-14
         assert max(np.abs(g).max() for g in grad_b) <= 1e-14
@@ -270,8 +303,10 @@ class TestScoreGrad:
         Q = random_chain(rng, 4)
         model = ScoreModel(4, 1, hidden=(8,), rng=rng)
         model.weights[-1] += rng.normal(0, 0.1, model.weights[-1].shape)
-        single = ScoreBatch(x0=[[2]], t=[0.7], xt=[[1]])
-        tripled = ScoreBatch(x0=[[2]] * 3, t=[0.7] * 3, xt=[[1]] * 3)
+        row = transition_kernel(Q[0], SCHEDULE_UNIT.beta(0.7))[2]
+        r = row / max(row[1], 1e-12)
+        single = ScoreBatch(t=[0.7], xt=[[1]], r=[[r]])
+        tripled = ScoreBatch(t=[0.7] * 3, xt=[[1]] * 3, r=[[r]] * 3)
         _, gw1, gb1 = score_loss_and_grad(model, single, Q, SCHEDULE_UNIT)
         _, gw3, gb3 = score_loss_and_grad(model, tripled, Q, SCHEDULE_UNIT)
         for g1, g3 in zip(gw1 + gb1, gw3 + gb3):
