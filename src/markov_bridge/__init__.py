@@ -34,7 +34,7 @@ from .matrix_learning import (
     matrix_learning_loop,
     predict_terminal,
 )
-from .sampler import SamplerConfig, estimate_mu, generate, tv_distance
+from .sampler import estimate_mu, generate, tv_distance
 from .score_learning import (
     ScoreBatch,
     ScoreModel,

@@ -1,8 +1,9 @@
 """Length-prefixed binary checkpoint container.
 
 Layout: 8-byte magic, 1 version byte, then a fixed sequence of blocks, each a
-little-endian u64 length followed by the payload. Arrays carry an explicit
-dtype tag and shape so the round trip is byte-exact on any host.
+little-endian u64 length followed by the payload; no bytes follow the last
+block. Arrays carry an explicit dtype tag and shape so the round trip is
+byte-exact on any host.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class Checkpoint:
     score_biases: list
     rng_state: str             # canonical JSON of the generator state
     epoch_history: np.ndarray  # (k, 4) float64: kl_term, j_score, elbo_bpd, kl_mu
-    version: int = VERSION
 
 
 def _pack_block(payload: bytes) -> bytes:
@@ -92,7 +92,7 @@ class _Reader:
 
 
 def serialize_checkpoint(ck: Checkpoint) -> bytes:
-    parts = [MAGIC, bytes([ck.version])]
+    parts = [MAGIC, bytes([VERSION])]
     parts.append(_pack_text(ck.config_text))
     parts.append(_pack_u64(ck.epoch))
     parts.append(_pack_array(np.asarray(ck.perms, dtype=np.int64)))
@@ -129,6 +129,8 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
         history = reader.array()
     except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
         raise CheckpointError(f"corrupted checkpoint: {exc}") from exc
+    if reader.offset != len(blob):
+        raise CheckpointError(f"{len(blob) - reader.offset} unexpected bytes after the last checkpoint block")
     return Checkpoint(
         config_text=config_text,
         epoch=epoch,
@@ -139,7 +141,6 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
         score_biases=biases,
         rng_state=rng_state,
         epoch_history=history,
-        version=version,
     )
 
 
@@ -178,6 +179,10 @@ def rng_state_to_json(rng: np.random.Generator) -> str:
 
 
 def rng_from_json(state: str) -> np.random.Generator:
+    """The generator a checkpoint saved; a damaged or foreign state raises CheckpointError."""
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(state)
+    try:
+        rng.bit_generator.state = json.loads(state)
+    except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise CheckpointError(f"checkpoint holds no valid generator state: {exc}") from exc
     return rng

@@ -17,7 +17,7 @@ from .data import load_dataset
 from .errors import BridgeError, CheckpointError, ConfigError
 from .evaluation import elbo_estimate
 from .matrix_learning import predict_terminal
-from .sampler import SamplerConfig, generate
+from .sampler import generate
 from .solver import exact_rate_matrix
 from .selftest import run_selftest
 from .training import restore, train
@@ -91,9 +91,8 @@ def _cmd_sample(args) -> int:
     config, schedule, Q_per_dim, model, p0 = restore(load_checkpoint(args.checkpoint))
     terminal = predict_terminal(Q_per_dim, p0, schedule)
     steps = args.steps if args.steps is not None else config.sampler_steps
-    sampler_cfg = SamplerConfig(num_steps=steps, eps_t=config.eps_t)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLE_SALT]))
-    draws = generate(sampler_cfg, terminal, Q_per_dim, schedule, model.forward_batch, rng, args.count)
+    draws = generate(terminal, Q_per_dim, schedule, model.forward_batch, rng, args.count, steps, config.eps_t)
     dataset = load_dataset(config)
     lines = dataset.decode(draws)
     if args.out:

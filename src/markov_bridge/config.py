@@ -22,7 +22,6 @@ class RunConfig:
     dataset: str = "synthetic"
     corpus_path: str = ""
     synthetic_samples: int = 10000
-    schedule_kind: str = "linear"
     sigma_min: float = 0.1
     sigma_max: float = 10.0
     horizon: float = 1.0
@@ -43,7 +42,6 @@ class RunConfig:
     mu_trajectories: int = 16384
     mc_samples: int = 8192
     out_dir: str = "runs/latest"
-    deterministic_timing: bool = False
 
     def validate(self):
         for f in fields(self):
@@ -97,12 +95,7 @@ class RunConfig:
 
     def schedule(self) -> NoiseSchedule:
         """The noise schedule these settings describe."""
-        return NoiseSchedule(
-            kind=self.schedule_kind,
-            sigma_min=self.sigma_min,
-            sigma_max=self.sigma_max,
-            horizon=self.horizon,
-        )
+        return NoiseSchedule(sigma_min=self.sigma_min, sigma_max=self.sigma_max, horizon=self.horizon)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
@@ -115,13 +108,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind == "tuple":
             return tuple(int(part) for part in raw.split(",") if part.strip())
         return raw
@@ -168,8 +154,6 @@ def config_echo(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)
         lines.append(f"{f.name} = {value}")

@@ -148,20 +148,17 @@ class FactorizedRateMatrix:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Scalar rate multiplier sigma(t) with closed-form integral beta(t).
+    """Linear rate multiplier sigma(t) with closed-form integral beta(t).
 
-    Only the linear kind is implemented; beta stays exact so distribution
-    evolution never needs numerical quadrature.
+    beta stays exact, so distribution evolution never needs numerical
+    quadrature.
     """
 
-    kind: str = "linear"
     sigma_min: float = 0.1
     sigma_max: float = 10.0
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "linear":
-            raise ValueError(f"unsupported schedule kind {self.kind!r}")
         if not (0.0 < self.sigma_min <= self.sigma_max):
             raise ValueError("need 0 < sigma_min <= sigma_max")
         if self.horizon <= 0.0:

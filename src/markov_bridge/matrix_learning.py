@@ -31,7 +31,6 @@ from .core import (
 )
 from .errors import DivergenceError
 
-DEFAULT_STEP_SIZE = 0.1
 _MAX_HALVINGS = 40
 
 
@@ -41,14 +40,11 @@ class MatrixLearnState:
 
     Q_per_dim: list
     p0_estimate: ProductDistribution
-    step_size: float = DEFAULT_STEP_SIZE
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.Q_per_dim) != self.p0_estimate.d:
             raise ValueError("need one rate matrix per dimension")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
 
 
 def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
@@ -120,16 +116,20 @@ def matrix_learning_loop(
     schedule: NoiseSchedule,
     max_step: int,
     eps_Q: float,
+    step_size: float,
 ) -> MatrixLearnState:
     """Projected gradient descent on a with backtracking line search.
 
     Descends on the loss of the (d, n) state-frequency table ``freqs`` until
-    the step cap or loss < eps_Q; a is clamped at 0 after every step. The
-    recorded loss history is nonincreasing because steps are only accepted
-    when they do not increase the loss.
+    the step cap or loss < eps_Q; a is clamped at 0 after every step. Each
+    call's line search starts at ``step_size``. The recorded loss history is
+    nonincreasing because steps are only accepted when they do not increase
+    the loss.
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
+    if step_size <= 0.0:
+        raise ValueError("step_size must be positive")
     freqs = _check_inputs(freqs, state.Q_per_dim)
     loss = _loss(state.Q_per_dim, state.p0_estimate, freqs, schedule)
     if not np.isfinite(loss):
@@ -137,13 +137,13 @@ def matrix_learning_loop(
     state.loss_history.append(loss)
     if loss < eps_Q:
         return state
-    initial_step = state.step_size
+    step = step_size
     for _ in range(max_step):
         grads = jq_grad(state, freqs, schedule)
         accepted = False
         for _ in range(_MAX_HALVINGS):
             candidate = [
-                Q.replace_a(np.maximum(Q.a - state.step_size * grads[i], 0.0))
+                Q.replace_a(np.maximum(Q.a - step * grads[i], 0.0))
                 for i, Q in enumerate(state.Q_per_dim)
             ]
             cand_loss = _loss(candidate, state.p0_estimate, freqs, schedule)
@@ -156,10 +156,10 @@ def matrix_learning_loop(
                 state.Q_per_dim = candidate
                 loss = cand_loss
                 state.loss_history.append(loss)
-                state.step_size = min(state.step_size * 2.0, initial_step)
+                step = min(step * 2.0, step_size)
                 accepted = True
                 break
-            state.step_size /= 2.0
+            step /= 2.0
         if not accepted or loss < eps_Q:
             break
     return state

@@ -11,26 +11,12 @@ and strictly lower variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import NoiseSchedule, ProbVector, ProductDistribution, rate_columns, sample_categorical
 from .errors import DivergenceError
 
 diagnostics = {"euler_zero_rows": 0}
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    num_steps: int = 128
-    eps_t: float = 1e-3
-
-    def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
-        if self.eps_t <= 0.0:
-            raise ValueError("eps_t must be positive")
 
 
 def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
@@ -65,62 +51,74 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSche
     return probs
 
 
-def _step_probs(config: SamplerConfig, k: int, xt, Q_per_dim, schedule: NoiseSchedule, ratio_fn):
-    """Euler categoricals of step k on the uniform grid from T down to eps_t."""
-    dt = (schedule.horizon - config.eps_t) / config.num_steps
+def _grid_step(steps: int, eps_t: float, schedule: NoiseSchedule) -> float:
+    """Step of the uniform grid of ``steps`` steps from T down to eps_t."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if eps_t <= 0.0:
+        raise ValueError("eps_t must be positive")
+    return (schedule.horizon - eps_t) / steps
+
+
+def _step_probs(k: int, dt: float, xt, Q_per_dim, schedule: NoiseSchedule, ratio_fn):
+    """Euler categoricals of step k of the grid with step dt."""
     t = schedule.horizon - k * dt
     return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
 
 
-def _trajectories(config: SamplerConfig, terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, rng, count, steps):
+def _trajectories(terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, rng, count, steps, dt):
     """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
     xt = np.empty((count, terminal.d), dtype=np.int64)
     for i, m in enumerate(terminal.marginals):
         xt[:, i] = rng.choice(m.n, size=count, p=m.probs)
     for k in range(steps):
-        probs = _step_probs(config, k, xt, Q_per_dim, schedule, ratio_fn)
+        probs = _step_probs(k, dt, xt, Q_per_dim, schedule, ratio_fn)
         for i in range(xt.shape[1]):
             xt[:, i] = sample_categorical(probs[:, i, :], rng)
     return xt
 
 
 def generate(
-    config: SamplerConfig,
     terminal: ProductDistribution,
     Q_per_dim,
     schedule: NoiseSchedule,
     ratio_fn,
     rng,
     count: int,
+    steps: int,
+    eps_t: float,
 ) -> np.ndarray:
-    """Draw x_T from the terminal and run num_steps Euler steps down to eps_t.
+    """Draw x_T from the terminal and run ``steps`` Euler steps down to eps_t.
 
     ``ratio_fn(xt_batch, t) -> (B, d, n)`` supplies the probability ratios
     (a trained model or the exact oracle). Returns an (count, d) int array.
     """
-    return _trajectories(config, terminal, Q_per_dim, schedule, ratio_fn, rng, count, config.num_steps)
+    dt = _grid_step(steps, eps_t, schedule)
+    return _trajectories(terminal, Q_per_dim, schedule, ratio_fn, rng, count, steps, dt)
 
 
 def estimate_mu(
-    config: SamplerConfig,
     terminal: ProductDistribution,
     Q_per_dim,
     schedule: NoiseSchedule,
     ratio_fn,
     rng,
     M: int,
+    steps: int,
+    eps_t: float,
 ) -> ProductDistribution:
     """Average the final Euler categorical over M reverse trajectories.
 
-    Runs num_steps - 1 sampled steps from T, then takes the last step's full
+    Runs steps - 1 sampled steps from T, then takes the last step's full
     per-dimension distribution instead of sampling it, and averages across
     trajectories.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    last = config.num_steps - 1
-    xt = _trajectories(config, terminal, Q_per_dim, schedule, ratio_fn, rng, M, last)
-    rows = _step_probs(config, last, xt, Q_per_dim, schedule, ratio_fn).mean(axis=0)
+    dt = _grid_step(steps, eps_t, schedule)
+    last = steps - 1
+    xt = _trajectories(terminal, Q_per_dim, schedule, ratio_fn, rng, M, last, dt)
+    rows = _step_probs(last, dt, xt, Q_per_dim, schedule, ratio_fn).mean(axis=0)
     rows /= rows.sum(axis=1, keepdims=True)
     return ProductDistribution.from_array(rows)
 

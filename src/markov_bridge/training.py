@@ -28,7 +28,7 @@ from .data import Dataset, load_dataset
 from .errors import CheckpointError, ConfigError
 from .evaluation import elbo_estimate
 from .matrix_learning import MatrixLearnState, init_rate_matrices, matrix_learning_loop, predict_terminal
-from .sampler import SamplerConfig, estimate_mu
+from .sampler import estimate_mu
 from .score_learning import ScoreModel, make_score_batch, score_learning_loop
 from .solver import estimate_marginals, permutation_from_data
 
@@ -48,10 +48,13 @@ def _score_batches(dataset: Dataset, Q_per_dim, schedule, config: RunConfig, rng
 def restore(ck: Checkpoint):
     """Rebuild a run from a checkpoint: (config, schedule, Q_per_dim, model, p0).
 
-    Arrays whose shapes disagree with the checkpoint's own configuration, and
-    rates or p0 that violate their invariants, raise CheckpointError.
+    A configuration that no longer parses, arrays whose shapes disagree with
+    it, and rates or p0 that violate their invariants raise CheckpointError.
     """
-    config = parse_config_text(ck.config_text)
+    try:
+        config = parse_config_text(ck.config_text)
+    except ConfigError as exc:
+        raise CheckpointError(f"the checkpoint's configuration does not parse: {exc}") from exc
     d, n = config.d, config.n
     model = ScoreModel(n, d, hidden=config.score_hidden)
     expected = [(d, n), (d, n - 1), (d, n)] + [p.shape for p in model.weights + model.biases]
@@ -105,7 +108,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         run_rng = rng_from_json(saved.rng_state)
         history = list(saved.epoch_history)
         start_epoch = saved.epoch
-    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0, step_size=config.matrix_step_size)
+    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0)
     freqs = state_frequencies(dataset.samples, config.n)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
@@ -121,15 +124,15 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         metrics.write(METRICS_HEADER + "\n")
         metrics.flush()
 
-    sampler_cfg = SamplerConfig(num_steps=config.sampler_steps, eps_t=config.eps_t)
     ck = None
     last = min(config.epochs, start_epoch + stop_after) if stop_after is not None else config.epochs
     try:
         for epoch in range(start_epoch + 1, last + 1):
             tick = time.perf_counter()
-            state.step_size = config.matrix_step_size
 
-            state = matrix_learning_loop(state, freqs, schedule, config.max_step_matrix, config.eps_q)
+            state = matrix_learning_loop(
+                state, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
+            )
             terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
 
             model = score_learning_loop(
@@ -145,7 +148,8 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
 
             mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
             state.p0_estimate = estimate_mu(
-                sampler_cfg, terminal, state.Q_per_dim, schedule, model.forward_batch, mu_rng, config.mu_trajectories
+                terminal, state.Q_per_dim, schedule, model.forward_batch, mu_rng,
+                config.mu_trajectories, config.sampler_steps, config.eps_t,
             )
 
             report = elbo_estimate(
@@ -160,7 +164,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
                     for i in range(config.d)
                 )
                 kl_mu = f"{kl_value:.12g}"
-            wall = 0.0 if config.deterministic_timing else time.perf_counter() - tick
+            wall = time.perf_counter() - tick
             metrics.write(
                 f"{epoch},{report.kl_term:.12g},{report.j_score:.12g},"
                 f"{report.bits_per_dim:.12g},{kl_mu},{wall:.3f}\n"

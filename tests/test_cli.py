@@ -1,13 +1,15 @@
 """Checkpoint decoding of damaged files, CLI exit codes and the bundled self-checks."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from markov_bridge import CheckpointError, load_checkpoint, save_checkpoint
+from markov_bridge import CheckpointError, load_checkpoint, load_config, save_checkpoint
 from markov_bridge.checkpoint import Checkpoint, deserialize_checkpoint, rng_state_to_json, serialize_checkpoint
 from markov_bridge.cli import cli
+from markov_bridge.config import config_echo
 
 
 def small_checkpoint(seed=0):
@@ -56,6 +58,11 @@ class TestCorruptedCheckpoint:
             outcomes.append(loads_or_checkpoint_error(bytes(damaged)))
         # both outcomes occur: payload bytes load, framing bytes are refused
         assert any(outcomes) and not all(outcomes)
+
+    def test_bytes_after_the_last_block(self):
+        blob = serialize_checkpoint(small_checkpoint())
+        with pytest.raises(CheckpointError, match="after the last checkpoint block"):
+            deserialize_checkpoint(blob + b"junk")
 
 
 class TestCrashSafeSave:
@@ -118,6 +125,39 @@ class TestCliExitCodes:
         assert load_checkpoint(path).epoch == 1
         assert cli(["eval", path]) == 1
         assert cli(["sample", path]) == 1
+
+    def test_checkpoint_config_that_no_longer_parses_is_bad_input(self, tmp_path, capsys):
+        ck = small_checkpoint()
+        ck.config_text += "schedule_kind = linear\n"  # a key that configurations no longer have
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(ck, path)
+        assert cli(["eval", path]) == 1
+        assert "the checkpoint's configuration does not parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rng_state, code", [
+        (None, 0),  # the saved state, to show that only the damage fails the resume
+        ("{not json", 1),
+        (json.dumps(np.random.PCG64DXSM(0).state), 1),  # another generator's state
+    ])
+    def test_resume_from_damaged_rng_state(self, tmp_path, monkeypatch, capsys, rng_state, code):
+        monkeypatch.delenv("DMB_SEED", raising=False)
+        ck = small_checkpoint()
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            ck.config_text
+            + "epochs = 2\nmax_step_matrix = 2\nmax_step_score = 2\nmu_trajectories = 8\n"
+            + f"sampler_steps = 2\nmc_samples = 8\nout_dir = {tmp_path / 'run'}\n",
+            encoding="utf-8",
+        )
+        ck.config_text = config_echo(load_config(str(config_path)))
+        if rng_state is not None:
+            ck.rng_state = rng_state
+        path = str(tmp_path / "epoch_0001.ckpt")
+        save_checkpoint(ck, path)
+        assert cli(["train", str(config_path), "--resume", path]) == code
+        err = capsys.readouterr().err
+        assert "runtime failure" not in err
+        assert ("no valid generator state" in err) == (code == 1)
 
     def test_solve(self, tmp_path, capsys):
         (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")

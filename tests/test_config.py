@@ -11,7 +11,6 @@ from markov_bridge.config import config_echo
 
 CHOICES = {
     "dataset": ["synthetic", "char_corpus"],
-    "schedule_kind": ["linear"],
     "init_scheme": ["absorbing_text", "uniform_small"],
     "p0_init": ["uniform", "data_marginal"],
 }
@@ -26,8 +25,6 @@ def value_strategy(field):
         return st.one_of(st.integers(1, 64), st.integers())
     if field.type == "float":
         return st.one_of(st.floats(1e-4, 0.5), st.floats(1.0, 20.0), st.floats())
-    if field.type == "bool":
-        return st.booleans()
     if field.type == "tuple":
         return st.lists(st.integers(-2, 300), max_size=3).map(tuple)
     return st.one_of(st.sampled_from(CHOICES.get(field.name, ["runs/a", "x=y"])), TEXT)

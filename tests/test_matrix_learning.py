@@ -26,13 +26,9 @@ LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)  # beta(T) = 1
 
 
-def make_state(a_vectors, p0_rows, step_size=0.1):
+def make_state(a_vectors, p0_rows):
     Qs = [FactorizedRateMatrix.with_identity_perm(a) for a in a_vectors]
-    return MatrixLearnState(
-        Q_per_dim=Qs,
-        p0_estimate=ProductDistribution.from_array(p0_rows),
-        step_size=step_size,
-    )
+    return MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0_rows))
 
 
 def frozen_target_loss(Q_per_dim, targets, batch, beta_T):
@@ -104,7 +100,9 @@ class TestJqLoss:
             with pytest.raises(ValueError, match="shape"):
                 fn(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
         with pytest.raises(ValueError, match="shape"):
-            matrix_learning_loop(state, state_frequencies([[0]], 2), SCHEDULE_UNIT, max_step=1, eps_Q=0.0)
+            matrix_learning_loop(
+                state, state_frequencies([[0]], 2), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=0.1
+            )
 
 
 class TestJqGrad:
@@ -200,24 +198,38 @@ class TestMatrixLearningLoop:
         p0[0, 0] = 1.0
         state = make_state([np.zeros(2)], p0)
         a_before = state.Q_per_dim[0].a.copy()
-        out = matrix_learning_loop(state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=50, eps_Q=1e-6)
+        out = matrix_learning_loop(
+            state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=50, eps_Q=1e-6, step_size=0.1
+        )
         assert np.array_equal(out.Q_per_dim[0].a, a_before)
         assert len(out.loss_history) == 1
+
+    @pytest.mark.parametrize("step_size", [0.0, -0.1])
+    def test_nonpositive_step_size_rejected(self, step_size):
+        state = make_state([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="step_size"):
+            matrix_learning_loop(
+                state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=step_size
+            )
 
     def test_step_cap_respected(self):
         rng = np.random.default_rng(227)
         state = make_state([[0.5, 0.5, 0.5]], [rng.dirichlet(np.ones(4))])
         batch = rng.integers(0, 4, size=(8, 1))
-        out = matrix_learning_loop(state, state_frequencies(batch, 4), SCHEDULE_UNIT, max_step=3, eps_Q=0.0)
+        out = matrix_learning_loop(
+            state, state_frequencies(batch, 4), SCHEDULE_UNIT, max_step=3, eps_Q=0.0, step_size=0.1
+        )
         # initial loss plus at most 3 accepted updates
         assert len(out.loss_history) <= 4
 
     def test_monotone_history_and_projection(self):
         rng = np.random.default_rng(229)
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
-        state = make_state([[1.5, 0.01, 0.8]], [rng.dirichlet(np.ones(4))], step_size=0.5)
+        state = make_state([[1.5, 0.01, 0.8]], [rng.dirichlet(np.ones(4))])
         batch = rng.integers(0, 4, size=(16, 1))
-        out = matrix_learning_loop(state, state_frequencies(batch, 4), schedule, max_step=60, eps_Q=0.0)
+        out = matrix_learning_loop(
+            state, state_frequencies(batch, 4), schedule, max_step=60, eps_Q=0.0, step_size=0.5
+        )
         history = np.asarray(out.loss_history)
         assert np.all(np.diff(history) <= 1e-15)
         assert out.Q_per_dim[0].a.min() >= 0.0
@@ -227,7 +239,9 @@ class TestMatrixLearningLoop:
         state = make_state([[0.0]], [[0.5, 0.5]])
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
         batch = np.array([[0]])
-        out = matrix_learning_loop(state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8)
+        out = matrix_learning_loop(
+            state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8, step_size=0.1
+        )
         assert out.loss_history[-1] < 0.05 * out.loss_history[0]
         assert out.Q_per_dim[0].a[0] > 0.0
 

@@ -9,7 +9,6 @@ from markov_bridge import (
     NoiseSchedule,
     ProbVector,
     ProductDistribution,
-    SamplerConfig,
     estimate_mu,
     evolve_rows,
     generate,
@@ -39,12 +38,18 @@ def oracle_system(rng, n, sigma_max=10.0):
     return mu, Q, schedule, terminal
 
 
-class TestSamplerConfig:
+class TestSamplerArguments:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(num_steps=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(eps_t=0.0)
+        # an empty grid is refused before the first step asks for ratios
+        terminal = ProductDistribution.uniform(3, 1)
+        Q = [FactorizedRateMatrix.with_identity_perm([0.5, 1.0])]
+        calls = []
+        ratios = lambda xt, t: calls.append(t) or np.ones((xt.shape[0], 1, 3))
+        for run in (generate, estimate_mu):
+            for steps, eps_t in [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, -1e-3)]:
+                with pytest.raises(ValueError):
+                    run(terminal, Q, SCHEDULE_UNIT, ratios, np.random.default_rng(0), 4, steps, eps_t)
+        assert calls == []
 
 
 class TestEulerReverseStep:
@@ -115,25 +120,22 @@ class TestGenerate:
         # one near-zero step: samples stay distributed as the terminal
         rng = np.random.default_rng(421)
         mu, Q, schedule, terminal = oracle_system(rng, 6)
-        config = SamplerConfig(num_steps=1, eps_t=1.0 - 1e-9)
-        draws = generate(config, terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000)
+        draws = generate(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000, 1, 1.0 - 1e-9)
         freq = np.bincount(draws[:, 0], minlength=6) / draws.shape[0]
         assert tv_distance(freq, terminal.marginals[0].probs) <= 0.02
 
     def test_fixed_seed_deterministic(self):
         rng_sys = np.random.default_rng(431)
         mu, Q, schedule, terminal = oracle_system(rng_sys, 5)
-        config = SamplerConfig(num_steps=32, eps_t=1e-3)
         fn = oracle_ratio_fn(mu, Q, schedule)
-        a = generate(config, terminal, Q, schedule, fn, np.random.default_rng(77), 500)
-        b = generate(config, terminal, Q, schedule, fn, np.random.default_rng(77), 500)
+        a = generate(terminal, Q, schedule, fn, np.random.default_rng(77), 500, 32, 1e-3)
+        b = generate(terminal, Q, schedule, fn, np.random.default_rng(77), 500, 32, 1e-3)
         assert np.array_equal(a, b)
 
     def test_oracle_reversal_recovers_target(self):
         rng = np.random.default_rng(433)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
-        config = SamplerConfig(num_steps=128, eps_t=1e-3)
-        draws = generate(config, terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000)
+        draws = generate(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000, 128, 1e-3)
         freq = np.bincount(draws[:, 0], minlength=8) / draws.shape[0]
         assert tv_distance(freq, mu.marginals[0].probs) <= 0.04
 
@@ -142,9 +144,8 @@ class TestEstimateMu:
     def test_single_trajectory_single_step(self):
         rng = np.random.default_rng(439)
         mu, Q, schedule, terminal = oracle_system(rng, 4)
-        config = SamplerConfig(num_steps=1, eps_t=0.5)
         fn = oracle_ratio_fn(mu, Q, schedule)
-        est = estimate_mu(config, terminal, Q, schedule, fn, np.random.default_rng(3), 1)
+        est = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(3), 1, 1, 0.5)
         # reproduce by hand: one terminal draw, one full categorical at t = T
         draw_rng = np.random.default_rng(3)
         xt = np.array([[np.searchsorted(np.cumsum(terminal.marginals[0].probs), draw_rng.random())]])
@@ -154,25 +155,22 @@ class TestEstimateMu:
     def test_frozen_chain_returns_terminal(self):
         terminal = ProductDistribution.from_array([[0.3, 0.2, 0.5]])
         Q = [FactorizedRateMatrix.with_identity_perm(np.zeros(2))]
-        config = SamplerConfig(num_steps=8, eps_t=1e-3)
         uniform_ratios = lambda xt, t: np.ones((xt.shape[0], 1, 3))
-        est = estimate_mu(config, terminal, Q, SCHEDULE_UNIT, uniform_ratios, np.random.default_rng(5), 4000)
+        est = estimate_mu(terminal, Q, SCHEDULE_UNIT, uniform_ratios, np.random.default_rng(5), 4000, 8, 1e-3)
         assert tv_distance(est.marginals[0], terminal.marginals[0]) <= 0.03
 
     def test_infinite_ratios_raise(self):
         # an overflowing ratio estimate must fail loudly, not become a NaN p0
         terminal = ProductDistribution.from_array([[0.3, 0.2, 0.5]])
         Q = [FactorizedRateMatrix.with_identity_perm([0.5, 1.0])]
-        config = SamplerConfig(num_steps=4, eps_t=1e-3)
         infinite = lambda xt, t: np.full((xt.shape[0], 1, 3), np.inf)
         with pytest.raises(DivergenceError):
-            estimate_mu(config, terminal, Q, SCHEDULE_UNIT, infinite, np.random.default_rng(5), 16)
+            estimate_mu(terminal, Q, SCHEDULE_UNIT, infinite, np.random.default_rng(5), 16, 4, 1e-3)
 
     def test_oracle_accuracy(self):
         rng = np.random.default_rng(443)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
-        config = SamplerConfig(num_steps=128, eps_t=1e-3)
-        est = estimate_mu(config, terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 4096)
+        est = estimate_mu(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 4096, 128, 1e-3)
         err = np.abs(est.marginals[0].probs - mu.marginals[0].probs).max()
         assert err <= 0.02
 
@@ -185,9 +183,8 @@ class TestEstimateMu:
         ]
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=6.0, horizon=1.0)
         terminal = predict_terminal(Qs, truth, schedule)
-        config = SamplerConfig(num_steps=16, eps_t=1e-3)
         fn = oracle_ratio_fn(truth, Qs, schedule)
-        est = estimate_mu(config, terminal, Qs, schedule, fn, rng, 256)
+        est = estimate_mu(terminal, Qs, schedule, fn, rng, 256, 16, 1e-3)
         arr = est.as_array()
         assert arr.min() >= 0.0
         assert np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9

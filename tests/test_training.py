@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from markov_bridge import load_checkpoint, matrix_learning_loop, parse_config_text, train, training
+from markov_bridge.data import load_dataset
+from markov_bridge.solver import estimate_marginals
 from markov_bridge.cli import cli
 
 CONFIG = """\
@@ -26,7 +28,6 @@ score_hidden = 16,16
 mu_trajectories = 256
 sampler_steps = 8
 mc_samples = 256
-deterministic_timing = true
 """
 
 GOLDEN_HISTORY = [
@@ -58,6 +59,15 @@ def config_in(out_dir):
     return parse_config_text(CONFIG + f"out_dir = {out_dir}\n")
 
 
+def metrics_rows(out_dir):
+    """metrics.csv without its wall column, which is real time and so differs between runs."""
+    with open(out_dir / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert float(row.pop("wall_seconds")) >= 0.0
+    return rows
+
+
 def test_golden_history_and_p0(tmp_path):
     ck = train(config_in(tmp_path))
     assert ck.epoch == 3
@@ -82,6 +92,21 @@ def test_kl_term_is_the_matrix_stage_loss(tmp_path, monkeypatch):
     assert [row["kl_term"] for row in rows] == [f"{loss:.12g}" for loss in final_losses]
 
 
+def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
+    p0_seen = []
+
+    def recording_loop(state, *args, **kwargs):
+        p0_seen.append(state.p0_estimate.as_array().copy())
+        return matrix_learning_loop(state, *args, **kwargs)
+
+    monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
+    config = parse_config_text(CONFIG + f"out_dir = {tmp_path}\np0_init = data_marginal\nepochs = 1\n")
+    train(config)
+    want = estimate_marginals(load_dataset(config).samples, config.n).as_array()
+    assert len(p0_seen) == 1
+    np.testing.assert_array_equal(p0_seen[0], want)
+
+
 def test_resume_matches_uninterrupted(tmp_path):
     full_dir, split_dir = tmp_path / "full", tmp_path / "split"
     full = train(config_in(full_dir))
@@ -95,8 +120,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     for got, want in zip(resumed.score_weights + resumed.score_biases, full.score_weights + full.score_biases):
         assert np.array_equal(got, want)
     assert resumed.rng_state == full.rng_state
-    with open(full_dir / "metrics.csv", "rb") as fh_full, open(split_dir / "metrics.csv", "rb") as fh_split:
-        assert fh_split.read() == fh_full.read()
+    assert metrics_rows(split_dir) == metrics_rows(full_dir)
 
 
 def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
@@ -108,7 +132,7 @@ def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
     with open(split_dir / "metrics.csv", "a", encoding="utf-8") as fh:
         fh.write("2,0.5,0.5,0.5,0.5,0.000\n")
     train(config, resume_from=str(split_dir / "epoch_0001.ckpt"))
-    assert (split_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
+    assert metrics_rows(split_dir) == metrics_rows(full_dir)
 
 
 def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
@@ -133,6 +157,7 @@ def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
     "sigma_min = -1",
     "sigma_max = 0.01",
     "schedule_kind = cosine",
+    "deterministic_timing = true",
     "score_hidden = 0",
     "score_hidden = -5",
 ])
