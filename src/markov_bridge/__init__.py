@@ -11,7 +11,6 @@ from .core import (
     evolve_rows,
     kernel_rows,
     kl_divergence,
-    materialize_dense,
     transition_kernel,
 )
 from .data import Dataset, load_dataset, synthetic_ground_truth

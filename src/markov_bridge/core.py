@@ -7,7 +7,11 @@ triangular with eigenvalues lambda_j = -(a_j + ... + a_{n-2}) and lambda_{n-1}
 = 0 against the all-ones upper-triangular eigenbasis, so exp(beta * Q) has a
 closed form assembled in O(n^2). The inverse eigenbasis (+1 diagonal, -1 first
 superdiagonal) is applied analytically as an adjacent column difference and is
-never materialized.
+never materialized. That closed form is written once, in ``_sorted_rows``:
+kernel rows, evolved marginals and the matrix-stage gradient all call it.
+
+Distributions are validated arrays: a ``ProbVector`` holds one (n,) row and a
+``ProductDistribution`` one (d, n) array, both checked by the same function.
 """
 
 from __future__ import annotations
@@ -26,6 +30,23 @@ def _frozen(arr, dtype):
     return out
 
 
+def _check_probs(probs, ndim: int) -> np.ndarray:
+    """Frozen float64 copy of ``probs`` whose last axis holds distributions:
+    finite, nonnegative entries, each row summing to 1."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != ndim or probs.size < 1:
+        raise ValueError(f"probs must be a nonempty {ndim}-d array")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probability entries must be finite")
+    if np.any(probs < 0.0):
+        raise ValueError("probability entries must be nonnegative")
+    totals = probs.sum(axis=-1)
+    off = np.abs(totals - 1.0) > PROB_ATOL
+    if np.any(off):
+        raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
+    return _frozen(probs, np.float64)
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Categorical distribution over n states: nonnegative entries summing to 1."""
@@ -33,17 +54,7 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("probs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probability entries must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("probability entries must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", _frozen(probs, np.float64))
+        object.__setattr__(self, "probs", _check_probs(self.probs, 1))
 
     @property
     def n(self) -> int:
@@ -52,43 +63,24 @@ class ProbVector:
 
 @dataclass(frozen=True)
 class ProductDistribution:
-    """d independent categorical marginals sharing one state count n."""
+    """d independent categorical marginals over n states: the rows of the (d, n) array ``probs``."""
 
-    marginals: tuple
+    probs: np.ndarray
 
     def __post_init__(self):
-        marginals = tuple(self.marginals)
-        if not marginals:
-            raise ValueError("need at least one marginal")
-        if not all(isinstance(m, ProbVector) for m in marginals):
-            raise TypeError("marginals must be ProbVector instances")
-        n = marginals[0].n
-        if any(m.n != n for m in marginals):
-            raise ValueError("all marginals must share the same state count")
-        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "probs", _check_probs(self.probs, 2))
 
     @property
     def d(self) -> int:
-        return len(self.marginals)
+        return int(self.probs.shape[0])
 
     @property
     def n(self) -> int:
-        return self.marginals[0].n
-
-    def as_array(self) -> np.ndarray:
-        """Stack marginals into a (d, n) array."""
-        return np.stack([m.probs for m in self.marginals])
-
-    @classmethod
-    def from_array(cls, arr) -> "ProductDistribution":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("expected a (d, n) array")
-        return cls(tuple(ProbVector(row) for row in arr))
+        return int(self.probs.shape[1])
 
     @classmethod
     def uniform(cls, n: int, d: int) -> "ProductDistribution":
-        return cls.from_array(np.full((d, n), 1.0 / n))
+        return cls(np.full((d, n), 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -183,19 +175,18 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _sorted_rows(Q: FactorizedRateMatrix, betas, pos: np.ndarray):
-    """Rows exp(beta_b * H)[pos_b, :] in sorted coordinates, before clipping.
+def _sorted_rows(Q: FactorizedRateMatrix, betas, c):
+    """Telescoped rows c_j e_j - c_{j-1} e_{j-1} in sorted coordinates, c_{-1} = 0.
 
-    Returns (e, rows) with e = exp(beta_b * lambda), one row per beta (a
-    scalar beta gives a single row shared by the batch). Row entries are
-    e_{pos} on the diagonal and the adjacent column difference e_j - e_{j-1}
-    above it: the inverse eigenbasis applied analytically.
+    e = exp(beta_b * lambda) is one row per beta (a scalar beta gives one row
+    shared by the batch) and ``c`` holds cumulative masses over the sorted
+    slots, one row per output row or one shared row. Row p of exp(beta H) is
+    the case c = cumsum(p): the inverse eigenbasis applied analytically as an
+    adjacent column difference. Returns (e, rows), before any clipping.
     """
     e = np.exp(np.outer(betas, Q.lambdas))
-    upper = e - np.concatenate([np.zeros((e.shape[0], 1)), e[:, :-1]], axis=1)
-    rows = np.where(np.arange(Q.n)[None, :] > pos[:, None], upper, 0.0)
-    idx = np.arange(pos.size)
-    rows[idx, pos] = np.broadcast_to(e, rows.shape)[idx, pos]
+    rows = c * e
+    rows[:, 1:] -= rows[:, :-1]  # numpy buffers the overlapping operand
     return e, rows
 
 
@@ -208,8 +199,9 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     kernel, conditional sampling and the score-entropy loss all go through it.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
-    states = np.atleast_1d(np.asarray(states, dtype=np.int64))
-    _, rows = _sorted_rows(Q, betas, Q.inv_perm[states])
+    pos = Q.inv_perm[np.atleast_1d(np.asarray(states, dtype=np.int64))]
+    # a point mass in sorted slot pos has cumulative mass 1 from pos on
+    _, rows = _sorted_rows(Q, betas, np.arange(Q.n)[None, :] >= pos[:, None])
     rows = rows[:, Q.inv_perm]
     np.clip(rows, 0.0, None, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -227,31 +219,16 @@ def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
 def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
     """Marginals p @ exp(beta_b * Q) for a batch of beta values, shape (B, n).
 
-    Uses the telescoped cumulative form c_j e^{beta lambda_j} -
-    c_{j-1} e^{beta lambda_{j-1}} with c the cumulative sums of p in sorted
-    coordinates, so the whole batch costs O(B n). The entry sum of p is
-    conserved, so unnormalized inputs are fine.
+    The telescoped form of :func:`_sorted_rows` with c the cumulative sums of
+    p in sorted coordinates, so the whole batch costs O(B n). The entry sum
+    of p is conserved, so unnormalized inputs are fine.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
-    p = np.asarray(p, dtype=np.float64)
-    c = np.cumsum(p[Q.perm])
-    e = np.exp(np.outer(betas, Q.lambdas))
-    ce = c[None, :] * e
-    rows = ce - np.concatenate([np.zeros((betas.size, 1)), ce[:, :-1]], axis=1)
+    c = np.cumsum(np.asarray(p, dtype=np.float64)[Q.perm])
+    _, rows = _sorted_rows(Q, betas, c)
     rows = rows[:, Q.inv_perm]
     np.clip(rows, 0.0, None, out=rows)
     return rows
-
-
-def materialize_dense(Q: FactorizedRateMatrix) -> np.ndarray:
-    """Dense generator matrix: zero row sums, nonnegative off-diagonals.
-
-    The dense reference for checks; no computation path builds it.
-    """
-    n = Q.n
-    H = np.triu(np.broadcast_to(np.concatenate(([0.0], Q.a)), (n, n)).copy(), k=1)
-    H[np.diag_indices(n)] = Q.lambdas
-    return H[np.ix_(Q.inv_perm, Q.inv_perm)]
 
 
 def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:

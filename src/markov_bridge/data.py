@@ -32,12 +32,19 @@ class Dataset:
         return int(self.samples.shape[0])
 
     def decode(self, rows) -> list:
-        """Rows back to strings (char mode) or space-joined ints (synthetic)."""
+        """Rows back to strings (char mode) or space-joined ints (synthetic).
+
+        In char mode each state is its corpus byte read as latin-1; a state
+        that no corpus byte maps to (the corpus has fewer than n distinct
+        bytes) decodes as U+FFFD.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
         if self.vocab is None:
             return [" ".join(str(v) for v in row) for row in rows]
-        inverse = {idx: byte for byte, idx in self.vocab.items()}
-        return [bytes(inverse[int(v)] for v in row).decode("latin-1") for row in rows]
+        chars = ["\ufffd"] * self.n
+        for byte, idx in self.vocab.items():
+            chars[idx] = chr(byte)
+        return ["".join(chars[v] for v in row) for row in rows]
 
 
 def synthetic_ground_truth(n: int, d: int, seed: int) -> ProductDistribution:
@@ -45,7 +52,7 @@ def synthetic_ground_truth(n: int, d: int, seed: int) -> ProductDistribution:
     rng = np.random.default_rng(np.random.SeedSequence([seed, _DATA_SALT]))
     rows = 0.85 * rng.dirichlet(2.0 * np.ones(n), size=d) + 0.15 / n
     rows /= rows.sum(axis=1, keepdims=True)
-    return ProductDistribution.from_array(rows)
+    return ProductDistribution(rows)
 
 
 def load_dataset(config: RunConfig) -> Dataset:
@@ -54,7 +61,7 @@ def load_dataset(config: RunConfig) -> Dataset:
         truth = synthetic_ground_truth(config.n, config.d, config.seed)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
         samples = np.stack(
-            [rng.choice(config.n, size=config.synthetic_samples, p=m.probs) for m in truth.marginals],
+            [rng.choice(config.n, size=config.synthetic_samples, p=row) for row in truth.probs],
             axis=1,
         ).astype(np.int64)
         return Dataset(samples=samples, n=config.n, ground_truth=truth)

@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    RATIO_FLOOR,
-    FactorizedRateMatrix,
-    NoiseSchedule,
-    ProductDistribution,
-    _sorted_rows,
-    evolve_rows,
-    row_kl_sum,
-)
+from . import core
+from .core import RATIO_FLOOR, FactorizedRateMatrix, NoiseSchedule, ProductDistribution, evolve_rows, row_kl_sum
 from .errors import DivergenceError
 
 _MAX_HALVINGS = 40
@@ -73,7 +66,7 @@ def _check_inputs(freqs, Q_per_dim) -> np.ndarray:
 
 
 def _loss(Q_per_dim, p0: ProductDistribution, freqs: np.ndarray, schedule: NoiseSchedule) -> float:
-    targets = predict_terminal(Q_per_dim, p0, schedule).as_array()
+    targets = predict_terminal(Q_per_dim, p0, schedule).probs
     return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, targets)
 
 
@@ -96,12 +89,14 @@ def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarr
     """
     freqs = _check_inputs(freqs, state.Q_per_dim)
     beta_T = schedule.beta(schedule.horizon)
-    targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).as_array()
+    targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).probs
     n = targets.shape[1]
+    # row k: the cumulative masses of a point mass in sorted slot k, so row k
+    # of the result is the kernel row of that slot's state
+    point_masses = np.triu(np.ones((n, n)))
     grads = np.zeros((len(state.Q_per_dim), n - 1))
     for i, Q in enumerate(state.Q_per_dim):
-        # row k is the kernel row of the state in sorted slot k
-        e, rows = _sorted_rows(Q, beta_T, np.arange(n))
+        e, rows = core._sorted_rows(Q, beta_T, point_masses)
         w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(targets[i][Q.perm], RATIO_FLOOR))[None, :]
         # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k
         dE = np.triu(w - np.concatenate([w[:, 1:], np.zeros((n, 1))], axis=1))
@@ -168,6 +163,5 @@ def matrix_learning_loop(
 def predict_terminal(Q_per_dim, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:
     """Evolve p0 to the horizon, one dimension at a time."""
     beta_T = schedule.beta(schedule.horizon)
-    return ProductDistribution.from_array(
-        np.concatenate([evolve_rows(p0.marginals[i].probs, Q, beta_T) for i, Q in enumerate(Q_per_dim)])
-    )
+    rows = [evolve_rows(p0.probs[i], Q, beta_T) for i, Q in enumerate(Q_per_dim)]
+    return ProductDistribution(np.concatenate(rows))

@@ -5,6 +5,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import FactorizedRateMatrix
+
+
+def materialize_dense(Q: FactorizedRateMatrix) -> np.ndarray:
+    """Dense generator matrix: zero row sums, nonnegative off-diagonals.
+
+    The dense reference for checks; no computation path builds it.
+    """
+    n = Q.n
+    H = np.triu(np.broadcast_to(np.concatenate(([0.0], Q.a)), (n, n)).copy(), k=1)
+    H[np.diag_indices(n)] = Q.lambdas
+    return H[np.ix_(Q.inv_perm, Q.inv_perm)]
+
 
 def taylor_expm(M, terms: int = 40) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of a truncated Taylor series."""

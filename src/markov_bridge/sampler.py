@@ -3,7 +3,8 @@ plus the trajectory-averaged estimator of the data distribution.
 
 Each Euler step forms, per dimension and for a whole batch at once, the
 categorical delta_x(y) + dt * Qhat row (negative entries clamped, row
-renormalized) and samples it. Generation and the mu estimator share one
+renormalized) and samples it; ratios so large that a row total overflows
+raise DivergenceError. Generation and the mu estimator share one
 trajectory loop; the estimator stops one step early and averages that last
 step's categorical instead of sampling it, which has the same expectation
 and strictly lower variance.
@@ -16,15 +17,17 @@ import numpy as np
 from .core import NoiseSchedule, ProbVector, ProductDistribution, rate_columns, sample_categorical
 from .errors import DivergenceError
 
+# Health counters read by name (perfbench's sampler.zero_rows). A row total
+# of finite, nonnegative ratios is always positive, so no row ever lands here.
 diagnostics = {"euler_zero_rows": 0}
 
 
 def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
     """Per-dimension Euler categoricals, shape (B, d, n).
 
-    ``ratios`` is (B, d, n); a row that clamps to all zeros falls back to
-    staying put. Non-finite or negative ratios raise DivergenceError rather
-    than turning into a distribution.
+    ``ratios`` is (B, d, n). Non-finite or negative ratios, and finite ones
+    so large that a row total overflows, raise DivergenceError rather than
+    turning into a distribution.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios).all() and ratios.min() >= 0.0):
@@ -34,20 +37,18 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSche
     sigma = schedule.sigma(t)
     idx = np.arange(B)
     probs = np.empty((B, d, n))
-    for i, Q in enumerate(Q_per_dim):
-        off = rate_columns(Q, sigma, xt[:, i]) * ratios[:, i, :]
-        rows = dt * off
-        rows[idx, xt[:, i]] = 1.0 - dt * off.sum(axis=1)
-        np.clip(rows, 0.0, None, out=rows)
-        totals = rows.sum(axis=1)
-        dead = totals <= 0.0
-        if np.any(dead):
-            diagnostics["euler_zero_rows"] += int(dead.sum())
-            rows[dead] = 0.0
-            rows[idx[dead], xt[dead, i]] = 1.0
-            totals[dead] = 1.0
-        rows /= totals[:, None]
-        probs[:, i, :] = rows
+    # an overflow shows up as a non-finite row total, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, Q in enumerate(Q_per_dim):
+            off = rate_columns(Q, sigma, xt[:, i]) * ratios[:, i, :]
+            rows = dt * off
+            rows[idx, xt[:, i]] = 1.0 - dt * off.sum(axis=1)
+            np.clip(rows, 0.0, None, out=rows)
+            totals = rows.sum(axis=1)
+            if not np.isfinite(totals).all():
+                raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
+            rows /= totals[:, None]
+            probs[:, i, :] = rows
     return probs
 
 
@@ -69,8 +70,8 @@ def _step_probs(k: int, dt: float, xt, Q_per_dim, schedule: NoiseSchedule, ratio
 def _trajectories(terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, rng, count, steps, dt):
     """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
     xt = np.empty((count, terminal.d), dtype=np.int64)
-    for i, m in enumerate(terminal.marginals):
-        xt[:, i] = rng.choice(m.n, size=count, p=m.probs)
+    for i, row in enumerate(terminal.probs):
+        xt[:, i] = rng.choice(terminal.n, size=count, p=row)
     for k in range(steps):
         probs = _step_probs(k, dt, xt, Q_per_dim, schedule, ratio_fn)
         for i in range(xt.shape[1]):
@@ -120,7 +121,7 @@ def estimate_mu(
     xt = _trajectories(terminal, Q_per_dim, schedule, ratio_fn, rng, M, last, dt)
     rows = _step_probs(last, dt, xt, Q_per_dim, schedule, ratio_fn).mean(axis=0)
     rows /= rows.sum(axis=1, keepdims=True)
-    return ProductDistribution.from_array(rows)
+    return ProductDistribution(rows)
 
 
 def tv_distance(p, q) -> float:

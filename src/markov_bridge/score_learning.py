@@ -179,7 +179,7 @@ def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule)
         betas = np.broadcast_to(np.atleast_1d(schedule.beta(t)), (B,))
         out = np.empty((B, xt.shape[1], mu.n))
         for i, Q in enumerate(Q_per_dim):
-            pt = evolve_rows(mu.marginals[i].probs, Q, betas)
+            pt = evolve_rows(mu.probs[i], Q, betas)
             den = np.take_along_axis(pt, xt[:, i][:, None], axis=1)
             if np.any(den < 1e-300):
                 raise DegenerateStateError(f"p_t underflow at dimension {i}")

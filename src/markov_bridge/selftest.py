@@ -12,12 +12,11 @@ from .core import (
     ProductDistribution,
     evolve_rows,
     kernel_rows,
-    materialize_dense,
     state_frequencies,
     transition_kernel,
 )
 from .matrix_learning import MatrixLearnState, jq_grad
-from .reference import taylor_expm
+from .reference import materialize_dense, taylor_expm
 from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
 from .solver import exact_rate_matrix
 
@@ -85,11 +84,11 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(3):
         n = 5
         Q = [_fixed_n_matrix(rng, n)]
-        p0 = ProductDistribution.from_array(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
+        p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
         state = MatrixLearnState(Q_per_dim=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
         grad = jq_grad(state, state_frequencies(batch, n), schedule)
-        frozen = evolve_rows(p0.marginals[0].probs, Q[0], schedule.beta(schedule.horizon))[0]
+        frozen = evolve_rows(p0.probs[0], Q[0], schedule.beta(schedule.horizon))[0]
         fd = _fd_grad(Q[0], batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
@@ -111,7 +110,7 @@ def _fixed_n_matrix(rng, n):
 def _point_mass(n, x):
     row = np.zeros(n)
     row[x] = 1.0
-    return ProductDistribution.from_array(row[None, :])
+    return ProductDistribution(row[None, :])
 
 
 def _fd_grad(Q, batch, schedule, frozen_target, h=1e-5):

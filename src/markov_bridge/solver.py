@@ -93,7 +93,7 @@ def estimate_marginals(dataset, n: int) -> ProductDistribution:
     as the source side of a bridge: (f + eps) / (1 + n*eps) with eps = 1e-6.
     """
     freq = state_frequencies(dataset, n)
-    return ProductDistribution.from_array((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
+    return ProductDistribution((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
 
 
 def permutation_from_data(mu_hat: ProductDistribution, terminal: ProductDistribution) -> list:
@@ -104,6 +104,6 @@ def permutation_from_data(mu_hat: ProductDistribution, terminal: ProductDistribu
     if mu_hat.d != terminal.d or mu_hat.n != terminal.n:
         raise ValueError("mu_hat and terminal must share (d, n)")
     return [
-        sort_permutation(mu_hat.marginals[i], terminal.marginals[i]).perm
+        sort_permutation(ProbVector(mu_hat.probs[i]), ProbVector(terminal.probs[i])).perm
         for i in range(mu_hat.d)
     ]

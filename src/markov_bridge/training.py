@@ -49,7 +49,8 @@ def restore(ck: Checkpoint):
     """Rebuild a run from a checkpoint: (config, schedule, Q_per_dim, model, p0).
 
     A configuration that no longer parses, arrays whose shapes disagree with
-    it, and rates or p0 that violate their invariants raise CheckpointError.
+    it, an epoch history without one row per epoch, and rates or p0 that
+    violate their invariants raise CheckpointError.
     """
     try:
         config = parse_config_text(ck.config_text)
@@ -57,13 +58,14 @@ def restore(ck: Checkpoint):
         raise CheckpointError(f"the checkpoint's configuration does not parse: {exc}") from exc
     d, n = config.d, config.n
     model = ScoreModel(n, d, hidden=config.score_hidden)
-    expected = [(d, n), (d, n - 1), (d, n)] + [p.shape for p in model.weights + model.biases]
-    found = [np.shape(x) for x in [ck.perms, ck.a, ck.p0_estimate, *ck.score_weights, *ck.score_biases]]
-    if found != expected:
-        raise CheckpointError("checkpoint arrays do not have the shapes its configuration implies")
+    # the epoch history holds one row of four values per finished epoch
+    expected = [(d, n), (d, n - 1), (d, n), (ck.epoch, 4)] + [p.shape for p in model.weights + model.biases]
+    arrays = [ck.perms, ck.a, ck.p0_estimate, ck.epoch_history, *ck.score_weights, *ck.score_biases]
+    if [np.shape(x) for x in arrays] != expected:
+        raise CheckpointError("checkpoint arrays do not have the shapes its configuration and epoch imply")
     try:
         Q_per_dim = [FactorizedRateMatrix.from_parts(ck.perms[i], ck.a[i]) for i in range(d)]
-        p0 = ProductDistribution.from_array(ck.p0_estimate)
+        p0 = ProductDistribution(ck.p0_estimate)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not hold a valid run: {exc}") from exc
     # layer by layer, so each random initial layer is freed as its copy arrives
@@ -160,7 +162,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             kl_value = np.nan
             if dataset.ground_truth is not None:
                 kl_value = sum(
-                    kl_divergence(dataset.ground_truth.marginals[i], state.p0_estimate.marginals[i])
+                    kl_divergence(dataset.ground_truth.probs[i], state.p0_estimate.probs[i])
                     for i in range(config.d)
                 )
                 kl_mu = f"{kl_value:.12g}"
@@ -177,7 +179,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
                 epoch=epoch,
                 perms=np.stack([Q.perm for Q in state.Q_per_dim]),
                 a=np.stack([Q.a for Q in state.Q_per_dim]),
-                p0_estimate=state.p0_estimate.as_array(),
+                p0_estimate=state.p0_estimate.probs.copy(),
                 score_weights=[w.copy() for w in model.weights],
                 score_biases=[b.copy() for b in model.biases],
                 rng_state=rng_state_to_json(run_rng),

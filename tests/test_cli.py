@@ -2,12 +2,19 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from markov_bridge import CheckpointError, load_checkpoint, load_config, save_checkpoint
-from markov_bridge.checkpoint import Checkpoint, deserialize_checkpoint, rng_state_to_json, serialize_checkpoint
+from markov_bridge.checkpoint import (
+    Checkpoint,
+    _pack_array,
+    deserialize_checkpoint,
+    rng_state_to_json,
+    serialize_checkpoint,
+)
 from markov_bridge.cli import cli
 from markov_bridge.config import config_echo
 
@@ -27,6 +34,19 @@ def small_checkpoint(seed=0):
         rng_state=rng_state_to_json(rng),
         epoch_history=np.zeros((1, 4)),
     )
+
+
+def resume_config(tmp_path, ck):
+    """Write a two-epoch config for ``ck`` and make it the checkpoint's own."""
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        ck.config_text
+        + "epochs = 2\nmax_step_matrix = 2\nmax_step_score = 2\nmu_trajectories = 8\n"
+        + f"sampler_steps = 2\nmc_samples = 8\nout_dir = {tmp_path / 'run'}\n",
+        encoding="utf-8",
+    )
+    ck.config_text = config_echo(load_config(str(config_path)))
+    return str(config_path)
 
 
 def loads_or_checkpoint_error(blob):
@@ -58,6 +78,37 @@ class TestCorruptedCheckpoint:
             outcomes.append(loads_or_checkpoint_error(bytes(damaged)))
         # both outcomes occur: payload bytes load, framing bytes are refused
         assert any(outcomes) and not all(outcomes)
+
+    @staticmethod
+    def perms_payload(ck):
+        """Offset of the perms array's payload: magic, version, the config
+        text block and the epoch block come first, then the perms length."""
+        return 9 + (8 + len(ck.config_text.encode("utf-8"))) + (8 + 8) + 8
+
+    def test_unsupported_version(self):
+        blob = bytearray(serialize_checkpoint(small_checkpoint()))
+        blob[8] = 2
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+            deserialize_checkpoint(bytes(blob))
+
+    def test_unknown_dtype_code(self):
+        ck = small_checkpoint()
+        blob = bytearray(serialize_checkpoint(ck))
+        start = self.perms_payload(ck)
+        assert blob[start] == 0  # int64
+        blob[start] = 7
+        with pytest.raises(CheckpointError, match="unknown dtype code 7"):
+            deserialize_checkpoint(bytes(blob))
+
+    def test_shape_header_disagrees_with_payload(self):
+        ck = small_checkpoint()
+        blob = bytearray(serialize_checkpoint(ck))
+        start = self.perms_payload(ck)
+        # dtype code, ndim, then the first extent: (2, 3) becomes (3, 3)
+        assert struct.unpack_from("<BBQ", blob, start) == (0, 2, 2)
+        struct.pack_into("<Q", blob, start + 2, 3)
+        with pytest.raises(CheckpointError, match="corrupted checkpoint"):
+            deserialize_checkpoint(bytes(blob))
 
     def test_bytes_after_the_last_block(self):
         blob = serialize_checkpoint(small_checkpoint())
@@ -142,22 +193,33 @@ class TestCliExitCodes:
     def test_resume_from_damaged_rng_state(self, tmp_path, monkeypatch, capsys, rng_state, code):
         monkeypatch.delenv("DMB_SEED", raising=False)
         ck = small_checkpoint()
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(
-            ck.config_text
-            + "epochs = 2\nmax_step_matrix = 2\nmax_step_score = 2\nmu_trajectories = 8\n"
-            + f"sampler_steps = 2\nmc_samples = 8\nout_dir = {tmp_path / 'run'}\n",
-            encoding="utf-8",
-        )
-        ck.config_text = config_echo(load_config(str(config_path)))
+        config_path = resume_config(tmp_path, ck)
         if rng_state is not None:
             ck.rng_state = rng_state
         path = str(tmp_path / "epoch_0001.ckpt")
         save_checkpoint(ck, path)
-        assert cli(["train", str(config_path), "--resume", path]) == code
+        assert cli(["train", config_path, "--resume", path]) == code
         err = capsys.readouterr().err
         assert "runtime failure" not in err
         assert ("no valid generator state" in err) == (code == 1)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (0, 4), (5, 4)])
+    def test_epoch_history_without_one_row_per_epoch_is_bad_input(self, tmp_path, monkeypatch, capsys, shape):
+        # the checkpoint is at epoch 1, so its history must be (1, 4)
+        monkeypatch.delenv("DMB_SEED", raising=False)
+        ck = small_checkpoint()
+        config_path = resume_config(tmp_path, ck)
+        blob = serialize_checkpoint(ck)
+        # serialization reshapes a history to rows of 4, so swap the last block by hand
+        tail = len(_pack_array(ck.epoch_history))
+        path = tmp_path / "epoch_0001.ckpt"
+        path.write_bytes(blob[:-tail] + _pack_array(np.zeros(shape)))
+        assert load_checkpoint(str(path)).epoch_history.shape == shape
+        assert cli(["train", config_path, "--resume", str(path)]) == 1
+        assert cli(["eval", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime failure" not in err and err.count("error:") == 2
+        assert not (tmp_path / "run" / "epoch_0002.ckpt").exists()
 
     def test_solve(self, tmp_path, capsys):
         (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")

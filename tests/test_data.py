@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from markov_bridge import ConfigError, RunConfig, VocabularyOverflowError, load_dataset
+from markov_bridge import Checkpoint, ConfigError, RunConfig, VocabularyOverflowError, load_dataset, save_checkpoint
+from markov_bridge.checkpoint import rng_state_to_json
+from markov_bridge.cli import cli
+from markov_bridge.config import config_echo
+from markov_bridge.score_learning import ScoreModel
 
 
 def corpus_config(tmp_path, raw: bytes, n=8, d=4):
@@ -28,6 +32,36 @@ class TestCharCorpus:
         ds = load_dataset(corpus_config(tmp_path, b"abcdabcd", n=4, d=2))
         assert ds.samples.max() == 3
         assert "".join(ds.decode(ds.samples)) == "abcdabcd"
+
+    def test_state_without_a_byte_decodes_as_replacement_character(self, tmp_path):
+        # four bytes at n = 8: states 4 to 7 have no byte
+        ds = load_dataset(corpus_config(tmp_path, b"abcd", n=8, d=4))
+        assert ds.decode([[0, 4, 3, 7]]) == ["a\ufffdd\ufffd"]
+
+    def test_sample_draws_states_without_a_byte(self, tmp_path):
+        # zero rates keep each draw at its terminal state, uniform over all 8
+        config = corpus_config(tmp_path, b"abcd", n=8, d=4)
+        config.score_hidden = (4,)
+        model = ScoreModel(8, 4, hidden=(4,))
+        ck = Checkpoint(
+            config_text=config_echo(config),
+            epoch=1,
+            perms=np.tile(np.arange(8), (4, 1)),
+            a=np.zeros((4, 7)),
+            p0_estimate=np.full((4, 8), 1.0 / 8.0),
+            score_weights=model.weights,
+            score_biases=model.biases,
+            rng_state=rng_state_to_json(np.random.default_rng(0)),
+            epoch_history=np.zeros((1, 4)),
+        )
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(ck, path)
+        out = tmp_path / "samples.txt"
+        assert cli(["sample", path, "--count", "8", "--steps", "2", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 8
+        assert all(len(line) == 4 and set(line) <= set("abcd\ufffd") for line in lines)
+        assert "\ufffd" in "".join(lines)
 
     def test_more_distinct_bytes_than_n(self, tmp_path):
         with pytest.raises(VocabularyOverflowError):

@@ -17,8 +17,9 @@ from markov_bridge import (
     oracle_ratio_fn,
     transition_kernel,
 )
-from markov_bridge.core import kl_divergence, materialize_dense
+from markov_bridge.core import kl_divergence
 from markov_bridge.matrix_learning import init_rate_matrices
+from markov_bridge.reference import materialize_dense
 
 from oracles import joint_kernel_row, kl_brute, reverse_marginal_dense
 
@@ -30,20 +31,20 @@ class TestKlTerm:
     def test_zero_when_rows_equal_terminal(self):
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
         row = transition_kernel(Q[0], 1.0)[0]
-        terminal = ProductDistribution.from_array(row[None, :])
+        terminal = ProductDistribution(row[None, :])
         assert kl_term([[0]], Q, SCHEDULE_UNIT, terminal) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
-        terminal = ProductDistribution.from_array([[0.25, 0.75]])
+        terminal = ProductDistribution([[0.25, 0.75]])
         val = kl_term([[0]], Q, SCHEDULE_UNIT, terminal)
         assert val == pytest.approx(0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0), abs=1e-12)
 
     def test_identical_dims_double(self):
         Q1 = [FactorizedRateMatrix.with_identity_perm([LN2])]
         Q2 = Q1 * 2
-        t1 = ProductDistribution.from_array([[0.25, 0.75]])
-        t2 = ProductDistribution.from_array([[0.25, 0.75]] * 2)
+        t1 = ProductDistribution([[0.25, 0.75]])
+        t2 = ProductDistribution([[0.25, 0.75]] * 2)
         assert kl_term([[0, 0]], Q2, SCHEDULE_UNIT, t2) == pytest.approx(
             2.0 * kl_term([[0]], Q1, SCHEDULE_UNIT, t1), rel=1e-12
         )
@@ -57,14 +58,14 @@ class TestKlTerm:
                 FactorizedRateMatrix.from_parts(rng.permutation(3), rng.uniform(0.1, 2.0, 2))
                 for _ in range(2)
             ]
-            terminal = ProductDistribution.from_array(
+            terminal = ProductDistribution(
                 rng.dirichlet(np.ones(3), size=2) * 0.9 + 0.1 / 3
             )
             x0 = tuple(rng.integers(0, 3, size=2))
             beta_T = SCHEDULE_UNIT.beta(1.0)
             rows = [transition_kernel(Qs[i], beta_T)[x0[i]] for i in range(2)]
             joint_row = joint_kernel_row(rows)
-            joint_terminal = joint_kernel_row([m.probs for m in terminal.marginals])
+            joint_terminal = joint_kernel_row(list(terminal.probs))
             joint_kl = kl_brute(joint_row, joint_terminal)
             per_dim = kl_term([x0], Qs, SCHEDULE_UNIT, terminal)
             assert abs(joint_kl - per_dim) <= 1e-12
@@ -73,7 +74,7 @@ class TestKlTerm:
         # the histogram form equals the plain mean of the per-row KL sums
         rng = np.random.default_rng(505)
         Qs = [FactorizedRateMatrix.from_parts(rng.permutation(4), rng.uniform(0.1, 2.0, 3)) for _ in range(3)]
-        terminal = ProductDistribution.from_array(rng.dirichlet(np.ones(4), size=3) * 0.9 + 0.1 / 4)
+        terminal = ProductDistribution(rng.dirichlet(np.ones(4), size=3) * 0.9 + 0.1 / 4)
         data = rng.integers(0, 4, size=(50, 3))
         per_row = [kl_term(row[None, :], Qs, SCHEDULE_UNIT, terminal) for row in data]
         assert kl_term(data, Qs, SCHEDULE_UNIT, terminal) == pytest.approx(np.mean(per_row), rel=1e-12)
@@ -85,10 +86,10 @@ class TestKlTerm:
         schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
         n, d = 5, 4
         Qs = init_rate_matrices([rng.permutation(n) for _ in range(d)], n, scheme)
-        terminal = ProductDistribution.from_array(rng.dirichlet(np.ones(n), size=d))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         data = rng.integers(0, n, size=(40, d))
         kernels = [transition_kernel(Q, schedule.beta(1.0)) for Q in Qs]
-        per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.marginals[i]) for i in range(d)) for x in data]
+        per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.probs[i]) for i in range(d)) for x in data]
         assert kl_term(data, Qs, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
 
 
@@ -105,10 +106,10 @@ class TestElboEstimate:
         Q = [FactorizedRateMatrix.from_parts(rng.permutation(n), rng.uniform(0.3, 1.5, n - 1))]
         mu_row = np.zeros(n)
         mu_row[2] = 1.0
-        mu = ProductDistribution.from_array(mu_row[None, :])
+        mu = ProductDistribution(mu_row[None, :])
         data = point_mass_dataset(n, 2, 64)
-        terminal = ProductDistribution.from_array(
-            evolve_rows(mu.marginals[0].probs, Q[0], SCHEDULE_UNIT.beta(1.0)) * (1 - n * 1e-9) + 1e-9
+        terminal = ProductDistribution(
+            evolve_rows(mu.probs[0], Q[0], SCHEDULE_UNIT.beta(1.0)) * (1 - n * 1e-9) + 1e-9
         )
         report = elbo_estimate(
             oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), data, Q, SCHEDULE_UNIT, terminal, 2048, rng
@@ -121,7 +122,7 @@ class TestElboEstimate:
         data = point_mass_dataset(n, 1, 32)
         one_hot = np.zeros(n)
         one_hot[1] = 1.0
-        terminal = ProductDistribution.from_array(one_hot[None, :])
+        terminal = ProductDistribution(one_hot[None, :])
         uniform_ratios = lambda xt, t: np.ones((xt.shape[0], 1, n))
         report = elbo_estimate(uniform_ratios, data, Q, SCHEDULE_UNIT, terminal, 512, np.random.default_rng(1))
         assert report.total_nats == pytest.approx(0.0, abs=1e-12)
@@ -130,8 +131,8 @@ class TestElboEstimate:
         rng_sys = np.random.default_rng(521)
         n = 4
         Q = [FactorizedRateMatrix.from_parts(rng_sys.permutation(n), rng_sys.uniform(0.3, 1.5, n - 1))]
-        mu = ProductDistribution.from_array(rng_sys.dirichlet(np.ones(n), size=1) * 0.8 + 0.2 / n)
-        data = rng_sys.choice(n, size=(4096, 1), p=mu.marginals[0].probs).astype(np.int64)
+        mu = ProductDistribution(rng_sys.dirichlet(np.ones(n), size=1) * 0.8 + 0.2 / n)
+        data = rng_sys.choice(n, size=(4096, 1), p=mu.probs[0]).astype(np.int64)
         terminal = ProductDistribution.uniform(n, 1)
         model = lambda xt, t: np.ones((xt.shape[0], 1, n))  # fixed imperfect scorer
         # keep the time window away from 0 where the integrand grows heavy
@@ -162,27 +163,27 @@ class TestElboEstimate:
         n, d = 3, 2
         schedule = NoiseSchedule(sigma_min=0.2, sigma_max=4.0, horizon=1.0)
         eps_t = 1e-3
-        mu = ProductDistribution.from_array(rng.dirichlet(2 * np.ones(n), size=d) * 0.8 + 0.2 / n)
+        mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=d) * 0.8 + 0.2 / n)
         Qs = [FactorizedRateMatrix.from_parts(rng.permutation(n), rng.uniform(0.3, 1.2, n - 1)) for _ in range(d)]
         data = np.stack(
-            [rng.choice(n, size=20000, p=mu.marginals[i].probs) for i in range(d)], axis=1
+            [rng.choice(n, size=20000, p=mu.probs[i]) for i in range(d)], axis=1
         ).astype(np.int64)
-        terminal = ProductDistribution.from_array(
-            np.concatenate([evolve_rows(mu.marginals[i].probs, Qs[i], schedule.beta(1.0)) for i in range(d)])
+        terminal = ProductDistribution(
+            np.concatenate([evolve_rows(mu.probs[i], Qs[i], schedule.beta(1.0)) for i in range(d)])
         )
         report = elbo_estimate(
             oracle_ratio_fn(mu, Qs, schedule), data, Qs, schedule, terminal, 20000, rng, eps_t=eps_t
         )
         nll = 0.0
         for i in range(d):
-            pt_of = lambda t, i=i: evolve_rows(mu.marginals[i].probs, Qs[i], schedule.beta(t))[0]
+            pt_of = lambda t, i=i: evolve_rows(mu.probs[i], Qs[i], schedule.beta(t))[0]
 
             def ratio_matrix(t, i=i):
                 pt = pt_of(t)
                 return pt[None, :] / pt[:, None]
 
             p0_rev = reverse_marginal_dense(
-                terminal.marginals[i].probs, materialize_dense(Qs[i]), schedule, eps_t, 6000, ratio_matrix
+                terminal.probs[i], materialize_dense(Qs[i]), schedule, eps_t, 6000, ratio_matrix
             )
             weights = np.bincount(data[:, i], minlength=n) / data.shape[0]
             nll += float(-(weights @ np.log(np.maximum(p0_rev, 1e-300))))

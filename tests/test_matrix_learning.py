@@ -28,7 +28,7 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)  # beta
 
 def make_state(a_vectors, p0_rows):
     Qs = [FactorizedRateMatrix.with_identity_perm(a) for a in a_vectors]
-    return MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0_rows))
+    return MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0_rows))
 
 
 def frozen_target_loss(Q_per_dim, targets, batch, beta_T):
@@ -126,7 +126,7 @@ class TestJqGrad:
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
             perms = [rng.permutation(n) for _ in range(d)]
             Qs = [FactorizedRateMatrix.from_parts(perms[i], a[i]) for i in range(d)]
-            state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0))
+            state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
             batch = rng.integers(0, n, size=(6, d))
             grad = jq_grad(state, state_frequencies(batch, n), schedule)
             targets = [evolve_rows(p0[i], Qs[i], beta_T)[0] for i in range(d)]
@@ -157,7 +157,7 @@ class TestCountsFormMatchesPerRow:
     SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
 
     def check(self, Qs, p0, batch):
-        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.from_array(p0))
+        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
         freqs = state_frequencies(batch, Qs[0].n)
         want_loss, want_grad = jq_per_row(
             [Q.perm for Q in Qs], [Q.a for Q in Qs], p0, batch, self.SCHEDULE.beta(1.0)
@@ -251,12 +251,12 @@ class TestPredictTerminal:
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
         schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9, horizon=1.0)
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
-        assert np.allclose(out.as_array(), [[0.2, 0.3, 0.5]], atol=1e-8)
+        assert np.allclose(out.probs, [[0.2, 0.3, 0.5]], atol=1e-8)
 
     def test_half_life_example(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, SCHEDULE_UNIT)
-        assert np.allclose(out.as_array(), [[0.25, 0.75]], atol=1e-12)
+        assert np.allclose(out.probs, [[0.25, 0.75]], atol=1e-12)
 
     def test_absorbing_init_large_beta(self):
         perms = [np.array([2, 0, 1])]
@@ -265,7 +265,7 @@ class TestPredictTerminal:
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0, horizon=1.0)
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         # mass concentrates on the state occupying the last sorted slot
-        assert out.marginals[0].probs[perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
+        assert out.probs[0][perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitSchemes:

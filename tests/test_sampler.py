@@ -12,29 +12,33 @@ from markov_bridge import (
     estimate_mu,
     evolve_rows,
     generate,
-    materialize_dense,
     oracle_ratio_fn,
     tv_distance,
 )
 from markov_bridge.data import synthetic_ground_truth
 from markov_bridge.matrix_learning import predict_terminal
+from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.solver import exact_rate_matrix
 
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)
 
+# (rate, n): finite ratios of 1e308 into the sorted-last state overflow the
+# Euler step of dt = 0.5. Rates of 2.5 overflow each entry, so the row would
+# come out NaN; rates of 0.3 overflow only the row total, so the row would
+# come out all zero.
+OVERFLOW = [(2.5, 3), (0.3, 16)]
+
 
 def oracle_system(rng, n, sigma_max=10.0):
     """Ground-truth factorized system: mu, bridged Q, horizon terminal."""
-    mu = ProductDistribution.from_array(
-        rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n
-    )
+    mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
     schedule = NoiseSchedule(sigma_min=0.1, sigma_max=sigma_max, horizon=1.0)
     target = ProbVector(np.full(n, 1.0 / n))
     # bridge mu to uniform over the full horizon budget
-    Q_unit = exact_rate_matrix(target, mu.marginals[0])
+    Q_unit = exact_rate_matrix(target, ProbVector(mu.probs[0]))
     Q = [Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))]
-    terminal = ProductDistribution.from_array(evolve_rows(mu.marginals[0].probs, Q[0], schedule.beta(1.0)))
+    terminal = ProductDistribution(evolve_rows(mu.probs[0], Q[0], schedule.beta(1.0)))
     return mu, Q, schedule, terminal
 
 
@@ -83,6 +87,12 @@ class TestEulerReverseStep:
         with pytest.raises(DivergenceError):
             _euler_probs(np.array([[0], [1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
 
+    @pytest.mark.parametrize("rate, n", OVERFLOW)
+    def test_overflowing_row_rejected(self, rate, n):
+        Q = [FactorizedRateMatrix.with_identity_perm(np.full(n - 1, rate))]
+        with pytest.raises(DivergenceError, match="overflows"):
+            _euler_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
+
     def test_matches_batched_path(self):
         # per-tuple reference built from the dense generator's columns
         rng = np.random.default_rng(409)
@@ -122,7 +132,7 @@ class TestGenerate:
         mu, Q, schedule, terminal = oracle_system(rng, 6)
         draws = generate(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000, 1, 1.0 - 1e-9)
         freq = np.bincount(draws[:, 0], minlength=6) / draws.shape[0]
-        assert tv_distance(freq, terminal.marginals[0].probs) <= 0.02
+        assert tv_distance(freq, terminal.probs[0]) <= 0.02
 
     def test_fixed_seed_deterministic(self):
         rng_sys = np.random.default_rng(431)
@@ -132,12 +142,20 @@ class TestGenerate:
         b = generate(terminal, Q, schedule, fn, np.random.default_rng(77), 500, 32, 1e-3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rate, n", OVERFLOW)
+    def test_overflowing_ratios_raise(self, rate, n):
+        terminal = ProductDistribution(np.eye(n)[None, -1])
+        Q = [FactorizedRateMatrix.with_identity_perm(np.full(n - 1, rate))]
+        huge = lambda xt, t: np.full((xt.shape[0], 1, n), 1e308)
+        with pytest.raises(DivergenceError, match="overflows"):
+            generate(terminal, Q, SCHEDULE_UNIT, huge, np.random.default_rng(5), 4, 1, 0.5)
+
     def test_oracle_reversal_recovers_target(self):
         rng = np.random.default_rng(433)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
         draws = generate(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 20000, 128, 1e-3)
         freq = np.bincount(draws[:, 0], minlength=8) / draws.shape[0]
-        assert tv_distance(freq, mu.marginals[0].probs) <= 0.04
+        assert tv_distance(freq, mu.probs[0]) <= 0.04
 
 
 class TestEstimateMu:
@@ -148,20 +166,20 @@ class TestEstimateMu:
         est = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(3), 1, 1, 0.5)
         # reproduce by hand: one terminal draw, one full categorical at t = T
         draw_rng = np.random.default_rng(3)
-        xt = np.array([[np.searchsorted(np.cumsum(terminal.marginals[0].probs), draw_rng.random())]])
+        xt = np.array([[np.searchsorted(np.cumsum(terminal.probs[0]), draw_rng.random())]])
         probs = _euler_probs(xt, 1.0, 0.5, fn(xt, 1.0), Q, schedule)
-        assert np.allclose(est.marginals[0].probs, probs[0, 0] / probs[0, 0].sum(), atol=1e-12)
+        assert np.allclose(est.probs[0], probs[0, 0] / probs[0, 0].sum(), atol=1e-12)
 
     def test_frozen_chain_returns_terminal(self):
-        terminal = ProductDistribution.from_array([[0.3, 0.2, 0.5]])
+        terminal = ProductDistribution([[0.3, 0.2, 0.5]])
         Q = [FactorizedRateMatrix.with_identity_perm(np.zeros(2))]
         uniform_ratios = lambda xt, t: np.ones((xt.shape[0], 1, 3))
         est = estimate_mu(terminal, Q, SCHEDULE_UNIT, uniform_ratios, np.random.default_rng(5), 4000, 8, 1e-3)
-        assert tv_distance(est.marginals[0], terminal.marginals[0]) <= 0.03
+        assert tv_distance(est.probs[0], terminal.probs[0]) <= 0.03
 
     def test_infinite_ratios_raise(self):
         # an overflowing ratio estimate must fail loudly, not become a NaN p0
-        terminal = ProductDistribution.from_array([[0.3, 0.2, 0.5]])
+        terminal = ProductDistribution([[0.3, 0.2, 0.5]])
         Q = [FactorizedRateMatrix.with_identity_perm([0.5, 1.0])]
         infinite = lambda xt, t: np.full((xt.shape[0], 1, 3), np.inf)
         with pytest.raises(DivergenceError):
@@ -171,7 +189,7 @@ class TestEstimateMu:
         rng = np.random.default_rng(443)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
         est = estimate_mu(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 4096, 128, 1e-3)
-        err = np.abs(est.marginals[0].probs - mu.marginals[0].probs).max()
+        err = np.abs(est.probs[0] - mu.probs[0]).max()
         assert err <= 0.02
 
     def test_valid_product_distribution(self):
@@ -185,7 +203,7 @@ class TestEstimateMu:
         terminal = predict_terminal(Qs, truth, schedule)
         fn = oracle_ratio_fn(truth, Qs, schedule)
         est = estimate_mu(terminal, Qs, schedule, fn, rng, 256, 16, 1e-3)
-        arr = est.as_array()
+        arr = est.probs
         assert arr.min() >= 0.0
         assert np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9
 

@@ -28,7 +28,7 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)
 def point_mass(n, x):
     row = np.zeros(n)
     row[x] = 1.0
-    return ProductDistribution.from_array(row[None, :])
+    return ProductDistribution(row[None, :])
 
 
 def random_chain(rng, n, d=1, a_lo=0.2, a_hi=2.0):
@@ -143,10 +143,10 @@ class TestExactScoreOracle:
 
     def test_early_time_self_ratio(self):
         rng = np.random.default_rng(317)
-        mu = ProductDistribution.from_array(rng.dirichlet(np.ones(4), size=1) * 0.9 + 0.1 / 4)
+        mu = ProductDistribution(rng.dirichlet(np.ones(4), size=1) * 0.9 + 0.1 / 4)
         Q = random_chain(rng, 4)
         out = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)([[1]], 1e-6)[0]
-        target = mu.marginals[0].probs / mu.marginals[0].probs[1]
+        target = mu.probs[0] / mu.probs[0][1]
         assert out[0][1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out[0], target, rtol=1e-4)
 
@@ -185,7 +185,7 @@ class TestScoreEntropyLoss:
         scaled = lambda xt, t: np.e * oracle(xt, t)
         loss = score_entropy_loss(scaled, batch, Q, SCHEDULE_UNIT)
         # independent accumulation of rate * r * (e - 2)
-        from markov_bridge.core import materialize_dense
+        from markov_bridge.reference import materialize_dense
 
         dense = materialize_dense(Q[0])
         expected = 0.0
@@ -224,8 +224,8 @@ class TestScoreEntropyLoss:
         rng = np.random.default_rng(347)
         n = 4
         Q = random_chain(rng, n)
-        mu = ProductDistribution.from_array(rng.dirichlet(np.ones(n), size=1) * 0.8 + 0.2 / n)
-        x0 = rng.choice(n, size=(4096, 1), p=mu.marginals[0].probs).astype(np.int64)
+        mu = ProductDistribution(rng.dirichlet(np.ones(n), size=1) * 0.8 + 0.2 / n)
+        x0 = rng.choice(n, size=(4096, 1), p=mu.probs[0]).astype(np.int64)
         batch = make_score_batch(x0, Q, SCHEDULE_UNIT, rng)
         oracle = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)
         base = score_entropy_loss(oracle, batch, Q, SCHEDULE_UNIT)
@@ -314,7 +314,7 @@ class TestScoreGrad:
 
 
 def _batch_stream(rng, n, d, Q, mu, size, schedule=SCHEDULE_UNIT):
-    probs = mu.as_array()
+    probs = mu.probs
     while True:
         x0 = np.stack([rng.choice(n, size=size, p=probs[i]) for i in range(d)], axis=1)
         yield make_score_batch(x0.astype(np.int64), Q, schedule, rng)
@@ -363,7 +363,7 @@ class TestScoreLearningLoop:
         n = 8
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
         Q = random_chain(rng, n, a_lo=0.3, a_hi=1.5)
-        mu = ProductDistribution.from_array(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
+        mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
         model = ScoreModel(n, 1, hidden=(64, 64), rng=np.random.default_rng(11))
 
         eval_rng = np.random.default_rng(397)

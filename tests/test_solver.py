@@ -14,9 +14,9 @@ from markov_bridge import (
     permutation_from_data,
     sort_permutation,
 )
+from markov_bridge.reference import materialize_dense
 
 from oracles import random_positive_vector, taylor_expm
-from markov_bridge import materialize_dense
 
 LN2 = np.log(2.0)
 
@@ -144,18 +144,18 @@ class TestExactRateMatrix:
 class TestEstimateMarginals:
     def test_counting(self):
         dist = estimate_marginals(np.array([[0], [0], [1], [1]]), 2)
-        assert np.allclose(dist.marginals[0].probs, [0.5, 0.5], atol=1e-6)
+        assert np.allclose(dist.probs[0], [0.5, 0.5], atol=1e-6)
 
     def test_smoothing_two_dims(self):
         dist = estimate_marginals(np.array([[0, 1], [0, 1]]), 2)
         delta = 1e-6 / (1.0 + 2e-6)
-        assert np.allclose(dist.marginals[0].probs, [1.0 - delta, delta], atol=1e-12)
-        assert np.allclose(dist.marginals[1].probs, [delta, 1.0 - delta], atol=1e-12)
+        assert np.allclose(dist.probs[0], [1.0 - delta, delta], atol=1e-12)
+        assert np.allclose(dist.probs[1], [delta, 1.0 - delta], atol=1e-12)
 
     def test_single_sample_three_states(self):
         dist = estimate_marginals(np.array([[2]]), 3)
         delta = 1e-6 / (1.0 + 3e-6)
-        assert np.allclose(dist.marginals[0].probs, [delta, delta, 1.0 - 2 * delta], atol=1e-12)
+        assert np.allclose(dist.probs[0], [delta, delta, 1.0 - 2 * delta], atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -168,8 +168,8 @@ class TestEstimateMarginals:
 
 class TestPermutationFromData:
     def test_matches_single_dim_results(self):
-        mu = ProductDistribution.from_array([[0.7, 0.1, 0.2], [0.7, 0.1, 0.2]])
-        term = ProductDistribution.from_array([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
+        mu = ProductDistribution([[0.7, 0.1, 0.2], [0.7, 0.1, 0.2]])
+        term = ProductDistribution([[0.2, 0.5, 0.3], [0.2, 0.5, 0.3]])
         perms = permutation_from_data(mu, term)
         assert [list(p) for p in perms] == [[1, 2, 0], [1, 2, 0]]
 
@@ -179,6 +179,6 @@ class TestPermutationFromData:
         assert all(list(p) == [0, 1, 2, 3] for p in perms)
 
     def test_single_dim(self):
-        mu = ProductDistribution.from_array([[0.7, 0.1, 0.2]])
-        term = ProductDistribution.from_array([[0.2, 0.5, 0.3]])
+        mu = ProductDistribution([[0.7, 0.1, 0.2]])
+        term = ProductDistribution([[0.2, 0.5, 0.3]])
         assert list(permutation_from_data(mu, term)[0]) == [1, 2, 0]

@@ -96,13 +96,13 @@ def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
     p0_seen = []
 
     def recording_loop(state, *args, **kwargs):
-        p0_seen.append(state.p0_estimate.as_array().copy())
+        p0_seen.append(state.p0_estimate.probs.copy())
         return matrix_learning_loop(state, *args, **kwargs)
 
     monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
     config = parse_config_text(CONFIG + f"out_dir = {tmp_path}\np0_init = data_marginal\nepochs = 1\n")
     train(config)
-    want = estimate_marginals(load_dataset(config).samples, config.n).as_array()
+    want = estimate_marginals(load_dataset(config).samples, config.n).probs
     assert len(p0_seen) == 1
     np.testing.assert_array_equal(p0_seen[0], want)
 
