@@ -58,6 +58,22 @@ class TestProductDistribution:
         with pytest.raises(ValueError):
             ProductDistribution([[0.5, 0.5], [0.2, 0.3, 0.5]])
 
+    @pytest.mark.parametrize("bad", [
+        [[0.5, 0.5], [np.nan, 1.0]],
+        [[0.5, 0.5], [-0.1, 1.1]],
+        [[0.5, 0.5], [0.5, 0.6]],  # the second row sums to 1.1
+        [0.5, 0.5],  # one row, not a (d, n) array
+        np.empty((0, 2)),
+    ])
+    def test_invalid_rows_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ProductDistribution(bad)
+
+    def test_immutable(self):
+        dist = ProductDistribution.uniform(2, 2)
+        with pytest.raises(ValueError):
+            dist.probs[0, 0] = 1.0
+
     def test_uniform(self):
         dist = ProductDistribution.uniform(4, 3)
         assert dist.d == 3 and dist.n == 4

@@ -265,7 +265,7 @@ class TestPredictTerminal:
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0, horizon=1.0)
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         # mass concentrates on the state occupying the last sorted slot
-        assert out.probs[0][perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
+        assert out.probs[0, perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitSchemes:
