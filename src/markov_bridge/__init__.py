@@ -6,7 +6,6 @@ from .config import RunConfig, load_config, parse_config_text
 from .core import (
     FactorizedRateMatrix,
     NoiseSchedule,
-    ProbVector,
     ProductDistribution,
     evolve_rows,
     kernel_rows,
@@ -18,7 +17,6 @@ from .errors import (
     BridgeError,
     CheckpointError,
     ConfigError,
-    DegeneratePrefixError,
     DegenerateStateError,
     DivergenceError,
     UnsolvableSupportError,
@@ -43,13 +41,7 @@ from .score_learning import (
     score_learning_loop,
     score_loss_and_grad,
 )
-from .solver import (
-    SortedPair,
-    estimate_marginals,
-    exact_rate_matrix,
-    permutation_from_data,
-    sort_permutation,
-)
+from .solver import estimate_marginals, exact_rate_matrices, permutation_from_data
 from .training import restore, train
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ _DTYPES = {0: "<i8", 1: "<f8"}
 _DTYPE_CODES = {np.dtype("int64"): 0, np.dtype("float64"): 1}
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     """Everything needed to resume or sample: parameters, estimates, RNG state."""
 

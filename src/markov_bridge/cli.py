@@ -12,13 +12,13 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .core import ProbVector, evolve_rows
+from .core import ProductDistribution, evolve_rows
 from .data import load_dataset
 from .errors import BridgeError, CheckpointError, ConfigError
 from .evaluation import elbo_estimate
 from .matrix_learning import predict_terminal
 from .sampler import generate
-from .solver import exact_rate_matrix
+from .solver import exact_rate_matrices
 from .selftest import run_selftest
 from .training import restore, train
 
@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_vector(path: str) -> ProbVector:
+def _read_vector(path: str) -> ProductDistribution:
+    """The whitespace-separated probability vector in ``path``, as one row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             values = [float(tok) for tok in fh.read().split()]
@@ -75,7 +76,7 @@ def _read_vector(path: str) -> ProbVector:
     if not values:
         raise ConfigError(f"no entries in {path!r}")
     try:
-        return ProbVector(np.asarray(values))
+        return ProductDistribution(np.asarray(values)[None, :])
     except ValueError as exc:
         raise ConfigError(f"{path!r} is not a probability vector: {exc}") from exc
 
@@ -124,8 +125,10 @@ def _cmd_eval(args) -> int:
 def _cmd_solve(args) -> int:
     p = _read_vector(args.p_file)
     q = _read_vector(args.q_file)
-    Q = exact_rate_matrix(p, q)
-    residual = float(np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max())
+    if p.n != q.n:
+        raise ConfigError(f"{args.p_file!r} and {args.q_file!r} hold different state counts")
+    (Q,) = exact_rate_matrices(p, q)
+    residual = float(np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max())
     print("perm =", " ".join(str(int(v)) for v in Q.perm))
     print("a    =", " ".join(f"{v:.6f}" for v in Q.a))
     print(f"residual = {residual:.3g}")

@@ -24,7 +24,6 @@ class RunConfig:
     synthetic_samples: int = 10000
     sigma_min: float = 0.1
     sigma_max: float = 10.0
-    horizon: float = 1.0
     init_scheme: str = "absorbing_text"
     p0_init: str = "uniform"
     epochs: int = 5
@@ -69,8 +68,8 @@ class RunConfig:
         for name in ("eps_q", "eps_score", "eps_total", "eps_t", "matrix_step_size", "score_lr"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if not (0.0 < self.eps_t < self.horizon):
-            raise ConfigError("need 0 < eps_t < horizon")
+        if not (0.0 < self.eps_t < 1.0):
+            raise ConfigError("need 0 < eps_t < 1")
         for name in (
             "epochs",
             "max_step_matrix",
@@ -95,7 +94,7 @@ class RunConfig:
 
     def schedule(self) -> NoiseSchedule:
         """The noise schedule these settings describe."""
-        return NoiseSchedule(sigma_min=self.sigma_min, sigma_max=self.sigma_max, horizon=self.horizon)
+        return NoiseSchedule(sigma_min=self.sigma_min, sigma_max=self.sigma_max)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

@@ -10,13 +10,13 @@ superdiagonal) is applied analytically as an adjacent column difference and is
 never materialized. That closed form is written once, in ``_sorted_rows``:
 kernel rows, evolved marginals and the matrix-stage gradient all call it.
 
-Distributions are validated arrays: a ``ProbVector`` holds one (n,) row and a
-``ProductDistribution`` one (d, n) array, both checked by the same function.
+A distribution is a ``ProductDistribution``, one validated (d, n) array; a
+single categorical is a one-row instance. Time runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,45 +30,28 @@ def _frozen(arr, dtype):
     return out
 
 
-def _check_probs(probs, ndim: int) -> np.ndarray:
-    """Frozen float64 copy of ``probs`` whose last axis holds distributions:
-    finite, nonnegative entries, each row summing to 1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != ndim or probs.size < 1:
-        raise ValueError(f"probs must be a nonempty {ndim}-d array")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probability entries must be finite")
-    if np.any(probs < 0.0):
-        raise ValueError("probability entries must be nonnegative")
-    totals = probs.sum(axis=-1)
-    off = np.abs(totals - 1.0) > PROB_ATOL
-    if np.any(off):
-        raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
-    return _frozen(probs, np.float64)
-
-
-@dataclass(frozen=True)
-class ProbVector:
-    """Categorical distribution over n states: nonnegative entries summing to 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _check_probs(self.probs, 1))
-
-    @property
-    def n(self) -> int:
-        return int(self.probs.size)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDistribution:
-    """d independent categorical marginals over n states: the rows of the (d, n) array ``probs``."""
+    """d independent categorical marginals over n states: the rows of the (d, n) array ``probs``.
+
+    Rows are finite, nonnegative and sum to 1; instances compare by identity.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _check_probs(self.probs, 2))
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.size < 1:
+            raise ValueError("probs must be a nonempty (d, n) array")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probability entries must be finite")
+        if np.any(probs < 0.0):
+            raise ValueError("probability entries must be nonnegative")
+        totals = probs.sum(axis=1)
+        off = np.abs(totals - 1.0) > PROB_ATOL
+        if np.any(off):
+            raise ValueError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
+        object.__setattr__(self, "probs", _frozen(probs, np.float64))
 
     @property
     def d(self) -> int:
@@ -83,51 +66,38 @@ class ProductDistribution:
         return cls(np.full((d, n), 1.0 / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorizedRateMatrix:
     """Rate matrix stored as a permutation plus n-1 nonnegative parameters.
 
-    ``perm[k]`` is the original state occupying sorted slot k; ``inv_perm`` is
-    its inverse. In sorted coordinates the generator H is upper triangular
-    with H[i, j] = a[j-1] for j > i and diagonal -sum(a[i:]); the dense matrix
-    in original coordinates is H conjugated by the permutation.
+    ``perm[k]`` is the original state occupying sorted slot k; ``n`` and the
+    inverse ``inv_perm`` are derived from it. In sorted coordinates the
+    generator H is upper triangular with H[i, j] = a[j-1] for j > i and
+    diagonal -sum(a[i:]); the dense matrix in original coordinates is H
+    conjugated by the permutation. Instances compare by identity.
     """
 
-    n: int
     perm: np.ndarray
-    inv_perm: np.ndarray
     a: np.ndarray
+    n: int = field(init=False)
+    inv_perm: np.ndarray = field(init=False)
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
-        inv_perm = np.asarray(self.inv_perm, dtype=np.int64)
         a = np.asarray(self.a, dtype=np.float64)
-        n = int(self.n)
-        if perm.shape != (n,) or inv_perm.shape != (n,):
-            raise ValueError("perm and inv_perm must have shape (n,)")
+        n = perm.size
+        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError("perm must be a permutation of 0..n-1")
         if a.shape != (n - 1,):
             raise ValueError("a must have shape (n-1,)")
         if not np.all(np.isfinite(a)) or np.any(a < 0.0):
             raise ValueError("rate parameters must be finite and nonnegative")
-        if not np.array_equal(perm[inv_perm], np.arange(n)):
-            raise ValueError("inv_perm is not the inverse of perm")
+        inv_perm = np.empty_like(perm)
+        inv_perm[perm] = np.arange(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "perm", _frozen(perm, np.int64))
         object.__setattr__(self, "inv_perm", _frozen(inv_perm, np.int64))
         object.__setattr__(self, "a", _frozen(a, np.float64))
-
-    @classmethod
-    def from_parts(cls, perm, a) -> "FactorizedRateMatrix":
-        """Build from a permutation (sorted slot -> original state) and a."""
-        perm = np.asarray(perm, dtype=np.int64)
-        inv_perm = np.empty_like(perm)
-        inv_perm[perm] = np.arange(perm.size)
-        return cls(n=perm.size, perm=perm, inv_perm=inv_perm, a=np.asarray(a, dtype=np.float64))
-
-    @classmethod
-    def with_identity_perm(cls, a) -> "FactorizedRateMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        return cls.from_parts(np.arange(a.size + 1), a)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -135,43 +105,41 @@ class FactorizedRateMatrix:
         return np.concatenate((-np.cumsum(self.a[::-1])[::-1], [0.0]))
 
     def replace_a(self, a) -> "FactorizedRateMatrix":
-        return FactorizedRateMatrix(n=self.n, perm=self.perm, inv_perm=self.inv_perm, a=a)
+        return FactorizedRateMatrix(self.perm, a)
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Linear rate multiplier sigma(t) with closed-form integral beta(t).
+    """Linear rate multiplier sigma(t) on t in [0, 1], with closed-form integral beta(t).
 
     beta stays exact, so distribution evolution never needs numerical
-    quadrature.
+    quadrature. A longer horizon H is this schedule with both sigmas scaled
+    by H, so the interval is fixed.
     """
 
     sigma_min: float = 0.1
     sigma_max: float = 10.0
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.sigma_min <= self.sigma_max):
             raise ValueError("need 0 < sigma_min <= sigma_max")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > self.horizon):
-            raise ValueError(f"t={t!r} outside [0, {self.horizon}]")
+        if np.any(t < 0.0) or np.any(t > 1.0):
+            raise ValueError(f"t={t!r} outside [0, 1]")
         return t
 
     def sigma(self, t):
         """Instantaneous rate multiplier at time t."""
         t = self._check_t(t)
-        out = self.sigma_min + (self.sigma_max - self.sigma_min) * t / self.horizon
+        out = self.sigma_min + (self.sigma_max - self.sigma_min) * t
         return float(out) if out.ndim == 0 else out
 
     def beta(self, t):
         """Integral of sigma from 0 to t; strictly increasing, beta(0) = 0."""
         t = self._check_t(t)
-        out = self.sigma_min * t + (self.sigma_max - self.sigma_min) * t * t / (2.0 * self.horizon)
+        out = self.sigma_min * t + (self.sigma_max - self.sigma_min) * t * t / 2.0
         return float(out) if out.ndim == 0 else out
 
 
@@ -278,6 +246,6 @@ def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 def kl_divergence(p, q, floor: float = RATIO_FLOOR) -> float:
     """KL(p || q) in nats with clamped logs; the 0 log 0 terms contribute 0."""
-    p = p.probs if isinstance(p, ProbVector) else np.asarray(p, dtype=np.float64)
-    q = q.probs if isinstance(q, ProbVector) else np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     return float(np.sum(p * (np.log(np.maximum(p, floor)) - np.log(np.maximum(q, floor)))))

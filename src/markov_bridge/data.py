@@ -14,7 +14,7 @@ from .errors import ConfigError, VocabularyOverflowError
 _DATA_SALT = 0x5EED
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Integer samples of shape (N, d) plus optional vocab and ground truth."""
 

@@ -9,10 +9,6 @@ class UnsolvableSupportError(BridgeError):
     """The source distribution has no mass where the target needs it."""
 
 
-class DegeneratePrefixError(BridgeError):
-    """A cumulative source prefix is zero where the closed form needs it positive."""
-
-
 class DegenerateStateError(BridgeError):
     """A marginal probability underflowed below any usable floor."""
 

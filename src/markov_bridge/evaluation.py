@@ -53,7 +53,7 @@ def kl_term(data, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribut
     dimension costs one kernel and a histogram, whatever the dataset size.
     """
     freqs = state_frequencies(np.atleast_2d(data), terminal.n)
-    return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, terminal.probs)
+    return row_kl_sum(Q_per_dim, schedule.beta(1.0), freqs, terminal.probs)
 
 
 def elbo_estimate(

@@ -53,7 +53,7 @@ def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
         a = np.full(n - 1, 1e-5)
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
-    return [FactorizedRateMatrix.from_parts(perm, a.copy()) for perm in perms]
+    return [FactorizedRateMatrix(perm, a.copy()) for perm in perms]
 
 
 def _check_inputs(freqs, Q_per_dim) -> np.ndarray:
@@ -67,7 +67,7 @@ def _check_inputs(freqs, Q_per_dim) -> np.ndarray:
 
 def _loss(Q_per_dim, p0: ProductDistribution, freqs: np.ndarray, schedule: NoiseSchedule) -> float:
     targets = predict_terminal(Q_per_dim, p0, schedule).probs
-    return row_kl_sum(Q_per_dim, schedule.beta(schedule.horizon), freqs, targets)
+    return row_kl_sum(Q_per_dim, schedule.beta(1.0), freqs, targets)
 
 
 def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> float:
@@ -88,7 +88,7 @@ def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarr
     of the frozen-target objective.
     """
     freqs = _check_inputs(freqs, state.Q_per_dim)
-    beta_T = schedule.beta(schedule.horizon)
+    beta_T = schedule.beta(1.0)
     targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).probs
     n = targets.shape[1]
     # row k: the cumulative masses of a point mass in sorted slot k, so row k
@@ -161,7 +161,7 @@ def matrix_learning_loop(
 
 
 def predict_terminal(Q_per_dim, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:
-    """Evolve p0 to the horizon, one dimension at a time."""
-    beta_T = schedule.beta(schedule.horizon)
+    """Evolve p0 to t = 1, one dimension at a time."""
+    beta_T = schedule.beta(1.0)
     rows = [evolve_rows(p0.probs[i], Q, beta_T) for i, Q in enumerate(Q_per_dim)]
     return ProductDistribution(np.concatenate(rows))

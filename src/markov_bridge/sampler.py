@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NoiseSchedule, ProbVector, ProductDistribution, rate_columns, sample_categorical
+from .core import NoiseSchedule, ProductDistribution, rate_columns, sample_categorical
 from .errors import DivergenceError
 
 # Health counters read by name (perfbench's sampler.zero_rows). A row total
@@ -58,12 +58,12 @@ def _grid_step(steps: int, eps_t: float, schedule: NoiseSchedule) -> float:
         raise ValueError("steps must be >= 1")
     if eps_t <= 0.0:
         raise ValueError("eps_t must be positive")
-    return (schedule.horizon - eps_t) / steps
+    return (1.0 - eps_t) / steps
 
 
 def _step_probs(k: int, dt: float, xt, Q_per_dim, schedule: NoiseSchedule, ratio_fn):
     """Euler categoricals of step k of the grid with step dt."""
-    t = schedule.horizon - k * dt
+    t = 1.0 - k * dt
     return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
 
 
@@ -126,8 +126,8 @@ def estimate_mu(
 
 def tv_distance(p, q) -> float:
     """Total variation distance between two categorical distributions."""
-    p = p.probs if isinstance(p, ProbVector) else np.asarray(p, dtype=np.float64)
-    q = q.probs if isinstance(q, ProbVector) else np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("distributions must share a state count")
     return 0.5 * float(np.abs(p - q).sum())

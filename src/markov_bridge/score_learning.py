@@ -114,7 +114,7 @@ class ScoreModel:
         return grad_w, grad_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreBatch:
     """Draws (t, xt) with the target r[b, i] = K[x0_bi, :] / K[x0_bi, xt_bi] of the
     rows K = exp(beta(t_b) Q_i) xt was drawn from (denominator floored); no x0."""
@@ -161,7 +161,7 @@ def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng):
 def make_score_batch(x0, Q_per_dim, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
     """Draw times uniformly on (eps_t, T), then each xt and its ratio target."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
-    t = rng.uniform(eps_t, schedule.horizon, size=x0.shape[0])
+    t = rng.uniform(eps_t, 1.0, size=x0.shape[0])
     xt, r = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
     return ScoreBatch(t=t, xt=xt, r=r)
 
@@ -212,7 +212,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
         raise DivergenceError(
             f"non-finite score-entropy term at dim {i}, state {y}, t={batch.t[b]:.6g}"
         )
-    weight = schedule.horizon - eps_t
+    weight = 1.0 - eps_t
     return weight * terms.sum(axis=(1, 2)), rates
 
 
@@ -232,7 +232,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
     s = np.exp(out).reshape(batch.size, model.d, model.n)
     values, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
-    weight = (schedule.horizon - eps_t) / batch.size
+    weight = (1.0 - eps_t) / batch.size
     d_out = weight * rates
     d_out *= s - batch.r
     d_out = d_out.reshape(batch.size, model.d * model.n)

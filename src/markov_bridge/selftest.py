@@ -8,7 +8,6 @@ from .core import (
     RATIO_FLOOR,
     FactorizedRateMatrix,
     NoiseSchedule,
-    ProbVector,
     ProductDistribution,
     evolve_rows,
     kernel_rows,
@@ -18,19 +17,19 @@ from .core import (
 from .matrix_learning import MatrixLearnState, jq_grad
 from .reference import materialize_dense, taylor_expm
 from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
-from .solver import exact_rate_matrix
+from .solver import exact_rate_matrices
 
 
 def _random_matrix(rng, n_max=16):
     n = int(rng.integers(2, n_max + 1))
     a = rng.uniform(0.0, 3.0, n - 1)
-    return FactorizedRateMatrix.from_parts(rng.permutation(n), a)
+    return FactorizedRateMatrix(rng.permutation(n), a)
 
 
 def _positive_pair(rng, n):
     p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
     q = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
-    return ProbVector(p / p.sum()), ProbVector(q / q.sum())
+    return ProductDistribution((p / p.sum())[None, :]), ProductDistribution((q / q.sum())[None, :])
 
 
 def run_selftest(verbose: bool = True) -> bool:
@@ -50,7 +49,8 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(200):
         n = int(rng.integers(2, 33))
         p, q = _positive_pair(rng, n)
-        residual = np.abs(evolve_rows(q.probs, exact_rate_matrix(p, q), 1.0)[0] - p.probs).max()
+        (Q,) = exact_rate_matrices(p, q)
+        residual = np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max()
         worst = max(worst, float(residual))
     checks.append(("bridge round trip (200 cases)", worst <= 1e-9, f"max residual {worst:.3g}"))
 
@@ -62,7 +62,7 @@ def run_selftest(verbose: bool = True) -> bool:
         worst = max(worst, abs(float(out.sum() - v.sum())))
     checks.append(("conservation fuzz (1000 cases)", worst <= 1e-12, f"max drift {worst:.3g}"))
 
-    schedule = NoiseSchedule(sigma_min=0.5, sigma_max=3.0, horizon=1.0)
+    schedule = NoiseSchedule(sigma_min=0.5, sigma_max=3.0)
     worst = 0.0
     perturbed_ok = True
     for _ in range(20):
@@ -88,7 +88,7 @@ def run_selftest(verbose: bool = True) -> bool:
         state = MatrixLearnState(Q_per_dim=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
         grad = jq_grad(state, state_frequencies(batch, n), schedule)
-        frozen = evolve_rows(p0.probs[0], Q[0], schedule.beta(schedule.horizon))[0]
+        frozen = evolve_rows(p0.probs[0], Q[0], schedule.beta(1.0))[0]
         fd = _fd_grad(Q[0], batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
@@ -104,7 +104,7 @@ def run_selftest(verbose: bool = True) -> bool:
 
 
 def _fixed_n_matrix(rng, n):
-    return FactorizedRateMatrix.from_parts(rng.permutation(n), rng.uniform(0.2, 2.0, n - 1))
+    return FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.2, 2.0, n - 1))
 
 
 def _point_mass(n, x):
@@ -114,7 +114,7 @@ def _point_mass(n, x):
 
 
 def _fd_grad(Q, batch, schedule, frozen_target, h=1e-5):
-    beta_T = schedule.beta(schedule.horizon)
+    beta_T = schedule.beta(1.0)
     out = np.zeros(Q.n - 1)
     logt = np.log(np.maximum(frozen_target, RATIO_FLOOR))
     for k in range(Q.n - 1):

@@ -64,7 +64,7 @@ def restore(ck: Checkpoint):
     if [np.shape(x) for x in arrays] != expected:
         raise CheckpointError("checkpoint arrays do not have the shapes its configuration and epoch imply")
     try:
-        Q_per_dim = [FactorizedRateMatrix.from_parts(ck.perms[i], ck.a[i]) for i in range(d)]
+        Q_per_dim = [FactorizedRateMatrix(ck.perms[i], ck.a[i]) for i in range(d)]
         p0 = ProductDistribution(ck.p0_estimate)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not hold a valid run: {exc}") from exc

@@ -108,11 +108,10 @@ def reverse_marginal_dense(terminal, dense_Q, schedule, eps_t, steps, ratio_of_t
     row-vector multiplications.
     """
     n = dense_Q.shape[0]
-    T = schedule.horizon
-    dt = (T - eps_t) / steps
+    dt = (1.0 - eps_t) / steps
     dist = np.asarray(terminal, dtype=np.float64).copy()
     for k in range(steps):
-        t = T - k * dt
+        t = 1.0 - k * dt
         sigma = schedule.sigma(t)
         ratios = ratio_of_t(t)
         step_kernel = np.empty((n, n))

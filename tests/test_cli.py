@@ -167,6 +167,7 @@ class TestCliExitCodes:
         lambda ck: ck.a.__setitem__((1, 0), np.nan),
         lambda ck: ck.score_weights.__setitem__(0, np.ascontiguousarray(ck.score_weights[0].T)),
         lambda ck: setattr(ck, "p0_estimate", np.full((3, 3), 1.0 / 3.0)),  # one row too many
+        lambda ck: ck.perms.__setitem__(1, [0, 1, 7]),  # a state outside 0..n-1
     ])
     def test_checkpoint_that_loads_but_is_invalid_is_bad_input(self, tmp_path, damage):
         ck = small_checkpoint()
@@ -225,10 +226,19 @@ class TestCliExitCodes:
         (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")
         (tmp_path / "q.txt").write_text("0.5 0.25 0.25\n", encoding="utf-8")
         (tmp_path / "bad.txt").write_text("0.5 0.6\n", encoding="utf-8")
+        (tmp_path / "two.txt").write_text("0.5 0.5\n", encoding="utf-8")
         assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 0
         residual = float(capsys.readouterr().out.split("residual =")[1])
         assert residual <= 1e-12
         assert cli(["solve", str(tmp_path / "bad.txt"), str(tmp_path / "q.txt")]) == 1
+        assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "two.txt")]) == 1
+
+    def test_solve_accepts_a_sum_off_by_less_than_the_tolerance(self, tmp_path, capsys):
+        # 1 + 5e-10 is a valid probability vector, so the solver must not refuse it
+        (tmp_path / "p.txt").write_text("0.3 0.7000000005\n", encoding="utf-8")
+        (tmp_path / "q.txt").write_text("0.5 0.5\n", encoding="utf-8")
+        assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 0
+        assert float(capsys.readouterr().out.split("residual =")[1]) <= 1e-9
 
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1

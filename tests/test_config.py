@@ -64,7 +64,6 @@ def test_string_the_line_format_cannot_carry_is_refused(value):
 
 @pytest.mark.parametrize("key, value", [
     ("sigma_min", float("nan")),
-    ("horizon", float("inf")),
     ("matrix_step_size", float("nan")),
     ("seed", -1),
 ])

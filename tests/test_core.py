@@ -7,16 +7,18 @@ from markov_bridge import (
     DivergenceError,
     FactorizedRateMatrix,
     NoiseSchedule,
-    ProbVector,
     ProductDistribution,
     evolve_rows,
     kernel_rows,
     kl_divergence,
     transition_kernel,
 )
+from markov_bridge.checkpoint import Checkpoint
 from markov_bridge.core import rate_columns, sample_categorical
+from markov_bridge.data import Dataset
 from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
+from markov_bridge.score_learning import ScoreBatch
 
 from oracles import taylor_expm
 
@@ -25,31 +27,7 @@ LN2 = np.log(2.0)
 
 def random_matrix(rng, n=None, n_max=16, a_max=3.0):
     n = int(rng.integers(2, n_max + 1)) if n is None else n
-    return FactorizedRateMatrix.from_parts(rng.permutation(n), rng.uniform(0.0, a_max, n - 1))
-
-
-class TestProbVector:
-    def test_valid(self):
-        v = ProbVector(np.array([0.25, 0.75]))
-        assert v.n == 2
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            ProbVector(np.array([-0.1, 1.1]))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValueError):
-            ProbVector(np.array([0.5, 0.6]))
-
-    def test_immutable(self):
-        v = ProbVector(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            v.probs[0] = 1.0
-
-    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, -np.inf, np.inf]])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ProbVector(np.array(bad))
+    return FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.0, a_max, n - 1))
 
 
 class TestProductDistribution:
@@ -60,6 +38,8 @@ class TestProductDistribution:
 
     @pytest.mark.parametrize("bad", [
         [[0.5, 0.5], [np.nan, 1.0]],
+        [[0.5, 0.5], [np.inf, 1.0]],
+        [[1.0, -np.inf, np.inf]],
         [[0.5, 0.5], [-0.1, 1.1]],
         [[0.5, 0.5], [0.5, 0.6]],  # the second row sums to 1.1
         [0.5, 0.5],  # one row, not a (d, n) array
@@ -83,19 +63,27 @@ class TestProductDistribution:
 class TestFactorizedRateMatrix:
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
-            FactorizedRateMatrix.with_identity_perm([-0.5])
+            FactorizedRateMatrix([0, 1], [-0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_a_rejected(self, bad):
         with pytest.raises(ValueError):
-            FactorizedRateMatrix.with_identity_perm([0.5, bad])
+            FactorizedRateMatrix([0, 1, 2], [0.5, bad])
 
     def test_bad_inverse_rejected(self):
-        with pytest.raises(ValueError):
-            FactorizedRateMatrix(n=2, perm=[0, 1], inv_perm=[1, 0], a=[1.0])
+        # a perm with no inverse on 0..n-1, or whose n disagrees with a
+        for perm in ([0, 0], [1, 2], [[0, 1]], [0, 1, 2]):
+            with pytest.raises(ValueError):
+                FactorizedRateMatrix(perm, [1.0])
+
+    def test_derived_fields(self):
+        Q = FactorizedRateMatrix([2, 0, 1], [1.0, 2.0])
+        assert Q.n == 3 and list(Q.inv_perm) == [1, 2, 0]
+        with pytest.raises(TypeError):
+            FactorizedRateMatrix([0, 1], [1.0], n=2)
 
     def test_lambdas(self):
-        Q = FactorizedRateMatrix.with_identity_perm([1.0, 2.0])
+        Q = FactorizedRateMatrix([0, 1, 2], [1.0, 2.0])
         assert np.allclose(Q.lambdas, [-3.0, -2.0, 0.0])
 
 
@@ -125,7 +113,7 @@ class TestNoiseSchedule:
 
 class TestTransitionKernel:
     def test_half_life_example(self):
-        Q = FactorizedRateMatrix.with_identity_perm([LN2])
+        Q = FactorizedRateMatrix([0, 1], [LN2])
         assert np.allclose(transition_kernel(Q, 1.0), [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
 
     def test_zero_beta_is_identity(self):
@@ -135,7 +123,7 @@ class TestTransitionKernel:
             assert np.allclose(transition_kernel(Q, 0.0), np.eye(Q.n), atol=1e-15)
 
     def test_absorbing_limit(self):
-        Q = FactorizedRateMatrix.with_identity_perm([0.0, 1.0])
+        Q = FactorizedRateMatrix([0, 1, 2], [0.0, 1.0])
         K = transition_kernel(Q, 80.0)
         assert np.allclose(K, np.tile([0.0, 0.0, 1.0], (3, 1)), atol=1e-12)
 
@@ -167,7 +155,7 @@ class TestTransitionKernel:
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            transition_kernel(FactorizedRateMatrix.with_identity_perm([1.0]), -0.5)
+            transition_kernel(FactorizedRateMatrix([0, 1], [1.0]), -0.5)
 
 
 class TestKernelRows:
@@ -204,16 +192,16 @@ class TestKernelRows:
 
 class TestMaterializeDense:
     def test_two_state_example(self):
-        Q = FactorizedRateMatrix.with_identity_perm([1.0])
+        Q = FactorizedRateMatrix([0, 1], [1.0])
         assert np.allclose(materialize_dense(Q), [[-1.0, 1.0], [0.0, 0.0]], atol=0)
 
     def test_zero_parameters(self):
-        Q = FactorizedRateMatrix.with_identity_perm(np.zeros(4))
+        Q = FactorizedRateMatrix(np.arange(5), np.zeros(4))
         assert np.all(materialize_dense(Q) == 0.0)
 
     def test_permuted_three_state(self):
         # swapping states 0 and 2 conjugates the upper-triangular generator
-        Q = FactorizedRateMatrix.from_parts([2, 1, 0], [1.0, 2.0])
+        Q = FactorizedRateMatrix([2, 1, 0], [1.0, 2.0])
         expected = np.array([[0.0, 0.0, 0.0], [2.0, -2.0, 0.0], [2.0, 1.0, -3.0]])
         assert np.allclose(materialize_dense(Q), expected, atol=0)
 
@@ -229,7 +217,7 @@ class TestMaterializeDense:
 
 class TestEvolve:
     def test_half_life_mixture(self):
-        Q = FactorizedRateMatrix.with_identity_perm([LN2])
+        Q = FactorizedRateMatrix([0, 1], [LN2])
         out = evolve_rows([0.5, 0.5], Q, 1.0)[0]
         assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
@@ -243,7 +231,7 @@ class TestEvolve:
         perm = np.array([3, 0, 2, 1])
         a = np.zeros(3)
         a[-1] = 1.0
-        Q = FactorizedRateMatrix.from_parts(perm, a)
+        Q = FactorizedRateMatrix(perm, a)
         start = np.zeros(4)
         start[0] = 1.0
         out = evolve_rows(start, Q, 60.0)[0]
@@ -287,19 +275,19 @@ class TestReverseRateRow:
         assert np.array_equal(cols, expected)
 
     def test_two_state_ratio_example(self):
-        Q = FactorizedRateMatrix.with_identity_perm([1.0])
+        Q = FactorizedRateMatrix([0, 1], [1.0])
         row = rate_columns(Q, 1.0, [1])[0] * np.array([2.0, 1.0])
         assert np.array_equal(row, [2.0, 0.0])
 
     def test_zero_ratios_zero_flux(self):
-        Q = FactorizedRateMatrix.with_identity_perm([1.0, 0.5])
+        Q = FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])
         ratios = np.zeros(3)
         ratios[1] = 1.0
         row = rate_columns(Q, 2.0, [1])[0] * ratios
         assert np.all(row == 0.0)
 
     def test_negative_ratio_rejected(self):
-        Q = [FactorizedRateMatrix.with_identity_perm([1.0])]
+        Q = [FactorizedRateMatrix([0, 1], [1.0])]
         schedule = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
         with pytest.raises(DivergenceError):
             _euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
@@ -326,3 +314,24 @@ class TestSmallHelpers:
         draws = sample_categorical(probs, np.random.default_rng(43))
         freq = np.bincount(draws, minlength=3) / draws.size
         assert np.abs(freq - [0.1, 0.2, 0.7]).max() < 0.02
+
+
+ARRAY_RECORDS = {
+    "ProductDistribution": lambda: ProductDistribution.uniform(2, 2),
+    "FactorizedRateMatrix": lambda: FactorizedRateMatrix([1, 0], [0.5]),
+    "ScoreBatch": lambda: ScoreBatch(t=[0.5], xt=[[0]], r=np.ones((1, 1, 2))),
+    "Dataset": lambda: Dataset(samples=np.zeros((2, 1), dtype=np.int64), n=2),
+    "Checkpoint": lambda: Checkpoint(
+        config_text="n = 2\n", epoch=1, perms=np.array([[0, 1]]), a=np.ones((1, 1)),
+        p0_estimate=np.full((1, 2), 0.5), score_weights=[np.ones((2, 2))], score_biases=[np.ones(2)],
+        rng_state="{}", epoch_history=np.zeros((1, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(kind):
+    # a field-wise == over ndarrays would raise; equal values are not enough
+    first, second = ARRAY_RECORDS[kind](), ARRAY_RECORDS[kind]()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

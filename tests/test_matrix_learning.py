@@ -23,11 +23,11 @@ from markov_bridge.matrix_learning import init_rate_matrices
 from oracles import jq_per_row
 
 LN2 = np.log(2.0)
-SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)  # beta(T) = 1
+SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)  # beta(T) = 1
 
 
 def make_state(a_vectors, p0_rows):
-    Qs = [FactorizedRateMatrix.with_identity_perm(a) for a in a_vectors]
+    Qs = [FactorizedRateMatrix(np.arange(len(a) + 1), a) for a in a_vectors]
     return MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0_rows))
 
 
@@ -117,7 +117,7 @@ class TestJqGrad:
         # FD on the same stop-gradient objective: targets frozen at the
         # evaluation point, then each a_k nudged centrally
         rng = np.random.default_rng(223)
-        schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
         beta_T = schedule.beta(1.0)
         h = 1e-5
         for _ in range(100):
@@ -125,7 +125,7 @@ class TestJqGrad:
             a = rng.uniform(0.1, 2.0, (d, n - 1))
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
             perms = [rng.permutation(n) for _ in range(d)]
-            Qs = [FactorizedRateMatrix.from_parts(perms[i], a[i]) for i in range(d)]
+            Qs = [FactorizedRateMatrix(perms[i], a[i]) for i in range(d)]
             state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
             batch = rng.integers(0, n, size=(6, d))
             grad = jq_grad(state, state_frequencies(batch, n), schedule)
@@ -154,7 +154,7 @@ class TestCountsFormMatchesPerRow:
     walks the batch row by row through dense Taylor kernels and their
     derivatives."""
 
-    SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0, horizon=1.0)
+    SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
 
     def check(self, Qs, p0, batch):
         state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
@@ -173,7 +173,7 @@ class TestCountsFormMatchesPerRow:
             n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
             perms = [rng.permutation(n) for _ in range(d)]
             if scheme == "random":
-                Qs = [FactorizedRateMatrix.from_parts(perm, rng.uniform(0.1, 2.0, n - 1)) for perm in perms]
+                Qs = [FactorizedRateMatrix(perm, rng.uniform(0.1, 2.0, n - 1)) for perm in perms]
             else:
                 Qs = init_rate_matrices(perms, n, scheme)
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
@@ -224,7 +224,7 @@ class TestMatrixLearningLoop:
 
     def test_monotone_history_and_projection(self):
         rng = np.random.default_rng(229)
-        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0)
         state = make_state([[1.5, 0.01, 0.8]], [rng.dirichlet(np.ones(4))])
         batch = rng.integers(0, 4, size=(16, 1))
         out = matrix_learning_loop(
@@ -237,7 +237,7 @@ class TestMatrixLearningLoop:
     def test_loss_decreases_on_mixing_toy(self):
         # two-state toy: descent should push toward mixing and cut the loss
         state = make_state([[0.0]], [[0.5, 0.5]])
-        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0)
         batch = np.array([[0]])
         out = matrix_learning_loop(
             state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8, step_size=0.1
@@ -249,7 +249,7 @@ class TestMatrixLearningLoop:
 class TestPredictTerminal:
     def test_zero_beta_returns_p0(self):
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
-        schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9)
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         assert np.allclose(out.probs, [[0.2, 0.3, 0.5]], atol=1e-8)
 
@@ -262,7 +262,7 @@ class TestPredictTerminal:
         perms = [np.array([2, 0, 1])]
         Qs = init_rate_matrices(perms, 3, "absorbing_text")
         state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.uniform(3, 1))
-        schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0)
         out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
         # mass concentrates on the state occupying the last sorted slot
         assert out.probs[0, perms[0][-1]] == pytest.approx(1.0, abs=1e-12)

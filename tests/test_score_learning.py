@@ -22,7 +22,7 @@ from markov_bridge import evaluation, score_learning
 from markov_bridge.score_learning import sample_xt_batch
 
 LN2 = np.log(2.0)
-SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0, horizon=1.0)
+SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
 
 def point_mass(n, x):
@@ -33,7 +33,7 @@ def point_mass(n, x):
 
 def random_chain(rng, n, d=1, a_lo=0.2, a_hi=2.0):
     return [
-        FactorizedRateMatrix.from_parts(rng.permutation(n), rng.uniform(a_lo, a_hi, n - 1))
+        FactorizedRateMatrix(rng.permutation(n), rng.uniform(a_lo, a_hi, n - 1))
         for _ in range(d)
     ]
 
@@ -49,7 +49,7 @@ class TestSampleXt:
         assert np.array_equal(r, np.eye(5)[x0])
 
     def test_half_life_frequencies(self):
-        Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
+        Q = [FactorizedRateMatrix([0, 1], [LN2])]
         rng = np.random.default_rng(303)
         draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng)
         freq = float(np.mean(draws == 0))
@@ -60,8 +60,8 @@ class TestSampleXt:
         a = np.zeros(3)
         a[-1] = 1.0
         perm = np.array([1, 3, 0, 2])
-        Q = [FactorizedRateMatrix.from_parts(perm, a)]
-        schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0, horizon=1.0)
+        Q = [FactorizedRateMatrix(perm, a)]
+        schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0)
         rng = np.random.default_rng(307)
         draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng)
         assert np.all(draws == perm[-1])
@@ -73,7 +73,7 @@ class TestOneKernelRowPass:
 
     def test_ratio_target_matches_dense_kernel(self):
         rng = np.random.default_rng(401)
-        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
         for _ in range(10):
             n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             Q = random_chain(rng, n, d=d)
@@ -154,7 +154,7 @@ class TestExactScoreOracle:
         from markov_bridge import DegenerateStateError
 
         mu = point_mass(3, 0)
-        Q = [FactorizedRateMatrix.with_identity_perm([0.0, 0.0])]
+        Q = [FactorizedRateMatrix([0, 1, 2], [0.0, 0.0])]
         with pytest.raises(DegenerateStateError):
             oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)([[2]], 1e-3)
 
@@ -261,7 +261,7 @@ class TestScoreGrad:
     def test_zero_gradient_when_targets_match_fresh_model(self):
         # uniform kernel row makes every true ratio 1, which is exactly what a
         # zero-initialized model outputs, so the gradient vanishes
-        Q = [FactorizedRateMatrix.with_identity_perm([LN2])]
+        Q = [FactorizedRateMatrix([0, 1], [LN2])]
         model = ScoreModel(2, 1, hidden=(8,), rng=np.random.default_rng(3))
         batch = ScoreBatch(t=np.ones(8), xt=np.array([[0], [1]] * 4, dtype=np.int64), r=np.ones((8, 1, 2)))
         _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
@@ -361,7 +361,7 @@ class TestScoreLearningLoop:
         # width-64 net on an n=8 toy must land within 10% of the oracle loss
         rng = np.random.default_rng(389)
         n = 8
-        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0, horizon=1.0)
+        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0)
         Q = random_chain(rng, n, a_lo=0.3, a_hi=1.5)
         mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
         model = ScoreModel(n, 1, hidden=(64, 64), rng=np.random.default_rng(11))

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from markov_bridge import (
-    DegeneratePrefixError,
-    ProbVector,
     ProductDistribution,
     UnsolvableSupportError,
     estimate_marginals,
     evolve_rows,
-    exact_rate_matrix,
+    exact_rate_matrices,
     permutation_from_data,
-    sort_permutation,
 )
 from markov_bridge.reference import materialize_dense
 
@@ -21,47 +18,55 @@ from oracles import random_positive_vector, taylor_expm
 LN2 = np.log(2.0)
 
 
+def row(probs):
+    """One probability vector as a one-row product distribution."""
+    return ProductDistribution(np.asarray(probs, dtype=np.float64)[None, :])
+
+
+def sorted_chain(p, q):
+    """The cumulative-ratio chain of the one-row pair (p, q) under its sort."""
+    perm = permutation_from_data(p, q)[0]
+    return perm, np.cumsum(p.probs[0][perm]) / np.cumsum(q.probs[0][perm])
+
+
+def solve(p, q):
+    (Q,) = exact_rate_matrices(p, q)
+    return Q
+
+
 class TestSortPermutation:
     def test_three_state_example(self):
         # ratios (3.5, 0.2, 0.667) sort to order (1, 2, 0)
-        pair = sort_permutation(ProbVector([0.7, 0.1, 0.2]), ProbVector([0.2, 0.5, 0.3]))
-        assert list(pair.perm) == [1, 2, 0]
-        chain = np.cumsum(pair.p_sorted.probs) / np.cumsum(pair.q_sorted.probs)
+        perm, chain = sorted_chain(row([0.7, 0.1, 0.2]), row([0.2, 0.5, 0.3]))
+        assert list(perm) == [1, 2, 0]
         assert np.allclose(chain, [0.2, 0.375, 1.0], atol=1e-12)
 
     def test_equal_distributions_identity(self):
-        p = ProbVector([0.3, 0.3, 0.4])
-        pair = sort_permutation(p, p)
-        assert list(pair.perm) == [0, 1, 2]
+        p = row([0.3, 0.3, 0.4])
+        assert list(permutation_from_data(p, p)[0]) == [0, 1, 2]
 
     def test_two_state(self):
-        pair = sort_permutation(ProbVector([0.25, 0.75]), ProbVector([0.5, 0.5]))
-        assert list(pair.perm) == [0, 1]
+        assert list(permutation_from_data(row([0.25, 0.75]), row([0.5, 0.5]))[0]) == [0, 1]
 
     def test_unsolvable_support(self):
         with pytest.raises(UnsolvableSupportError):
-            sort_permutation(ProbVector([0.5, 0.5]), ProbVector([0.0, 1.0]))
+            permutation_from_data(row([0.5, 0.5]), row([0.0, 1.0]))
 
     def test_zero_zero_placed_first(self):
-        pair = sort_permutation(ProbVector([0.0, 0.4, 0.6]), ProbVector([0.0, 0.5, 0.5]))
-        assert pair.perm[0] == 0
+        assert permutation_from_data(row([0.0, 0.4, 0.6]), row([0.0, 0.5, 0.5]))[0, 0] == 0
 
     def test_chain_nondecreasing_fuzz(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
             n = int(rng.integers(2, 33))
-            pair = sort_permutation(
-                ProbVector(random_positive_vector(rng, n)),
-                ProbVector(random_positive_vector(rng, n)),
-            )
-            chain = np.cumsum(pair.p_sorted.probs) / np.cumsum(pair.q_sorted.probs)
+            _, chain = sorted_chain(row(random_positive_vector(rng, n)), row(random_positive_vector(rng, n)))
             assert np.all(np.diff(chain) >= -1e-12)
             assert chain[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExactRateMatrix:
     def test_half_life_example(self):
-        Q = exact_rate_matrix(ProbVector([0.25, 0.75]), ProbVector([0.5, 0.5]))
+        Q = solve(row([0.25, 0.75]), row([0.5, 0.5]))
         assert list(Q.perm) == [0, 1]
         assert Q.a[0] == pytest.approx(LN2, abs=1e-12)
         # cross-check against the dense series oracle
@@ -69,36 +74,32 @@ class TestExactRateMatrix:
         assert np.abs(recovered - [0.25, 0.75]).max() <= 1e-12
 
     def test_identical_distributions_zero_matrix(self):
-        p = ProbVector([0.2, 0.5, 0.3])
-        Q = exact_rate_matrix(p, p)
-        assert np.all(Q.a == 0.0)
+        p = row([0.2, 0.5, 0.3])
+        assert np.all(solve(p, p).a == 0.0)
 
     def test_round_trip_n8(self):
         rng = np.random.default_rng(103)
-        p = ProbVector(random_positive_vector(rng, 8))
-        q = ProbVector(random_positive_vector(rng, 8))
-        Q = exact_rate_matrix(p, q)
-        assert np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max() <= 1e-9
+        p = row(random_positive_vector(rng, 8))
+        q = row(random_positive_vector(rng, 8))
+        Q = solve(p, q)
+        assert np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max() <= 1e-9
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(107)
         worst = 0.0
         for _ in range(1000):
             n = int(rng.integers(2, 33))
-            p = ProbVector(random_positive_vector(rng, n))
-            q = ProbVector(random_positive_vector(rng, n))
-            Q = exact_rate_matrix(p, q)
-            worst = max(worst, float(np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max()))
+            p = row(random_positive_vector(rng, n))
+            q = row(random_positive_vector(rng, n))
+            Q = solve(p, q)
+            worst = max(worst, float(np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max()))
         assert worst <= 1e-9
 
     def test_parameters_nonnegative(self):
         rng = np.random.default_rng(109)
         for _ in range(300):
             n = int(rng.integers(2, 17))
-            Q = exact_rate_matrix(
-                ProbVector(random_positive_vector(rng, n)),
-                ProbVector(random_positive_vector(rng, n)),
-            )
+            Q = solve(row(random_positive_vector(rng, n)), row(random_positive_vector(rng, n)))
             assert Q.a.min() >= 0.0
 
     def test_single_parameter_perturbation_breaks_round_trip(self):
@@ -107,38 +108,26 @@ class TestExactRateMatrix:
         rng = np.random.default_rng(113)
         for _ in range(100):
             n = int(rng.integers(2, 17))
-            p = ProbVector(random_positive_vector(rng, n, floor_scale=0.3))
-            q = ProbVector(random_positive_vector(rng, n, floor_scale=0.3))
-            Q = exact_rate_matrix(p, q)
+            p = row(random_positive_vector(rng, n, floor_scale=0.3))
+            q = row(random_positive_vector(rng, n, floor_scale=0.3))
+            Q = solve(p, q)
             k = int(rng.integers(0, n - 1))
             bumped = Q.a.copy()
             bumped[k] += 1e-3
-            residual = np.abs(evolve_rows(q.probs, Q.replace_a(bumped), 1.0)[0] - p.probs).max()
+            residual = np.abs(evolve_rows(q.probs[0], Q.replace_a(bumped), 1.0)[0] - p.probs[0]).max()
             assert residual > 1e-5
 
     def test_zero_zero_prefix_contributes_zero_rate(self):
-        p = ProbVector([0.0, 0.4, 0.6])
-        q = ProbVector([0.0, 0.5, 0.5])
-        Q = exact_rate_matrix(p, q)
+        p = row([0.0, 0.4, 0.6])
+        q = row([0.0, 0.5, 0.5])
+        Q = solve(p, q)
         assert Q.a[0] == 0.0
-        assert np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max() <= 1e-12
+        assert np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max() <= 1e-12
 
     def test_zero_target_prefix_rejected(self):
         # moving all mass out of a state needs an unbounded rate
         with pytest.raises(UnsolvableSupportError):
-            exact_rate_matrix(ProbVector([0.0, 1.0]), ProbVector([0.5, 0.5]))
-
-    def test_degenerate_prefix_error(self):
-        # raw arrays bypass ProbVector validation to hit the defensive check
-        from markov_bridge.solver import exact_rate_matrix as solve
-
-        class FakeVec:
-            def __init__(self, probs):
-                self.probs = np.asarray(probs, dtype=np.float64)
-                self.n = self.probs.size
-
-        with pytest.raises((DegeneratePrefixError, UnsolvableSupportError)):
-            solve(FakeVec([0.5, 0.5]), FakeVec([0.0, 0.0]))
+            exact_rate_matrices(row([0.0, 1.0]), row([0.5, 0.5]))
 
 
 class TestEstimateMarginals:
@@ -182,3 +171,29 @@ class TestPermutationFromData:
         mu = ProductDistribution([[0.7, 0.1, 0.2]])
         term = ProductDistribution([[0.2, 0.5, 0.3]])
         assert list(permutation_from_data(mu, term)[0]) == [1, 2, 0]
+
+    def test_rows_match_one_row_calls_bit_for_bit(self):
+        # ties, zero-zero states and a row that needs no sorting, solved
+        # together and one row at a time
+        rng = np.random.default_rng(127)
+        p = np.array([
+            [0.0, 0.3, 0.3, 0.4, 0.0],
+            [0.1, 0.1, 0.2, 0.2, 0.4],
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            *[random_positive_vector(rng, 5) for _ in range(3)],
+        ])
+        q = np.array([
+            [0.0, 0.25, 0.25, 0.5, 0.0],
+            [0.2, 0.2, 0.1, 0.1, 0.4],
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            *[random_positive_vector(rng, 5) for _ in range(3)],
+        ])
+        p_all, q_all = ProductDistribution(p), ProductDistribution(q)
+        perms = permutation_from_data(p_all, q_all)
+        Qs = exact_rate_matrices(p_all, q_all)
+        assert perms.shape == (6, 5) and len(Qs) == 6
+        for i in range(6):
+            (one,) = exact_rate_matrices(row(p[i]), row(q[i]))
+            assert np.array_equal(perms[i], permutation_from_data(row(p[i]), row(q[i]))[0])
+            assert np.array_equal(Qs[i].perm, one.perm) and np.array_equal(Qs[i].perm, perms[i])
+            assert Qs[i].a.tobytes() == one.a.tobytes()

@@ -158,6 +158,7 @@ def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
     "sigma_max = 0.01",
     "schedule_kind = cosine",
     "deterministic_timing = true",
+    "horizon = 1.0",
     "score_hidden = 0",
     "score_hidden = -5",
 ])
