@@ -14,7 +14,7 @@ from .checkpoint import load_checkpoint
 from .config import load_config
 from .core import ProductDistribution, evolve_rows
 from .data import load_dataset
-from .errors import BridgeError, CheckpointError, ConfigError
+from .errors import BridgeError, CheckpointError, ConfigError, UnsolvableSupportError
 from .evaluation import elbo_estimate
 from .matrix_learning import predict_terminal
 from .sampler import generate
@@ -127,7 +127,10 @@ def _cmd_solve(args) -> int:
     q = _read_vector(args.q_file)
     if p.n != q.n:
         raise ConfigError(f"{args.p_file!r} and {args.q_file!r} hold different state counts")
-    (Q,) = exact_rate_matrices(p, q)
+    try:
+        (Q,) = exact_rate_matrices(p, q)
+    except UnsolvableSupportError as exc:
+        raise ConfigError(f"no bridge from {args.q_file!r} to {args.p_file!r}: {exc}") from exc
     residual = float(np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max())
     print("perm =", " ".join(str(int(v)) for v in Q.perm))
     print("a    =", " ".join(f"{v:.6f}" for v in Q.a))

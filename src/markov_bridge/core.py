@@ -199,16 +199,38 @@ def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
     return rows
 
 
-def rate_columns(Q: FactorizedRateMatrix, sigmas, states) -> np.ndarray:
-    """Off-diagonal rates into each state: sigma_b * Q[y, x_b], 0 at y = x_b.
+def block_index(xt, d: int, n: int) -> np.ndarray:
+    """Indices xt_bi + n*i of a (B, d) state array into d stacked blocks of n.
 
-    Column x of the generator is the constant a[pos(x) - 1] on the sorted
-    slots before pos(x) and 0 after it, so no dense matrix is built. Shape
-    (B, n); ``sigmas`` is a scalar or one value per state.
+    A state outside [0, n) would land in a neighbour's block, so it is
+    refused, as is a row that is not d states long. Kernels that gather or
+    count per (dimension, state) index with this one offset.
     """
-    pos = Q.inv_perm[np.asarray(states, dtype=np.int64)]
-    rate = np.asarray(sigmas, dtype=np.float64) * np.concatenate(([0.0], Q.a))[pos]
-    return np.where(Q.inv_perm[None, :] < pos[:, None], rate[:, None], 0.0)
+    xt = np.asarray(xt, dtype=np.int64)
+    if xt.ndim < 1 or xt.shape[-1] != d:
+        raise ValueError(f"state rows must hold d={d} entries")
+    if xt.size and (xt.min() < 0 or xt.max() >= n):
+        raise ValueError(f"states must lie in [0, {n})")
+    return xt + n * np.arange(d)
+
+
+def rate_columns(Q_per_dim, sigmas, xt) -> np.ndarray:
+    """Off-diagonal rates into each state: sigma_b * Q_i[y, x_bi], 0 at y = x_bi.
+
+    Column x of a generator is the constant a[pos(x) - 1] on the sorted slots
+    before pos(x) and 0 after it, so no dense matrix is built: the d*n
+    possible columns form one small table, gathered by state. ``xt`` is
+    (B, d), one column per matrix; ``sigmas`` is a scalar or one value per
+    row. Shape (B, d, n).
+    """
+    inv = np.stack([Q.inv_perm for Q in Q_per_dim])
+    a = np.stack([np.concatenate(([0.0], Q.a)) for Q in Q_per_dim])
+    d, n = inv.shape
+    # cols[i, x, y] = Q_i[y, x] for y != x, and 0 at y = x
+    cols = np.where(inv[:, None, :] < inv[:, :, None], np.take_along_axis(a, inv, axis=1)[:, :, None], 0.0)
+    out = np.take(cols.reshape(d * n, n), block_index(xt, d, n), axis=0)
+    out *= np.reshape(np.asarray(sigmas, dtype=np.float64), (-1, 1, 1))
+    return out
 
 
 def state_frequencies(samples, n: int) -> np.ndarray:
@@ -216,12 +238,8 @@ def state_frequencies(samples, n: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.int64)
     if samples.ndim != 2 or samples.size == 0:
         raise ValueError("samples must be a nonempty (B, d) array")
-    # one bincount over all columns, each shifted into its own n bins; an
-    # out-of-range state would land in a neighbour's bins, so refuse it
-    if samples.min() < 0 or samples.max() >= n:
-        raise ValueError(f"states must lie in [0, {n})")
     B, d = samples.shape
-    counts = np.bincount((samples + n * np.arange(d)).ravel(), minlength=d * n)
+    counts = np.bincount(block_index(samples, d, n).ravel(), minlength=d * n)
     return counts.reshape(d, n) / B
 
 
@@ -237,11 +255,15 @@ def row_kl_sum(Q_per_dim, beta: float, freqs: np.ndarray, targets: np.ndarray) -
 
 
 def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state per row from a (B, n) array of row distributions."""
-    u = rng.random(rows.shape[0])
-    cdf = np.cumsum(rows, axis=1)
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+    """Draw one state per row of an (..., n) array of row distributions.
+
+    The uniforms fill the leading shape in C order, so one call on a stack
+    of row arrays draws exactly what one call per array, in turn, would.
+    """
+    u = rng.random(rows.shape[:-1])
+    cdf = np.cumsum(rows, axis=-1)
+    idx = (u[..., None] > cdf).sum(axis=-1)
+    return np.minimum(idx, rows.shape[-1] - 1)
 
 
 def kl_divergence(p, q, floor: float = RATIO_FLOOR) -> float:

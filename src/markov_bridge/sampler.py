@@ -1,13 +1,13 @@
 """Reverse-time generation by explicit Euler steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each Euler step forms, per dimension and for a whole batch at once, the
-categorical delta_x(y) + dt * Qhat row (negative entries clamped, row
-renormalized) and samples it; ratios so large that a row total overflows
-raise DivergenceError. Generation and the mu estimator share one
-trajectory loop; the estimator stops one step early and averages that last
-step's categorical instead of sampling it, which has the same expectation
-and strictly lower variance.
+Each Euler step is one pass over all d dimensions of the batch: one ratio
+call, the (B, d, n) array of categoricals delta_x(y) + dt * Qhat (negative
+entries clamped, rows renormalized), and one categorical draw for every
+row. Ratios so large that a row total overflows raise DivergenceError.
+Generation and the mu estimator share one trajectory loop; the estimator
+stops one step early and averages that last step's categorical instead of
+sampling it, which has the same expectation and strictly lower variance.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ diagnostics = {"euler_zero_rows": 0}
 
 
 def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
-    """Per-dimension Euler categoricals, shape (B, d, n).
+    """Euler categoricals of all dimensions at once, shape (B, d, n).
 
     ``ratios`` is (B, d, n). Non-finite or negative ratios, and finite ones
     so large that a row total overflows, raise DivergenceError rather than
@@ -32,24 +32,21 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSche
     ratios = np.asarray(ratios, dtype=np.float64)
     if not (np.isfinite(ratios).all() and ratios.min() >= 0.0):
         raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
-    B, d = xt.shape
-    n = Q_per_dim[0].n
-    sigma = schedule.sigma(t)
-    idx = np.arange(B)
-    probs = np.empty((B, d, n))
     # an overflow shows up as a non-finite row total, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, Q in enumerate(Q_per_dim):
-            off = rate_columns(Q, sigma, xt[:, i]) * ratios[:, i, :]
-            rows = dt * off
-            rows[idx, xt[:, i]] = 1.0 - dt * off.sum(axis=1)
-            np.clip(rows, 0.0, None, out=rows)
-            totals = rows.sum(axis=1)
-            if not np.isfinite(totals).all():
-                raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
-            rows /= totals[:, None]
-            probs[:, i, :] = rows
-    return probs
+        off = rate_columns(Q_per_dim, schedule.sigma(t), xt)
+        off *= ratios
+        stay = 1.0 - dt * off.sum(axis=2)
+        rows = off  # dt * off, written over off, which is not needed past the stay
+        rows *= dt
+        np.put_along_axis(rows, xt[:, :, None], stay[:, :, None], axis=2)
+        np.clip(rows, 0.0, None, out=rows)
+        totals = rows.sum(axis=2)
+        if not np.isfinite(totals).all():
+            i = np.argwhere(~np.isfinite(totals))[0][1]
+            raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
+        rows /= totals[:, :, None]
+    return rows
 
 
 def _grid_step(steps: int, eps_t: float, schedule: NoiseSchedule) -> float:
@@ -74,8 +71,8 @@ def _trajectories(terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, 
         xt[:, i] = rng.choice(terminal.n, size=count, p=row)
     for k in range(steps):
         probs = _step_probs(k, dt, xt, Q_per_dim, schedule, ratio_fn)
-        for i in range(xt.shape[1]):
-            xt[:, i] = sample_categorical(probs[:, i, :], rng)
+        # dimension-major, so the generator is consumed one dimension at a time
+        xt[:] = sample_categorical(probs.transpose(1, 0, 2), rng).T
     return xt
 
 

@@ -25,6 +25,7 @@ from .core import (
     RATIO_FLOOR,
     NoiseSchedule,
     ProductDistribution,
+    block_index,
     evolve_rows,
     kernel_rows,
     rate_columns,
@@ -43,6 +44,10 @@ ADAM_EPS = 1e-8
 SMOOTH_WINDOW = 50
 DIVERGENCE_FACTOR = 10.0
 
+# rows per block of the first layer's gather: small enough that a (rows, H)
+# running sum stays in cache while d dimensions are added to it
+GATHER_ROWS = 256
+
 _FREQS = np.pi * 2.0 ** np.arange(TIME_EMBED_WIDTH // 2)
 
 
@@ -54,11 +59,16 @@ def time_embedding(t) -> np.ndarray:
 
 
 class ScoreModel:
-    """MLP from (one-hot states per dimension, time embedding) to d*n ratios.
+    """MLP from (state per dimension, time embedding) to d*n ratios.
 
-    The output head is exponentiated so every ratio estimate is strictly
-    positive, and the final layer starts at zero so a fresh model outputs the
-    uniform ratio 1 everywhere.
+    The forward takes state indices, not a one-hot input: the first layer
+    sums the columns of W1 that the states pick, plus the time embedding's
+    product, so h1 = emb(t) W1[:, d*n:]^T + b1 + sum_i W1[:, i*n + x_i]. W1
+    is stored column-major, which makes its token block a contiguous
+    (d*n, H) table of those columns. Only ``backward`` builds the one-hot
+    input, for dW1. The output head is exponentiated so every ratio estimate
+    is strictly positive, and the final layer starts at zero so a fresh
+    model outputs the uniform ratio 1 everywhere.
     """
 
     def __init__(self, n: int, d: int, hidden=(128, 128), rng=None):
@@ -73,21 +83,52 @@ class ScoreModel:
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             self.weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
+        self.weights[0] = np.asfortranarray(self.weights[0])
         self.weights[-1][:] = 0.0
 
     def encode(self, xt, t) -> np.ndarray:
+        """The (B, d*n + 16) one-hot and time-embedding input that W1 multiplies."""
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
-        onehot = np.zeros((B, self.d * self.n))
-        onehot[np.arange(B)[:, None], xt + self.n * np.arange(self.d)[None, :]] = 1.0
-        t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (B,))
-        return np.concatenate([onehot, time_embedding(t)], axis=1)
+        dn = self.d * self.n
+        X = np.zeros((B, dn + TIME_EMBED_WIDTH))
+        X[np.arange(B)[:, None], block_index(xt, self.d, self.n)] = 1.0
+        X[:, dn:] = time_embedding(np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (B,)))
+        return X
 
-    def _forward_cached(self, X):
-        acts = [X]
-        h = X
+    def first_layer(self, xt, t) -> np.ndarray:
+        """Pre-activation h1 = encode(xt, t) @ W1.T + b1, gathered without the one-hot.
+
+        Each block of GATHER_ROWS rows starts from its time term and bias,
+        then adds each dimension's picked columns in place, so the block's
+        running sum stays in cache throughout.
+        """
+        xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
+        B = xt.shape[0]
+        dn = self.d * self.n
+        W1 = self.weights[0]
+        table = np.ascontiguousarray(W1[:, :dn].T)  # a view while W1 stays column-major
+        tokens = block_index(xt, self.d, self.n).T.copy()
+        t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (B,))
+        emb = time_embedding(t)
+        h = np.empty((B, W1.shape[0]))
+        for start in range(0, B, GATHER_ROWS):
+            rows = slice(start, start + GATHER_ROWS)
+            hb = h[rows]
+            np.matmul(emb[rows], W1[:, dn:].T, out=hb)
+            hb += self.biases[0]
+            for col in tokens[:, rows]:
+                hb += table[col]
+        return h
+
+    def _forward_cached(self, xt, t):
+        """Forward pass keeping what ``backward`` needs: the inputs (xt, t),
+        then each hidden activation."""
+        h = self.first_layer(xt, t)
+        np.tanh(h, out=h)
+        acts = [(xt, t), h]
         # each layer in place, so none holds two (B, width) temporaries
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+        for W, b in zip(self.weights[1:-1], self.biases[1:-1]):
             h = h @ W.T
             h += b
             np.tanh(h, out=h)
@@ -98,16 +139,21 @@ class ScoreModel:
 
     def forward_batch(self, xt, t) -> np.ndarray:
         """Positive ratio estimates of shape (B, d, n)."""
-        _, out = self._forward_cached(self.encode(xt, t))
+        _, out = self._forward_cached(xt, t)
         return np.exp(out).reshape(-1, self.d, self.n)
 
     def backward(self, acts, d_out):
-        """Gradients for a cached forward pass given d(loss)/d(pre-exp output)."""
+        """Gradients for a cached forward pass given d(loss)/d(pre-exp output).
+
+        The one-hot input is built here, for dW1 = delta^T X at the training
+        batch size.
+        """
         grad_w = [None] * len(self.weights)
         grad_b = [None] * len(self.biases)
         delta = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer] = delta.T @ acts[layer]
+            inputs = self.encode(*acts[0]) if layer == 0 else acts[layer]
+            grad_w[layer] = delta.T @ inputs
             grad_b[layer] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
@@ -147,14 +193,12 @@ def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng):
     target r of the same rows: the one kernel-row pass of a batch."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     betas = schedule.beta(np.asarray(t, dtype=np.float64))
-    xt = np.empty_like(x0)
     r = np.empty((*x0.shape, Q_per_dim[0].n))
-    idx = np.arange(x0.shape[0])
     for i, Q in enumerate(Q_per_dim):
-        rows = kernel_rows(Q, betas, x0[:, i])
-        xt[:, i] = sample_categorical(rows, rng)
-        den = np.maximum(rows[idx, xt[:, i]], RATIO_FLOOR)
-        np.divide(rows, den[:, None], out=r[:, i, :])
+        r[:, i, :] = kernel_rows(Q, betas, x0[:, i])
+    # dimension-major, so the generator is consumed one dimension at a time
+    xt = np.ascontiguousarray(sample_categorical(r.transpose(1, 0, 2), rng).T)
+    r /= np.maximum(np.take_along_axis(r, xt[:, :, None], axis=2), RATIO_FLOOR)
     return xt, r
 
 
@@ -202,10 +246,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
     del scratch
     # each term is a Bregman divergence, so negatives can only be roundoff
     np.clip(terms, 0.0, None, out=terms)
-    sigmas = schedule.sigma(batch.t)
-    rates = np.empty_like(terms)
-    for i, Q in enumerate(Q_per_dim):
-        rates[:, i, :] = rate_columns(Q, sigmas, batch.xt[:, i])
+    rates = rate_columns(Q_per_dim, schedule.sigma(batch.t), batch.xt)
     terms *= rates
     if not np.isfinite(terms).all():
         b, i, y = np.argwhere(~np.isfinite(terms))[0]
@@ -228,7 +269,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
     Returns (loss, grad_weights, grad_biases), the gradients shaped like the
     model parameters.
     """
-    acts, out = model._forward_cached(model.encode(batch.xt, batch.t))
+    acts, out = model._forward_cached(batch.xt, batch.t)
     s = np.exp(out).reshape(batch.size, model.d, model.n)
     values, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head

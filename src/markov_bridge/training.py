@@ -68,10 +68,10 @@ def restore(ck: Checkpoint):
         p0 = ProductDistribution(ck.p0_estimate)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not hold a valid run: {exc}") from exc
-    # layer by layer, so each random initial layer is freed as its copy arrives
+    # copied into the initial arrays, so W1 keeps its column-major layout
     for layer, (w, b) in enumerate(zip(ck.score_weights, ck.score_biases)):
-        model.weights[layer] = w.copy()
-        model.biases[layer] = b.copy()
+        model.weights[layer][...] = w
+        model.biases[layer][...] = b
     return config, config.schedule(), Q_per_dim, model, p0
 
 

@@ -240,6 +240,17 @@ class TestCliExitCodes:
         assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 0
         assert float(capsys.readouterr().out.split("residual =")[1]) <= 1e-9
 
+    @pytest.mark.parametrize("p, q, message", [
+        ("0 1", "0.5 0.5", "target prefix mass is exactly zero"),
+        ("0.5 0.5", "0 1", "target has mass at state 0 of dimension 0"),
+    ])
+    def test_solve_of_an_unsolvable_pair_is_bad_input(self, tmp_path, capsys, p, q, message):
+        (tmp_path / "p.txt").write_text(p + "\n", encoding="utf-8")
+        (tmp_path / "q.txt").write_text(q + "\n", encoding="utf-8")
+        assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no bridge from ") and message in err
+
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1
 

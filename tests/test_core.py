@@ -16,6 +16,7 @@ from markov_bridge import (
 from markov_bridge.checkpoint import Checkpoint
 from markov_bridge.core import rate_columns, sample_categorical
 from markov_bridge.data import Dataset
+from markov_bridge.matrix_learning import init_rate_matrices
 from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.score_learning import ScoreBatch
@@ -28,6 +29,11 @@ LN2 = np.log(2.0)
 def random_matrix(rng, n=None, n_max=16, a_max=3.0):
     n = int(rng.integers(2, n_max + 1)) if n is None else n
     return FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.0, a_max, n - 1))
+
+
+def init_chain(rng, n, d, scheme):
+    """d rate matrices of an init scheme, each under its own random permutation."""
+    return init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), n, scheme)
 
 
 class TestProductDistribution:
@@ -258,7 +264,7 @@ class TestReverseRateRow:
         Q = random_matrix(rng, n=5)
         dense = materialize_dense(Q)
         sigma = 1.7
-        cols = rate_columns(Q, sigma, np.arange(5))
+        cols = rate_columns([Q], sigma, np.arange(5)[:, None])[:, 0]
         for x in range(5):
             expected = sigma * dense[:, x].copy()
             expected[x] = 0.0
@@ -269,22 +275,42 @@ class TestReverseRateRow:
         Q = random_matrix(rng, n=6)
         states = rng.integers(0, 6, 10)
         sigmas = rng.uniform(0.1, 3.0, 10)
-        cols = rate_columns(Q, sigmas, states)
+        cols = rate_columns([Q], sigmas, states[:, None])[:, 0]
         expected = sigmas[:, None] * materialize_dense(Q).T[states]
         expected[np.arange(10), states] = 0.0
         assert np.array_equal(cols, expected)
 
     def test_two_state_ratio_example(self):
         Q = FactorizedRateMatrix([0, 1], [1.0])
-        row = rate_columns(Q, 1.0, [1])[0] * np.array([2.0, 1.0])
+        row = rate_columns([Q], 1.0, [[1]])[0, 0] * np.array([2.0, 1.0])
         assert np.array_equal(row, [2.0, 0.0])
 
     def test_zero_ratios_zero_flux(self):
         Q = FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])
         ratios = np.zeros(3)
         ratios[1] = 1.0
-        row = rate_columns(Q, 2.0, [1])[0] * ratios
+        row = rate_columns([Q], 2.0, [[1]])[0, 0] * ratios
         assert np.all(row == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
+    def test_all_dimensions_match_dense_columns(self, scheme):
+        rng = np.random.default_rng(43)
+        n, d, B = 9, 6, 40
+        Q = init_chain(rng, n, d, scheme)
+        xt = rng.integers(0, n, size=(B, d))
+        sigmas = rng.uniform(0.1, 3.0, B)
+        cols = rate_columns(Q, sigmas, xt)
+        assert cols.shape == (B, d, n)
+        for i, Qi in enumerate(Q):
+            dense = materialize_dense(Qi)
+            np.fill_diagonal(dense, 0.0)
+            assert np.array_equal(cols[:, i], sigmas[:, None] * dense.T[xt[:, i]])
+
+    @pytest.mark.parametrize("xt", [[[0, 3]], [[-1, 0]], [[0, 1, 2]]])
+    def test_state_rows_outside_the_chain_refused(self, xt):
+        Q = [FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])] * 2
+        with pytest.raises(ValueError):
+            rate_columns(Q, 1.0, xt)
 
     def test_negative_ratio_rejected(self):
         Q = [FactorizedRateMatrix([0, 1], [1.0])]
@@ -308,6 +334,21 @@ class TestSmallHelpers:
         again = sample_categorical(rows, np.random.default_rng(5))
         assert np.array_equal(draws, again)
         assert draws.min() >= 0 and draws.max() < 4
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
+    def test_sample_categorical_stack_matches_calls_in_turn(self, scheme):
+        # the sampler's one draw per step on the (d, B, n) stack of Euler rows
+        rng = np.random.default_rng(45)
+        n, d, B = 7, 5, 300
+        Q = init_chain(rng, n, d, scheme)
+        xt = rng.integers(0, n, size=(B, d))
+        ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
+        rows = _euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule()).transpose(1, 0, 2)
+        once = sample_categorical(rows, np.random.default_rng(7))
+        gen = np.random.default_rng(7)
+        in_turn = np.stack([sample_categorical(rows[i], gen) for i in range(d)])
+        assert once.shape == (d, B)
+        assert np.array_equal(once, in_turn)
 
     def test_sample_categorical_frequencies(self):
         probs = np.tile([0.1, 0.2, 0.7], (30000, 1))

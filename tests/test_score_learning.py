@@ -127,6 +127,40 @@ class TestScoreForward:
         b = model.forward_batch([[1, 2], [0, 3]], 0.3)
         assert np.array_equal(a[0], b[0])
 
+    @pytest.mark.parametrize("t", [0.37, "per row"])
+    def test_gathered_first_layer_matches_one_hot_product(self, t):
+        rng = np.random.default_rng(313)
+        n, d, B = 27, 20, 600  # more rows than one gather block
+        model = ScoreModel(n, d, hidden=(32,), rng=rng)
+        model.biases[0] += rng.normal(0.0, 0.1, 32)
+        xt = rng.integers(0, n, size=(B, d))
+        if t == "per row":
+            t = rng.uniform(1e-3, 1.0, B)
+        dense = model.encode(xt, t) @ model.weights[0].T + model.biases[0]
+        # entries that cancel to near 0 are held to rtol of the layer's scale
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(model.first_layer(xt, t), dense, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("xt", [[[0, 4]], [[-1, 0]], [[0, 1, 2]]])
+    def test_state_rows_outside_the_model_refused(self, xt):
+        # a state >= n would otherwise pick the next dimension's weights
+        model = ScoreModel(4, 2, hidden=(8,), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            model.forward_batch(xt, 0.5)
+
+    def test_only_backward_builds_the_one_hot(self, monkeypatch):
+        rng = np.random.default_rng(317)
+        model = ScoreModel(4, 3, hidden=(8,), rng=rng)
+        Q = random_chain(rng, 4, d=3)
+        batch = make_score_batch(rng.integers(0, 4, size=(10, 3)), Q, SCHEDULE_UNIT, rng)
+        calls = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda *a: calls.append(1) or encode(*a))
+        model.forward_batch(batch.xt, batch.t)
+        assert calls == []
+        score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
+        assert calls == [1]
+
 
 class TestExactScoreOracle:
     def test_point_mass_reduces_to_conditional_ratio(self):
