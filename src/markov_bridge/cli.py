@@ -89,11 +89,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    config, schedule, Q_per_dim, model, p0 = restore(load_checkpoint(args.checkpoint))
-    terminal = predict_terminal(Q_per_dim, p0, schedule)
+    config, schedule, Q, model, p0 = restore(load_checkpoint(args.checkpoint))
+    terminal = predict_terminal(Q, p0, schedule)
     steps = args.steps if args.steps is not None else config.sampler_steps
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLE_SALT]))
-    draws = generate(terminal, Q_per_dim, schedule, model.forward_batch, rng, args.count, steps, config.eps_t)
+    draws = generate(terminal, Q, schedule, model.forward_batch, rng, args.count, steps, config.eps_t)
     dataset = load_dataset(config)
     lines = dataset.decode(draws)
     if args.out:
@@ -106,14 +106,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config, schedule, Q_per_dim, model, p0 = restore(load_checkpoint(args.checkpoint))
+    config, schedule, Q, model, p0 = restore(load_checkpoint(args.checkpoint))
     dataset = load_dataset(config)
-    terminal = predict_terminal(Q_per_dim, p0, schedule)
+    terminal = predict_terminal(Q, p0, schedule)
     mc = args.mc_samples if args.mc_samples is not None else config.mc_samples
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE7A1]))
-    report = elbo_estimate(
-        model.forward_batch, dataset.samples, Q_per_dim, schedule, terminal, mc, rng, eps_t=config.eps_t
-    )
+    report = elbo_estimate(model.forward_batch, dataset.samples, Q, schedule, terminal, mc, rng, eps_t=config.eps_t)
     print(f"j_score        = {report.j_score:.6f} nats")
     print(f"kl_term        = {report.kl_term:.6f} nats")
     print(f"total          = {report.total_nats:.6f} nats")
@@ -128,12 +126,12 @@ def _cmd_solve(args) -> int:
     if p.n != q.n:
         raise ConfigError(f"{args.p_file!r} and {args.q_file!r} hold different state counts")
     try:
-        (Q,) = exact_rate_matrices(p, q)
+        Q = exact_rate_matrices(p, q)
     except UnsolvableSupportError as exc:
         raise ConfigError(f"no bridge from {args.q_file!r} to {args.p_file!r}: {exc}") from exc
-    residual = float(np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max())
-    print("perm =", " ".join(str(int(v)) for v in Q.perm))
-    print("a    =", " ".join(f"{v:.6f}" for v in Q.a))
+    residual = float(np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max())
+    print("perm =", " ".join(str(int(v)) for v in Q.perm[0]))
+    print("a    =", " ".join(f"{v:.6f}" for v in Q.a[0]))
     print(f"residual = {residual:.3g}")
     return 0
 

@@ -82,8 +82,8 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if any(width < 1 for width in self.score_hidden):
-            raise ConfigError("score_hidden widths must be >= 1")
+        if not self.score_hidden or any(width < 1 for width in self.score_hidden):
+            raise ConfigError("score_hidden needs at least one width, each >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         try:

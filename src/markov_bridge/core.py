@@ -1,17 +1,16 @@
 """Core types and exact kernels for continuous-time Markov chains on finite
 state spaces.
 
-Rate matrices are stored factorized as (permutation, parameter vector a) and
-never densified on hot paths: in sorted coordinates the generator is upper
-triangular with eigenvalues lambda_j = -(a_j + ... + a_{n-2}) and lambda_{n-1}
-= 0 against the all-ones upper-triangular eigenbasis, so exp(beta * Q) has a
-closed form assembled in O(n^2). The inverse eigenbasis (+1 diagonal, -1 first
-superdiagonal) is applied analytically as an adjacent column difference and is
-never materialized. That closed form is written once, in ``_sorted_rows``:
-kernel rows, evolved marginals and the matrix-stage gradient all call it.
-
-A distribution is a ``ProductDistribution``, one validated (d, n) array; a
-single categorical is a one-row instance. Time runs over [0, T] with T = 1.
+The d rate matrices of a model are one ``FactorizedRateMatrix``: (d, n)
+permutations plus (d, n-1) nonnegative rates, never densified on hot paths.
+In sorted coordinates generator i is upper triangular with eigenvalues
+lambda_j = -(a_ij + ... + a_i,n-2) and lambda_{n-1} = 0 against the all-ones
+upper-triangular eigenbasis, so exp(beta * Q_i) has a closed form assembled
+in O(n^2); the inverse eigenbasis is applied as an adjacent column
+difference. That closed form is written once, in ``_sorted_rows``, and every
+operation takes all d chains at once. A distribution is a
+``ProductDistribution``, one validated (d, n) array; a single chain or
+categorical is a one-row instance. Time runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations
@@ -68,41 +67,42 @@ class ProductDistribution:
 
 @dataclass(frozen=True, eq=False)
 class FactorizedRateMatrix:
-    """Rate matrix stored as a permutation plus n-1 nonnegative parameters.
+    """Rate matrices of d chains: (d, n) permutations plus (d, n-1) nonnegative rates.
 
-    ``perm[k]`` is the original state occupying sorted slot k; ``n`` and the
-    inverse ``inv_perm`` are derived from it. In sorted coordinates the
-    generator H is upper triangular with H[i, j] = a[j-1] for j > i and
-    diagonal -sum(a[i:]); the dense matrix in original coordinates is H
-    conjugated by the permutation. Instances compare by identity.
+    ``perm[i, k]`` is the original state in sorted slot k of chain i. In
+    sorted coordinates generator i is upper triangular with H[j, k] =
+    a[i, k-1] for k > j and diagonal -sum(a[i, j:]), conjugated by the
+    permutation in original coordinates. ``n``, ``d``, ``inv_perm`` and the
+    eigenvalues ``lambdas`` (d, n) are derived once. Compares by identity.
     """
 
     perm: np.ndarray
     a: np.ndarray
     n: int = field(init=False)
+    d: int = field(init=False)
     inv_perm: np.ndarray = field(init=False)
+    lambdas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
         a = np.asarray(self.a, dtype=np.float64)
-        n = perm.size
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        if a.shape != (n - 1,):
-            raise ValueError("a must have shape (n-1,)")
+        if perm.ndim != 2 or perm.size < 1 or np.any(np.sort(perm, axis=1) != np.arange(perm.shape[1])):
+            raise ValueError("perm must be a nonempty (d, n) array whose rows are permutations of 0..n-1")
+        d, n = perm.shape
+        if a.shape != (d, n - 1):
+            raise ValueError(f"a must have shape (d, n-1) = {(d, n - 1)}")
         if not np.all(np.isfinite(a)) or np.any(a < 0.0):
             raise ValueError("rate parameters must be finite and nonnegative")
         inv_perm = np.empty_like(perm)
-        inv_perm[perm] = np.arange(n)
+        np.put_along_axis(inv_perm, perm, np.arange(n)[None, :], axis=1)
+        # -sum(a[i, j:]) for each slot j, then a trailing 0
+        lambdas = np.concatenate((-np.cumsum(a[:, ::-1], axis=1)[:, ::-1], np.zeros((d, 1))), axis=1)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "perm", _frozen(perm, np.int64))
         object.__setattr__(self, "inv_perm", _frozen(inv_perm, np.int64))
         object.__setattr__(self, "a", _frozen(a, np.float64))
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Eigenvalues in sorted coordinates: -sum(a[j:]) then a trailing 0."""
-        return np.concatenate((-np.cumsum(self.a[::-1])[::-1], [0.0]))
+        object.__setattr__(self, "lambdas", _frozen(lambdas, np.float64))
 
     def replace_a(self, a) -> "FactorizedRateMatrix":
         return FactorizedRateMatrix(self.perm, a)
@@ -143,58 +143,70 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _sorted_rows(Q: FactorizedRateMatrix, betas, c):
+def _sorted_rows(lambdas, betas, c):
     """Telescoped rows c_j e_j - c_{j-1} e_{j-1} in sorted coordinates, c_{-1} = 0.
 
-    e = exp(beta_b * lambda) is one row per beta (a scalar beta gives one row
-    shared by the batch) and ``c`` holds cumulative masses over the sorted
-    slots, one row per output row or one shared row. Row p of exp(beta H) is
-    the case c = cumsum(p): the inverse eigenbasis applied analytically as an
-    adjacent column difference. Returns (e, rows), before any clipping.
+    e = exp(betas * lambdas), ``betas`` shaped by the caller to broadcast
+    against the (..., n) eigenvalues; ``c`` holds cumulative masses over the
+    sorted slots. Row p of exp(beta H) is the case c = cumsum(p): the inverse
+    eigenbasis as an adjacent difference along the last axis. Returns
+    (e, rows), before any clipping.
     """
-    e = np.exp(np.outer(betas, Q.lambdas))
+    e = np.exp(betas * lambdas)
     rows = c * e
-    rows[:, 1:] -= rows[:, :-1]  # numpy buffers the overlapping operand
+    rows[..., 1:] -= rows[..., :-1]  # numpy buffers the overlapping operand
     return e, rows
 
 
 def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
-    """Rows exp(beta_b * Q)[state_b, :] for per-element or shared beta values.
+    """Rows exp(beta_b * Q_i)[states[b, i], :] of (B, d) states, shape (B, d, n).
 
     Entries are clamped at zero (the eigen route can leave -1e-15-scale
-    negatives from cancellation) and rows renormalized, since downstream code
-    divides by kernel entries. This is the one kernel assembly: the full
-    kernel, conditional sampling and the score-entropy loss all go through it.
+    negatives from cancellation) and rows renormalized, since downstream
+    code divides by kernel entries. This is the one kernel assembly: the
+    full kernel, conditional sampling and the score-entropy loss all use it.
     """
-    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
-    pos = Q.inv_perm[np.atleast_1d(np.asarray(states, dtype=np.int64))]
-    # a point mass in sorted slot pos has cumulative mass 1 from pos on
-    _, rows = _sorted_rows(Q, betas, np.arange(Q.n)[None, :] >= pos[:, None])
-    rows = rows[:, Q.inv_perm]
-    np.clip(rows, 0.0, None, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows
+    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))[:, None]
+    # the sorted slot of each state; block_index refuses states outside [0, n)
+    pos = np.take(Q.inv_perm, block_index(states, Q.d, Q.n))
+    if pos.ndim != 2:
+        raise ValueError("states must be a (B, d) array")
+    slots = np.arange(Q.n)
+    out = np.empty((pos.shape[0], Q.d, Q.n))
+    # one chain at a time: its (B, n) rows stay in cache, where a stacked
+    # (B, d, n) pass measured slower at large B
+    for i in range(Q.d):
+        # a point mass in sorted slot pos has cumulative mass 1 from pos on
+        _, rows = _sorted_rows(Q.lambdas[i], betas, slots >= pos[:, i, None])
+        rows = rows[:, Q.inv_perm[i]]
+        np.clip(rows, 0.0, None, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+        out[:, i] = rows
+    return out
 
 
 def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
-    """Row-stochastic exp(beta * Q): every row of :func:`kernel_rows`."""
+    """Row-stochastic exp(beta * Q_i) of every chain, shape (d, n, n), from :func:`kernel_rows`."""
     beta = float(beta)
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    return kernel_rows(Q, beta, np.arange(Q.n))
+    states = np.broadcast_to(np.arange(Q.n)[:, None], (Q.n, Q.d))
+    return kernel_rows(Q, beta, states).transpose(1, 0, 2)
 
 
-def evolve_rows(p: np.ndarray, Q: FactorizedRateMatrix, betas) -> np.ndarray:
-    """Marginals p @ exp(beta_b * Q) for a batch of beta values, shape (B, n).
+def evolve_rows(p, Q: FactorizedRateMatrix, betas) -> np.ndarray:
+    """Marginals p_i @ exp(beta_b * Q_i) of the (d, n) rows of p, shape (B, d, n).
 
-    The telescoped form of :func:`_sorted_rows` with c the cumulative sums of
-    p in sorted coordinates, so the whole batch costs O(B n). The entry sum
-    of p is conserved, so unnormalized inputs are fine.
+    :func:`_sorted_rows` with c = cumsum(p) in sorted coordinates, O(B d n);
+    row sums are conserved, so unnormalized inputs are fine.
     """
-    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
-    c = np.cumsum(np.asarray(p, dtype=np.float64)[Q.perm])
-    _, rows = _sorted_rows(Q, betas, c)
-    rows = rows[:, Q.inv_perm]
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (Q.d, Q.n):
+        raise ValueError(f"p must have shape (d, n) = {(Q.d, Q.n)}")
+    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))[:, None, None]
+    c = np.cumsum(np.take_along_axis(p, Q.perm, axis=1), axis=1)
+    _, rows = _sorted_rows(Q.lambdas, betas, c)
+    rows = np.take_along_axis(rows, Q.inv_perm[None], axis=2)
     np.clip(rows, 0.0, None, out=rows)
     return rows
 
@@ -214,18 +226,17 @@ def block_index(xt, d: int, n: int) -> np.ndarray:
     return xt + n * np.arange(d)
 
 
-def rate_columns(Q_per_dim, sigmas, xt) -> np.ndarray:
+def rate_columns(Q: FactorizedRateMatrix, sigmas, xt) -> np.ndarray:
     """Off-diagonal rates into each state: sigma_b * Q_i[y, x_bi], 0 at y = x_bi.
 
     Column x of a generator is the constant a[pos(x) - 1] on the sorted slots
     before pos(x) and 0 after it, so no dense matrix is built: the d*n
     possible columns form one small table, gathered by state. ``xt`` is
-    (B, d), one column per matrix; ``sigmas`` is a scalar or one value per
+    (B, d), one column per chain; ``sigmas`` is a scalar or one value per
     row. Shape (B, d, n).
     """
-    inv = np.stack([Q.inv_perm for Q in Q_per_dim])
-    a = np.stack([np.concatenate(([0.0], Q.a)) for Q in Q_per_dim])
-    d, n = inv.shape
+    d, n, inv = Q.d, Q.n, Q.inv_perm
+    a = np.concatenate((np.zeros((d, 1)), Q.a), axis=1)
     # cols[i, x, y] = Q_i[y, x] for y != x, and 0 at y = x
     cols = np.where(inv[:, None, :] < inv[:, :, None], np.take_along_axis(a, inv, axis=1)[:, :, None], 0.0)
     out = np.take(cols.reshape(d * n, n), block_index(xt, d, n), axis=0)
@@ -243,15 +254,12 @@ def state_frequencies(samples, n: int) -> np.ndarray:
     return counts.reshape(d, n) / B
 
 
-def row_kl_sum(Q_per_dim, beta: float, freqs: np.ndarray, targets: np.ndarray) -> float:
+def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs: np.ndarray, targets: np.ndarray) -> float:
     """Sum over i, x of freqs[i, x] * KL(exp(beta Q_i)[x] || targets[i]), logs clamped
     as in :func:`kl_divergence`: both the matrix-stage loss and the bound's KL term."""
-    total = 0.0
-    for i, Q in enumerate(Q_per_dim):
-        K = transition_kernel(Q, beta)
-        w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(targets[i], RATIO_FLOOR))[None, :]
-        total += float(freqs[i] @ np.sum(K * w, axis=1))
-    return total
+    K = transition_kernel(Q, beta)
+    w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(targets, RATIO_FLOOR))[:, None, :]
+    return float(np.sum(freqs * np.sum(K * w, axis=2)))
 
 
 def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

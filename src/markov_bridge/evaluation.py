@@ -46,20 +46,20 @@ class ElboReport:
         )
 
 
-def kl_term(data, Q_per_dim, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
+def kl_term(data, Q, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
     """Dataset mean of the summed per-dimension KL(kernel row of x0_i at beta(T) || terminal_i).
 
     The row KL depends on x0 only through its per-dimension entries, so each
     dimension costs one kernel and a histogram, whatever the dataset size.
     """
     freqs = state_frequencies(np.atleast_2d(data), terminal.n)
-    return row_kl_sum(Q_per_dim, schedule.beta(1.0), freqs, terminal.probs)
+    return row_kl_sum(Q, schedule.beta(1.0), freqs, terminal.probs)
 
 
 def elbo_estimate(
     ratio_fn,
     dataset,
-    Q_per_dim,
+    Q,
     schedule: NoiseSchedule,
     terminal: ProductDistribution,
     mc_samples: int,
@@ -82,12 +82,12 @@ def elbo_estimate(
     total = total_sq = 0.0
     for done in range(0, mc_samples, _CHUNK):
         B = min(_CHUNK, mc_samples - done)
-        batch = make_score_batch(data[rng.integers(0, data.shape[0], size=B)], Q_per_dim, schedule, rng, eps_t=eps_t)
-        values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)[0]
+        batch = make_score_batch(data[rng.integers(0, data.shape[0], size=B)], Q, schedule, rng, eps_t=eps_t)
+        values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
         total += float(values.sum())
         total_sq += float((values**2).sum())
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))
-    kl = kl_term(data, Q_per_dim, schedule, terminal)
+    kl = kl_term(data, Q, schedule, terminal)
     return ElboReport.build(mean, kl, data.shape[1], se)

@@ -1,6 +1,11 @@
 """Forward-stage optimization: fit the rate parameters a by minimizing the
 expected KL between conditional terminal rows and the evolved terminal.
 
+The d rate matrices are one ``FactorizedRateMatrix`` with a (d, n-1) rate
+array, and every step works on all d chains at once: the loss, its gradient
+and each line-search candidate are one pass over the (d, n) or (d, n, n)
+arrays, with no loop over dimensions.
+
 J_Q is the data mean of per-dimension KL(kernel row of x0_i || evolved p0_i),
 so it depends on the data only through each dimension's state frequencies.
 The stage fits the full data's (d, n) frequency table, counted once per run:
@@ -29,19 +34,16 @@ _MAX_HALVINGS = 40
 
 @dataclass
 class MatrixLearnState:
-    """Mutable state of the forward-stage inner loop (one matrix per dimension)."""
+    """Mutable state of the forward-stage inner loop: the d chains' rates and
+    p0, whose (d, n) shapes the first loss evaluation checks against each other."""
 
-    Q_per_dim: list
+    Q: FactorizedRateMatrix
     p0_estimate: ProductDistribution
     loss_history: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if len(self.Q_per_dim) != self.p0_estimate.d:
-            raise ValueError("need one rate matrix per dimension")
 
-
-def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
-    """Per-dimension parameter initialization.
+def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> FactorizedRateMatrix:
+    """The rate matrices of the (d, n) permutations ``perms``, every row alike.
 
     ``absorbing_text``: a_i = 0 except a_{n-1} = 1, so the (permuted) last
     state starts absorbing. ``uniform_small``: every a_i = 1e-5.
@@ -53,21 +55,22 @@ def init_rate_matrices(perms, n: int, scheme: str = "absorbing_text") -> list:
         a = np.full(n - 1, 1e-5)
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
-    return [FactorizedRateMatrix(perm, a.copy()) for perm in perms]
+    perms = np.asarray(perms)
+    return FactorizedRateMatrix(perms, np.broadcast_to(a, (perms.shape[0], n - 1)))
 
 
-def _check_inputs(freqs, Q_per_dim) -> np.ndarray:
+def _check_inputs(freqs, Q: FactorizedRateMatrix) -> np.ndarray:
     """Validate a (d, n) state-frequency table against the rate matrices."""
     freqs = np.asarray(freqs, dtype=np.float64)
-    shape = (len(Q_per_dim), Q_per_dim[0].n)
+    shape = (Q.d, Q.n)
     if freqs.shape != shape:
         raise ValueError(f"state frequencies must have shape {shape}")
     return freqs
 
 
-def _loss(Q_per_dim, p0: ProductDistribution, freqs: np.ndarray, schedule: NoiseSchedule) -> float:
-    targets = predict_terminal(Q_per_dim, p0, schedule).probs
-    return row_kl_sum(Q_per_dim, schedule.beta(1.0), freqs, targets)
+def _loss(Q: FactorizedRateMatrix, p0: ProductDistribution, freqs: np.ndarray, schedule: NoiseSchedule) -> float:
+    targets = predict_terminal(Q, p0, schedule).probs
+    return row_kl_sum(Q, schedule.beta(1.0), freqs, targets)
 
 
 def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> float:
@@ -77,7 +80,7 @@ def jq_loss(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> float:
     data. Zero target entries are clamped at 1e-12, so the loss stays finite
     at absorbing-style parameter points.
     """
-    return _loss(state.Q_per_dim, state.p0_estimate, _check_inputs(freqs, state.Q_per_dim), schedule)
+    return _loss(state.Q, state.p0_estimate, _check_inputs(freqs, state.Q), schedule)
 
 
 def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarray:
@@ -87,22 +90,21 @@ def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarr
     its state. Returns a (d, n-1) array. Matches central finite differences
     of the frozen-target objective.
     """
-    freqs = _check_inputs(freqs, state.Q_per_dim)
+    Q = state.Q
+    freqs = _check_inputs(freqs, Q)
     beta_T = schedule.beta(1.0)
-    targets = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule).probs
-    n = targets.shape[1]
-    # row k: the cumulative masses of a point mass in sorted slot k, so row k
-    # of the result is the kernel row of that slot's state
-    point_masses = np.triu(np.ones((n, n)))
-    grads = np.zeros((len(state.Q_per_dim), n - 1))
-    for i, Q in enumerate(state.Q_per_dim):
-        e, rows = core._sorted_rows(Q, beta_T, point_masses)
-        w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(targets[i][Q.perm], RATIO_FLOOR))[None, :]
-        # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k
-        dE = np.triu(w - np.concatenate([w[:, 1:], np.zeros((n, 1))], axis=1))
-        dlam = beta_T * e * dE
-        grads[i] = -(freqs[i][Q.perm] @ np.cumsum(dlam, axis=1))[: n - 1]
-    return grads
+    targets = predict_terminal(Q, state.p0_estimate, schedule).probs
+    d, n = targets.shape
+    # row k of each chain: the cumulative masses of a point mass in sorted
+    # slot k, so row k of the result is the kernel row of that slot's state
+    e, rows = core._sorted_rows(Q.lambdas[:, None, :], beta_T, np.triu(np.ones((n, n))))
+    sorted_targets = np.take_along_axis(targets, Q.perm, axis=1)
+    w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(sorted_targets, RATIO_FLOOR))[:, None, :]
+    # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k
+    dE = np.triu(w - np.concatenate([w[:, :, 1:], np.zeros((d, n, 1))], axis=2))
+    dlam = beta_T * e * dE
+    sorted_freqs = np.take_along_axis(freqs, Q.perm, axis=1)
+    return -(sorted_freqs[:, None, :] @ np.cumsum(dlam, axis=2))[:, 0, : n - 1]
 
 
 def matrix_learning_loop(
@@ -125,8 +127,8 @@ def matrix_learning_loop(
         raise ValueError("max_step must be >= 1")
     if step_size <= 0.0:
         raise ValueError("step_size must be positive")
-    freqs = _check_inputs(freqs, state.Q_per_dim)
-    loss = _loss(state.Q_per_dim, state.p0_estimate, freqs, schedule)
+    freqs = _check_inputs(freqs, state.Q)
+    loss = _loss(state.Q, state.p0_estimate, freqs, schedule)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite matrix loss", diagnostics={"state": state, "loss": loss})
     state.loss_history.append(loss)
@@ -137,10 +139,7 @@ def matrix_learning_loop(
         grads = jq_grad(state, freqs, schedule)
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            candidate = [
-                Q.replace_a(np.maximum(Q.a - step * grads[i], 0.0))
-                for i, Q in enumerate(state.Q_per_dim)
-            ]
+            candidate = state.Q.replace_a(np.maximum(state.Q.a - step * grads, 0.0))
             cand_loss = _loss(candidate, state.p0_estimate, freqs, schedule)
             if not np.isfinite(cand_loss):
                 raise DivergenceError(
@@ -148,7 +147,7 @@ def matrix_learning_loop(
                     diagnostics={"state": state, "loss": cand_loss},
                 )
             if cand_loss <= loss:
-                state.Q_per_dim = candidate
+                state.Q = candidate
                 loss = cand_loss
                 state.loss_history.append(loss)
                 step = min(step * 2.0, step_size)
@@ -160,8 +159,6 @@ def matrix_learning_loop(
     return state
 
 
-def predict_terminal(Q_per_dim, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:
-    """Evolve p0 to t = 1, one dimension at a time."""
-    beta_T = schedule.beta(1.0)
-    rows = [evolve_rows(p0.probs[i], Q, beta_T) for i, Q in enumerate(Q_per_dim)]
-    return ProductDistribution(np.concatenate(rows))
+def predict_terminal(Q: FactorizedRateMatrix, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:
+    """Evolve p0 to t = 1."""
+    return ProductDistribution(evolve_rows(p0.probs, Q, schedule.beta(1.0))[0])

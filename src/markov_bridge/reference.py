@@ -9,14 +9,14 @@ from .core import FactorizedRateMatrix
 
 
 def materialize_dense(Q: FactorizedRateMatrix) -> np.ndarray:
-    """Dense generator matrix: zero row sums, nonnegative off-diagonals.
+    """Dense generators, shape (d, n, n): zero row sums, nonnegative off-diagonals.
 
     The dense reference for checks; no computation path builds it.
     """
-    n = Q.n
-    H = np.triu(np.broadcast_to(np.concatenate(([0.0], Q.a)), (n, n)).copy(), k=1)
-    H[np.diag_indices(n)] = Q.lambdas
-    return H[np.ix_(Q.inv_perm, Q.inv_perm)]
+    d, n = Q.d, Q.n
+    H = np.triu(np.broadcast_to(np.concatenate((np.zeros((d, 1)), Q.a), axis=1)[:, None, :], (d, n, n)), k=1)
+    H[:, np.arange(n), np.arange(n)] = Q.lambdas
+    return H[np.arange(d)[:, None, None], Q.inv_perm[:, :, None], Q.inv_perm[:, None, :]]
 
 
 def taylor_expm(M, terms: int = 40) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import DivergenceError
 diagnostics = {"euler_zero_rows": 0}
 
 
-def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSchedule) -> np.ndarray:
+def _euler_probs(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule) -> np.ndarray:
     """Euler categoricals of all dimensions at once, shape (B, d, n).
 
     ``ratios`` is (B, d, n). Non-finite or negative ratios, and finite ones
@@ -34,7 +34,7 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q_per_dim, schedule: NoiseSche
         raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
     # an overflow shows up as a non-finite row total, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        off = rate_columns(Q_per_dim, schedule.sigma(t), xt)
+        off = rate_columns(Q, schedule.sigma(t), xt)
         off *= ratios
         stay = 1.0 - dt * off.sum(axis=2)
         rows = off  # dt * off, written over off, which is not needed past the stay
@@ -58,19 +58,19 @@ def _grid_step(steps: int, eps_t: float, schedule: NoiseSchedule) -> float:
     return (1.0 - eps_t) / steps
 
 
-def _step_probs(k: int, dt: float, xt, Q_per_dim, schedule: NoiseSchedule, ratio_fn):
+def _step_probs(k: int, dt: float, xt, Q, schedule: NoiseSchedule, ratio_fn):
     """Euler categoricals of step k of the grid with step dt."""
     t = 1.0 - k * dt
-    return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q_per_dim, schedule)
+    return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q, schedule)
 
 
-def _trajectories(terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, rng, count, steps, dt):
+def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, count, steps, dt):
     """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
     xt = np.empty((count, terminal.d), dtype=np.int64)
     for i, row in enumerate(terminal.probs):
         xt[:, i] = rng.choice(terminal.n, size=count, p=row)
     for k in range(steps):
-        probs = _step_probs(k, dt, xt, Q_per_dim, schedule, ratio_fn)
+        probs = _step_probs(k, dt, xt, Q, schedule, ratio_fn)
         # dimension-major, so the generator is consumed one dimension at a time
         xt[:] = sample_categorical(probs.transpose(1, 0, 2), rng).T
     return xt
@@ -78,7 +78,7 @@ def _trajectories(terminal: ProductDistribution, Q_per_dim, schedule, ratio_fn, 
 
 def generate(
     terminal: ProductDistribution,
-    Q_per_dim,
+    Q,
     schedule: NoiseSchedule,
     ratio_fn,
     rng,
@@ -92,12 +92,12 @@ def generate(
     (a trained model or the exact oracle). Returns an (count, d) int array.
     """
     dt = _grid_step(steps, eps_t, schedule)
-    return _trajectories(terminal, Q_per_dim, schedule, ratio_fn, rng, count, steps, dt)
+    return _trajectories(terminal, Q, schedule, ratio_fn, rng, count, steps, dt)
 
 
 def estimate_mu(
     terminal: ProductDistribution,
-    Q_per_dim,
+    Q,
     schedule: NoiseSchedule,
     ratio_fn,
     rng,
@@ -115,8 +115,8 @@ def estimate_mu(
         raise ValueError("M must be >= 1")
     dt = _grid_step(steps, eps_t, schedule)
     last = steps - 1
-    xt = _trajectories(terminal, Q_per_dim, schedule, ratio_fn, rng, M, last, dt)
-    rows = _step_probs(last, dt, xt, Q_per_dim, schedule, ratio_fn).mean(axis=0)
+    xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, last, dt)
+    rows = _step_probs(last, dt, xt, Q, schedule, ratio_fn).mean(axis=0)
     rows /= rows.sum(axis=1, keepdims=True)
     return ProductDistribution(rows)
 

@@ -8,7 +8,7 @@ is sampled uniformly on (eps_t, T) and weighted by (T - eps_t); the full sum
 over y is taken (no y-subsampling) since desk-scale n keeps it cheap.
 
 A :class:`ScoreBatch` carries its target r = K_t[x0, :] / K_t[x0, xt], built
-from the kernel rows xt was drawn from: one kernel-row pass per dimension.
+from the kernel rows xt was drawn from: one kernel-row pass per batch.
 
 Everything works on batches: ratio estimators are functions
 ``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     RATIO_FLOOR,
+    FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
     block_index,
@@ -58,6 +59,11 @@ def time_embedding(t) -> np.ndarray:
     return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
 
 
+def layer_sizes(n: int, d: int, hidden) -> list:
+    """MLP layer widths, input first: one-hot plus time embedding, hidden, d*n outputs."""
+    return [d * n + TIME_EMBED_WIDTH, *hidden, d * n]
+
+
 class ScoreModel:
     """MLP from (state per dimension, time embedding) to d*n ratios.
 
@@ -71,20 +77,21 @@ class ScoreModel:
     model outputs the uniform ratio 1 everywhere.
     """
 
-    def __init__(self, n: int, d: int, hidden=(128, 128), rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, n: int, d: int, hidden=(128, 128), rng=None, params=None):
+        """Draw fresh weights from ``rng``, or copy ``params`` = (weights, biases),
+        shaped as :func:`layer_sizes` says, with no draws."""
         self.n = int(n)
         self.d = int(d)
-        self.hidden = tuple(int(h) for h in hidden)
-        sizes = [self.d * self.n + TIME_EMBED_WIDTH, *self.hidden, self.d * self.n]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            self.weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
-        self.weights[0] = np.asfortranarray(self.weights[0])
-        self.weights[-1][:] = 0.0
+        if params is None:
+            rng = np.random.default_rng(0) if rng is None else rng
+            sizes = layer_sizes(self.n, self.d, [int(h) for h in hidden])
+            weights = [rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+                       for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+            weights[-1][:] = 0.0
+            params = (weights, [np.zeros(fan_out) for fan_out in sizes[1:]])
+        self.weights = [np.array(w, dtype=np.float64, order="F" if layer == 0 else "C")
+                        for layer, w in enumerate(params[0])]
+        self.biases = [np.array(b, dtype=np.float64) for b in params[1]]
 
     def encode(self, xt, t) -> np.ndarray:
         """The (B, d*n + 16) one-hot and time-embedding input that W1 multiplies."""
@@ -188,29 +195,26 @@ class ScoreBatch:
         return self.xt.shape[0]
 
 
-def sample_xt_batch(x0, Q_per_dim, schedule: NoiseSchedule, t, rng):
+def sample_xt_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, t, rng):
     """Draws xt from the rows exp(beta(t_b) Q_i)[x0_bi] and the (B, d, n) ratio
     target r of the same rows: the one kernel-row pass of a batch."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
-    betas = schedule.beta(np.asarray(t, dtype=np.float64))
-    r = np.empty((*x0.shape, Q_per_dim[0].n))
-    for i, Q in enumerate(Q_per_dim):
-        r[:, i, :] = kernel_rows(Q, betas, x0[:, i])
+    r = kernel_rows(Q, schedule.beta(np.asarray(t, dtype=np.float64)), x0)
     # dimension-major, so the generator is consumed one dimension at a time
     xt = np.ascontiguousarray(sample_categorical(r.transpose(1, 0, 2), rng).T)
     r /= np.maximum(np.take_along_axis(r, xt[:, :, None], axis=2), RATIO_FLOOR)
     return xt, r
 
 
-def make_score_batch(x0, Q_per_dim, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
+def make_score_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
     """Draw times uniformly on (eps_t, T), then each xt and its ratio target."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     t = rng.uniform(eps_t, 1.0, size=x0.shape[0])
-    xt, r = sample_xt_batch(x0, Q_per_dim, schedule, t, rng)
+    xt, r = sample_xt_batch(x0, Q, schedule, t, rng)
     return ScoreBatch(t=t, xt=xt, r=r)
 
 
-def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule):
+def oracle_ratio_fn(mu: ProductDistribution, Q: FactorizedRateMatrix, schedule: NoiseSchedule):
     """Batch ratio function from the exact posterior mixture over x0.
 
     Per dimension the optimum is p_t(y) / p_t(x_t) with p_t the evolved
@@ -220,20 +224,16 @@ def oracle_ratio_fn(mu: ProductDistribution, Q_per_dim, schedule: NoiseSchedule)
     def ratios(xt, t):
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
-        betas = np.broadcast_to(np.atleast_1d(schedule.beta(t)), (B,))
-        out = np.empty((B, xt.shape[1], mu.n))
-        for i, Q in enumerate(Q_per_dim):
-            pt = evolve_rows(mu.probs[i], Q, betas)
-            den = np.take_along_axis(pt, xt[:, i][:, None], axis=1)
-            if np.any(den < 1e-300):
-                raise DegenerateStateError(f"p_t underflow at dimension {i}")
-            out[:, i, :] = pt / den
-        return out
+        pt = evolve_rows(mu.probs, Q, np.broadcast_to(np.atleast_1d(schedule.beta(t)), (B,)))
+        den = np.take_along_axis(pt.reshape(B, -1), block_index(xt, Q.d, Q.n), axis=1)
+        if np.any(den < 1e-300):
+            raise DegenerateStateError(f"p_t underflow at dimension {np.argwhere(den < 1e-300)[0][1]}")
+        return pt / den[:, :, None]
 
     return ratios
 
 
-def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float):
+def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float):
     r = batch.r
     # rate * (s - r + r (ln r - ln s)), built in place: at most four (B, d, n)
     # arrays live, s, r, terms and a scratch that the rates replace
@@ -246,7 +246,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
     del scratch
     # each term is a Bregman divergence, so negatives can only be roundoff
     np.clip(terms, 0.0, None, out=terms)
-    rates = rate_columns(Q_per_dim, schedule.sigma(batch.t), batch.xt)
+    rates = rate_columns(Q, schedule.sigma(batch.t), batch.xt)
     terms *= rates
     if not np.isfinite(terms).all():
         b, i, y = np.argwhere(~np.isfinite(terms))[0]
@@ -257,13 +257,13 @@ def _per_sample_values(s, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule,
     return weight * terms.sum(axis=(1, 2)), rates
 
 
-def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
+def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
     """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q_per_dim, schedule, eps_t)[0]
+    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
     return float(values.mean())
 
 
-def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T):
+def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T):
     """Batch loss and its exact reverse-mode gradients for a fixed batch.
 
     Returns (loss, grad_weights, grad_biases), the gradients shaped like the
@@ -271,7 +271,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
     """
     acts, out = model._forward_cached(batch.xt, batch.t)
     s = np.exp(out).reshape(batch.size, model.d, model.n)
-    values, rates = _per_sample_values(s, batch, Q_per_dim, schedule, eps_t)
+    values, rates = _per_sample_values(s, batch, Q, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
     weight = (1.0 - eps_t) / batch.size
     d_out = weight * rates
@@ -284,7 +284,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q_per_dim, schedul
 def score_learning_loop(
     model: ScoreModel,
     batches,
-    Q_per_dim,
+    Q,
     schedule: NoiseSchedule,
     max_step: int,
     eps_score: float,
@@ -304,7 +304,7 @@ def score_learning_loop(
     initial_smoothed = None
     for step in range(max_step):
         batch = next(batches)
-        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q_per_dim, schedule, eps_t)
+        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, schedule, eps_t)
         history.append(loss)
         smoothed = float(np.mean(history[-SMOOTH_WINDOW:]))
         if initial_smoothed is None:

@@ -23,7 +23,7 @@ from .solver import exact_rate_matrices
 def _random_matrix(rng, n_max=16):
     n = int(rng.integers(2, n_max + 1))
     a = rng.uniform(0.0, 3.0, n - 1)
-    return FactorizedRateMatrix(rng.permutation(n), a)
+    return FactorizedRateMatrix(rng.permutation(n)[None, :], a[None, :])
 
 
 def _positive_pair(rng, n):
@@ -41,7 +41,7 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(200):
         Q = _random_matrix(rng)
         beta = rng.uniform(0.0, 5.0)
-        err = np.abs(transition_kernel(Q, beta) - taylor_expm(beta * materialize_dense(Q))).max()
+        err = np.abs(transition_kernel(Q, beta)[0] - taylor_expm(beta * materialize_dense(Q)[0])).max()
         worst = max(worst, float(err))
     checks.append(("kernel vs series oracle (200 cases)", worst <= 1e-8, f"max-abs {worst:.3g}"))
 
@@ -49,15 +49,15 @@ def run_selftest(verbose: bool = True) -> bool:
     for _ in range(200):
         n = int(rng.integers(2, 33))
         p, q = _positive_pair(rng, n)
-        (Q,) = exact_rate_matrices(p, q)
-        residual = np.abs(evolve_rows(q.probs[0], Q, 1.0)[0] - p.probs[0]).max()
+        Q = exact_rate_matrices(p, q)
+        residual = np.abs(evolve_rows(q.probs, Q, 1.0)[0] - p.probs).max()
         worst = max(worst, float(residual))
     checks.append(("bridge round trip (200 cases)", worst <= 1e-9, f"max residual {worst:.3g}"))
 
     worst = 0.0
     for _ in range(1000):
         Q = _random_matrix(rng, n_max=12)
-        v = rng.uniform(0.0, 2.0, Q.n)
+        v = rng.uniform(0.0, 2.0, (1, Q.n))
         out = evolve_rows(v, Q, rng.uniform(0.0, 4.0))[0]
         worst = max(worst, abs(float(out.sum() - v.sum())))
     checks.append(("conservation fuzz (1000 cases)", worst <= 1e-12, f"max drift {worst:.3g}"))
@@ -67,10 +67,10 @@ def run_selftest(verbose: bool = True) -> bool:
     perturbed_ok = True
     for _ in range(20):
         n = int(rng.integers(2, 9))
-        Q = [_fixed_n_matrix(rng, n)]
+        Q = _fixed_n_matrix(rng, n)
         # sorted-first x0: its kernel row has full support, so the ratios
         # off the diagonal are positive and a perturbation must show
-        x0 = int(Q[0].perm[0])
+        x0 = int(Q.perm[0, 0])
         batch = make_score_batch(np.full((16, 1), x0, dtype=np.int64), Q, schedule, rng)
         oracle = oracle_ratio_fn(_point_mass(n, x0), Q, schedule)
         loss = score_entropy_loss(oracle, batch, Q, schedule)
@@ -83,13 +83,13 @@ def run_selftest(verbose: bool = True) -> bool:
     ok_grad = True
     for _ in range(3):
         n = 5
-        Q = [_fixed_n_matrix(rng, n)]
+        Q = _fixed_n_matrix(rng, n)
         p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
-        state = MatrixLearnState(Q_per_dim=Q, p0_estimate=p0)
+        state = MatrixLearnState(Q=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
         grad = jq_grad(state, state_frequencies(batch, n), schedule)
-        frozen = evolve_rows(p0.probs[0], Q[0], schedule.beta(1.0))[0]
-        fd = _fd_grad(Q[0], batch, schedule, frozen)
+        frozen = evolve_rows(p0.probs, Q, schedule.beta(1.0))[0, 0]
+        fd = _fd_grad(Q, batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
     checks.append(("matrix-loss gradient vs finite differences", ok_grad, ""))
@@ -104,7 +104,7 @@ def run_selftest(verbose: bool = True) -> bool:
 
 
 def _fixed_n_matrix(rng, n):
-    return FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.2, 2.0, n - 1))
+    return FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0.2, 2.0, (1, n - 1)))
 
 
 def _point_mass(n, x):
@@ -121,8 +121,8 @@ def _fd_grad(Q, batch, schedule, frozen_target, h=1e-5):
         vals = []
         for sign in (+1.0, -1.0):
             a = Q.a.copy()
-            a[k] += sign * h
-            rows = kernel_rows(Q.replace_a(a), np.full(batch.shape[0], beta_T), batch[:, 0])
+            a[0, k] += sign * h
+            rows = kernel_rows(Q.replace_a(a), np.full(batch.shape[0], beta_T), batch)[:, 0]
             w = np.log(np.maximum(rows, RATIO_FLOOR)) - logt[None, :]
             vals.append(float(np.mean(np.sum(rows * w, axis=1))))
         out[k] = (vals[0] - vals[1]) / (2 * h)

@@ -50,8 +50,8 @@ def permutation_from_data(p: ProductDistribution, q: ProductDistribution) -> np.
     return np.argsort(ratios, axis=1, kind="stable")
 
 
-def exact_rate_matrices(p: ProductDistribution, q: ProductDistribution) -> list:
-    """Rate matrices Q_i with q_i exp(Q_i) = p_i, one per row, in (perm, a) form.
+def exact_rate_matrices(p: ProductDistribution, q: ProductDistribution) -> FactorizedRateMatrix:
+    """Rate matrices Q_i with q_i exp(Q_i) = p_i, one per row of p and q.
 
     The parameters come from the log cumulative-ratio increments of each
     sorted row; the chain inequality makes every a_k >= 0 (tiny float
@@ -73,4 +73,4 @@ def exact_rate_matrices(p: ProductDistribution, q: ProductDistribution) -> list:
     first = positive.argmax(axis=1)
     lam = np.where(positive, lam, lam[np.arange(lam.shape[0]), first][:, None])
     a = np.maximum(np.diff(lam, axis=1), 0.0)
-    return [FactorizedRateMatrix(perm, row) for perm, row in zip(perms, a)]
+    return FactorizedRateMatrix(perms, a)

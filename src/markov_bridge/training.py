@@ -29,7 +29,7 @@ from .errors import CheckpointError, ConfigError
 from .evaluation import elbo_estimate
 from .matrix_learning import MatrixLearnState, init_rate_matrices, matrix_learning_loop, predict_terminal
 from .sampler import estimate_mu
-from .score_learning import ScoreModel, make_score_batch, score_learning_loop
+from .score_learning import ScoreModel, layer_sizes, make_score_batch, score_learning_loop
 from .solver import estimate_marginals, permutation_from_data
 
 _MU_SALT = 0xB41D
@@ -38,15 +38,14 @@ _MODEL_SALT = 0x5C0E
 METRICS_HEADER = "epoch,kl_term,j_score,elbo_bits_per_dim,kl_mu_p0,wall_seconds"
 
 
-def _score_batches(dataset: Dataset, Q_per_dim, schedule, config: RunConfig, rng):
-    Q_list = list(Q_per_dim)
+def _score_batches(dataset: Dataset, Q: FactorizedRateMatrix, schedule, config: RunConfig, rng):
     while True:
         idx = rng.integers(0, dataset.size, size=config.score_batch_size)
-        yield make_score_batch(dataset.samples[idx], Q_list, schedule, rng, eps_t=config.eps_t)
+        yield make_score_batch(dataset.samples[idx], Q, schedule, rng, eps_t=config.eps_t)
 
 
 def restore(ck: Checkpoint):
-    """Rebuild a run from a checkpoint: (config, schedule, Q_per_dim, model, p0).
+    """Rebuild a run from a checkpoint: (config, schedule, Q, model, p0).
 
     A configuration that no longer parses, arrays whose shapes disagree with
     it, an epoch history without one row per epoch, and rates or p0 that
@@ -57,22 +56,20 @@ def restore(ck: Checkpoint):
     except ConfigError as exc:
         raise CheckpointError(f"the checkpoint's configuration does not parse: {exc}") from exc
     d, n = config.d, config.n
-    model = ScoreModel(n, d, hidden=config.score_hidden)
+    sizes = layer_sizes(n, d, config.score_hidden)
+    layers = list(zip(sizes[1:], sizes[:-1]))
     # the epoch history holds one row of four values per finished epoch
-    expected = [(d, n), (d, n - 1), (d, n), (ck.epoch, 4)] + [p.shape for p in model.weights + model.biases]
+    expected = [(d, n), (d, n - 1), (d, n), (ck.epoch, 4)] + layers + [(fan_out,) for fan_out, _ in layers]
     arrays = [ck.perms, ck.a, ck.p0_estimate, ck.epoch_history, *ck.score_weights, *ck.score_biases]
     if [np.shape(x) for x in arrays] != expected:
         raise CheckpointError("checkpoint arrays do not have the shapes its configuration and epoch imply")
     try:
-        Q_per_dim = [FactorizedRateMatrix(ck.perms[i], ck.a[i]) for i in range(d)]
+        Q = FactorizedRateMatrix(ck.perms, ck.a)
         p0 = ProductDistribution(ck.p0_estimate)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not hold a valid run: {exc}") from exc
-    # copied into the initial arrays, so W1 keeps its column-major layout
-    for layer, (w, b) in enumerate(zip(ck.score_weights, ck.score_biases)):
-        model.weights[layer][...] = w
-        model.biases[layer][...] = b
-    return config, config.schedule(), Q_per_dim, model, p0
+    model = ScoreModel(n, d, params=(ck.score_weights, ck.score_biases))
+    return config, config.schedule(), Q, model, p0
 
 
 def train(config: RunConfig, resume_from: str | None = None, stop_after: int | None = None) -> Checkpoint:
@@ -91,7 +88,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
     if resume_from is None:
         mu_hat = estimate_marginals(dataset.samples, config.n)
         perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
-        Q_per_dim = init_rate_matrices(perms, config.n, config.init_scheme)
+        Q = init_rate_matrices(perms, config.n, config.init_scheme)
         p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
         model = ScoreModel(
             config.n,
@@ -106,11 +103,11 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         saved = load_checkpoint(resume_from)
         if saved.config_text != config_echo(config):
             raise ConfigError("checkpoint was written with a different configuration")
-        _, _, Q_per_dim, model, p0 = restore(saved)
+        _, _, Q, model, p0 = restore(saved)
         run_rng = rng_from_json(saved.rng_state)
         history = list(saved.epoch_history)
         start_epoch = saved.epoch
-    state = MatrixLearnState(Q_per_dim=Q_per_dim, p0_estimate=p0)
+    state = MatrixLearnState(Q=Q, p0_estimate=p0)
     freqs = state_frequencies(dataset.samples, config.n)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
@@ -135,12 +132,12 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             state = matrix_learning_loop(
                 state, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
             )
-            terminal = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
+            terminal = predict_terminal(state.Q, state.p0_estimate, schedule)
 
             model = score_learning_loop(
                 model,
-                _score_batches(dataset, state.Q_per_dim, schedule, config, run_rng),
-                state.Q_per_dim,
+                _score_batches(dataset, state.Q, schedule, config, run_rng),
+                state.Q,
                 schedule,
                 config.max_step_score,
                 config.eps_score,
@@ -150,21 +147,19 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
 
             mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
             state.p0_estimate = estimate_mu(
-                terminal, state.Q_per_dim, schedule, model.forward_batch, mu_rng,
+                terminal, state.Q, schedule, model.forward_batch, mu_rng,
                 config.mu_trajectories, config.sampler_steps, config.eps_t,
             )
 
             report = elbo_estimate(
-                model.forward_batch, dataset.samples, state.Q_per_dim, schedule, terminal,
+                model.forward_batch, dataset.samples, state.Q, schedule, terminal,
                 config.mc_samples, run_rng, eps_t=config.eps_t,
             )
             kl_mu = ""
             kl_value = np.nan
             if dataset.ground_truth is not None:
-                kl_value = sum(
-                    kl_divergence(dataset.ground_truth.probs[i], state.p0_estimate.probs[i])
-                    for i in range(config.d)
-                )
+                # the KL of product distributions is the sum of the row KLs
+                kl_value = kl_divergence(dataset.ground_truth.probs, state.p0_estimate.probs)
                 kl_mu = f"{kl_value:.12g}"
             wall = time.perf_counter() - tick
             metrics.write(
@@ -177,8 +172,8 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             ck = Checkpoint(
                 config_text=config_echo(config),
                 epoch=epoch,
-                perms=np.stack([Q.perm for Q in state.Q_per_dim]),
-                a=np.stack([Q.a for Q in state.Q_per_dim]),
+                perms=state.Q.perm.copy(),
+                a=state.Q.a.copy(),
                 p0_estimate=state.p0_estimate.probs.copy(),
                 score_weights=[w.copy() for w in model.weights],
                 score_biases=[b.copy() for b in model.biases],

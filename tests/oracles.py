@@ -130,3 +130,10 @@ def random_positive_vector(rng, n, floor_scale=0.15):
     """Dirichlet draw mixed with uniform mass so entries stay interior."""
     v = rng.dirichlet(np.ones(n)) * (1.0 - floor_scale) + floor_scale / n
     return v / v.sum()
+
+
+def random_chain_arrays(rng, n, d, a_lo, a_hi):
+    """(d, n) permutations and (d, n-1) rates of d chains drawn in turn, each
+    as a permutation of n states followed by its n-1 uniform rates."""
+    chains = [(rng.permutation(n), rng.uniform(a_lo, a_hi, n - 1)) for _ in range(d)]
+    return np.stack([perm for perm, _ in chains]), np.stack([a for _, a in chains])

@@ -16,6 +16,7 @@ from markov_bridge.checkpoint import (
     serialize_checkpoint,
 )
 from markov_bridge.cli import cli
+from markov_bridge.training import restore
 from markov_bridge.config import config_echo
 
 
@@ -146,6 +147,20 @@ class TestCrashSafeSave:
             small_checkpoint(seed=1),
             lambda: monkeypatch.setattr(os, "fsync", fsync_then_fail),
         )
+
+
+def test_restore_builds_the_model_without_drawing_weights(monkeypatch):
+    ck = small_checkpoint()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("restore drew weights it then overwrites")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    _, _, Q, model, _ = restore(ck)
+    for got, saved in zip(model.weights + model.biases, ck.score_weights + ck.score_biases):
+        assert np.array_equal(got, saved) and not np.shares_memory(got, saved)
+    assert model.weights[0].flags.f_contiguous  # the first layer gathers columns of W1
+    assert np.array_equal(Q.perm, ck.perms) and np.array_equal(Q.a, ck.a)
 
 
 class TestCliExitCodes:

@@ -14,9 +14,9 @@ from markov_bridge import (
     transition_kernel,
 )
 from markov_bridge.checkpoint import Checkpoint
-from markov_bridge.core import rate_columns, sample_categorical
+from markov_bridge.core import rate_columns, row_kl_sum, sample_categorical, state_frequencies
 from markov_bridge.data import Dataset
-from markov_bridge.matrix_learning import init_rate_matrices
+from markov_bridge.matrix_learning import MatrixLearnState, init_rate_matrices, jq_grad
 from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.score_learning import ScoreBatch
@@ -27,8 +27,9 @@ LN2 = np.log(2.0)
 
 
 def random_matrix(rng, n=None, n_max=16, a_max=3.0):
+    """A one-chain rate matrix."""
     n = int(rng.integers(2, n_max + 1)) if n is None else n
-    return FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.0, a_max, n - 1))
+    return FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0.0, a_max, (1, n - 1)))
 
 
 def init_chain(rng, n, d, scheme):
@@ -69,28 +70,83 @@ class TestProductDistribution:
 class TestFactorizedRateMatrix:
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
-            FactorizedRateMatrix([0, 1], [-0.5])
+            FactorizedRateMatrix([[0, 1]], [[-0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_a_rejected(self, bad):
         with pytest.raises(ValueError):
-            FactorizedRateMatrix([0, 1, 2], [0.5, bad])
+            FactorizedRateMatrix([[0, 1, 2]], [[0.5, bad]])
 
     def test_bad_inverse_rejected(self):
         # a perm with no inverse on 0..n-1, or whose n disagrees with a
-        for perm in ([0, 0], [1, 2], [[0, 1]], [0, 1, 2]):
+        for perm in ([[0, 0]], [[1, 2]], [[[0, 1]]], [[0, 1, 2]]):
             with pytest.raises(ValueError):
-                FactorizedRateMatrix(perm, [1.0])
+                FactorizedRateMatrix(perm, [[1.0]])
 
     def test_derived_fields(self):
-        Q = FactorizedRateMatrix([2, 0, 1], [1.0, 2.0])
-        assert Q.n == 3 and list(Q.inv_perm) == [1, 2, 0]
+        Q = FactorizedRateMatrix([[2, 0, 1]], [[1.0, 2.0]])
+        assert Q.n == 3 and Q.d == 1 and list(Q.inv_perm[0]) == [1, 2, 0]
         with pytest.raises(TypeError):
-            FactorizedRateMatrix([0, 1], [1.0], n=2)
+            FactorizedRateMatrix([[0, 1]], [[1.0]], n=2)
 
     def test_lambdas(self):
-        Q = FactorizedRateMatrix([0, 1, 2], [1.0, 2.0])
-        assert np.allclose(Q.lambdas, [-3.0, -2.0, 0.0])
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 2.0]])
+        assert np.allclose(Q.lambdas[0], [-3.0, -2.0, 0.0])
+
+    @pytest.mark.parametrize("perm, a", [
+        ([[0, 1, 2], [2, 0, 2]], [[1.0, 1.0], [1.0, 1.0]]),  # only row 1 is no permutation
+        ([[0, 1, 2], [2, 0, 1]], [[1.0, 1.0]]),  # perm holds two chains, a one
+        ([0, 1, 2], [1.0, 1.0]),  # one chain, not a (d, n) array
+        ([[0, 1, 2], [2, 0, 1]], [[1.0, 1.0], [1.0, np.nan]]),  # a non-finite rate in row 1
+    ])
+    def test_bad_rows_rejected(self, perm, a):
+        with pytest.raises(ValueError):
+            FactorizedRateMatrix(perm, a)
+
+
+class TestChainsMatchOneRowObjects:
+    """Each chain of a d-row object computes what its one-row slice computes."""
+
+    @pytest.fixture(params=["absorbing_text", "uniform_small", "random"])
+    def system(self, request):
+        rng = np.random.default_rng(47)
+        n, d, B = 7, 5, 64
+        perms = np.stack([rng.permutation(n) for _ in range(d)])
+        if request.param == "random":
+            Q = FactorizedRateMatrix(perms, rng.uniform(0.0, 2.0, (d, n - 1)))
+        else:
+            Q = init_rate_matrices(perms, n, request.param)
+        slices = [FactorizedRateMatrix(Q.perm[i:i + 1], Q.a[i:i + 1]) for i in range(d)]
+        return rng, Q, slices, B
+
+    def test_kernels_marginals_and_rate_columns_bit_for_bit(self, system):
+        rng, Q, slices, B = system
+        betas = rng.uniform(0.0, 4.0, B)
+        states = rng.integers(0, Q.n, size=(B, Q.d))
+        p = rng.dirichlet(np.ones(Q.n), size=Q.d)
+        rows = kernel_rows(Q, betas, states)
+        marginals = evolve_rows(p, Q, betas)
+        cols = rate_columns(Q, betas, states)
+        for i, one in enumerate(slices):
+            assert np.array_equal(rows[:, i], kernel_rows(one, betas, states[:, i:i + 1])[:, 0])
+            assert np.array_equal(marginals[:, i], evolve_rows(p[i:i + 1], one, betas)[:, 0])
+            assert np.array_equal(cols[:, i], rate_columns(one, betas, states[:, i:i + 1])[:, 0])
+
+    def test_gradient_rows_and_row_kl_sum(self, system):
+        # one pass over all chains sums in another order than one call per chain
+        rng, Q, slices, B = system
+        p0 = ProductDistribution(rng.dirichlet(np.ones(Q.n), size=Q.d))
+        freqs = state_frequencies(rng.integers(0, Q.n, size=(B, Q.d)), Q.n)
+        schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
+        grads = jq_grad(MatrixLearnState(Q=Q, p0_estimate=p0), freqs, schedule)
+        kl = row_kl_sum(Q, 1.3, freqs, p0.probs)
+        kl_parts = 0.0
+        for i, one in enumerate(slices):
+            p0_i = ProductDistribution(p0.probs[i:i + 1])
+            grad_i = jq_grad(MatrixLearnState(Q=one, p0_estimate=p0_i), freqs[i:i + 1], schedule)
+            np.testing.assert_allclose(grads[i], grad_i[0], rtol=1e-12, atol=1e-12 * np.abs(grad_i).max())
+            kl_parts += row_kl_sum(one, 1.3, freqs[i:i + 1], p0.probs[i:i + 1])
+        assert kl == pytest.approx(kl_parts, rel=1e-12, abs=0.0)
 
 
 class TestNoiseSchedule:
@@ -119,18 +175,18 @@ class TestNoiseSchedule:
 
 class TestTransitionKernel:
     def test_half_life_example(self):
-        Q = FactorizedRateMatrix([0, 1], [LN2])
-        assert np.allclose(transition_kernel(Q, 1.0), [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
+        assert np.allclose(transition_kernel(Q, 1.0)[0], [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
 
     def test_zero_beta_is_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             Q = random_matrix(rng)
-            assert np.allclose(transition_kernel(Q, 0.0), np.eye(Q.n), atol=1e-15)
+            assert np.allclose(transition_kernel(Q, 0.0)[0], np.eye(Q.n), atol=1e-15)
 
     def test_absorbing_limit(self):
-        Q = FactorizedRateMatrix([0, 1, 2], [0.0, 1.0])
-        K = transition_kernel(Q, 80.0)
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.0, 1.0]])
+        K = transition_kernel(Q, 80.0)[0]
         assert np.allclose(K, np.tile([0.0, 0.0, 1.0], (3, 1)), atol=1e-12)
 
     def test_matches_series_oracle(self):
@@ -139,7 +195,7 @@ class TestTransitionKernel:
         for _ in range(1000):
             Q = random_matrix(rng)
             beta = rng.uniform(0.0, 5.0)
-            err = np.abs(transition_kernel(Q, beta) - taylor_expm(beta * materialize_dense(Q))).max()
+            err = np.abs(transition_kernel(Q, beta)[0] - taylor_expm(beta * materialize_dense(Q)[0])).max()
             worst = max(worst, float(err))
         assert worst <= 1e-8
 
@@ -147,7 +203,7 @@ class TestTransitionKernel:
         rng = np.random.default_rng(11)
         for _ in range(200):
             Q = random_matrix(rng)
-            K = transition_kernel(Q, rng.uniform(0.0, 5.0))
+            K = transition_kernel(Q, rng.uniform(0.0, 5.0))[0]
             assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-10
             assert K.min() >= 0.0
 
@@ -156,12 +212,12 @@ class TestTransitionKernel:
         for _ in range(100):
             Q = random_matrix(rng, n_max=10)
             b1, b2 = rng.uniform(0.0, 2.5, 2)
-            lhs = transition_kernel(Q, b1) @ transition_kernel(Q, b2)
-            assert np.abs(lhs - transition_kernel(Q, b1 + b2)).max() <= 1e-8
+            lhs = transition_kernel(Q, b1)[0] @ transition_kernel(Q, b2)[0]
+            assert np.abs(lhs - transition_kernel(Q, b1 + b2)[0]).max() <= 1e-8
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            transition_kernel(FactorizedRateMatrix([0, 1], [1.0]), -0.5)
+            transition_kernel(FactorizedRateMatrix([[0, 1]], [[1.0]]), -0.5)
 
 
 class TestKernelRows:
@@ -171,9 +227,9 @@ class TestKernelRows:
             Q = random_matrix(rng, n_max=10)
             betas = rng.uniform(0.0, 4.0, 8)
             states = rng.integers(0, Q.n, 8)
-            rows = kernel_rows(Q, betas, states)
+            rows = kernel_rows(Q, betas, states[:, None])[:, 0]
             for b, (beta, x) in enumerate(zip(betas, states)):
-                assert np.allclose(rows[b], transition_kernel(Q, beta)[x], atol=1e-13)
+                assert np.allclose(rows[b], transition_kernel(Q, beta)[0, x], atol=1e-13)
 
     def test_evolve_rows_matches_evolve(self):
         # the telescoped marginals equal p pushed through the full kernel
@@ -182,9 +238,16 @@ class TestKernelRows:
             Q = random_matrix(rng, n_max=10)
             p = rng.dirichlet(np.ones(Q.n))
             betas = rng.uniform(0.0, 4.0, 5)
-            rows = evolve_rows(p, Q, betas)
+            rows = evolve_rows(p[None, :], Q, betas)[:, 0]
             for b, beta in enumerate(betas):
-                assert np.allclose(rows[b], p @ transition_kernel(Q, beta), atol=1e-13)
+                assert np.allclose(rows[b], p @ transition_kernel(Q, beta)[0], atol=1e-13)
+
+    @pytest.mark.parametrize("states", [[[-1]], [[3]], [[0, 1]], [0]])
+    def test_states_outside_the_chain_refused(self, states):
+        # -1 would otherwise read state n-1's row; a row must be d states wide
+        Q = FactorizedRateMatrix([[2, 0, 1]], [[0.5, 1.0]])
+        with pytest.raises(ValueError):
+            kernel_rows(Q, 0.3, states)
 
     def test_shared_beta_matches_per_row_betas(self):
         rng = np.random.default_rng(21)
@@ -192,30 +255,30 @@ class TestKernelRows:
             Q = random_matrix(rng, n_max=10)
             beta = rng.uniform(0.0, 4.0)
             states = rng.integers(0, Q.n, 8)
-            shared = kernel_rows(Q, beta, states)
-            assert np.allclose(shared, kernel_rows(Q, np.full(8, beta), states), rtol=0.0, atol=1e-15)
+            shared = kernel_rows(Q, beta, states[:, None])
+            assert np.allclose(shared, kernel_rows(Q, np.full(8, beta), states[:, None]), rtol=0.0, atol=1e-15)
 
 
 class TestMaterializeDense:
     def test_two_state_example(self):
-        Q = FactorizedRateMatrix([0, 1], [1.0])
-        assert np.allclose(materialize_dense(Q), [[-1.0, 1.0], [0.0, 0.0]], atol=0)
+        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
+        assert np.allclose(materialize_dense(Q)[0], [[-1.0, 1.0], [0.0, 0.0]], atol=0)
 
     def test_zero_parameters(self):
-        Q = FactorizedRateMatrix(np.arange(5), np.zeros(4))
+        Q = FactorizedRateMatrix(np.arange(5)[None, :], np.zeros((1, 4)))
         assert np.all(materialize_dense(Q) == 0.0)
 
     def test_permuted_three_state(self):
         # swapping states 0 and 2 conjugates the upper-triangular generator
-        Q = FactorizedRateMatrix([2, 1, 0], [1.0, 2.0])
+        Q = FactorizedRateMatrix([[2, 1, 0]], [[1.0, 2.0]])
         expected = np.array([[0.0, 0.0, 0.0], [2.0, -2.0, 0.0], [2.0, 1.0, -3.0]])
-        assert np.allclose(materialize_dense(Q), expected, atol=0)
+        assert np.allclose(materialize_dense(Q)[0], expected, atol=0)
 
     def test_rate_matrix_properties_any_permutation(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             Q = random_matrix(rng)
-            dense = materialize_dense(Q)
+            dense = materialize_dense(Q)[0]
             assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * Q.n
             off = dense - np.diag(np.diag(dense))
             assert off.min() >= 0.0
@@ -223,24 +286,24 @@ class TestMaterializeDense:
 
 class TestEvolve:
     def test_half_life_mixture(self):
-        Q = FactorizedRateMatrix([0, 1], [LN2])
-        out = evolve_rows([0.5, 0.5], Q, 1.0)[0]
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
+        out = evolve_rows([[0.5, 0.5]], Q, 1.0)[0, 0]
         assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_zero_beta_identity(self):
         rng = np.random.default_rng(29)
         Q = random_matrix(rng, n=6)
         p = rng.dirichlet(np.ones(6))
-        assert np.allclose(evolve_rows(p, Q, 0.0)[0], p, atol=1e-15)
+        assert np.allclose(evolve_rows(p[None, :], Q, 0.0)[0, 0], p, atol=1e-15)
 
     def test_absorbing_concentrates_on_permuted_last(self):
         perm = np.array([3, 0, 2, 1])
         a = np.zeros(3)
         a[-1] = 1.0
-        Q = FactorizedRateMatrix(perm, a)
+        Q = FactorizedRateMatrix(perm[None, :], a[None, :])
         start = np.zeros(4)
         start[0] = 1.0
-        out = evolve_rows(start, Q, 60.0)[0]
+        out = evolve_rows(start[None, :], Q, 60.0)[0, 0]
         assert out[perm[-1]] == pytest.approx(1.0, abs=1e-12)
 
     def test_conservation_fuzz(self):
@@ -250,7 +313,7 @@ class TestEvolve:
             Q = random_matrix(rng, n_max=12)
             scale = rng.uniform(0.1, 3.0)
             v = rng.uniform(0.0, scale, Q.n)
-            out = evolve_rows(v, Q, rng.uniform(0.0, 5.0))[0]
+            out = evolve_rows(v[None, :], Q, rng.uniform(0.0, 5.0))[0, 0]
             worst = max(worst, abs(float(out.sum() - v.sum())))
         assert worst <= 1e-12
 
@@ -262,9 +325,9 @@ class TestReverseRateRow:
         # with ratio 1 everywhere the reversed row is sigma times column x of Q
         rng = np.random.default_rng(37)
         Q = random_matrix(rng, n=5)
-        dense = materialize_dense(Q)
+        dense = materialize_dense(Q)[0]
         sigma = 1.7
-        cols = rate_columns([Q], sigma, np.arange(5)[:, None])[:, 0]
+        cols = rate_columns(Q, sigma, np.arange(5)[:, None])[:, 0]
         for x in range(5):
             expected = sigma * dense[:, x].copy()
             expected[x] = 0.0
@@ -275,21 +338,21 @@ class TestReverseRateRow:
         Q = random_matrix(rng, n=6)
         states = rng.integers(0, 6, 10)
         sigmas = rng.uniform(0.1, 3.0, 10)
-        cols = rate_columns([Q], sigmas, states[:, None])[:, 0]
-        expected = sigmas[:, None] * materialize_dense(Q).T[states]
+        cols = rate_columns(Q, sigmas, states[:, None])[:, 0]
+        expected = sigmas[:, None] * materialize_dense(Q)[0].T[states]
         expected[np.arange(10), states] = 0.0
         assert np.array_equal(cols, expected)
 
     def test_two_state_ratio_example(self):
-        Q = FactorizedRateMatrix([0, 1], [1.0])
-        row = rate_columns([Q], 1.0, [[1]])[0, 0] * np.array([2.0, 1.0])
+        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
+        row = rate_columns(Q, 1.0, [[1]])[0, 0] * np.array([2.0, 1.0])
         assert np.array_equal(row, [2.0, 0.0])
 
     def test_zero_ratios_zero_flux(self):
-        Q = FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
         ratios = np.zeros(3)
         ratios[1] = 1.0
-        row = rate_columns([Q], 2.0, [[1]])[0, 0] * ratios
+        row = rate_columns(Q, 2.0, [[1]])[0, 0] * ratios
         assert np.all(row == 0.0)
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
@@ -301,19 +364,18 @@ class TestReverseRateRow:
         sigmas = rng.uniform(0.1, 3.0, B)
         cols = rate_columns(Q, sigmas, xt)
         assert cols.shape == (B, d, n)
-        for i, Qi in enumerate(Q):
-            dense = materialize_dense(Qi)
+        for i, dense in enumerate(materialize_dense(Q)):
             np.fill_diagonal(dense, 0.0)
             assert np.array_equal(cols[:, i], sigmas[:, None] * dense.T[xt[:, i]])
 
     @pytest.mark.parametrize("xt", [[[0, 3]], [[-1, 0]], [[0, 1, 2]]])
     def test_state_rows_outside_the_chain_refused(self, xt):
-        Q = [FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])] * 2
+        Q = FactorizedRateMatrix([[0, 1, 2]] * 2, [[1.0, 0.5]] * 2)
         with pytest.raises(ValueError):
             rate_columns(Q, 1.0, xt)
 
     def test_negative_ratio_rejected(self):
-        Q = [FactorizedRateMatrix([0, 1], [1.0])]
+        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
         schedule = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
         with pytest.raises(DivergenceError):
             _euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
@@ -359,7 +421,7 @@ class TestSmallHelpers:
 
 ARRAY_RECORDS = {
     "ProductDistribution": lambda: ProductDistribution.uniform(2, 2),
-    "FactorizedRateMatrix": lambda: FactorizedRateMatrix([1, 0], [0.5]),
+    "FactorizedRateMatrix": lambda: FactorizedRateMatrix([[1, 0]], [[0.5]]),
     "ScoreBatch": lambda: ScoreBatch(t=[0.5], xt=[[0]], r=np.ones((1, 1, 2))),
     "Dataset": lambda: Dataset(samples=np.zeros((2, 1), dtype=np.int64), n=2),
     "Checkpoint": lambda: Checkpoint(

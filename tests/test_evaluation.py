@@ -20,7 +20,7 @@ from markov_bridge.core import kl_divergence
 from markov_bridge.matrix_learning import init_rate_matrices
 from markov_bridge.reference import materialize_dense
 
-from oracles import joint_kernel_row, kl_brute, reverse_marginal_dense
+from oracles import joint_kernel_row, kl_brute, random_chain_arrays, reverse_marginal_dense
 
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
@@ -28,20 +28,20 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
 class TestKlTerm:
     def test_zero_when_rows_equal_terminal(self):
-        Q = [FactorizedRateMatrix([0, 1], [LN2])]
-        row = transition_kernel(Q[0], 1.0)[0]
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
+        row = transition_kernel(Q, 1.0)[0, 0]
         terminal = ProductDistribution(row[None, :])
         assert kl_term([[0]], Q, SCHEDULE_UNIT, terminal) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
-        Q = [FactorizedRateMatrix([0, 1], [LN2])]
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
         terminal = ProductDistribution([[0.25, 0.75]])
         val = kl_term([[0]], Q, SCHEDULE_UNIT, terminal)
         assert val == pytest.approx(0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0), abs=1e-12)
 
     def test_identical_dims_double(self):
-        Q1 = [FactorizedRateMatrix([0, 1], [LN2])]
-        Q2 = Q1 * 2
+        Q1 = FactorizedRateMatrix([[0, 1]], [[LN2]])
+        Q2 = FactorizedRateMatrix([[0, 1]] * 2, [[LN2]] * 2)
         t1 = ProductDistribution([[0.25, 0.75]])
         t2 = ProductDistribution([[0.25, 0.75]] * 2)
         assert kl_term([[0, 0]], Q2, SCHEDULE_UNIT, t2) == pytest.approx(
@@ -53,30 +53,27 @@ class TestKlTerm:
         # the sum of the two marginal KLs
         rng = np.random.default_rng(503)
         for _ in range(20):
-            Qs = [
-                FactorizedRateMatrix(rng.permutation(3), rng.uniform(0.1, 2.0, 2))
-                for _ in range(2)
-            ]
+            Q = FactorizedRateMatrix(*random_chain_arrays(rng, 3, 2, 0.1, 2.0))
             terminal = ProductDistribution(
                 rng.dirichlet(np.ones(3), size=2) * 0.9 + 0.1 / 3
             )
             x0 = tuple(rng.integers(0, 3, size=2))
             beta_T = SCHEDULE_UNIT.beta(1.0)
-            rows = [transition_kernel(Qs[i], beta_T)[x0[i]] for i in range(2)]
+            rows = [transition_kernel(Q, beta_T)[i, x0[i]] for i in range(2)]
             joint_row = joint_kernel_row(rows)
             joint_terminal = joint_kernel_row(list(terminal.probs))
             joint_kl = kl_brute(joint_row, joint_terminal)
-            per_dim = kl_term([x0], Qs, SCHEDULE_UNIT, terminal)
+            per_dim = kl_term([x0], Q, SCHEDULE_UNIT, terminal)
             assert abs(joint_kl - per_dim) <= 1e-12
 
     def test_dataset_mean_of_rows(self):
         # the histogram form equals the plain mean of the per-row KL sums
         rng = np.random.default_rng(505)
-        Qs = [FactorizedRateMatrix(rng.permutation(4), rng.uniform(0.1, 2.0, 3)) for _ in range(3)]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, 4, 3, 0.1, 2.0))
         terminal = ProductDistribution(rng.dirichlet(np.ones(4), size=3) * 0.9 + 0.1 / 4)
         data = rng.integers(0, 4, size=(50, 3))
-        per_row = [kl_term(row[None, :], Qs, SCHEDULE_UNIT, terminal) for row in data]
-        assert kl_term(data, Qs, SCHEDULE_UNIT, terminal) == pytest.approx(np.mean(per_row), rel=1e-12)
+        per_row = [kl_term(row[None, :], Q, SCHEDULE_UNIT, terminal) for row in data]
+        assert kl_term(data, Q, SCHEDULE_UNIT, terminal) == pytest.approx(np.mean(per_row), rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
     def test_matches_per_row_kl_divergence(self, scheme):
@@ -84,12 +81,12 @@ class TestKlTerm:
         rng = np.random.default_rng(509)
         schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
         n, d = 5, 4
-        Qs = init_rate_matrices([rng.permutation(n) for _ in range(d)], n, scheme)
+        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), n, scheme)
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         data = rng.integers(0, n, size=(40, d))
-        kernels = [transition_kernel(Q, schedule.beta(1.0)) for Q in Qs]
+        kernels = transition_kernel(Q, schedule.beta(1.0))
         per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.probs[i]) for i in range(d)) for x in data]
-        assert kl_term(data, Qs, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
+        assert kl_term(data, Q, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
 
 
 def point_mass_dataset(n, value, size, d=1):
@@ -102,13 +99,13 @@ class TestElboEstimate:
         # score integrand vanishes pointwise
         rng = np.random.default_rng(509)
         n = 5
-        Q = [FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.3, 1.5, n - 1))]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, 1, 0.3, 1.5))
         mu_row = np.zeros(n)
         mu_row[2] = 1.0
         mu = ProductDistribution(mu_row[None, :])
         data = point_mass_dataset(n, 2, 64)
         terminal = ProductDistribution(
-            evolve_rows(mu.probs[0], Q[0], SCHEDULE_UNIT.beta(1.0)) * (1 - n * 1e-9) + 1e-9
+            evolve_rows(mu.probs, Q, SCHEDULE_UNIT.beta(1.0))[0] * (1 - n * 1e-9) + 1e-9
         )
         report = elbo_estimate(
             oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), data, Q, SCHEDULE_UNIT, terminal, 2048, rng
@@ -117,7 +114,7 @@ class TestElboEstimate:
 
     def test_frozen_identity_chain_total_zero(self):
         n = 4
-        Q = [FactorizedRateMatrix(np.arange(n), np.zeros(n - 1))]
+        Q = FactorizedRateMatrix(np.arange(n)[None, :], np.zeros((1, n - 1)))
         data = point_mass_dataset(n, 1, 32)
         one_hot = np.zeros(n)
         one_hot[1] = 1.0
@@ -129,7 +126,7 @@ class TestElboEstimate:
     def test_std_error_scaling(self):
         rng_sys = np.random.default_rng(521)
         n = 4
-        Q = [FactorizedRateMatrix(rng_sys.permutation(n), rng_sys.uniform(0.3, 1.5, n - 1))]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng_sys, n, 1, 0.3, 1.5))
         mu = ProductDistribution(rng_sys.dirichlet(np.ones(n), size=1) * 0.8 + 0.2 / n)
         data = rng_sys.choice(n, size=(4096, 1), p=mu.probs[0]).astype(np.int64)
         terminal = ProductDistribution.uniform(n, 1)
@@ -144,11 +141,11 @@ class TestElboEstimate:
     def test_report_identities_and_finiteness(self):
         rng = np.random.default_rng(523)
         n, d = 3, 2
-        Qs = [FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.2, 1.0, 2)) for _ in range(d)]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.2, 1.0))
         data = rng.integers(0, n, size=(128, d))
         terminal = ProductDistribution.uniform(n, d)
         model = lambda xt, t: np.ones((xt.shape[0], d, n))
-        report = elbo_estimate(model, data, Qs, SCHEDULE_UNIT, terminal, 1024, rng)
+        report = elbo_estimate(model, data, Q, SCHEDULE_UNIT, terminal, 1024, rng)
         assert report.total_nats == report.j_score + report.kl_term
         assert report.bits_per_dim == pytest.approx(report.total_nats / (d * LN2), rel=1e-15)
         for field in (report.j_score, report.kl_term, report.total_nats, report.bits_per_dim, report.mc_std_error):
@@ -163,26 +160,26 @@ class TestElboEstimate:
         schedule = NoiseSchedule(sigma_min=0.2, sigma_max=4.0)
         eps_t = 1e-3
         mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=d) * 0.8 + 0.2 / n)
-        Qs = [FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.3, 1.2, n - 1)) for _ in range(d)]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.3, 1.2))
         data = np.stack(
             [rng.choice(n, size=20000, p=mu.probs[i]) for i in range(d)], axis=1
         ).astype(np.int64)
         terminal = ProductDistribution(
-            np.concatenate([evolve_rows(mu.probs[i], Qs[i], schedule.beta(1.0)) for i in range(d)])
+            evolve_rows(mu.probs, Q, schedule.beta(1.0))[0]
         )
         report = elbo_estimate(
-            oracle_ratio_fn(mu, Qs, schedule), data, Qs, schedule, terminal, 20000, rng, eps_t=eps_t
+            oracle_ratio_fn(mu, Q, schedule), data, Q, schedule, terminal, 20000, rng, eps_t=eps_t
         )
         nll = 0.0
         for i in range(d):
-            pt_of = lambda t, i=i: evolve_rows(mu.probs[i], Qs[i], schedule.beta(t))[0]
+            pt_of = lambda t, i=i: evolve_rows(mu.probs, Q, schedule.beta(t))[0, i]
 
             def ratio_matrix(t, i=i):
                 pt = pt_of(t)
                 return pt[None, :] / pt[:, None]
 
             p0_rev = reverse_marginal_dense(
-                terminal.probs[i], materialize_dense(Qs[i]), schedule, eps_t, 6000, ratio_matrix
+                terminal.probs[i], materialize_dense(Q)[i], schedule, eps_t, 6000, ratio_matrix
             )
             weights = np.bincount(data[:, i], minlength=n) / data.shape[0]
             nll += float(-(weights @ np.log(np.maximum(p0_rev, 1e-300))))

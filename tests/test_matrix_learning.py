@@ -27,15 +27,15 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)  # beta(T) = 1
 
 
 def make_state(a_vectors, p0_rows):
-    Qs = [FactorizedRateMatrix(np.arange(len(a) + 1), a) for a in a_vectors]
-    return MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0_rows))
+    a = np.asarray(a_vectors, dtype=np.float64)
+    Q = FactorizedRateMatrix(np.broadcast_to(np.arange(a.shape[1] + 1), (a.shape[0], a.shape[1] + 1)), a)
+    return MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0_rows))
 
 
-def frozen_target_loss(Q_per_dim, targets, batch, beta_T):
+def frozen_target_loss(Q, targets, batch, beta_T):
     """Independent oracle: KL of kernel rows against externally fixed targets."""
     total = 0.0
-    for i, Q in enumerate(Q_per_dim):
-        K = transition_kernel(Q, beta_T)
+    for i, K in enumerate(transition_kernel(Q, beta_T)):
         rows = K[np.asarray(batch)[:, i]]
         w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(targets[i], RATIO_FLOOR))[None, :]
         total += float(np.mean(np.sum(rows * w, axis=1)))
@@ -124,19 +124,18 @@ class TestJqGrad:
             n, d = int(rng.integers(2, 9)), int(rng.integers(1, 5))
             a = rng.uniform(0.1, 2.0, (d, n - 1))
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
-            perms = [rng.permutation(n) for _ in range(d)]
-            Qs = [FactorizedRateMatrix(perms[i], a[i]) for i in range(d)]
-            state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
+            perms = np.stack([rng.permutation(n) for _ in range(d)])
+            Q = FactorizedRateMatrix(perms, a)
+            state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
             batch = rng.integers(0, n, size=(6, d))
             grad = jq_grad(state, state_frequencies(batch, n), schedule)
-            targets = [evolve_rows(p0[i], Qs[i], beta_T)[0] for i in range(d)]
+            targets = evolve_rows(p0, Q, beta_T)[0]
             fd = np.zeros_like(grad)
             for i, k in itertools.product(range(d), range(n - 1)):
                 for sign, slot in ((+1.0, 0), (-1.0, 1)):
-                    bumped = list(Qs)
-                    a_new = a[i].copy()
-                    a_new[k] += sign * h
-                    bumped[i] = Qs[i].replace_a(a_new)
+                    a_new = a.copy()
+                    a_new[i, k] += sign * h
+                    bumped = Q.replace_a(a_new)
                     val = frozen_target_loss(bumped, targets, batch, beta_T)
                     fd[i, k] += val if slot == 0 else -val
             fd /= 2 * h
@@ -156,12 +155,10 @@ class TestCountsFormMatchesPerRow:
 
     SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
 
-    def check(self, Qs, p0, batch):
-        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution(p0))
-        freqs = state_frequencies(batch, Qs[0].n)
-        want_loss, want_grad = jq_per_row(
-            [Q.perm for Q in Qs], [Q.a for Q in Qs], p0, batch, self.SCHEDULE.beta(1.0)
-        )
+    def check(self, Q, p0, batch):
+        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
+        freqs = state_frequencies(batch, Q.n)
+        want_loss, want_grad = jq_per_row(Q.perm, Q.a, p0, batch, self.SCHEDULE.beta(1.0))
         assert jq_loss(state, freqs, self.SCHEDULE) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
         grad = jq_grad(state, freqs, self.SCHEDULE)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
@@ -171,25 +168,25 @@ class TestCountsFormMatchesPerRow:
         rng = np.random.default_rng(233)
         for _ in range(12):
             n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-            perms = [rng.permutation(n) for _ in range(d)]
+            perms = np.stack([rng.permutation(n) for _ in range(d)])
             if scheme == "random":
-                Qs = [FactorizedRateMatrix(perm, rng.uniform(0.1, 2.0, n - 1)) for perm in perms]
+                Q = FactorizedRateMatrix(perms, np.stack([rng.uniform(0.1, 2.0, n - 1) for _ in perms]))
             else:
-                Qs = init_rate_matrices(perms, n, scheme)
+                Q = init_rate_matrices(perms, n, scheme)
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
-            self.check(Qs, p0, rng.integers(0, n, size=(int(rng.integers(1, 10)), d)))
+            self.check(Q, p0, rng.integers(0, n, size=(int(rng.integers(1, 10)), d)))
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
     def test_duplicate_rows_and_missing_states(self, scheme):
         rng = np.random.default_rng(239)
         n, d = 6, 3
-        Qs = init_rate_matrices([rng.permutation(n) for _ in range(d)], n, scheme)
+        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), n, scheme)
         p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
         # two distinct rows repeated, so most states never occur
         rows = np.array([[0, 5, 2], [3, 5, 2]])
-        self.check(Qs, p0, rows[[0, 1, 1, 0, 1, 1, 1]])
+        self.check(Q, p0, rows[[0, 1, 1, 0, 1, 1, 1]])
         # one row only: a single state per dimension
-        self.check(Qs, p0, np.array([[4, 1, 1]] * 5))
+        self.check(Q, p0, np.array([[4, 1, 1]] * 5))
 
 
 class TestMatrixLearningLoop:
@@ -197,11 +194,11 @@ class TestMatrixLearningLoop:
         p0 = np.zeros((1, 3))
         p0[0, 0] = 1.0
         state = make_state([np.zeros(2)], p0)
-        a_before = state.Q_per_dim[0].a.copy()
+        a_before = state.Q.a[0].copy()
         out = matrix_learning_loop(
             state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=50, eps_Q=1e-6, step_size=0.1
         )
-        assert np.array_equal(out.Q_per_dim[0].a, a_before)
+        assert np.array_equal(out.Q.a[0], a_before)
         assert len(out.loss_history) == 1
 
     @pytest.mark.parametrize("step_size", [0.0, -0.1])
@@ -232,7 +229,7 @@ class TestMatrixLearningLoop:
         )
         history = np.asarray(out.loss_history)
         assert np.all(np.diff(history) <= 1e-15)
-        assert out.Q_per_dim[0].a.min() >= 0.0
+        assert out.Q.a[0].min() >= 0.0
 
     def test_loss_decreases_on_mixing_toy(self):
         # two-state toy: descent should push toward mixing and cut the loss
@@ -243,39 +240,39 @@ class TestMatrixLearningLoop:
             state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8, step_size=0.1
         )
         assert out.loss_history[-1] < 0.05 * out.loss_history[0]
-        assert out.Q_per_dim[0].a[0] > 0.0
+        assert out.Q.a[0][0] > 0.0
 
 
 class TestPredictTerminal:
     def test_zero_beta_returns_p0(self):
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
         schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9)
-        out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
+        out = predict_terminal(state.Q, state.p0_estimate, schedule)
         assert np.allclose(out.probs, [[0.2, 0.3, 0.5]], atol=1e-8)
 
     def test_half_life_example(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
-        out = predict_terminal(state.Q_per_dim, state.p0_estimate, SCHEDULE_UNIT)
+        out = predict_terminal(state.Q, state.p0_estimate, SCHEDULE_UNIT)
         assert np.allclose(out.probs, [[0.25, 0.75]], atol=1e-12)
 
     def test_absorbing_init_large_beta(self):
-        perms = [np.array([2, 0, 1])]
-        Qs = init_rate_matrices(perms, 3, "absorbing_text")
-        state = MatrixLearnState(Q_per_dim=Qs, p0_estimate=ProductDistribution.uniform(3, 1))
+        perms = np.array([[2, 0, 1]])
+        Q = init_rate_matrices(perms, 3, "absorbing_text")
+        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution.uniform(3, 1))
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0)
-        out = predict_terminal(state.Q_per_dim, state.p0_estimate, schedule)
+        out = predict_terminal(state.Q, state.p0_estimate, schedule)
         # mass concentrates on the state occupying the last sorted slot
         assert out.probs[0, perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitSchemes:
     def test_absorbing_text(self):
-        Qs = init_rate_matrices([np.arange(4)], 4, "absorbing_text")
-        assert np.allclose(Qs[0].a, [0.0, 0.0, 1.0])
+        Q = init_rate_matrices([np.arange(4)], 4, "absorbing_text")
+        assert np.allclose(Q.a[0], [0.0, 0.0, 1.0])
 
     def test_uniform_small(self):
-        Qs = init_rate_matrices([np.arange(4)], 4, "uniform_small")
-        assert np.allclose(Qs[0].a, [1e-5, 1e-5, 1e-5])
+        Q = init_rate_matrices([np.arange(4)], 4, "uniform_small")
+        assert np.allclose(Q.a[0], [1e-5, 1e-5, 1e-5])
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.solver import exact_rate_matrices
 
+from oracles import random_chain_arrays
+
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
 # (rate, n): finite ratios of 1e308 into the sorted-last state overflow the
@@ -34,9 +36,9 @@ def oracle_system(rng, n, sigma_max=10.0):
     mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
     schedule = NoiseSchedule(sigma_min=0.1, sigma_max=sigma_max)
     # bridge mu to uniform over the full time budget
-    (Q_unit,) = exact_rate_matrices(ProductDistribution.uniform(n, 1), mu)
-    Q = [Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))]
-    terminal = ProductDistribution(evolve_rows(mu.probs[0], Q[0], schedule.beta(1.0)))
+    Q_unit = exact_rate_matrices(ProductDistribution.uniform(n, 1), mu)
+    Q = Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))
+    terminal = ProductDistribution(evolve_rows(mu.probs, Q, schedule.beta(1.0))[0])
     return mu, Q, schedule, terminal
 
 
@@ -44,7 +46,7 @@ class TestSamplerArguments:
     def test_validation(self):
         # an empty grid is refused before the first step asks for ratios
         terminal = ProductDistribution.uniform(3, 1)
-        Q = [FactorizedRateMatrix([0, 1, 2], [0.5, 1.0])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.5, 1.0]])
         calls = []
         ratios = lambda xt, t: calls.append(t) or np.ones((xt.shape[0], 1, 3))
         for run in (generate, estimate_mu):
@@ -58,20 +60,20 @@ class TestEulerReverseStep:
     """The batched Euler categoricals of one reverse step."""
 
     def test_dt_zero_returns_xt(self):
-        Q = [FactorizedRateMatrix([0, 1, 2], [1.0, 0.5])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
         xt = np.arange(3)[:, None]
         probs = _euler_probs(xt, 0.5, 0.0, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
         assert np.array_equal(probs[:, 0, :], np.eye(3))
 
     def test_two_state_move_probability(self):
         # reversed row at x=1 is (1, -1); dt = 0.1 moves with probability 0.1
-        Q = [FactorizedRateMatrix([0, 1], [1.0])]
+        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
         probs = _euler_probs(np.array([[1]]), 0.5, 0.1, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
         assert probs[0, 0, 0] == 0.1
         assert probs[0, 0, 1] == 0.9
 
     def test_zero_ratios_stay(self):
-        Q = [FactorizedRateMatrix([0, 1, 2], [1.0, 2.0])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 2.0]])
         ratios = np.zeros((1, 1, 3))
         ratios[0, 0, 1] = 1.0
         probs = _euler_probs(np.array([[1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
@@ -79,7 +81,7 @@ class TestEulerReverseStep:
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_ratio_rejected(self, bad):
-        Q = [FactorizedRateMatrix([0, 1, 2], [1.0, 2.0])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 2.0]])
         ratios = np.ones((2, 1, 3))
         ratios[1, 0, 2] = bad
         with pytest.raises(DivergenceError):
@@ -87,7 +89,7 @@ class TestEulerReverseStep:
 
     @pytest.mark.parametrize("rate, n", OVERFLOW)
     def test_overflowing_row_rejected(self, rate, n):
-        Q = [FactorizedRateMatrix(np.arange(n), np.full(n - 1, rate))]
+        Q = FactorizedRateMatrix(np.arange(n)[None, :], np.full((1, n - 1), rate))
         with pytest.raises(DivergenceError, match="overflows"):
             _euler_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
 
@@ -95,16 +97,13 @@ class TestEulerReverseStep:
         # per-tuple reference built from the dense generator's columns
         rng = np.random.default_rng(409)
         n, d = 5, 3
-        Q = [
-            FactorizedRateMatrix(rng.permutation(n), rng.uniform(0.2, 2.0, n - 1))
-            for _ in range(d)
-        ]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.2, 2.0))
         xt = rng.integers(0, n, size=(1, d))
         ratios = rng.uniform(0.1, 3.0, size=(1, d, n))
         probs = _euler_probs(xt, 0.6, 0.05, ratios, Q, SCHEDULE_UNIT)
         for i in range(d):
             x = int(xt[0, i])
-            off = SCHEDULE_UNIT.sigma(0.6) * materialize_dense(Q[i])[:, x] * ratios[0, i]
+            off = SCHEDULE_UNIT.sigma(0.6) * materialize_dense(Q)[i][:, x] * ratios[0, i]
             off[x] = 0.0
             row = 0.05 * off
             row[x] = 1.0 - row.sum()
@@ -115,7 +114,7 @@ class TestEulerReverseStep:
         rng = np.random.default_rng(419)
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            Q = [FactorizedRateMatrix(rng.permutation(n), rng.uniform(0, 2, n - 1))]
+            Q = FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0, 2, (1, n - 1)))
             xt = rng.integers(0, n, size=(8, 1))
             ratios = rng.uniform(0.0, 4.0, size=(8, 1, n))
             probs = _euler_probs(xt, 0.8, rng.uniform(0.0, 0.5), ratios, Q, SCHEDULE_UNIT)
@@ -143,7 +142,7 @@ class TestGenerate:
     @pytest.mark.parametrize("rate, n", OVERFLOW)
     def test_overflowing_ratios_raise(self, rate, n):
         terminal = ProductDistribution(np.eye(n)[None, -1])
-        Q = [FactorizedRateMatrix(np.arange(n), np.full(n - 1, rate))]
+        Q = FactorizedRateMatrix(np.arange(n)[None, :], np.full((1, n - 1), rate))
         huge = lambda xt, t: np.full((xt.shape[0], 1, n), 1e308)
         with pytest.raises(DivergenceError, match="overflows"):
             generate(terminal, Q, SCHEDULE_UNIT, huge, np.random.default_rng(5), 4, 1, 0.5)
@@ -170,7 +169,7 @@ class TestEstimateMu:
 
     def test_frozen_chain_returns_terminal(self):
         terminal = ProductDistribution([[0.3, 0.2, 0.5]])
-        Q = [FactorizedRateMatrix([0, 1, 2], np.zeros(2))]
+        Q = FactorizedRateMatrix([[0, 1, 2]], np.zeros((1, 2)))
         uniform_ratios = lambda xt, t: np.ones((xt.shape[0], 1, 3))
         est = estimate_mu(terminal, Q, SCHEDULE_UNIT, uniform_ratios, np.random.default_rng(5), 4000, 8, 1e-3)
         assert tv_distance(est.probs[0], terminal.probs[0]) <= 0.03
@@ -178,7 +177,7 @@ class TestEstimateMu:
     def test_infinite_ratios_raise(self):
         # an overflowing ratio estimate must fail loudly, not become a NaN p0
         terminal = ProductDistribution([[0.3, 0.2, 0.5]])
-        Q = [FactorizedRateMatrix([0, 1, 2], [0.5, 1.0])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.5, 1.0]])
         infinite = lambda xt, t: np.full((xt.shape[0], 1, 3), np.inf)
         with pytest.raises(DivergenceError):
             estimate_mu(terminal, Q, SCHEDULE_UNIT, infinite, np.random.default_rng(5), 16, 4, 1e-3)
@@ -193,14 +192,11 @@ class TestEstimateMu:
     def test_valid_product_distribution(self):
         rng = np.random.default_rng(449)
         truth = synthetic_ground_truth(5, 3, seed=1)
-        Qs = [
-            FactorizedRateMatrix(rng.permutation(5), rng.uniform(0, 1.5, 4))
-            for _ in range(3)
-        ]
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, 5, 3, 0, 1.5))
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=6.0)
-        terminal = predict_terminal(Qs, truth, schedule)
-        fn = oracle_ratio_fn(truth, Qs, schedule)
-        est = estimate_mu(terminal, Qs, schedule, fn, rng, 256, 16, 1e-3)
+        terminal = predict_terminal(Q, truth, schedule)
+        fn = oracle_ratio_fn(truth, Q, schedule)
+        est = estimate_mu(terminal, Q, schedule, fn, rng, 256, 16, 1e-3)
         arr = est.probs
         assert arr.min() >= 0.0
         assert np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9

@@ -21,6 +21,8 @@ from markov_bridge import (
 from markov_bridge import evaluation, score_learning
 from markov_bridge.score_learning import sample_xt_batch
 
+from oracles import random_chain_arrays
+
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
@@ -32,10 +34,7 @@ def point_mass(n, x):
 
 
 def random_chain(rng, n, d=1, a_lo=0.2, a_hi=2.0):
-    return [
-        FactorizedRateMatrix(rng.permutation(n), rng.uniform(a_lo, a_hi, n - 1))
-        for _ in range(d)
-    ]
+    return FactorizedRateMatrix(*random_chain_arrays(rng, n, d, a_lo, a_hi))
 
 
 class TestSampleXt:
@@ -49,7 +48,7 @@ class TestSampleXt:
         assert np.array_equal(r, np.eye(5)[x0])
 
     def test_half_life_frequencies(self):
-        Q = [FactorizedRateMatrix([0, 1], [LN2])]
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
         rng = np.random.default_rng(303)
         draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng)
         freq = float(np.mean(draws == 0))
@@ -60,11 +59,19 @@ class TestSampleXt:
         a = np.zeros(3)
         a[-1] = 1.0
         perm = np.array([1, 3, 0, 2])
-        Q = [FactorizedRateMatrix(perm, a)]
+        Q = FactorizedRateMatrix(perm[None, :], a[None, :])
         schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0)
         rng = np.random.default_rng(307)
         draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng)
         assert np.all(draws == perm[-1])
+
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_x0_outside_the_chain_refused(self, bad):
+        # -1 would otherwise read state n-1's kernel row
+        Q = random_chain(np.random.default_rng(309), 5, d=2)
+        with pytest.raises(ValueError, match="states must lie in"):
+            make_score_batch([[0, 1], [bad, 1]], Q, SCHEDULE_UNIT, np.random.default_rng(0))
 
 
 class TestOneKernelRowPass:
@@ -80,10 +87,10 @@ class TestOneKernelRowPass:
             x0 = rng.integers(0, n, size=(32, d))
             batch = make_score_batch(x0, Q, schedule, rng)
             for b, i in itertools.product(range(batch.size), range(d)):
-                row = transition_kernel(Q[i], schedule.beta(batch.t[b]))[x0[b, i]]
+                row = transition_kernel(Q, schedule.beta(batch.t[b]))[i, x0[b, i]]
                 np.testing.assert_allclose(batch.r[b, i], row / row[batch.xt[b, i]], rtol=1e-12, atol=0.0)
 
-    def test_kernel_rows_built_once_per_dimension(self, monkeypatch):
+    def test_kernel_rows_built_once_per_batch(self, monkeypatch):
         calls = []
         real = score_learning.kernel_rows
         monkeypatch.setattr(score_learning, "kernel_rows", lambda *a: calls.append(1) or real(*a))
@@ -92,16 +99,16 @@ class TestOneKernelRowPass:
         Q = random_chain(rng, n, d=d)
         model = ScoreModel(n, d, hidden=(8,), rng=rng)
         batch = make_score_batch(rng.integers(0, n, size=(16, d)), Q, SCHEDULE_UNIT, rng)
-        assert len(calls) == d
+        assert len(calls) == 1
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
-        assert len(calls) == d
-        # the bound draws its chunks the same way: d calls per chunk
+        assert len(calls) == 1
+        # the bound draws its chunks the same way: one call per chunk
         monkeypatch.setattr(evaluation, "_CHUNK", 40)
         data = rng.integers(0, n, size=(50, d))
         evaluation.elbo_estimate(model.forward_batch, data, Q, SCHEDULE_UNIT,
                                  ProductDistribution.uniform(n, d), 100, rng)
-        assert len(calls) == d + 3 * d
+        assert len(calls) == 1 + 3
 
 
 class TestScoreForward:
@@ -168,7 +175,7 @@ class TestExactScoreOracle:
         Q = random_chain(rng, 6)
         x0 = 2
         t = 0.6
-        row = transition_kernel(Q[0], SCHEDULE_UNIT.beta(t))[x0]
+        row = transition_kernel(Q, SCHEDULE_UNIT.beta(t))[0, x0]
         for xt in range(6):
             if row[xt] <= 0:
                 continue
@@ -188,7 +195,7 @@ class TestExactScoreOracle:
         from markov_bridge import DegenerateStateError
 
         mu = point_mass(3, 0)
-        Q = [FactorizedRateMatrix([0, 1, 2], [0.0, 0.0])]
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.0, 0.0]])
         with pytest.raises(DegenerateStateError):
             oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)([[2]], 1e-3)
 
@@ -212,7 +219,7 @@ class TestScoreEntropyLoss:
         rng = np.random.default_rng(337)
         n = 5
         Q = random_chain(rng, n)
-        x0_val = int(Q[0].perm[0])  # sorted-first state: its row has full support
+        x0_val = int(Q.perm[0, 0])  # sorted-first state: its row has full support
         mu = point_mass(n, x0_val)
         batch = make_score_batch(np.full((64, 1), x0_val, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
         oracle = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)
@@ -221,12 +228,12 @@ class TestScoreEntropyLoss:
         # independent accumulation of rate * r * (e - 2)
         from markov_bridge.reference import materialize_dense
 
-        dense = materialize_dense(Q[0])
+        dense = materialize_dense(Q)[0]
         expected = 0.0
         eps_t = 1e-3
         for b in range(batch.size):
             t = batch.t[b]
-            row = transition_kernel(Q[0], SCHEDULE_UNIT.beta(t))[x0_val]
+            row = transition_kernel(Q, SCHEDULE_UNIT.beta(t))[0, x0_val]
             xt = batch.xt[b, 0]
             r = row / max(row[xt], 1e-12)
             c = SCHEDULE_UNIT.sigma(t) * dense[:, xt]
@@ -295,7 +302,7 @@ class TestScoreGrad:
     def test_zero_gradient_when_targets_match_fresh_model(self):
         # uniform kernel row makes every true ratio 1, which is exactly what a
         # zero-initialized model outputs, so the gradient vanishes
-        Q = [FactorizedRateMatrix([0, 1], [LN2])]
+        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
         model = ScoreModel(2, 1, hidden=(8,), rng=np.random.default_rng(3))
         batch = ScoreBatch(t=np.ones(8), xt=np.array([[0], [1]] * 4, dtype=np.int64), r=np.ones((8, 1, 2)))
         _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
@@ -337,7 +344,7 @@ class TestScoreGrad:
         Q = random_chain(rng, 4)
         model = ScoreModel(4, 1, hidden=(8,), rng=rng)
         model.weights[-1] += rng.normal(0, 0.1, model.weights[-1].shape)
-        row = transition_kernel(Q[0], SCHEDULE_UNIT.beta(0.7))[2]
+        row = transition_kernel(Q, SCHEDULE_UNIT.beta(0.7))[0, 2]
         r = row / max(row[1], 1e-12)
         single = ScoreBatch(t=[0.7], xt=[[1]], r=[[r]])
         tripled = ScoreBatch(t=[0.7] * 3, xt=[[1]] * 3, r=[[r]] * 3)

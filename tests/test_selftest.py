@@ -11,7 +11,8 @@ def scaled(fn, factor):
 
 def faster_rates(fn):
     def solve(p, q):
-        return [Q.replace_a(Q.a * 1.01) for Q in fn(p, q)]
+        Q = fn(p, q)
+        return Q.replace_a(Q.a * 1.01)
 
     return solve
 

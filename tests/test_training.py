@@ -161,6 +161,7 @@ def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
     "horizon = 1.0",
     "score_hidden = 0",
     "score_hidden = -5",
+    "score_hidden = ",  # no hidden layer at all
 ])
 def test_cli_train_rejects_bad_config(tmp_path, bad_key):
     config_path = tmp_path / "bad.cfg"

@@ -12,6 +12,8 @@ import numpy as np
 from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution, ScoreModel, generate
 from markov_bridge.evaluation import elbo_estimate
 
+from oracles import random_chain_arrays
+
 N, D = 27, 32
 ALPHABET = "abcdefghijklmnopqrstuvwxyz_"
 
@@ -89,7 +91,7 @@ GOLDEN_J_SCORE = 4305.910754612579
 
 def wide_system():
     rng = np.random.default_rng(2505)
-    Q = [FactorizedRateMatrix(rng.permutation(N), rng.uniform(0.0, 2.0, N - 1)) for _ in range(D)]
+    Q = FactorizedRateMatrix(*random_chain_arrays(rng, N, D, 0.0, 2.0))
     terminal = ProductDistribution(rng.dirichlet(np.ones(N), size=D))
     model = ScoreModel(N, D, hidden=(64, 64), rng=rng)
     model.weights[-1] += rng.normal(0.0, 0.05, model.weights[-1].shape)
