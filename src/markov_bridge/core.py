@@ -6,11 +6,12 @@ permutations plus (d, n-1) nonnegative rates, never densified on hot paths.
 In sorted coordinates generator i is upper triangular with eigenvalues
 lambda_j = -(a_ij + ... + a_i,n-2) and lambda_{n-1} = 0 against the all-ones
 upper-triangular eigenbasis, so exp(beta * Q_i) has a closed form assembled
-in O(n^2); the inverse eigenbasis is applied as an adjacent column
-difference. That closed form is written once, in ``_sorted_rows``, and every
-operation takes all d chains at once. A distribution is a
-``ProductDistribution``, one validated (d, n) array; a single chain or
-categorical is a one-row instance. Time runs over [0, T] with T = 1.
+in O(n^2), written once, in ``_sorted_rows``, as nonnegative elementwise
+terms that keep full relative accuracy at tiny rates. Every operation takes
+all d chains at once; kernel rows and the bound run in cache-sized row
+blocks (:func:`row_blocks`). A distribution is a ``ProductDistribution``, one
+validated (d, n) array; a single chain or categorical is a one-row instance.
+Time runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 PROB_ATOL = 1e-9
 RATIO_FLOOR = 1e-12
+BLOCK_ELEMENTS = 2**20  # float64 elements of one row block: 8 MiB an array
 
 
 def _frozen(arr, dtype):
@@ -72,8 +74,10 @@ class FactorizedRateMatrix:
     ``perm[i, k]`` is the original state in sorted slot k of chain i. In
     sorted coordinates generator i is upper triangular with H[j, k] =
     a[i, k-1] for k > j and diagonal -sum(a[i, j:]), conjugated by the
-    permutation in original coordinates. ``n``, ``d``, ``inv_perm`` and the
-    eigenvalues ``lambdas`` (d, n) are derived once. Compares by identity.
+    permutation in original coordinates. Derived once: ``n``, ``d``,
+    ``inv_perm``, the eigenvalues ``lambdas`` (d, n) by sorted slot, and by
+    state ``state_lambdas`` and ``state_rates``, the rate into a state from
+    each state sorted before it (0 for the first). Compares by identity.
     """
 
     perm: np.ndarray
@@ -82,6 +86,8 @@ class FactorizedRateMatrix:
     d: int = field(init=False)
     inv_perm: np.ndarray = field(init=False)
     lambdas: np.ndarray = field(init=False)
+    state_lambdas: np.ndarray = field(init=False)
+    state_rates: np.ndarray = field(init=False)
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
@@ -103,6 +109,9 @@ class FactorizedRateMatrix:
         object.__setattr__(self, "inv_perm", _frozen(inv_perm, np.int64))
         object.__setattr__(self, "a", _frozen(a, np.float64))
         object.__setattr__(self, "lambdas", _frozen(lambdas, np.float64))
+        object.__setattr__(self, "state_lambdas", _frozen(np.take_along_axis(lambdas, inv_perm, axis=1), np.float64))
+        rates = np.concatenate((np.zeros((d, 1)), a), axis=1)  # into slot j: lambda_j - lambda_{j-1}
+        object.__setattr__(self, "state_rates", _frozen(np.take_along_axis(rates, inv_perm, axis=1), np.float64))
 
     def replace_a(self, a) -> "FactorizedRateMatrix":
         return FactorizedRateMatrix(self.perm, a)
@@ -143,45 +152,54 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def _sorted_rows(lambdas, betas, c):
-    """Telescoped rows c_j e_j - c_{j-1} e_{j-1} in sorted coordinates, c_{-1} = 0.
+def row_blocks(rows: int, width: int) -> list:
+    """Slices cutting ``rows`` rows of ``width`` elements into blocks of BLOCK_ELEMENTS // width rows."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
-    e = exp(betas * lambdas), ``betas`` shaped by the caller to broadcast
-    against the (..., n) eigenvalues; ``c`` holds cumulative masses over the
-    sorted slots. Row p of exp(beta H) is the case c = cumsum(p): the inverse
-    eigenbasis as an adjacent difference along the last axis. Returns
-    (e, rows), before any clipping.
+
+def _sorted_rows(lambdas, rates, betas, mass, before, out=None):
+    """Closed-form rows e_j * (m_j - c_j * expm1(-beta * a_j)) of masses m, elementwise.
+
+    Row p of exp(beta H) telescopes to C_j e_j - C_{j-1} e_{j-1}, with
+    e = exp(beta * lambda) and C = cumsum(p) over sorted slots. As
+    e_{j-1} = e_j exp(-beta a_j), a_j the rate into slot j, that is the form
+    above with c_j = C_{j-1}, the mass ``before`` slot j: nonnegative terms,
+    in any slot order the arguments share. ``betas`` is shaped to broadcast
+    against them. Returns (e, rows), rows into ``out`` when given.
     """
-    e = np.exp(betas * lambdas)
-    rows = c * e
-    rows[..., 1:] -= rows[..., :-1]  # numpy buffers the overlapping operand
+    rows = np.multiply(np.negative(betas), rates, out=out)
+    np.expm1(rows, out=rows)
+    rows = np.multiply(rows, before, out=out)
+    rows = np.subtract(mass, rows, out=out)
+    e = np.multiply(betas, lambdas)
+    rows *= np.exp(e, out=e)
     return e, rows
 
 
 def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     """Rows exp(beta_b * Q_i)[states[b, i], :] of (B, d) states, shape (B, d, n).
 
-    Entries are clamped at zero (the eigen route can leave -1e-15-scale
-    negatives from cancellation) and rows renormalized, since downstream
-    code divides by kernel entries. This is the one kernel assembly: the
-    full kernel, conditional sampling and the score-entropy loss all use it.
+    :func:`_sorted_rows` of a point mass on x, in state order: entry y is
+    exp(beta * lambda(y)) times 1 at x, -expm1(-beta * a(y)) where y sorts
+    after x and 0 before it, so no row is sorted and none is clamped. One
+    stacked pass per row block, written into the output. This is the one
+    kernel assembly: the full kernel, conditional sampling and the
+    score-entropy loss all use it.
     """
-    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))[:, None]
+    x = np.asarray(states, dtype=np.int64)
     # the sorted slot of each state; block_index refuses states outside [0, n)
-    pos = np.take(Q.inv_perm, block_index(states, Q.d, Q.n))
+    pos = np.take(Q.inv_perm, block_index(x, Q.d, Q.n))
     if pos.ndim != 2:
         raise ValueError("states must be a (B, d) array")
-    slots = np.arange(Q.n)
-    out = np.empty((pos.shape[0], Q.d, Q.n))
-    # one chain at a time: its (B, n) rows stay in cache, where a stacked
-    # (B, d, n) pass measured slower at large B
-    for i in range(Q.d):
-        # a point mass in sorted slot pos has cumulative mass 1 from pos on
-        _, rows = _sorted_rows(Q.lambdas[i], betas, slots >= pos[:, i, None])
-        rows = rows[:, Q.inv_perm[i]]
-        np.clip(rows, 0.0, None, out=rows)
-        rows /= rows.sum(axis=1, keepdims=True)
-        out[:, i] = rows
+    betas = np.broadcast_to(np.atleast_1d(np.asarray(betas, dtype=np.float64)), (x.shape[0],))
+    out = np.empty((x.shape[0], Q.d, Q.n))
+    for rows in row_blocks(x.shape[0], Q.d * Q.n):
+        at = x[rows, :, None]
+        # the mass term, e at x, is put in place rather than added as a one-hot
+        e, block = _sorted_rows(Q.state_lambdas, Q.state_rates, betas[rows, None, None],
+                                0.0, Q.inv_perm > pos[rows, :, None], out=out[rows])
+        np.put_along_axis(block, at, np.take_along_axis(e, at, axis=2), axis=2)
     return out
 
 
@@ -197,18 +215,17 @@ def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
 def evolve_rows(p, Q: FactorizedRateMatrix, betas) -> np.ndarray:
     """Marginals p_i @ exp(beta_b * Q_i) of the (d, n) rows of p, shape (B, d, n).
 
-    :func:`_sorted_rows` with c = cumsum(p) in sorted coordinates, O(B d n);
-    row sums are conserved, so unnormalized inputs are fine.
+    :func:`_sorted_rows` in state order with the masses p and, before each
+    state, the mass of p sorted before it; O(B d n). Row sums are conserved,
+    so unnormalized nonnegative inputs are fine.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (Q.d, Q.n):
         raise ValueError(f"p must have shape (d, n) = {(Q.d, Q.n)}")
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))[:, None, None]
-    c = np.cumsum(np.take_along_axis(p, Q.perm, axis=1), axis=1)
-    _, rows = _sorted_rows(Q.lambdas, betas, c)
-    rows = np.take_along_axis(rows, Q.inv_perm[None], axis=2)
-    np.clip(rows, 0.0, None, out=rows)
-    return rows
+    c = np.cumsum(np.take_along_axis(p, Q.perm, axis=1)[:, :-1], axis=1)
+    before = np.take_along_axis(np.concatenate((np.zeros((Q.d, 1)), c), axis=1), Q.inv_perm, axis=1)
+    return _sorted_rows(Q.state_lambdas, Q.state_rates, betas, p, before)[1]
 
 
 def block_index(xt, d: int, n: int) -> np.ndarray:
@@ -236,9 +253,8 @@ def rate_columns(Q: FactorizedRateMatrix, sigmas, xt) -> np.ndarray:
     row. Shape (B, d, n).
     """
     d, n, inv = Q.d, Q.n, Q.inv_perm
-    a = np.concatenate((np.zeros((d, 1)), Q.a), axis=1)
     # cols[i, x, y] = Q_i[y, x] for y != x, and 0 at y = x
-    cols = np.where(inv[:, None, :] < inv[:, :, None], np.take_along_axis(a, inv, axis=1)[:, :, None], 0.0)
+    cols = np.where(inv[:, None, :] < inv[:, :, None], Q.state_rates[:, :, None], 0.0)
     out = np.take(cols.reshape(d * n, n), block_index(xt, d, n), axis=0)
     out *= np.reshape(np.asarray(sigmas, dtype=np.float64), (-1, 1, 1))
     return out
@@ -262,13 +278,14 @@ def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs: np.ndarray, targets:
     return float(np.sum(freqs * np.sum(K * w, axis=2)))
 
 
-def sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state per row of an (..., n) array of row distributions.
+def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One state per row of an (..., n) array of row distributions: the first
+    whose cumulative mass reaches the row's uniform in ``u`` (shape rows.shape[:-1]).
 
-    The uniforms fill the leading shape in C order, so one call on a stack
-    of row arrays draws exactly what one call per array, in turn, would.
+    Callers with (B, d, n) rows draw ``u`` as ``rng.random((d, B)).T``: the
+    generator is consumed one dimension at a time, as d calls on (B, n)
+    rows in turn would consume it, and no row array is transposed.
     """
-    u = rng.random(rows.shape[:-1])
     cdf = np.cumsum(rows, axis=-1)
     idx = (u[..., None] > cdf).sum(axis=-1)
     return np.minimum(idx, rows.shape[-1] - 1)

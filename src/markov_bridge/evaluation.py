@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, row_kl_sum, state_frequencies
+from .core import NoiseSchedule, ProductDistribution, row_blocks, row_kl_sum, state_frequencies
 from .errors import DivergenceError
-from .score_learning import DEFAULT_EPS_T, _per_sample_values, make_score_batch
-
-_CHUNK = 65536
+from .score_learning import DEFAULT_EPS_T, ScoreBatch, _per_sample_values, sample_xt_batch
 
 
 @dataclass(frozen=True)
@@ -71,23 +69,26 @@ def elbo_estimate(
     The score term is estimated with mc_samples iid draws (x0 uniform from
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
     the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
-    returns (B, d, n) ratio estimates. The reported standard error covers
-    the score term only.
+    returns (B, d, n) ratio estimates. Every draw is made first, as one
+    score batch would make them; the rest runs one row block at a time, so
+    memory is O(mc_samples * d) plus the block budget. The reported
+    standard error covers the score term only.
     """
     data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
     if data.size == 0:
         raise ValueError("dataset is empty")
     if mc_samples < 2:
         raise ValueError("need at least 2 Monte Carlo samples")
-    total = total_sq = 0.0
-    for done in range(0, mc_samples, _CHUNK):
-        B = min(_CHUNK, mc_samples - done)
-        batch = make_score_batch(data[rng.integers(0, data.shape[0], size=B)], Q, schedule, rng, eps_t=eps_t)
-        values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean**2, 0.0)
+    picks = rng.integers(0, data.shape[0], size=mc_samples)
+    t = rng.uniform(eps_t, 1.0, size=mc_samples)
+    u = rng.random((data.shape[1], mc_samples)).T
+    values = np.empty(mc_samples)
+    for rows in row_blocks(mc_samples, Q.d * Q.n):
+        xt, r = sample_xt_batch(data[picks[rows]], Q, schedule, t[rows], u[rows])
+        batch = ScoreBatch(t=t[rows], xt=xt, r=r)
+        values[rows] = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
+    mean = float(values.sum()) / mc_samples
+    var = max(float((values**2).sum()) / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))
     kl = kl_term(data, Q, schedule, terminal)
     return ElboReport.build(mean, kl, data.shape[1], se)

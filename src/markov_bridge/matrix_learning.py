@@ -95,9 +95,10 @@ def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> np.ndarr
     beta_T = schedule.beta(1.0)
     targets = predict_terminal(Q, state.p0_estimate, schedule).probs
     d, n = targets.shape
-    # row k of each chain: the cumulative masses of a point mass in sorted
-    # slot k, so row k of the result is the kernel row of that slot's state
-    e, rows = core._sorted_rows(Q.lambdas[:, None, :], beta_T, np.triu(np.ones((n, n))))
+    # row k of each chain: a point mass in sorted slot k, so row k of the
+    # result is the kernel row of that slot's state, in sorted order
+    rates = np.concatenate((np.zeros((d, 1)), Q.a), axis=1)[:, None, :]
+    e, rows = core._sorted_rows(Q.lambdas[:, None, :], rates, beta_T, np.eye(n), np.triu(np.ones((n, n)), 1))
     sorted_targets = np.take_along_axis(targets, Q.perm, axis=1)
     w = np.log(np.maximum(rows, RATIO_FLOOR)) - np.log(np.maximum(sorted_targets, RATIO_FLOOR))[:, None, :]
     # d(loss)/d(e_j) telescopes to w_j - w_{j+1} on the active columns j >= k

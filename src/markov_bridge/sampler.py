@@ -72,7 +72,7 @@ def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, cou
     for k in range(steps):
         probs = _step_probs(k, dt, xt, Q, schedule, ratio_fn)
         # dimension-major, so the generator is consumed one dimension at a time
-        xt[:] = sample_categorical(probs.transpose(1, 0, 2), rng).T
+        xt[:] = sample_categorical(probs, rng.random((terminal.d, count)).T)
     return xt
 
 

@@ -147,7 +147,7 @@ class ScoreModel:
     def forward_batch(self, xt, t) -> np.ndarray:
         """Positive ratio estimates of shape (B, d, n)."""
         _, out = self._forward_cached(xt, t)
-        return np.exp(out).reshape(-1, self.d, self.n)
+        return np.exp(out, out=out).reshape(-1, self.d, self.n)
 
     def backward(self, acts, d_out):
         """Gradients for a cached forward pass given d(loss)/d(pre-exp output).
@@ -195,13 +195,12 @@ class ScoreBatch:
         return self.xt.shape[0]
 
 
-def sample_xt_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, t, rng):
-    """Draws xt from the rows exp(beta(t_b) Q_i)[x0_bi] and the (B, d, n) ratio
-    target r of the same rows: the one kernel-row pass of a batch."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
+def sample_xt_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, t, u):
+    """Draws xt from the rows exp(beta(t_b) Q_i)[x0_bi] with the (B, d) uniforms
+    ``u``, and the (B, d, n) ratio target r of the same rows: the one
+    kernel-row pass of a batch."""
     r = kernel_rows(Q, schedule.beta(np.asarray(t, dtype=np.float64)), x0)
-    # dimension-major, so the generator is consumed one dimension at a time
-    xt = np.ascontiguousarray(sample_categorical(r.transpose(1, 0, 2), rng).T)
+    xt = sample_categorical(r, u)
     r /= np.maximum(np.take_along_axis(r, xt[:, :, None], axis=2), RATIO_FLOOR)
     return xt, r
 
@@ -210,7 +209,8 @@ def make_score_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, rng, 
     """Draw times uniformly on (eps_t, T), then each xt and its ratio target."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     t = rng.uniform(eps_t, 1.0, size=x0.shape[0])
-    xt, r = sample_xt_batch(x0, Q, schedule, t, rng)
+    # dimension-major, so the generator is consumed one dimension at a time
+    xt, r = sample_xt_batch(x0, Q, schedule, t, rng.random(x0.shape[::-1]).T)
     return ScoreBatch(t=t, xt=xt, r=r)
 
 
@@ -270,7 +270,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
     model parameters.
     """
     acts, out = model._forward_cached(batch.xt, batch.t)
-    s = np.exp(out).reshape(batch.size, model.d, model.n)
+    s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
     values, rates = _per_sample_values(s, batch, Q, schedule, eps_t)
     # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
     weight = (1.0 - eps_t) / batch.size

@@ -38,12 +38,12 @@ def run_selftest(verbose: bool = True) -> bool:
     checks = []
 
     worst = 0.0
-    for _ in range(200):
-        Q = _random_matrix(rng)
-        beta = rng.uniform(0.0, 5.0)
+    # 200 random chains, then tiny-rate ones like the init schemes' starts
+    cases = [(_random_matrix(rng), rng.uniform(0.0, 5.0)) for _ in range(200)]
+    for Q, beta in cases + [(FactorizedRateMatrix([[2, 0, 3, 1]], [[a, a, 1.0]]), 2.0) for a in (1e-6, 1e-10, 0.0)]:
         err = np.abs(transition_kernel(Q, beta)[0] - taylor_expm(beta * materialize_dense(Q)[0])).max()
         worst = max(worst, float(err))
-    checks.append(("kernel vs series oracle (200 cases)", worst <= 1e-8, f"max-abs {worst:.3g}"))
+    checks.append(("kernel vs series oracle (200 cases, 3 tiny-rate)", worst <= 1e-8, f"max-abs {worst:.3g}"))
 
     worst = 0.0
     for _ in range(200):

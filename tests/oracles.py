@@ -42,6 +42,27 @@ def dense_generator(perm, a):
     return G
 
 
+def kernel_longdouble(perm, a, beta):
+    """Dense exp(beta Q) of one chain in np.longdouble, entry by entry.
+
+    In sorted slots the kernel is upper triangular: exp(beta lambda_p) on the
+    diagonal and e_j - e_{j-1} = e_{j-1} (exp(beta a_{j-1}) - 1) after it,
+    with e = exp(beta lambda). The difference is written as that product so
+    that it keeps its relative accuracy at tiny rates.
+    """
+    ld = np.longdouble
+    n = len(perm)
+    a = np.asarray(a, dtype=ld)
+    lam = [-sum(a[j:], ld(0)) for j in range(n - 1)] + [ld(0)]
+    e = [np.exp(ld(beta) * lam_j) for lam_j in lam]
+    K = np.zeros((n, n), dtype=ld)
+    for p in range(n):
+        K[perm[p], perm[p]] = e[p]
+        for j in range(p + 1, n):
+            K[perm[p], perm[j]] = e[j - 1] * np.expm1(ld(beta) * a[j - 1])
+    return K
+
+
 def expm_frechet(M, E):
     """Derivative of expm at M in direction E: the top-right block of the
     exponential of [[M, E], [0, M]]."""

@@ -13,6 +13,7 @@ from markov_bridge import (
     kl_divergence,
     transition_kernel,
 )
+from markov_bridge import core
 from markov_bridge.checkpoint import Checkpoint
 from markov_bridge.core import rate_columns, row_kl_sum, sample_categorical, state_frequencies
 from markov_bridge.data import Dataset
@@ -21,7 +22,7 @@ from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.score_learning import ScoreBatch
 
-from oracles import taylor_expm
+from oracles import kernel_longdouble, taylor_expm
 
 LN2 = np.log(2.0)
 
@@ -249,6 +250,33 @@ class TestKernelRows:
         with pytest.raises(ValueError):
             kernel_rows(Q, 0.3, states)
 
+    @pytest.mark.parametrize("a", [1e-6, 1e-10, 0.0])
+    def test_tiny_rates_match_extended_precision(self, a):
+        # the rates uniform_small and absorbing_text start from: a difference
+        # of exponentials keeps only about 1e-16 / (beta * a) of such an entry
+        n = 6
+        perm = np.array([[3, 0, 5, 1, 4, 2], [1, 4, 0, 2, 5, 3]])
+        rates = np.array([[a, a, a, a, 1.0], [a, a, a, a, a]])
+        Q = FactorizedRateMatrix(perm, rates)
+        for beta in (1e-3, 0.3, 2.0, 9.0):
+            rows = kernel_rows(Q, beta, np.broadcast_to(np.arange(n)[:, None], (n, 2)))
+            for i in range(2):
+                ref = kernel_longdouble(perm[i], rates[i], beta)
+                err = np.abs(rows[:, i].astype(np.longdouble) - ref)
+                assert np.all(err <= 1e-13 * ref), float((err / np.where(ref > 0, ref, 1)).max())
+
+    def test_bit_identical_across_block_counts(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n, d, B = 7, 5, 200
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.0, 2.0, (d, n - 1)))
+        betas = rng.uniform(0.0, 4.0, B)
+        states = rng.integers(0, n, size=(B, d))
+        one = kernel_rows(Q, betas, states)
+        for rows_per_block in (1, 7, 64):
+            monkeypatch.setattr(core, "BLOCK_ELEMENTS", rows_per_block * d * n)
+            assert len(core.row_blocks(B, d * n)) >= 3
+            assert np.array_equal(kernel_rows(Q, betas, states), one)
+
     def test_shared_beta_matches_per_row_betas(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -392,29 +420,30 @@ class TestSmallHelpers:
     def test_sample_categorical_deterministic_and_in_range(self):
         rng = np.random.default_rng(41)
         rows = rng.dirichlet(np.ones(4), size=1000)
-        draws = sample_categorical(rows, np.random.default_rng(5))
-        again = sample_categorical(rows, np.random.default_rng(5))
+        draws = sample_categorical(rows, np.random.default_rng(5).random(1000))
+        again = sample_categorical(rows, np.random.default_rng(5).random(1000))
         assert np.array_equal(draws, again)
         assert draws.min() >= 0 and draws.max() < 4
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
     def test_sample_categorical_stack_matches_calls_in_turn(self, scheme):
-        # the sampler's one draw per step on the (d, B, n) stack of Euler rows
+        # the sampler's one draw per step on the (B, d, n) Euler rows, with
+        # uniforms drawn dimension-major as one draw per dimension would
         rng = np.random.default_rng(45)
         n, d, B = 7, 5, 300
         Q = init_chain(rng, n, d, scheme)
         xt = rng.integers(0, n, size=(B, d))
         ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
-        rows = _euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule()).transpose(1, 0, 2)
-        once = sample_categorical(rows, np.random.default_rng(7))
+        rows = _euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule())
+        once = sample_categorical(rows, np.random.default_rng(7).random((d, B)).T)
         gen = np.random.default_rng(7)
-        in_turn = np.stack([sample_categorical(rows[i], gen) for i in range(d)])
-        assert once.shape == (d, B)
+        in_turn = np.stack([sample_categorical(rows[:, i], gen.random(B)) for i in range(d)], axis=1)
+        assert once.shape == (B, d)
         assert np.array_equal(once, in_turn)
 
     def test_sample_categorical_frequencies(self):
         probs = np.tile([0.1, 0.2, 0.7], (30000, 1))
-        draws = sample_categorical(probs, np.random.default_rng(43))
+        draws = sample_categorical(probs, np.random.default_rng(43).random(30000))
         freq = np.bincount(draws, minlength=3) / draws.size
         assert np.abs(freq - [0.1, 0.2, 0.7]).max() < 0.02
 

@@ -1,6 +1,7 @@
 """Bound accounting: KL factorization, Monte Carlo score term, report identities."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from markov_bridge import (
     FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
+    ScoreModel,
     elbo_estimate,
     evolve_rows,
     kl_term,
     oracle_ratio_fn,
     transition_kernel,
 )
+from markov_bridge import core
 from markov_bridge.core import kl_divergence
 from markov_bridge.matrix_learning import init_rate_matrices
 from markov_bridge.reference import materialize_dense
@@ -186,6 +189,48 @@ class TestElboEstimate:
         assert report.total_nats >= nll - 3.0 * report.mc_std_error
         # and the oracle bound should sit close to that NLL, not far above it
         assert report.total_nats <= nll + 0.1
+
+
+class TestRowBlocks:
+    """The bound computes one row block at a time after drawing everything."""
+
+    @staticmethod
+    def system(rng, n, d):
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.05, 1.5))
+        model = ScoreModel(n, d, hidden=(16,), rng=rng)
+        model.weights[-1] += rng.normal(0.0, 0.3, model.weights[-1].shape)
+        return Q, model, rng.integers(0, n, size=(40, d))
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(557)
+        n, d, mc = 6, 4, 500
+        Q, model, data = self.system(rng, n, d)
+        terminal = ProductDistribution.uniform(n, d)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
+        estimate = lambda: elbo_estimate(model.forward_batch, data, Q, schedule, terminal, mc, np.random.default_rng(5))
+        one = estimate()
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 150 * d * n)
+        assert len(core.row_blocks(mc, d * n)) >= 3
+        blocked = estimate()
+        # the ratio function sees other batch sizes, so its BLAS products may
+        # move in the last bits
+        assert blocked.j_score == pytest.approx(one.j_score, rel=1e-12, abs=0.0)
+        assert blocked.mc_std_error == pytest.approx(one.mc_std_error, rel=1e-10, abs=0.0)
+        assert blocked.kl_term == one.kl_term
+
+    def test_memory_set_by_the_block_budget(self):
+        # at n=27, d=64 one (mc, d, n) array of 4096 draws is 57 MB, and an
+        # estimate over the whole batch holds four of them at once
+        rng = np.random.default_rng(563)
+        n, d = 27, 64
+        Q, model, data = self.system(rng, n, d)
+        tracemalloc.start()
+        try:
+            elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), ProductDistribution.uniform(n, d), 4096, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestElboReportType:

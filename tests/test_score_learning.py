@@ -18,7 +18,7 @@ from markov_bridge import (
     score_loss_and_grad,
     transition_kernel,
 )
-from markov_bridge import evaluation, score_learning
+from markov_bridge import core, evaluation, score_learning
 from markov_bridge.score_learning import sample_xt_batch
 
 from oracles import random_chain_arrays
@@ -42,7 +42,7 @@ class TestSampleXt:
         rng = np.random.default_rng(301)
         Q = random_chain(rng, 5, d=3)
         x0 = rng.integers(0, 5, size=(20, 3))
-        xt, r = sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng)
+        xt, r = sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng.random((20, 3)))
         assert np.array_equal(xt, x0)
         # the identity kernel: r is the one-hot row of x0
         assert np.array_equal(r, np.eye(5)[x0])
@@ -50,7 +50,7 @@ class TestSampleXt:
     def test_half_life_frequencies(self):
         Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
         rng = np.random.default_rng(303)
-        draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng)
+        draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng.random((100000, 1)))
         freq = float(np.mean(draws == 0))
         # binomial 3 sigma around 0.5 at 1e5 draws
         assert abs(freq - 0.5) <= 3.0 * 0.5 / np.sqrt(100000)
@@ -62,7 +62,7 @@ class TestSampleXt:
         Q = FactorizedRateMatrix(perm[None, :], a[None, :])
         schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0)
         rng = np.random.default_rng(307)
-        draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng)
+        draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng.random((200, 1)))
         assert np.all(draws == perm[-1])
 
 
@@ -103,8 +103,8 @@ class TestOneKernelRowPass:
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
         assert len(calls) == 1
-        # the bound draws its chunks the same way: one call per chunk
-        monkeypatch.setattr(evaluation, "_CHUNK", 40)
+        # the bound draws its row blocks the same way: one call per block
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 40 * d * n)
         data = rng.integers(0, n, size=(50, d))
         evaluation.elbo_estimate(model.forward_batch, data, Q, SCHEDULE_UNIT,
                                  ProductDistribution.uniform(n, d), 100, rng)
@@ -128,11 +128,21 @@ class TestScoreForward:
         assert np.all(out > 0.0) and np.all(np.isfinite(out))
 
     def test_deterministic(self):
-        model = ScoreModel(4, 2, rng=np.random.default_rng(5))
+        # a row's ratios do not depend on the rows batched with it, up to the
+        # last bits of the BLAS products, whose results for one row may
+        # differ with the batch size: each row alone, and a row block as the
+        # blocked bound computes it, against the full batch
+        rng = np.random.default_rng(5)
+        model = ScoreModel(4, 2, rng=rng)
         model.weights[-1] += 0.1
-        a = model.forward_batch([[1, 2]], 0.3)
-        b = model.forward_batch([[1, 2], [0, 3]], 0.3)
-        assert np.array_equal(a[0], b[0])
+        xt = rng.integers(0, 4, size=(300, 2))
+        t = rng.uniform(0.0, 1.0, 300)
+        full = model.forward_batch(xt, t)
+        assert np.array_equal(model.forward_batch(xt, t), full)
+        few_ulp = dict(rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+        for b in range(0, 300, 23):
+            np.testing.assert_allclose(model.forward_batch(xt[b:b + 1], t[b]), full[b:b + 1], **few_ulp)
+        np.testing.assert_allclose(model.forward_batch(xt[40:251], t[40:251]), full[40:251], **few_ulp)
 
     @pytest.mark.parametrize("t", [0.37, "per row"])
     def test_gathered_first_layer_matches_one_hot_product(self, t):
