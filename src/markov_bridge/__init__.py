@@ -27,7 +27,6 @@ from .matrix_learning import (
     MatrixLearnState,
     init_rate_matrices,
     jq_grad,
-    jq_loss,
     matrix_learning_loop,
     predict_terminal,
 )

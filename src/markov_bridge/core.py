@@ -7,11 +7,12 @@ In sorted coordinates generator i is upper triangular with eigenvalues
 lambda_j = -(a_ij + ... + a_i,n-2) and lambda_{n-1} = 0 against the all-ones
 upper-triangular eigenbasis, so exp(beta * Q_i) has a closed form assembled
 in O(n^2), written once, in ``_sorted_rows``, as nonnegative elementwise
-terms that keep full relative accuracy at tiny rates. Every operation takes
-all d chains at once; kernel rows and the bound run in cache-sized row
-blocks (:func:`row_blocks`). A distribution is a ``ProductDistribution``, one
-validated (d, n) array; a single chain or categorical is a one-row instance.
-Time runs over [0, T] with T = 1.
+terms that keep full relative accuracy at tiny rates. Only this module knows
+the sorted-slot layout: callers pass and get arrays by state. Every
+operation takes all d chains at once; kernel rows and the bound run in
+cache-sized row blocks (:func:`row_blocks`). A distribution is a
+``ProductDistribution``, one validated (d, n) array; a single chain or
+categorical is a one-row instance. Time runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations
@@ -183,9 +184,8 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     :func:`_sorted_rows` of a point mass on x, in state order: entry y is
     exp(beta * lambda(y)) times 1 at x, -expm1(-beta * a(y)) where y sorts
     after x and 0 before it, so no row is sorted and none is clamped. One
-    stacked pass per row block, written into the output. This is the one
-    kernel assembly: the full kernel, conditional sampling and the
-    score-entropy loss all use it.
+    stacked pass per row block, written into the output: the full kernel,
+    conditional sampling and the score-entropy loss use it.
     """
     x = np.asarray(states, dtype=np.int64)
     # the sorted slot of each state; block_index refuses states outside [0, n)
@@ -270,12 +270,35 @@ def state_frequencies(samples, n: int) -> np.ndarray:
     return counts.reshape(d, n) / B
 
 
-def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs: np.ndarray, targets: np.ndarray) -> float:
-    """Sum over i, x of freqs[i, x] * KL(exp(beta Q_i)[x] || targets[i]), logs clamped
-    as in :func:`kl_divergence`: both the matrix-stage loss and the bound's KL term."""
-    K = transition_kernel(Q, beta)
-    w = np.log(np.maximum(K, RATIO_FLOOR)) - np.log(np.maximum(targets, RATIO_FLOOR))[:, None, :]
-    return float(np.sum(freqs * np.sum(K * w, axis=2)))
+def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs, targets) -> tuple:
+    """Sum over i, x of freqs[i, x] * KL(exp(beta Q_i)[x] || targets[i]) and its
+    (d, n-1) gradient in ``Q.a`` with the targets held fixed, as ``(loss, grad)``.
+
+    Logs are clamped as in :func:`kl_divergence`. One :func:`_sorted_rows`
+    pass over point masses in sorted slots gives all d kernels at once, each
+    row compared with the sorted target and weighted by the sorted
+    frequency. Row k's loss depends on e_j (j >= k) through d(loss)/d(e_j) =
+    w_j - w_{j+1}, w the log ratio, and d(lambda_j)/d(a_k) = -1 for j <= k.
+    Both the matrix-stage loss and the bound's KL term; ``freqs`` and
+    ``targets`` must be (d, n).
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    d, n = Q.d, Q.n
+    if freqs.shape != (d, n) or targets.shape != (d, n):
+        raise ValueError(f"state frequencies and targets must have shape (d, n) = {(d, n)}")
+    rates = np.concatenate((np.zeros((d, 1)), Q.a), axis=1)[:, None, :]
+    e, rows = _sorted_rows(Q.lambdas[:, None, :], rates, beta, np.eye(n), np.triu(np.ones((n, n)), 1))
+    w = np.maximum(rows, RATIO_FLOOR)
+    np.log(w, out=w)
+    w -= np.log(np.maximum(np.take_along_axis(targets, Q.perm, axis=1), RATIO_FLOOR))[:, None, :]
+    sorted_freqs = np.take_along_axis(freqs, Q.perm, axis=1)
+    rows *= w  # the KL terms
+    loss = float(np.sum(sorted_freqs * np.sum(rows, axis=2)))
+    w[:, :, :-1] -= w[:, :, 1:]  # w_j - w_{j+1}, with w_n = 0
+    dE = np.triu(w)
+    dE *= beta * e
+    return loss, -(sorted_freqs[:, None, :] @ np.cumsum(dE, axis=2, out=dE))[:, 0, : n - 1]
 
 
 def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -24,13 +24,13 @@ class DivergenceError(BridgeError):
         self.diagnostics = diagnostics or {}
 
 
-class VocabularyOverflowError(BridgeError):
-    """A corpus contains more distinct symbols than the configured state count."""
-
-
 class CheckpointError(BridgeError):
     """A checkpoint file is malformed or has an unsupported version."""
 
 
 class ConfigError(BridgeError):
     """A run configuration file is malformed or fails validation."""
+
+
+class VocabularyOverflowError(ConfigError):
+    """A corpus contains more distinct symbols than the configured state count."""

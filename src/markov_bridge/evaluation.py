@@ -48,10 +48,12 @@ def kl_term(data, Q, schedule: NoiseSchedule, terminal: ProductDistribution) -> 
     """Dataset mean of the summed per-dimension KL(kernel row of x0_i at beta(T) || terminal_i).
 
     The row KL depends on x0 only through its per-dimension entries, so each
-    dimension costs one kernel and a histogram, whatever the dataset size.
+    dimension costs one kernel and a histogram, whatever the dataset size:
+    the loss half of ``core.row_kl_sum``, the matrix stage's loss. Data rows
+    or a terminal whose width is not the chains' d are refused.
     """
     freqs = state_frequencies(np.atleast_2d(data), terminal.n)
-    return row_kl_sum(Q, schedule.beta(1.0), freqs, terminal.probs)
+    return row_kl_sum(Q, schedule.beta(1.0), freqs, terminal.probs)[0]
 
 
 def elbo_estimate(

@@ -87,7 +87,7 @@ def run_selftest(verbose: bool = True) -> bool:
         p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
         state = MatrixLearnState(Q=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
-        grad = jq_grad(state, state_frequencies(batch, n), schedule)
+        grad = jq_grad(state, state_frequencies(batch, n), schedule)[1]
         frozen = evolve_rows(p0.probs, Q, schedule.beta(1.0))[0, 0]
         fd = _fd_grad(Q, batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)

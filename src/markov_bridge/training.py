@@ -88,7 +88,7 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
     if resume_from is None:
         mu_hat = estimate_marginals(dataset.samples, config.n)
         perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
-        Q = init_rate_matrices(perms, config.n, config.init_scheme)
+        Q = init_rate_matrices(perms, config.init_scheme)
         p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
         model = ScoreModel(
             config.n,

@@ -237,6 +237,18 @@ class TestCliExitCodes:
         assert "runtime failure" not in err and err.count("error:") == 2
         assert not (tmp_path / "run" / "epoch_0002.ckpt").exists()
 
+    def test_corpus_with_more_distinct_bytes_than_n_is_bad_input(self, tmp_path, capsys):
+        (tmp_path / "corpus.txt").write_bytes(b"0123456789" * 4)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"dataset = char_corpus\ncorpus_path = {tmp_path / 'corpus.txt'}\nn = 4\nd = 2\n"
+            f"out_dir = {tmp_path / 'run'}\n",
+            encoding="utf-8",
+        )
+        assert cli(["train", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus has 10 distinct bytes but n = 4")
+
     def test_solve(self, tmp_path, capsys):
         (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")
         (tmp_path / "q.txt").write_text("0.5 0.25 0.25\n", encoding="utf-8")

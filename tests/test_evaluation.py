@@ -84,12 +84,22 @@ class TestKlTerm:
         rng = np.random.default_rng(509)
         schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
         n, d = 5, 4
-        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), n, scheme)
+        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), scheme)
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         data = rng.integers(0, n, size=(40, d))
         kernels = transition_kernel(Q, schedule.beta(1.0))
         per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.probs[i]) for i in range(d)) for x in data]
         assert kl_term(data, Q, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
+
+    def test_width_mismatch_refused(self):
+        # d = 3 chains: neither a (B, 1) dataset nor a d = 1 terminal may broadcast against them
+        rng = np.random.default_rng(511)
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, 4, 3, 0.1, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(4), size=3))
+        with pytest.raises(ValueError, match="shape"):
+            kl_term(rng.integers(0, 4, size=(5, 1)), Q, SCHEDULE_UNIT, terminal)
+        with pytest.raises(ValueError, match="shape"):
+            kl_term(rng.integers(0, 4, size=(5, 3)), Q, SCHEDULE_UNIT, ProductDistribution(terminal.probs[:1]))
 
 
 def point_mass_dataset(n, value, size, d=1):

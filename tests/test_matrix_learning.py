@@ -12,11 +12,11 @@ from markov_bridge import (
     ProductDistribution,
     evolve_rows,
     jq_grad,
-    jq_loss,
     matrix_learning_loop,
     predict_terminal,
     transition_kernel,
 )
+from markov_bridge import matrix_learning
 from markov_bridge.core import RATIO_FLOOR, state_frequencies
 from markov_bridge.matrix_learning import init_rate_matrices
 
@@ -49,12 +49,12 @@ class TestJqLoss:
         p0[0, 2] = 1.0
         state = make_state([np.zeros(3)], p0)
         batch = np.array([[2], [2], [2]])
-        assert jq_loss(state, state_frequencies(batch, 4), SCHEDULE_UNIT) == 0.0
+        assert jq_grad(state, state_frequencies(batch, 4), SCHEDULE_UNIT)[0] == 0.0
 
     def test_hand_kl_example(self):
         # kernel row (0.5, 0.5) against evolved target (0.25, 0.75)
         state = make_state([[LN2]], [[0.5, 0.5]])
-        loss = jq_loss(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
+        loss = jq_grad(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
         expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.1438, abs=2e-4)
@@ -62,8 +62,8 @@ class TestJqLoss:
     def test_identical_dims_double(self):
         one = make_state([[LN2]], [[0.5, 0.5]])
         two = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
-        l1 = jq_loss(one, state_frequencies([[0]], 2), SCHEDULE_UNIT)
-        l2 = jq_loss(two, state_frequencies([[0, 0]], 2), SCHEDULE_UNIT)
+        l1 = jq_grad(one, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
+        l2 = jq_grad(two, state_frequencies([[0, 0]], 2), SCHEDULE_UNIT)[0]
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
     def test_nonnegative_fuzz(self):
@@ -75,7 +75,7 @@ class TestJqLoss:
                 rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n,
             )
             batch = rng.integers(0, n, size=(5, d))
-            assert jq_loss(state, state_frequencies(batch, n), SCHEDULE_UNIT) >= 0.0
+            assert jq_grad(state, state_frequencies(batch, n), SCHEDULE_UNIT)[0] >= 0.0
 
     # the matrix stage takes the table state_frequencies makes of the data,
     # so the batch checks live there
@@ -96,9 +96,8 @@ class TestJqLoss:
 
     def test_batch_width_must_match_dimensions(self):
         state = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
-        for fn in (jq_loss, jq_grad):
-            with pytest.raises(ValueError, match="shape"):
-                fn(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
+        with pytest.raises(ValueError, match="shape"):
+            jq_grad(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
         with pytest.raises(ValueError, match="shape"):
             matrix_learning_loop(
                 state, state_frequencies([[0]], 2), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=0.1
@@ -110,7 +109,7 @@ class TestJqGrad:
         p0 = np.zeros((1, 4))
         p0[0, 1] = 1.0
         state = make_state([np.zeros(3)], p0)
-        grad = jq_grad(state, state_frequencies([[1], [1]], 4), SCHEDULE_UNIT)
+        grad = jq_grad(state, state_frequencies([[1], [1]], 4), SCHEDULE_UNIT)[1]
         assert np.abs(grad).max() <= 1e-8
 
     def test_matches_finite_differences(self):
@@ -128,7 +127,7 @@ class TestJqGrad:
             Q = FactorizedRateMatrix(perms, a)
             state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
             batch = rng.integers(0, n, size=(6, d))
-            grad = jq_grad(state, state_frequencies(batch, n), schedule)
+            grad = jq_grad(state, state_frequencies(batch, n), schedule)[1]
             targets = evolve_rows(p0, Q, beta_T)[0]
             fd = np.zeros_like(grad)
             for i, k in itertools.product(range(d), range(n - 1)):
@@ -144,12 +143,12 @@ class TestJqGrad:
 
     def test_identical_dims_identical_gradients(self):
         state = make_state([[0.4, 0.9], [0.4, 0.9]], [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
-        grad = jq_grad(state, state_frequencies([[1, 1], [0, 0]], 3), SCHEDULE_UNIT)
+        grad = jq_grad(state, state_frequencies([[1, 1], [0, 0]], 3), SCHEDULE_UNIT)[1]
         assert np.allclose(grad[0], grad[1], atol=1e-14)
 
 
 class TestCountsFormMatchesPerRow:
-    """jq_loss and jq_grad work on a batch's state frequencies; the oracle
+    """jq_grad's loss and gradient work on a batch's state frequencies; the oracle
     walks the batch row by row through dense Taylor kernels and their
     derivatives."""
 
@@ -159,8 +158,8 @@ class TestCountsFormMatchesPerRow:
         state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
         freqs = state_frequencies(batch, Q.n)
         want_loss, want_grad = jq_per_row(Q.perm, Q.a, p0, batch, self.SCHEDULE.beta(1.0))
-        assert jq_loss(state, freqs, self.SCHEDULE) == pytest.approx(want_loss, rel=1e-12, abs=0.0)
-        grad = jq_grad(state, freqs, self.SCHEDULE)
+        loss, grad = jq_grad(state, freqs, self.SCHEDULE)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small", "random"])
@@ -172,7 +171,7 @@ class TestCountsFormMatchesPerRow:
             if scheme == "random":
                 Q = FactorizedRateMatrix(perms, np.stack([rng.uniform(0.1, 2.0, n - 1) for _ in perms]))
             else:
-                Q = init_rate_matrices(perms, n, scheme)
+                Q = init_rate_matrices(perms, scheme)
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
             self.check(Q, p0, rng.integers(0, n, size=(int(rng.integers(1, 10)), d)))
 
@@ -180,7 +179,7 @@ class TestCountsFormMatchesPerRow:
     def test_duplicate_rows_and_missing_states(self, scheme):
         rng = np.random.default_rng(239)
         n, d = 6, 3
-        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), n, scheme)
+        Q = init_rate_matrices(np.stack([rng.permutation(n) for _ in range(d)]), scheme)
         p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
         # two distinct rows repeated, so most states never occur
         rows = np.array([[0, 5, 2], [3, 5, 2]])
@@ -243,6 +242,33 @@ class TestMatrixLearningLoop:
         assert out.Q.a[0][0] > 0.0
 
 
+class TestOneEvaluationPerCandidate:
+    # the loop's final rates from a loss evaluation plus a separate
+    # gradient evaluation per step, before the two became one
+    FINAL_A = [
+        [0.5703850265007996, 0.946187060836805, 0.4745112765040164],
+        [0.8807352614564244, 0.8470321817315426, 0.5159791708304292],
+    ]
+
+    def test_every_first_candidate_accepted(self, monkeypatch):
+        rng = np.random.default_rng(241)
+        n, d, k = 4, 2, 6
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.3, 1.5, (d, n - 1)))
+        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(rng.dirichlet(np.ones(n), size=d)))
+        freqs = state_frequencies(rng.integers(0, n, size=(16, d)), n)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return jq_grad(*args, **kwargs)
+
+        monkeypatch.setattr(matrix_learning, "jq_grad", counting)
+        out = matrix_learning_loop(state, freqs, NoiseSchedule(0.4, 2.0), max_step=k, eps_Q=0.0, step_size=0.05)
+        assert len(out.loss_history) == k + 1  # every step took its first candidate
+        assert len(calls) == k + 1
+        np.testing.assert_allclose(out.Q.a, self.FINAL_A, rtol=1e-14, atol=0.0)
+
+
 class TestPredictTerminal:
     def test_zero_beta_returns_p0(self):
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
@@ -257,7 +283,7 @@ class TestPredictTerminal:
 
     def test_absorbing_init_large_beta(self):
         perms = np.array([[2, 0, 1]])
-        Q = init_rate_matrices(perms, 3, "absorbing_text")
+        Q = init_rate_matrices(perms, "absorbing_text")
         state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution.uniform(3, 1))
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0)
         out = predict_terminal(state.Q, state.p0_estimate, schedule)
@@ -267,13 +293,13 @@ class TestPredictTerminal:
 
 class TestInitSchemes:
     def test_absorbing_text(self):
-        Q = init_rate_matrices([np.arange(4)], 4, "absorbing_text")
+        Q = init_rate_matrices([np.arange(4)], "absorbing_text")
         assert np.allclose(Q.a[0], [0.0, 0.0, 1.0])
 
     def test_uniform_small(self):
-        Q = init_rate_matrices([np.arange(4)], 4, "uniform_small")
+        Q = init_rate_matrices([np.arange(4)], "uniform_small")
         assert np.allclose(Q.a[0], [1e-5, 1e-5, 1e-5])
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            init_rate_matrices([np.arange(3)], 3, "bogus")
+            init_rate_matrices([np.arange(3)], "bogus")

@@ -9,6 +9,14 @@ def scaled(fn, factor):
     return lambda *args, **kwargs: factor * fn(*args, **kwargs)
 
 
+def scaled_gradient(fn, factor):
+    def evaluate(*args, **kwargs):
+        loss, grad = fn(*args, **kwargs)
+        return loss, factor * grad
+
+    return evaluate
+
+
 def faster_rates(fn):
     def solve(p, q):
         Q = fn(p, q)
@@ -26,7 +34,7 @@ BREAKAGES = {
         lambda fn: lambda *args: scaled(fn(*args), 1.5),
     ),
     "score loss positive once perturbed": ("score_entropy_loss", lambda fn: lambda *args, **kwargs: 0.0),
-    "matrix-loss gradient vs finite differences": ("jq_grad", lambda fn: scaled(fn, 2.0)),
+    "matrix-loss gradient vs finite differences": ("jq_grad", lambda fn: scaled_gradient(fn, 2.0)),
 }
 
 
