@@ -9,10 +9,19 @@ upper-triangular eigenbasis, so exp(beta * Q_i) has a closed form assembled
 in O(n^2), written once, in ``_sorted_rows``, as nonnegative elementwise
 terms that keep full relative accuracy at tiny rates. Only this module knows
 the sorted-slot layout: callers pass and get arrays by state. Every
-operation takes all d chains at once; kernel rows and the bound run in
-cache-sized row blocks (:func:`row_blocks`). A distribution is a
-``ProductDistribution``, one validated (d, n) array; a single chain or
-categorical is a one-row instance. Time runs over [0, T] with T = 1.
+operation takes all d chains at once.
+
+Batched work is cut into row slices by :func:`row_blocks` under one of two
+element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
+array) bounds what kernel rows and each step of the bound, its draws and
+its MLP forward, hold at once. A cache chunk (``CHUNK_ELEMENTS``, 256 KiB
+per array) is what a chain of elementwise passes works on, so that its
+temporaries stay in L2 between passes: categorical draws, the
+score-entropy terms and their gradient, and Adam. Chunking never reorders
+floating-point operations, so results do not depend on either budget. A
+distribution is a ``ProductDistribution``, one validated (d, n) array; a
+single chain or categorical is a one-row instance. Time runs over [0, T]
+with T = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import numpy as np
 
 PROB_ATOL = 1e-9
 RATIO_FLOOR = 1e-12
-BLOCK_ELEMENTS = 2**20  # float64 elements of one row block: 8 MiB an array
+BLOCK_ELEMENTS = 2**20  # float64 elements of one memory block: 8 MiB an array
+CHUNK_ELEMENTS = 2**15  # float64 elements of one cache chunk: 256 KiB an array
 
 
 def _frozen(arr, dtype):
@@ -153,10 +163,26 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def row_blocks(rows: int, width: int) -> list:
-    """Slices cutting ``rows`` rows of ``width`` elements into blocks of BLOCK_ELEMENTS // width rows."""
-    step = max(1, BLOCK_ELEMENTS // width)
+def row_blocks(rows: int, width: int, cache: bool = False) -> list:
+    """Slices cutting ``rows`` rows of ``width`` elements into runs of at most
+    budget // width rows (at least one), the last one possibly shorter.
+
+    The budget is BLOCK_ELEMENTS, a memory block, or with ``cache`` set
+    CHUNK_ELEMENTS, a cache chunk: several arrays of one chunk fit in a
+    core's L2 cache, so a chain of elementwise passes over it reads memory
+    once, where passes over whole arrays would stream each from RAM.
+    """
+    step = max(1, (CHUNK_ELEMENTS if cache else BLOCK_ELEMENTS) // width)
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _check_betas(betas) -> np.ndarray:
+    """``betas`` as a float array, refused unless every entry is finite and nonnegative."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
+    # NaN fails both comparisons
+    if not np.all((betas >= 0.0) & (betas < np.inf)):
+        raise ValueError("beta must be finite and nonnegative")
+    return betas
 
 
 def _sorted_rows(lambdas, rates, betas, mass, before, out=None):
@@ -184,15 +210,16 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     :func:`_sorted_rows` of a point mass on x, in state order: entry y is
     exp(beta * lambda(y)) times 1 at x, -expm1(-beta * a(y)) where y sorts
     after x and 0 before it, so no row is sorted and none is clamped. One
-    stacked pass per row block, written into the output: the full kernel,
-    conditional sampling and the score-entropy loss use it.
+    stacked pass per memory block, written into the output: the full kernel,
+    conditional sampling and the score-entropy loss use it. A negative or
+    non-finite beta raises ValueError.
     """
     x = np.asarray(states, dtype=np.int64)
     # the sorted slot of each state; block_index refuses states outside [0, n)
     pos = np.take(Q.inv_perm, block_index(x, Q.d, Q.n))
     if pos.ndim != 2:
         raise ValueError("states must be a (B, d) array")
-    betas = np.broadcast_to(np.atleast_1d(np.asarray(betas, dtype=np.float64)), (x.shape[0],))
+    betas = np.broadcast_to(_check_betas(betas), (x.shape[0],))
     out = np.empty((x.shape[0], Q.d, Q.n))
     for rows in row_blocks(x.shape[0], Q.d * Q.n):
         at = x[rows, :, None]
@@ -205,9 +232,6 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
 
 def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
     """Row-stochastic exp(beta * Q_i) of every chain, shape (d, n, n), from :func:`kernel_rows`."""
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
     states = np.broadcast_to(np.arange(Q.n)[:, None], (Q.n, Q.d))
     return kernel_rows(Q, beta, states).transpose(1, 0, 2)
 
@@ -217,12 +241,13 @@ def evolve_rows(p, Q: FactorizedRateMatrix, betas) -> np.ndarray:
 
     :func:`_sorted_rows` in state order with the masses p and, before each
     state, the mass of p sorted before it; O(B d n). Row sums are conserved,
-    so unnormalized nonnegative inputs are fine.
+    so unnormalized nonnegative inputs are fine. A negative or non-finite
+    beta raises ValueError.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (Q.d, Q.n):
         raise ValueError(f"p must have shape (d, n) = {(Q.d, Q.n)}")
-    betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))[:, None, None]
+    betas = _check_betas(betas)[:, None, None]
     c = np.cumsum(np.take_along_axis(p, Q.perm, axis=1)[:, :-1], axis=1)
     before = np.take_along_axis(np.concatenate((np.zeros((Q.d, 1)), c), axis=1), Q.inv_perm, axis=1)
     return _sorted_rows(Q.state_lambdas, Q.state_rates, betas, p, before)[1]
@@ -247,16 +272,16 @@ def rate_columns(Q: FactorizedRateMatrix, sigmas, xt) -> np.ndarray:
     """Off-diagonal rates into each state: sigma_b * Q_i[y, x_bi], 0 at y = x_bi.
 
     Column x of a generator is the constant a[pos(x) - 1] on the sorted slots
-    before pos(x) and 0 after it, so no dense matrix is built: the d*n
-    possible columns form one small table, gathered by state. ``xt`` is
-    (B, d), one column per chain; ``sigmas`` is a scalar or one value per
-    row. Shape (B, d, n).
+    before pos(x) and 0 after it, so no dense matrix is built: each (b, i)
+    takes one product sigma_b * state_rates[i, x_bi], spread over the states
+    that sort before x_bi. ``xt`` is (B, d), one column per chain;
+    ``sigmas`` is a scalar or one value per row. Shape (B, d, n).
     """
-    d, n, inv = Q.d, Q.n, Q.inv_perm
-    # cols[i, x, y] = Q_i[y, x] for y != x, and 0 at y = x
-    cols = np.where(inv[:, None, :] < inv[:, :, None], Q.state_rates[:, :, None], 0.0)
-    out = np.take(cols.reshape(d * n, n), block_index(xt, d, n), axis=0)
-    out *= np.reshape(np.asarray(sigmas, dtype=np.float64), (-1, 1, 1))
+    at = block_index(xt, Q.d, Q.n)
+    rates = np.take(Q.state_rates, at) * np.reshape(np.asarray(sigmas, dtype=np.float64), (-1, 1))
+    # 1 or 0 times a finite nonnegative rate: the rate itself, or +0.0
+    out = np.less(Q.inv_perm, np.take(Q.inv_perm, at)[:, :, None]).astype(np.float64)
+    out *= rates[:, :, None]
     return out
 
 
@@ -307,11 +332,30 @@ def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Callers with (B, d, n) rows draw ``u`` as ``rng.random((d, B)).T``: the
     generator is consumed one dimension at a time, as d calls on (B, n)
-    rows in turn would consume it, and no row array is transposed.
+    rows in turn would consume it. Each cache chunk of rows is copied
+    state-major, (n, rows), and its slabs are summed in order, T[k] +=
+    T[k-1]: the same sequential sum a ``cumsum`` over each row makes, with
+    every add and compare running over a contiguous slab rather than a
+    short row. A non-finite uniform or row total (the last slab) raises
+    ValueError: NaN would otherwise draw state 0.
     """
-    cdf = np.cumsum(rows, axis=-1)
-    idx = (u[..., None] > cdf).sum(axis=-1)
-    return np.minimum(idx, rows.shape[-1] - 1)
+    n = rows.shape[-1]
+    flat = np.reshape(rows, (-1, n))
+    u = np.reshape(u, -1)
+    if u.shape != flat.shape[:1]:
+        raise ValueError("need one uniform per row")
+    if not np.isfinite(u).all():
+        raise ValueError("uniforms must be finite")
+    idx = np.empty(flat.shape[0], dtype=np.int64)
+    for part in row_blocks(flat.shape[0], n, cache=True):
+        cdf = flat[part].T.copy()
+        for k in range(1, n):
+            cdf[k] += cdf[k - 1]
+        if not np.isfinite(cdf[-1]).all():
+            raise ValueError("a categorical row has a non-finite total")
+        # the number of states whose cumulative mass is below u
+        idx[part] = np.greater(u[part], cdf).view(np.uint8).sum(axis=0)
+    return np.minimum(idx, n - 1).reshape(rows.shape[:-1])
 
 
 def kl_divergence(p, q, floor: float = RATIO_FLOOR) -> float:

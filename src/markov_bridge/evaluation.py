@@ -88,7 +88,7 @@ def elbo_estimate(
     for rows in row_blocks(mc_samples, Q.d * Q.n):
         xt, r = sample_xt_batch(data[picks[rows]], Q, schedule, t[rows], u[rows])
         batch = ScoreBatch(t=t[rows], xt=xt, r=r)
-        values[rows] = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
+        values[rows] = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)
     mean = float(values.sum()) / mc_samples
     var = max(float((values**2).sum()) / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))

@@ -10,6 +10,13 @@ over y is taken (no y-subsampling) since desk-scale n keeps it cheap.
 A :class:`ScoreBatch` carries its target r = K_t[x0, :] / K_t[x0, xt], built
 from the kernel rows xt was drawn from: one kernel-row pass per batch.
 
+The elementwise work runs one cache chunk of rows at a time
+(``core.row_blocks`` with ``cache`` set): the score-entropy terms, their
+rates and the output gradient in one pass per chunk, and each Adam update in
+place over a parameter's memory. The MLP's matrix products and the kernel
+rows take whole batches, or memory blocks in the bound. No operation is
+reordered, so results do not depend on the chunk size.
+
 Everything works on batches: ratio estimators are functions
 ``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
 :func:`oracle_ratio_fn`, and single tuples are batches of one.
@@ -30,6 +37,7 @@ from .core import (
     evolve_rows,
     kernel_rows,
     rate_columns,
+    row_blocks,
     sample_categorical,
 )
 from .errors import DegenerateStateError, DivergenceError
@@ -153,14 +161,18 @@ class ScoreModel:
         """Gradients for a cached forward pass given d(loss)/d(pre-exp output).
 
         The one-hot input is built here, for dW1 = delta^T X at the training
-        batch size.
+        batch size. Each weight gradient has its weight's memory order, so
+        an update can walk both in memory order: dW1 is taken as
+        (X^T delta)^T, column-major like W1.
         """
         grad_w = [None] * len(self.weights)
         grad_b = [None] * len(self.biases)
         delta = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
-            inputs = self.encode(*acts[0]) if layer == 0 else acts[layer]
-            grad_w[layer] = delta.T @ inputs
+            if layer == 0:
+                grad_w[layer] = (self.encode(*acts[0]).T @ delta).T
+            else:
+                grad_w[layer] = delta.T @ acts[layer]
             grad_b[layer] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
@@ -233,33 +245,47 @@ def oracle_ratio_fn(mu: ProductDistribution, Q: FactorizedRateMatrix, schedule: 
     return ratios
 
 
-def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float):
+def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float, d_out=None):
+    """Per-draw score-entropy values, weighted by (T - eps_t), one cache chunk
+    of rows at a time; with ``d_out``, a (B, d, n) array, also the gradient
+    of their mean in the pre-exp outputs, rate * (s - r) / B * (T - eps_t).
+
+    ``d_out`` may be ``s`` itself: a chunk is read before it is overwritten.
+    """
     r = batch.r
-    # rate * (s - r + r (ln r - ln s)), built in place: at most four (B, d, n)
-    # arrays live, s, r, terms and a scratch that the rates replace
-    terms = np.maximum(r, RATIO_FLOOR)
-    np.log(terms, out=terms)
-    scratch = np.maximum(s, RATIO_FLOOR)
-    terms -= np.log(scratch, out=scratch)
-    terms *= r
-    terms += np.subtract(s, r, out=scratch)
-    del scratch
-    # each term is a Bregman divergence, so negatives can only be roundoff
-    np.clip(terms, 0.0, None, out=terms)
-    rates = rate_columns(Q, schedule.sigma(batch.t), batch.xt)
-    terms *= rates
-    if not np.isfinite(terms).all():
-        b, i, y = np.argwhere(~np.isfinite(terms))[0]
-        raise DivergenceError(
-            f"non-finite score-entropy term at dim {i}, state {y}, t={batch.t[b]:.6g}"
-        )
+    B, d, n = r.shape
+    sigmas = schedule.sigma(batch.t)
     weight = 1.0 - eps_t
-    return weight * terms.sum(axis=(1, 2)), rates
+    values = np.empty(B)
+    for rows in row_blocks(B, d * n, cache=True):
+        rc, sc = r[rows], s[rows]
+        # rate * (s - r + r (ln r - ln s)), in place on two chunk temporaries
+        terms = np.maximum(rc, RATIO_FLOOR)
+        np.log(terms, out=terms)
+        diff = np.maximum(sc, RATIO_FLOOR)
+        terms -= np.log(diff, out=diff)
+        terms *= rc
+        terms += np.subtract(sc, rc, out=diff)
+        # each term is a Bregman divergence, so negatives can only be roundoff
+        np.clip(terms, 0.0, None, out=terms)
+        rates = rate_columns(Q, sigmas[rows], batch.xt[rows])
+        terms *= rates
+        if not np.isfinite(terms).all():
+            b, i, y = np.argwhere(~np.isfinite(terms))[0]
+            raise DivergenceError(
+                f"non-finite score-entropy term at dim {i}, state {y}, t={batch.t[rows][b]:.6g}"
+            )
+        values[rows] = weight * terms.sum(axis=(1, 2))
+        if d_out is not None:
+            # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
+            grad = np.multiply(weight / B, rates, out=d_out[rows])
+            grad *= diff
+    return values
 
 
 def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
     """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)[0]
+    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)
     return float(values.mean())
 
 
@@ -267,18 +293,40 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
     """Batch loss and its exact reverse-mode gradients for a fixed batch.
 
     Returns (loss, grad_weights, grad_biases), the gradients shaped like the
-    model parameters.
+    model parameters. The output gradient overwrites the ratios in place.
     """
     acts, out = model._forward_cached(batch.xt, batch.t)
     s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
-    values, rates = _per_sample_values(s, batch, Q, schedule, eps_t)
-    # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
-    weight = (1.0 - eps_t) / batch.size
-    d_out = weight * rates
-    d_out *= s - batch.r
-    d_out = d_out.reshape(batch.size, model.d * model.n)
-    grad_w, grad_b = model.backward(acts, d_out)
+    values = _per_sample_values(s, batch, Q, schedule, eps_t, d_out=s)
+    grad_w, grad_b = model.backward(acts, out)
     return float(values.mean()), grad_w, grad_b
+
+
+def _adam_update(param, grad, m, v, scale: float) -> None:
+    """One Adam step on ``param`` in place, with moments ``m`` and ``v``
+    (laid out like ``param``), one cache chunk at a time.
+
+    All four are walked in ``param``'s memory order, so chunks pair the same
+    entries; a gradient in another order is copied into that order first.
+    """
+    if not (param.flags.c_contiguous or param.flags.f_contiguous):
+        raise ValueError("a parameter must be one contiguous array to be updated in place")
+    order = "C" if param.flags.c_contiguous else "F"
+    p, g, m, v = (np.reshape(x, -1, order=order) for x in (param, grad, m, v))
+    parts = row_blocks(p.size, 1, cache=True)
+    step, scratch = np.empty(parts[0].stop), np.empty(parts[0].stop)
+    for part in parts:
+        gp, mp, vp = g[part], m[part], v[part]
+        a, b = step[: len(mp)], scratch[: len(mp)]
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2
+        mp *= ADAM_BETA1
+        mp += np.multiply(1.0 - ADAM_BETA1, gp, out=a)
+        vp *= ADAM_BETA2
+        vp += np.multiply(1.0 - ADAM_BETA2, np.square(gp, out=a), out=a)
+        # param -= scale * m / (sqrt(v) + eps)
+        np.multiply(scale, mp, out=a)
+        a /= np.add(np.sqrt(vp, out=b), ADAM_EPS, out=b)
+        p[part] -= a
 
 
 def score_learning_loop(
@@ -296,10 +344,8 @@ def score_learning_loop(
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     history = []
     initial_smoothed = None
     for step in range(max_step):
@@ -318,11 +364,6 @@ def score_learning_loop(
             )
         tt = step + 1
         scale = lr * np.sqrt(1.0 - ADAM_BETA2**tt) / (1.0 - ADAM_BETA1**tt)
-        for layer in range(len(model.weights)):
-            m_w[layer] = ADAM_BETA1 * m_w[layer] + (1.0 - ADAM_BETA1) * grad_w[layer]
-            v_w[layer] = ADAM_BETA2 * v_w[layer] + (1.0 - ADAM_BETA2) * grad_w[layer] ** 2
-            model.weights[layer] -= scale * m_w[layer] / (np.sqrt(v_w[layer]) + ADAM_EPS)
-            m_b[layer] = ADAM_BETA1 * m_b[layer] + (1.0 - ADAM_BETA1) * grad_b[layer]
-            v_b[layer] = ADAM_BETA2 * v_b[layer] + (1.0 - ADAM_BETA2) * grad_b[layer] ** 2
-            model.biases[layer] -= scale * m_b[layer] / (np.sqrt(v_b[layer]) + ADAM_EPS)
+        for param, grad, (m, v) in zip(params, grad_w + grad_b, moments):
+            _adam_update(param, grad, m, v, scale)
     return model

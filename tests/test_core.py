@@ -220,6 +220,18 @@ class TestTransitionKernel:
         with pytest.raises(ValueError):
             transition_kernel(FactorizedRateMatrix([[0, 1]], [[1.0]]), -0.5)
 
+    @pytest.mark.parametrize("beta", [-1.0, np.nan, np.inf])
+    def test_rows_and_marginals_refuse_bad_beta(self, beta):
+        # beta = -1 gave rows like [3.32, -1.31, -1.01], and NaN gave NaN rows
+        Q = FactorizedRateMatrix([[2, 0, 1]], [[0.7, 1.2]])
+        for betas in (beta, [0.5, beta]):
+            with pytest.raises(ValueError, match="beta"):
+                kernel_rows(Q, betas, [[0], [1]])
+            with pytest.raises(ValueError, match="beta"):
+                evolve_rows([[0.2, 0.3, 0.5]], Q, betas)
+        with pytest.raises(ValueError, match="beta"):
+            transition_kernel(Q, beta)
+
 
 class TestKernelRows:
     def test_matches_full_kernel(self):
@@ -440,6 +452,33 @@ class TestSmallHelpers:
         in_turn = np.stack([sample_categorical(rows[:, i], gen.random(B)) for i in range(d)], axis=1)
         assert once.shape == (B, d)
         assert np.array_equal(once, in_turn)
+
+    @pytest.mark.parametrize("n, d, B", [(7, 5, 300), (27, 3, 40), (2, 1, 9)])
+    def test_sample_categorical_matches_cumsum_in_every_chunking(self, monkeypatch, n, d, B):
+        # the row-major cumsum form the state-major slabs replace, with rows
+        # that sum to a little under 1 so the last-state clamp is exercised
+        rng = np.random.default_rng(47)
+        rows = rng.dirichlet(np.ones(n), size=(B, d)) * (1.0 - 1e-9)
+        rows[rng.random((B, d)) < 0.2] *= rng.integers(0, 2, size=n)
+        u = rng.random((d, B)).T
+        u[0, 0] = np.nextafter(1.0, 0.0)
+        want = np.minimum((u[..., None] > np.cumsum(rows, axis=-1)).sum(axis=-1), n - 1)
+        for chunk_rows in (1, 4, B * d):
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * n)
+            assert len(core.row_blocks(B * d, n, cache=True)) == -(-(B * d) // chunk_rows)
+            assert np.array_equal(sample_categorical(rows, u), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_categorical_refuses_non_finite_rows_and_uniforms(self, bad):
+        rows = np.full((6, 3), 1.0 / 3.0)
+        u = np.linspace(0.1, 0.9, 6)
+        rows[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_categorical(rows, u)
+        rows[4, 1] = 1.0 / 3.0
+        u[2] = bad
+        with pytest.raises(ValueError, match="uniforms"):
+            sample_categorical(rows, u)
 
     def test_sample_categorical_frequencies(self):
         probs = np.tile([0.1, 0.2, 0.7], (30000, 1))

@@ -228,6 +228,20 @@ class TestRowBlocks:
         assert blocked.mc_std_error == pytest.approx(one.mc_std_error, rel=1e-10, abs=0.0)
         assert blocked.kl_term == one.kl_term
 
+    def test_cache_chunks_move_no_bit(self, monkeypatch):
+        # chunks split only the elementwise passes, never the ratio calls
+        rng = np.random.default_rng(559)
+        n, d, mc = 6, 4, 500
+        Q, model, data = self.system(rng, n, d)
+        terminal = ProductDistribution.uniform(n, d)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 150 * d * n)
+        estimate = lambda: elbo_estimate(model.forward_batch, data, Q, schedule, terminal, mc, np.random.default_rng(5))
+        one = estimate()
+        for chunk_rows in (1, 7, mc):
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
+            assert estimate() == one
+
     def test_memory_set_by_the_block_budget(self):
         # at n=27, d=64 one (mc, d, n) array of 4096 draws is 57 MB, and an
         # estimate over the whole batch holds four of them at once

@@ -364,6 +364,76 @@ class TestScoreGrad:
             assert np.allclose(g1, g3, atol=1e-14)
 
 
+class TestCacheChunks:
+    """The elementwise passes of a score step run in cache chunks of rows;
+    no chunking may move a bit of the result."""
+
+    @staticmethod
+    def system(rng, n=5, d=3, B=16):
+        Q = random_chain(rng, n, d=d)
+        model = ScoreModel(n, d, hidden=(8, 8), rng=rng)
+        model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
+        return Q, model, make_score_batch(rng.integers(0, n, size=(B, d)), Q, NoiseSchedule(), rng)
+
+    def test_loss_and_gradient_bit_identical_across_chunkings(self, monkeypatch):
+        rng = np.random.default_rng(401)
+        n, d, B = 5, 3, 16
+        Q, model, batch = self.system(rng, n, d, B)
+        one = score_loss_and_grad(model, batch, Q, NoiseSchedule())
+        for chunk_rows in (1, 3, B):  # 3 leaves a ragged last chunk
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
+            assert len(core.row_blocks(B, d * n, cache=True)) == -(-B // chunk_rows)
+            loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, NoiseSchedule())
+            assert loss == one[0]
+            for got, want in zip(grad_w + grad_b, one[1] + one[2]):
+                assert np.array_equal(got, want)
+            assert score_entropy_loss(model.forward_batch, batch, Q, NoiseSchedule()) == loss
+
+    def test_weight_gradients_share_their_weights_layout(self):
+        rng = np.random.default_rng(403)
+        Q, model, batch = self.system(rng)
+        _, grad_w, _ = score_loss_and_grad(model, batch, Q, NoiseSchedule())
+        assert model.weights[0].flags.f_contiguous and not model.weights[0].flags.c_contiguous
+        for w, g in zip(model.weights, grad_w):
+            assert g.strides == w.strides
+
+    @pytest.mark.parametrize("grad_order", ["F", "C"])
+    def test_adam_update_matches_whole_array_arithmetic(self, monkeypatch, grad_order):
+        # an F-ordered first-layer weight over several chunks; a gradient in
+        # the other order must still pair entry with entry
+        rng = np.random.default_rng(409)
+        shape = (6, 37)
+        param = np.asfortranarray(rng.normal(size=shape))
+        grad = np.array(rng.normal(size=shape), order=grad_order)
+        m = np.asfortranarray(rng.normal(size=shape))
+        v = np.asfortranarray(rng.uniform(0.0, 2.0, size=shape))
+        scale = 3e-4 * np.sqrt(1.0 - 0.999**3) / (1.0 - 0.9**3)
+        want_m = 0.9 * m + (1.0 - 0.9) * grad
+        want_v = 0.999 * v + (1.0 - 0.999) * grad**2
+        want = param - scale * want_m / (np.sqrt(want_v) + 1e-8)
+        for chunk in (1, 5, param.size):
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk)
+            p, mc, vc = param.copy(order="K"), m.copy(order="K"), v.copy(order="K")
+            score_learning._adam_update(p, grad, mc, vc, scale)
+            assert np.array_equal(mc, want_m) and np.array_equal(vc, want_v)
+            assert np.array_equal(p, want)
+
+    def test_training_bit_identical_across_chunkings(self, monkeypatch):
+        rng = np.random.default_rng(419)
+        Q, model, batch = self.system(rng)
+        start = [x.copy(order="K") for x in model.weights + model.biases]
+        trained = []
+        for chunk in (None, 1, 7):
+            if chunk is not None:
+                monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk)
+            fresh = ScoreModel(model.n, model.d, params=(start[:3], start[3:]))
+            score_learning_loop(fresh, itertools.repeat(batch), Q, NoiseSchedule(), max_step=4, eps_score=0.0)
+            trained.append(fresh.weights + fresh.biases)
+        assert len(core.row_blocks(start[0].size, 1, cache=True)) > 1
+        for other in trained[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(trained[0], other))
+
+
 def _batch_stream(rng, n, d, Q, mu, size, schedule=SCHEDULE_UNIT):
     probs = mu.probs
     while True:

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from markov_bridge import load_checkpoint, matrix_learning_loop, parse_config_text, train, training
+from markov_bridge import core, load_checkpoint, matrix_learning_loop, parse_config_text, train, training
 from markov_bridge.data import load_dataset
 from markov_bridge.solver import estimate_marginals
 from markov_bridge.cli import cli
@@ -73,6 +73,18 @@ def test_golden_history_and_p0(tmp_path):
     assert ck.epoch == 3
     np.testing.assert_allclose(ck.epoch_history, GOLDEN_HISTORY, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(ck.p0_estimate, GOLDEN_P0, rtol=1e-9, atol=1e-15)
+
+
+def test_cache_chunks_of_a_few_elements_move_no_bit(tmp_path, monkeypatch):
+    # the golden shapes fit in one chunk; a budget of a few elements drives
+    # every chunked pass (draws, score-entropy terms, Adam) through many
+    want = train(config_in(tmp_path / "whole"))
+    monkeypatch.setattr(core, "CHUNK_ELEMENTS", 5)
+    got = train(config_in(tmp_path / "tiny"))
+    assert np.array_equal(got.epoch_history, want.epoch_history)
+    assert np.array_equal(got.p0_estimate, want.p0_estimate)
+    for a, b in zip(got.score_weights + got.score_biases, want.score_weights + want.score_biases):
+        assert np.array_equal(a, b)
 
 
 def test_kl_term_is_the_matrix_stage_loss(tmp_path, monkeypatch):
