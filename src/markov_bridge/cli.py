@@ -13,7 +13,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import load_config
 from .core import ProductDistribution, evolve_rows
-from .data import load_dataset
+from .data import Dataset, load_dataset, read_corpus
 from .errors import BridgeError, CheckpointError, ConfigError, UnsolvableSupportError
 from .evaluation import elbo_estimate
 from .matrix_learning import predict_terminal
@@ -94,8 +94,9 @@ def _cmd_sample(args) -> int:
     steps = args.steps if args.steps is not None else config.sampler_steps
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SAMPLE_SALT]))
     draws = generate(terminal, Q, schedule, model.forward_batch, rng, args.count, steps, config.eps_t)
-    dataset = load_dataset(config)
-    lines = dataset.decode(draws)
+    # the draws as a dataset of the config's kind: decoding reads only the corpus alphabet
+    vocab = read_corpus(config)[1] if config.dataset == "char_corpus" else None
+    lines = Dataset(draws, config.n, vocab=vocab).decode(draws)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

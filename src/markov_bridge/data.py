@@ -1,5 +1,15 @@
 """Dataset ingestion: seeded synthetic draws from a factorized ground truth,
-or a byte-level character corpus chunked into fixed-length tuples."""
+or a byte-level character corpus chunked into fixed-length tuples.
+
+Both kinds are built by whole-array passes. The synthetic draws are the
+numbers ``rng.choice(n, size=N, p=row)`` gives for each dimension in turn:
+uniforms come off the generator in the same order, one row of N per
+dimension, and each draw is the count of entries of its row's normalized
+cumulative distribution that are <= its uniform, which is where
+``choice``'s right-sided search lands. A corpus is read once into a byte
+array; its alphabet (every distinct byte, in ascending order) numbers the
+states, and a 256-entry lookup table maps bytes to state ids.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .core import ProductDistribution
+from .core import ProductDistribution, row_blocks
 from .errors import ConfigError, VocabularyOverflowError
 
 _DATA_SALT = 0x5EED
@@ -55,34 +65,71 @@ def synthetic_ground_truth(n: int, d: int, seed: int) -> ProductDistribution:
     return ProductDistribution(rows)
 
 
+def _draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
+    """(size, d) int64 array whose column i holds ``rng.choice(n, size=size, p=probs[i])``
+    for i = 0, ..., d-1 in turn, bit for bit.
+
+    Dimensions go in cache-chunk blocks: one (dims, size) draw of uniforms
+    per block, then n-1 compares of each uniform against a cdf entry,
+    counted in place. The last cdf entry is exactly 1.0 and no uniform
+    reaches it.
+    """
+    d, n = probs.shape
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    samples = np.empty((size, d), dtype=np.int64)
+    for block in row_blocks(d, size, cache=True):
+        u = rng.random((block.stop - block.start, size))
+        below = np.empty(u.shape, dtype=bool)
+        count = np.zeros(u.shape, dtype=np.min_scalar_type(n - 1))
+        for k in range(n - 1):
+            count += np.less_equal(cdf[block, k, None], u, out=below).view(np.uint8)
+        samples[:, block] = count.T
+    return samples
+
+
+def read_corpus(config: RunConfig) -> tuple:
+    """The corpus file as a uint8 array and its vocabulary, ``(bytes, vocab)``.
+
+    The vocabulary maps every distinct byte of the whole file to its rank
+    among them, so bytes past the last full tuple count too. An unreadable
+    or empty file is a ConfigError, more distinct bytes than ``config.n`` a
+    VocabularyOverflowError.
+    """
+    try:
+        with open(config.corpus_path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read corpus {config.corpus_path!r}: {exc}") from exc
+    if not raw:
+        raise ConfigError("corpus file is empty")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    alphabet = np.flatnonzero(np.bincount(buf, minlength=256))
+    if alphabet.size > config.n:
+        raise VocabularyOverflowError(f"corpus has {alphabet.size} distinct bytes but n = {config.n}")
+    return buf, {int(byte): idx for idx, byte in enumerate(alphabet)}
+
+
 def load_dataset(config: RunConfig) -> Dataset:
-    """Materialize the dataset the config describes."""
+    """Materialize the dataset the config describes.
+
+    Synthetic: ``config.synthetic_samples`` draws from the seeded ground
+    truth, the same samples as one ``rng.choice`` per dimension on the data
+    stream (see the module docstring). Char corpus: the file's state ids cut
+    into length-d tuples, a trailing partial tuple dropped.
+    """
     if config.dataset == "synthetic":
         truth = synthetic_ground_truth(config.n, config.d, config.seed)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
-        samples = np.stack(
-            [rng.choice(config.n, size=config.synthetic_samples, p=row) for row in truth.probs],
-            axis=1,
-        ).astype(np.int64)
+        samples = _draw_columns(truth.probs, config.synthetic_samples, rng)
         return Dataset(samples=samples, n=config.n, ground_truth=truth)
     if config.dataset == "char_corpus":
-        try:
-            with open(config.corpus_path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read corpus {config.corpus_path!r}: {exc}") from exc
-        if not raw:
-            raise ConfigError("corpus file is empty")
-        alphabet = sorted(set(raw))
-        if len(alphabet) > config.n:
-            raise VocabularyOverflowError(
-                f"corpus has {len(alphabet)} distinct bytes but n = {config.n}"
-            )
-        vocab = {byte: idx for idx, byte in enumerate(alphabet)}
-        ids = np.array([vocab[b] for b in raw], dtype=np.int64)
-        usable = (ids.size // config.d) * config.d
+        buf, vocab = read_corpus(config)
+        usable = (buf.size // config.d) * config.d
         if usable == 0:
             raise ConfigError(f"corpus shorter than one length-{config.d} tuple")
-        samples = ids[:usable].reshape(-1, config.d)
+        ids = np.zeros(256, dtype=np.int64)
+        ids[list(vocab)] = np.arange(len(vocab))
+        samples = ids[buf[:usable]].reshape(-1, config.d)
         return Dataset(samples=samples, n=config.n, vocab=vocab)
     raise ConfigError(f"unknown dataset kind {config.dataset!r}")

@@ -13,20 +13,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FactorizedRateMatrix, ProductDistribution, state_frequencies
+from .core import FactorizedRateMatrix, ProductDistribution
 from .errors import UnsolvableSupportError
 
 HISTOGRAM_SMOOTHING = 1e-6
 
 
-def estimate_marginals(dataset, n: int) -> ProductDistribution:
-    """Per-dimension histogram frequencies with additive smoothing.
+def estimate_marginals(freqs) -> ProductDistribution:
+    """Per-dimension marginals from a (d, n) state-frequency table
+    (:func:`core.state_frequencies`) with additive smoothing.
 
     Smoothing keeps every state strictly positive so the estimate can serve
     as the source side of a bridge: (f + eps) / (1 + n*eps) with eps = 1e-6.
     """
-    freq = state_frequencies(dataset, n)
-    return ProductDistribution((freq + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
+    freqs = np.asarray(freqs, dtype=np.float64)
+    n = freqs.shape[-1]
+    return ProductDistribution((freqs + HISTOGRAM_SMOOTHING) / (1.0 + n * HISTOGRAM_SMOOTHING))
 
 
 def permutation_from_data(p: ProductDistribution, q: ProductDistribution) -> np.ndarray:

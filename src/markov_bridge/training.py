@@ -2,8 +2,9 @@
 estimate of the data distribution feeding the next epoch.
 
 The matrix stage fits the full data's state frequencies, counted once per
-run, and draws nothing at random; its final loss is the epoch's ``kl_term``,
-the KL part of the bound written to ``metrics.csv``.
+run (the same table, smoothed, gives the data marginals that fix the
+permutations), and draws nothing at random; its final loss is the epoch's
+``kl_term``, the KL part of the bound written to ``metrics.csv``.
 
 Permutations are fixed once at startup from the data histograms (sorted
 against a uniform terminal, i.e. by ascending marginal) and never re-sorted.
@@ -83,10 +84,11 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
     config.validate()
     schedule = config.schedule()
     dataset = load_dataset(config)
+    freqs = state_frequencies(dataset.samples, config.n)
     os.makedirs(config.out_dir, exist_ok=True)
 
     if resume_from is None:
-        mu_hat = estimate_marginals(dataset.samples, config.n)
+        mu_hat = estimate_marginals(freqs)
         perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
         Q = init_rate_matrices(perms, config.init_scheme)
         p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
@@ -108,7 +110,6 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         history = list(saved.epoch_history)
         start_epoch = saved.epoch
     state = MatrixLearnState(Q=Q, p0_estimate=p0)
-    freqs = state_frequencies(dataset.samples, config.n)
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
     if start_epoch > 0 and os.path.exists(metrics_path):

@@ -1,12 +1,17 @@
 """Dataset ingestion: the byte-level character corpus and the synthetic draws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from markov_bridge import Checkpoint, ConfigError, RunConfig, VocabularyOverflowError, load_dataset, save_checkpoint
+from markov_bridge import cli as cli_module
+from markov_bridge import core
 from markov_bridge.checkpoint import rng_state_to_json
 from markov_bridge.cli import cli
 from markov_bridge.config import config_echo
+from markov_bridge.data import _DATA_SALT
 from markov_bridge.score_learning import ScoreModel
 
 
@@ -14,6 +19,28 @@ def corpus_config(tmp_path, raw: bytes, n=8, d=4):
     path = tmp_path / "corpus.txt"
     path.write_bytes(raw)
     return RunConfig(dataset="char_corpus", corpus_path=str(path), n=n, d=d)
+
+
+def zero_rate_checkpoint(tmp_path, config) -> str:
+    """A checkpoint of ``config`` whose zero rates keep each draw at its
+    terminal state, uniform over all n."""
+    n, d = config.n, config.d
+    config.score_hidden = (4,)
+    model = ScoreModel(n, d, hidden=(4,))
+    ck = Checkpoint(
+        config_text=config_echo(config),
+        epoch=1,
+        perms=np.tile(np.arange(n), (d, 1)),
+        a=np.zeros((d, n - 1)),
+        p0_estimate=np.full((d, n), 1.0 / n),
+        score_weights=model.weights,
+        score_biases=model.biases,
+        rng_state=rng_state_to_json(np.random.default_rng(0)),
+        epoch_history=np.zeros((1, 4)),
+    )
+    path = str(tmp_path / "run.ckpt")
+    save_checkpoint(ck, path)
+    return path
 
 
 class TestCharCorpus:
@@ -41,27 +68,26 @@ class TestCharCorpus:
     def test_sample_draws_states_without_a_byte(self, tmp_path):
         # zero rates keep each draw at its terminal state, uniform over all 8
         config = corpus_config(tmp_path, b"abcd", n=8, d=4)
-        config.score_hidden = (4,)
-        model = ScoreModel(8, 4, hidden=(4,))
-        ck = Checkpoint(
-            config_text=config_echo(config),
-            epoch=1,
-            perms=np.tile(np.arange(8), (4, 1)),
-            a=np.zeros((4, 7)),
-            p0_estimate=np.full((4, 8), 1.0 / 8.0),
-            score_weights=model.weights,
-            score_biases=model.biases,
-            rng_state=rng_state_to_json(np.random.default_rng(0)),
-            epoch_history=np.zeros((1, 4)),
-        )
-        path = str(tmp_path / "run.ckpt")
-        save_checkpoint(ck, path)
+        path = zero_rate_checkpoint(tmp_path, config)
         out = tmp_path / "samples.txt"
         assert cli(["sample", path, "--count", "8", "--steps", "2", "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 8
         assert all(len(line) == 4 and set(line) <= set("abcd\ufffd") for line in lines)
         assert "\ufffd" in "".join(lines)
+
+    def test_ids_and_vocabulary_match_a_per_byte_lookup(self, tmp_path):
+        # bytes >= 0x80 and a newline; the dropped tail holds the only b and 0x01
+        raw = b"na\xefve caf\xe9\nr\xe9sum\xe9 \xff\n" * 3 + b"ab\x01"
+        d = 5
+        ds = load_dataset(corpus_config(tmp_path, raw, n=32, d=d))
+        vocab = {byte: idx for idx, byte in enumerate(sorted(set(raw)))}
+        ids = np.array([vocab[b] for b in raw], dtype=np.int64)
+        usable = (ids.size // d) * d
+        assert usable == len(raw) - 3
+        assert ds.vocab == vocab and all(type(byte) is int for byte in ds.vocab)
+        assert ds.samples.dtype == np.int64
+        np.testing.assert_array_equal(ds.samples, ids[:usable].reshape(-1, d))
 
     def test_more_distinct_bytes_than_n(self, tmp_path):
         with pytest.raises(VocabularyOverflowError):
@@ -90,3 +116,62 @@ class TestSynthetic:
         assert ds.ground_truth.d == 3 and ds.ground_truth.n == 5
         assert np.array_equal(load_dataset(config).samples, ds.samples)
         assert ds.decode(ds.samples[:1]) == [" ".join(str(v) for v in ds.samples[0])]
+
+    @pytest.mark.parametrize(
+        "n, d, size, chunk, blocks",
+        [
+            (2, 5, 300, None, 1),  # two states
+            (5, 4, 1, None, 1),  # one draw per dimension
+            (27, 7, 10000, None, 3),  # blocks of three dimensions, the last one of one
+            (27, 65, 50, 200, 17),  # blocks of four dimensions, the last one of one
+            (300, 3, 500, None, 1),  # more states than a uint8 counts
+        ],
+    )
+    def test_draws_match_one_choice_per_dimension(self, monkeypatch, n, d, size, chunk, blocks):
+        if chunk is not None:
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk)
+        assert len(core.row_blocks(d, size, cache=True)) == blocks
+        config = RunConfig(n=n, d=d, seed=11, synthetic_samples=size)
+        ds = load_dataset(config)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
+        want = np.stack([rng.choice(n, size=size, p=row) for row in ds.ground_truth.probs], axis=1).astype(np.int64)
+        assert ds.samples.dtype == np.int64
+        np.testing.assert_array_equal(ds.samples, want)
+
+    def test_memory_holds_the_samples_and_a_few_cache_chunks(self):
+        # a (d, N) float64 temporary alone is as large as the samples
+        config = RunConfig(n=27, d=64, seed=3, synthetic_samples=4096)
+        load_dataset(RunConfig(n=2, d=1, synthetic_samples=1))  # so the first draw's imports are not counted
+        tracemalloc.start()
+        try:
+            samples = load_dataset(config).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes + 4 * 8 * core.CHUNK_ELEMENTS
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "char_corpus"])
+def test_sample_decodes_without_building_the_dataset(tmp_path, monkeypatch, kind):
+    if kind == "synthetic":
+        config = RunConfig(n=8, d=3)
+        alphabet = None
+    else:
+        config = corpus_config(tmp_path, b"ab cd\xe9ab", n=8, d=3)
+        alphabet = set("ab cd\xe9\ufffd")
+    path = zero_rate_checkpoint(tmp_path, config)
+
+    def refuse(config):
+        raise AssertionError("dmb sample built the dataset")
+
+    monkeypatch.setattr(cli_module, "load_dataset", refuse)
+    out = tmp_path / "samples.txt"
+    assert cli(["sample", path, "--count", "16", "--steps", "2", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 16
+    for line in lines:
+        if alphabet is None:
+            states = [int(tok) for tok in line.split(" ")]
+            assert len(states) == 3 and all(0 <= x < 8 for x in states)
+        else:
+            assert len(line) == 3 and set(line) <= alphabet

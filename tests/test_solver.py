@@ -11,6 +11,7 @@ from markov_bridge import (
     exact_rate_matrices,
     permutation_from_data,
 )
+from markov_bridge.core import state_frequencies
 from markov_bridge.reference import materialize_dense
 
 from oracles import random_positive_vector, taylor_expm
@@ -132,27 +133,27 @@ class TestExactRateMatrix:
 
 class TestEstimateMarginals:
     def test_counting(self):
-        dist = estimate_marginals(np.array([[0], [0], [1], [1]]), 2)
+        dist = estimate_marginals(state_frequencies(np.array([[0], [0], [1], [1]]), 2))
         assert np.allclose(dist.probs[0], [0.5, 0.5], atol=1e-6)
 
     def test_smoothing_two_dims(self):
-        dist = estimate_marginals(np.array([[0, 1], [0, 1]]), 2)
+        dist = estimate_marginals(state_frequencies(np.array([[0, 1], [0, 1]]), 2))
         delta = 1e-6 / (1.0 + 2e-6)
         assert np.allclose(dist.probs[0], [1.0 - delta, delta], atol=1e-12)
         assert np.allclose(dist.probs[1], [delta, 1.0 - delta], atol=1e-12)
 
     def test_single_sample_three_states(self):
-        dist = estimate_marginals(np.array([[2]]), 3)
+        dist = estimate_marginals(state_frequencies(np.array([[2]]), 3))
         delta = 1e-6 / (1.0 + 3e-6)
         assert np.allclose(dist.probs[0], [delta, delta, 1.0 - 2 * delta], atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            estimate_marginals(np.empty((0, 2), dtype=np.int64), 4)
+            estimate_marginals(state_frequencies(np.empty((0, 2), dtype=np.int64), 4))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            estimate_marginals(np.array([[5]]), 4)
+            estimate_marginals(state_frequencies(np.array([[5]]), 4))
 
 
 class TestPermutationFromData:

@@ -114,7 +114,7 @@ def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
     config = parse_config_text(CONFIG + f"out_dir = {tmp_path}\np0_init = data_marginal\nepochs = 1\n")
     train(config)
-    want = estimate_marginals(load_dataset(config).samples, config.n).probs
+    want = estimate_marginals(core.state_frequencies(load_dataset(config).samples, config.n)).probs
     assert len(p0_seen) == 1
     np.testing.assert_array_equal(p0_seen[0], want)
 
