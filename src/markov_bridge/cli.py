@@ -98,8 +98,11 @@ def _cmd_sample(args) -> int:
     vocab = read_corpus(config)[1] if config.dataset == "char_corpus" else None
     lines = Dataset(draws, config.n, vocab=vocab).decode(draws)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write samples to {args.out!r}: {exc}") from exc
     else:
         for line in lines:
             print(line)

@@ -16,7 +16,7 @@ element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
 array) bounds what kernel rows and each step of the bound, its draws and
 its MLP forward, hold at once. A cache chunk (``CHUNK_ELEMENTS``, 256 KiB
 per array) is what a chain of elementwise passes works on, so that its
-temporaries stay in L2 between passes: categorical draws, the
+temporaries stay in L2 between passes: categorical and product draws, the
 score-entropy terms and their gradient, and Adam. Chunking never reorders
 floating-point operations, so results do not depend on either budget. A
 distribution is a ``ProductDistribution``, one validated (d, n) array; a
@@ -356,6 +356,33 @@ def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         # the number of states whose cumulative mass is below u
         idx[part] = np.greater(u[part], cdf).view(np.uint8).sum(axis=0)
     return np.minimum(idx, n - 1).reshape(rows.shape[:-1])
+
+
+def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
+    """``size`` draws from the product distribution with (d, n) rows ``probs``, shape (size, d).
+
+    Column i is ``rng.choice(n, size=size, p=probs[i])`` for i = 0, ..., d-1
+    in turn, bit for bit, and the generator ends in the same state: uniforms
+    come off it in the same order, one row of ``size`` per dimension, and
+    each draw counts the entries of its row's normalized cumulative
+    distribution that are <= its uniform, where ``choice``'s right-sided
+    search lands. Dimensions go in cache-chunk blocks: one (dims, size) draw
+    of uniforms per block, then n-1 compares of each uniform against a cdf
+    entry, counted in place. The last cdf entry is exactly 1.0 and no
+    uniform reaches it.
+    """
+    d, n = probs.shape
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    samples = np.empty((size, d), dtype=np.int64)
+    for block in row_blocks(d, size, cache=True):
+        u = rng.random((block.stop - block.start, size))
+        below = np.empty(u.shape, dtype=bool)
+        count = np.zeros(u.shape, dtype=np.min_scalar_type(n - 1))
+        for k in range(n - 1):
+            count += np.less_equal(cdf[block, k, None], u, out=below).view(np.uint8)
+        samples[:, block] = count.T
+    return samples
 
 
 def kl_divergence(p, q, floor: float = RATIO_FLOOR) -> float:

@@ -1,14 +1,11 @@
 """Dataset ingestion: seeded synthetic draws from a factorized ground truth,
 or a byte-level character corpus chunked into fixed-length tuples.
 
-Both kinds are built by whole-array passes. The synthetic draws are the
-numbers ``rng.choice(n, size=N, p=row)`` gives for each dimension in turn:
-uniforms come off the generator in the same order, one row of N per
-dimension, and each draw is the count of entries of its row's normalized
-cumulative distribution that are <= its uniform, which is where
-``choice``'s right-sided search lands. A corpus is read once into a byte
-array; its alphabet (every distinct byte, in ascending order) numbers the
-states, and a 256-entry lookup table maps bytes to state ids.
+Both kinds are built by whole-array passes. The synthetic draws come from
+``core.draw_columns``, the same numbers as one ``rng.choice`` per
+dimension. A corpus is read once into a byte array; its alphabet (every
+distinct byte, in ascending order) numbers the states, and a 256-entry
+lookup table maps bytes to state ids.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .core import ProductDistribution, row_blocks
+from .core import ProductDistribution, draw_columns
 from .errors import ConfigError, VocabularyOverflowError
 
 _DATA_SALT = 0x5EED
@@ -65,29 +62,6 @@ def synthetic_ground_truth(n: int, d: int, seed: int) -> ProductDistribution:
     return ProductDistribution(rows)
 
 
-def _draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
-    """(size, d) int64 array whose column i holds ``rng.choice(n, size=size, p=probs[i])``
-    for i = 0, ..., d-1 in turn, bit for bit.
-
-    Dimensions go in cache-chunk blocks: one (dims, size) draw of uniforms
-    per block, then n-1 compares of each uniform against a cdf entry,
-    counted in place. The last cdf entry is exactly 1.0 and no uniform
-    reaches it.
-    """
-    d, n = probs.shape
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    samples = np.empty((size, d), dtype=np.int64)
-    for block in row_blocks(d, size, cache=True):
-        u = rng.random((block.stop - block.start, size))
-        below = np.empty(u.shape, dtype=bool)
-        count = np.zeros(u.shape, dtype=np.min_scalar_type(n - 1))
-        for k in range(n - 1):
-            count += np.less_equal(cdf[block, k, None], u, out=below).view(np.uint8)
-        samples[:, block] = count.T
-    return samples
-
-
 def read_corpus(config: RunConfig) -> tuple:
     """The corpus file as a uint8 array and its vocabulary, ``(bytes, vocab)``.
 
@@ -114,14 +88,13 @@ def load_dataset(config: RunConfig) -> Dataset:
     """Materialize the dataset the config describes.
 
     Synthetic: ``config.synthetic_samples`` draws from the seeded ground
-    truth, the same samples as one ``rng.choice`` per dimension on the data
-    stream (see the module docstring). Char corpus: the file's state ids cut
-    into length-d tuples, a trailing partial tuple dropped.
+    truth on the data stream. Char corpus: the file's state ids cut into
+    length-d tuples, a trailing partial tuple dropped.
     """
     if config.dataset == "synthetic":
         truth = synthetic_ground_truth(config.n, config.d, config.seed)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
-        samples = _draw_columns(truth.probs, config.synthetic_samples, rng)
+        samples = draw_columns(truth.probs, config.synthetic_samples, rng)
         return Dataset(samples=samples, n=config.n, ground_truth=truth)
     if config.dataset == "char_corpus":
         buf, vocab = read_corpus(config)

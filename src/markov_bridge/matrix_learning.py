@@ -2,7 +2,9 @@
 expected KL between conditional terminal rows and the evolved terminal.
 
 The d rate matrices are one ``FactorizedRateMatrix`` with a (d, n-1) rate
-array, and every step works on all d chains at once.
+array, and every step works on all d chains at once. The stage holds no
+state between calls: it takes the rates and p0 as plain values and returns
+a :class:`MatrixFit`.
 
 J_Q is the data mean of per-dimension KL(kernel row of x0_i || evolved p0_i),
 so it depends on the data only through each dimension's state frequencies.
@@ -13,7 +15,7 @@ gradient together; the line search evaluates each candidate once and keeps
 the accepted one's gradient for the next step. The loss is the bound's KL
 term (``evaluation.kl_term``).
 
-The loss target p_T = p0_estimate @ exp(beta_T * Q) is recomputed at every
+The loss target p_T = p0 @ exp(beta_T * Q) is recomputed at every
 evaluation but treated as constant in the gradient (the outer loop alternates
 between estimating p0 and fitting Q, so no gradient flows through the
 Monte-Carlo p0 estimate).
@@ -21,7 +23,7 @@ Monte-Carlo p0 estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +33,12 @@ from .errors import DivergenceError
 _MAX_HALVINGS = 40
 
 
-@dataclass
-class MatrixLearnState:
-    """Mutable state of the forward-stage inner loop: the d chains' rates and
-    p0, whose (d, n) shapes the first loss evaluation checks against each other."""
+class MatrixFit(NamedTuple):
+    """One matrix-stage call's result: the fitted rates and the losses it
+    accepted, the starting loss first, so one entry plus one per step."""
 
     Q: FactorizedRateMatrix
-    p0_estimate: ProductDistribution
-    loss_history: list = field(default_factory=list)
+    loss_history: list
 
 
 def init_rate_matrices(perms, scheme: str = "absorbing_text") -> FactorizedRateMatrix:
@@ -59,67 +59,68 @@ def init_rate_matrices(perms, scheme: str = "absorbing_text") -> FactorizedRateM
     return FactorizedRateMatrix(perms, np.broadcast_to(a, (d, n - 1)))
 
 
-def jq_grad(state: MatrixLearnState, freqs, schedule: NoiseSchedule) -> tuple:
-    """``(loss, grad)`` of the matrix stage at ``state``: ``core.row_kl_sum`` of
-    the (d, n) state-frequency table ``freqs`` against the evolved p0.
+def jq_grad(Q: FactorizedRateMatrix, p0: ProductDistribution, freqs, schedule: NoiseSchedule) -> tuple:
+    """``(loss, grad)`` of the matrix stage at rates ``Q`` and data estimate
+    ``p0``: ``core.row_kl_sum`` of the (d, n) state-frequency table ``freqs``
+    against the evolved p0.
 
     The loss is the per-dimension KL(kernel row || evolved p0), weighted by
     state frequency; zero target entries are clamped at 1e-12, so it stays
     finite at absorbing-style parameter points. The (d, n-1) gradient holds
     the target fixed and matches central finite differences of that
-    frozen-target objective.
+    frozen-target objective. Shapes that disagree raise ValueError.
     """
-    targets = predict_terminal(state.Q, state.p0_estimate, schedule).probs
-    return row_kl_sum(state.Q, schedule.beta(1.0), freqs, targets)
+    targets = predict_terminal(Q, p0, schedule).probs
+    return row_kl_sum(Q, schedule.beta(1.0), freqs, targets)
 
 
 def matrix_learning_loop(
-    state: MatrixLearnState,
+    Q: FactorizedRateMatrix,
+    p0: ProductDistribution,
     freqs,
     schedule: NoiseSchedule,
     max_step: int,
     eps_Q: float,
     step_size: float,
-) -> MatrixLearnState:
-    """Projected gradient descent on a with backtracking line search.
+) -> MatrixFit:
+    """Projected gradient descent on the rates of ``Q`` with backtracking line search.
 
-    Descends on the loss of the (d, n) state-frequency table ``freqs`` until
-    the step cap or loss < eps_Q; a is clamped at 0 after every step. Each
-    call's line search starts at ``step_size``. The recorded loss history is
-    nonincreasing because steps are only accepted when they do not increase
-    the loss.
+    Descends on the loss of the (d, n) state-frequency table ``freqs``, with
+    p0 held fixed, until the step cap or loss < eps_Q; a is clamped at 0
+    after every step. Each call's line search starts at ``step_size``. The
+    returned loss history is nonincreasing because steps are only accepted
+    when they do not increase the loss. A non-finite loss raises
+    DivergenceError carrying the last accepted ``Q`` and the loss.
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
     if step_size <= 0.0:
         raise ValueError("step_size must be positive")
-    loss, grads = jq_grad(state, freqs, schedule)
+    loss, grads = jq_grad(Q, p0, freqs, schedule)
     if not np.isfinite(loss):
-        raise DivergenceError("non-finite matrix loss", diagnostics={"state": state, "loss": loss})
-    state.loss_history.append(loss)
+        raise DivergenceError("non-finite matrix loss", diagnostics={"Q": Q, "loss": loss})
+    history = [loss]
     if loss < eps_Q:
-        return state
+        return MatrixFit(Q, history)
     step = step_size
     for _ in range(max_step):
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            candidate = state.Q.replace_a(np.maximum(state.Q.a - step * grads, 0.0))
-            cand_loss, cand_grads = jq_grad(MatrixLearnState(candidate, state.p0_estimate), freqs, schedule)
+            candidate = Q.replace_a(np.maximum(Q.a - step * grads, 0.0))
+            cand_loss, cand_grads = jq_grad(candidate, p0, freqs, schedule)
             if not np.isfinite(cand_loss):
-                raise DivergenceError(
-                    "non-finite matrix loss during line search",
-                    diagnostics={"state": state, "loss": cand_loss},
-                )
+                raise DivergenceError("non-finite matrix loss during line search",
+                                      diagnostics={"Q": Q, "loss": cand_loss})
             if cand_loss <= loss:
-                state.Q, loss, grads = candidate, cand_loss, cand_grads
-                state.loss_history.append(loss)
+                Q, loss, grads = candidate, cand_loss, cand_grads
+                history.append(loss)
                 step = min(step * 2.0, step_size)
                 accepted = True
                 break
             step /= 2.0
         if not accepted or loss < eps_Q:
             break
-    return state
+    return MatrixFit(Q, history)
 
 
 def predict_terminal(Q: FactorizedRateMatrix, p0: ProductDistribution, schedule: NoiseSchedule) -> ProductDistribution:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, rate_columns, sample_categorical
+from .core import NoiseSchedule, ProductDistribution, draw_columns, rate_columns, sample_categorical
 from .errors import DivergenceError
 
 # Health counters read by name (perfbench's sampler.zero_rows). A row total
@@ -49,7 +49,7 @@ def _euler_probs(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule) ->
     return rows
 
 
-def _grid_step(steps: int, eps_t: float, schedule: NoiseSchedule) -> float:
+def _grid_step(steps: int, eps_t: float) -> float:
     """Step of the uniform grid of ``steps`` steps from T down to eps_t."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -66,9 +66,9 @@ def _step_probs(k: int, dt: float, xt, Q, schedule: NoiseSchedule, ratio_fn):
 
 def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, count, steps, dt):
     """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
-    xt = np.empty((count, terminal.d), dtype=np.int64)
-    for i, row in enumerate(terminal.probs):
-        xt[:, i] = rng.choice(terminal.n, size=count, p=row)
+    if count < 1:
+        raise ValueError("need at least one trajectory")
+    xt = draw_columns(terminal.probs, count, rng)
     for k in range(steps):
         probs = _step_probs(k, dt, xt, Q, schedule, ratio_fn)
         # dimension-major, so the generator is consumed one dimension at a time
@@ -91,7 +91,7 @@ def generate(
     ``ratio_fn(xt_batch, t) -> (B, d, n)`` supplies the probability ratios
     (a trained model or the exact oracle). Returns an (count, d) int array.
     """
-    dt = _grid_step(steps, eps_t, schedule)
+    dt = _grid_step(steps, eps_t)
     return _trajectories(terminal, Q, schedule, ratio_fn, rng, count, steps, dt)
 
 
@@ -111,9 +111,7 @@ def estimate_mu(
     per-dimension distribution instead of sampling it, and averages across
     trajectories.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    dt = _grid_step(steps, eps_t, schedule)
+    dt = _grid_step(steps, eps_t)
     last = steps - 1
     xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, last, dt)
     rows = _step_probs(last, dt, xt, Q, schedule, ratio_fn).mean(axis=0)

@@ -14,7 +14,7 @@ from .core import (
     state_frequencies,
     transition_kernel,
 )
-from .matrix_learning import MatrixLearnState, jq_grad
+from .matrix_learning import jq_grad
 from .reference import materialize_dense, taylor_expm
 from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
 from .solver import exact_rate_matrices
@@ -85,9 +85,8 @@ def run_selftest(verbose: bool = True) -> bool:
         n = 5
         Q = _fixed_n_matrix(rng, n)
         p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=1) * 0.9 + 0.1 / n)
-        state = MatrixLearnState(Q=Q, p0_estimate=p0)
         batch = rng.integers(0, n, size=(8, 1))
-        grad = jq_grad(state, state_frequencies(batch, n), schedule)[1]
+        grad = jq_grad(Q, p0, state_frequencies(batch, n), schedule)[1]
         frozen = evolve_rows(p0.probs, Q, schedule.beta(1.0))[0, 0]
         fd = _fd_grad(Q, batch, schedule, frozen)
         denom = max(np.abs(fd).max(), 1e-8)

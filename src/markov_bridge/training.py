@@ -4,7 +4,9 @@ estimate of the data distribution feeding the next epoch.
 The matrix stage fits the full data's state frequencies, counted once per
 run (the same table, smoothed, gives the data marginals that fix the
 permutations), and draws nothing at random; its final loss is the epoch's
-``kl_term``, the KL part of the bound written to ``metrics.csv``.
+``kl_term``, the KL part of the bound written to ``metrics.csv``. Q and p0
+pass from stage to stage as plain values; a run resumes from any epoch's
+checkpoint.
 
 Permutations are fixed once at startup from the data histograms (sorted
 against a uniform terminal, i.e. by ascending marginal) and never re-sorted.
@@ -28,7 +30,7 @@ from .core import FactorizedRateMatrix, ProductDistribution, kl_divergence, stat
 from .data import Dataset, load_dataset
 from .errors import CheckpointError, ConfigError
 from .evaluation import elbo_estimate
-from .matrix_learning import MatrixLearnState, init_rate_matrices, matrix_learning_loop, predict_terminal
+from .matrix_learning import init_rate_matrices, matrix_learning_loop, predict_terminal
 from .sampler import estimate_mu
 from .score_learning import ScoreModel, layer_sizes, make_score_batch, score_learning_loop
 from .solver import estimate_marginals, permutation_from_data
@@ -73,19 +75,24 @@ def restore(ck: Checkpoint):
     return config, config.schedule(), Q, model, p0
 
 
-def train(config: RunConfig, resume_from: str | None = None, stop_after: int | None = None) -> Checkpoint:
+def train(config: RunConfig, resume_from: str | None = None) -> Checkpoint:
     """Run the alternating loop until convergence or the epoch cap.
 
     Writes one metrics row and one checkpoint per epoch under
     ``config.out_dir`` and returns the final checkpoint. ``resume_from``
-    restores an earlier checkpoint of the same config; ``stop_after`` caps
-    how many epochs this call performs (for interruption tests).
+    restores an earlier checkpoint of the same config and carries on from
+    the epoch after it, dropping any metrics rows past it. A checkpoint
+    already at the epoch cap, or an ``out_dir`` that cannot be created,
+    raises ConfigError.
     """
     config.validate()
     schedule = config.schedule()
     dataset = load_dataset(config)
     freqs = state_frequencies(dataset.samples, config.n)
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {config.out_dir!r}: {exc}") from exc
 
     if resume_from is None:
         mu_hat = estimate_marginals(freqs)
@@ -109,7 +116,8 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         run_rng = rng_from_json(saved.rng_state)
         history = list(saved.epoch_history)
         start_epoch = saved.epoch
-    state = MatrixLearnState(Q=Q, p0_estimate=p0)
+        if start_epoch >= config.epochs:
+            raise ConfigError("nothing to do: epoch cap already reached by the resumed checkpoint")
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
     if start_epoch > 0 and os.path.exists(metrics_path):
@@ -124,21 +132,19 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
         metrics.write(METRICS_HEADER + "\n")
         metrics.flush()
 
-    ck = None
-    last = min(config.epochs, start_epoch + stop_after) if stop_after is not None else config.epochs
     try:
-        for epoch in range(start_epoch + 1, last + 1):
+        for epoch in range(start_epoch + 1, config.epochs + 1):
             tick = time.perf_counter()
 
-            state = matrix_learning_loop(
-                state, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
-            )
-            terminal = predict_terminal(state.Q, state.p0_estimate, schedule)
+            Q = matrix_learning_loop(
+                Q, p0, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
+            ).Q
+            terminal = predict_terminal(Q, p0, schedule)
 
             model = score_learning_loop(
                 model,
-                _score_batches(dataset, state.Q, schedule, config, run_rng),
-                state.Q,
+                _score_batches(dataset, Q, schedule, config, run_rng),
+                Q,
                 schedule,
                 config.max_step_score,
                 config.eps_score,
@@ -147,20 +153,20 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             )
 
             mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
-            state.p0_estimate = estimate_mu(
-                terminal, state.Q, schedule, model.forward_batch, mu_rng,
+            p0 = estimate_mu(
+                terminal, Q, schedule, model.forward_batch, mu_rng,
                 config.mu_trajectories, config.sampler_steps, config.eps_t,
             )
 
             report = elbo_estimate(
-                model.forward_batch, dataset.samples, state.Q, schedule, terminal,
+                model.forward_batch, dataset.samples, Q, schedule, terminal,
                 config.mc_samples, run_rng, eps_t=config.eps_t,
             )
             kl_mu = ""
             kl_value = np.nan
             if dataset.ground_truth is not None:
                 # the KL of product distributions is the sum of the row KLs
-                kl_value = kl_divergence(dataset.ground_truth.probs, state.p0_estimate.probs)
+                kl_value = kl_divergence(dataset.ground_truth.probs, p0.probs)
                 kl_mu = f"{kl_value:.12g}"
             wall = time.perf_counter() - tick
             metrics.write(
@@ -173,9 +179,9 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
             ck = Checkpoint(
                 config_text=config_echo(config),
                 epoch=epoch,
-                perms=state.Q.perm.copy(),
-                a=state.Q.a.copy(),
-                p0_estimate=state.p0_estimate.probs.copy(),
+                perms=Q.perm.copy(),
+                a=Q.a.copy(),
+                p0_estimate=p0.probs.copy(),
                 score_weights=[w.copy() for w in model.weights],
                 score_biases=[b.copy() for b in model.biases],
                 rng_state=rng_state_to_json(run_rng),
@@ -187,6 +193,4 @@ def train(config: RunConfig, resume_from: str | None = None, stop_after: int | N
                 break
     finally:
         metrics.close()
-    if ck is None:
-        raise ConfigError("nothing to do: epoch cap already reached by the resumed checkpoint")
     return ck

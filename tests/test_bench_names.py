@@ -1,7 +1,8 @@
 """The names the benchmark traces and reads exist in the package.
 
 perfbench wraps functions by name and reports a missing one as 0 rather than
-failing, so a rename would silently zero its metrics. This pins the names.
+failing, so a rename would silently zero its metrics. This pins the names,
+and the result attributes its hooks read.
 """
 
 import importlib
@@ -9,9 +10,12 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import markov_bridge
+from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution
+from markov_bridge.core import state_frequencies
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +45,35 @@ def test_traced_name_is_defined(name):
 
 def test_sampler_diagnostics_is_a_dict():
     assert isinstance(markov_bridge.sampler.diagnostics, dict)
+
+
+# perfbench's hooks read two attributes of stage results, and a missing or
+# zero value reads as absent: matrix_learning.steps_accepted is the length of
+# matrix_learning_loop's loss_history less one, evaluation.mc_std_error is
+# elbo_estimate's standard error.
+
+
+def test_matrix_loop_history_counts_the_accepted_steps():
+    # the case of test_matrix_learning's TestOneEvaluationPerCandidate, where
+    # every step takes its first candidate
+    rng = np.random.default_rng(241)
+    n, d, k = 4, 2, 6
+    Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.3, 1.5, (d, n - 1)))
+    p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+    freqs = state_frequencies(rng.integers(0, n, size=(16, d)), n)
+    fit = markov_bridge.matrix_learning_loop(Q, p0, freqs, NoiseSchedule(0.4, 2.0), max_step=k, eps_Q=0.0,
+                                             step_size=0.05)
+    assert len(fit.loss_history) == 1 + k
+    assert not np.array_equal(fit.Q.a, Q.a)
+
+
+def test_elbo_report_has_a_finite_standard_error():
+    rng = np.random.default_rng(5)
+    n, d = 3, 2
+    Q = FactorizedRateMatrix(np.tile(np.arange(n), (d, 1)), rng.uniform(0.3, 1.5, (d, n - 1)))
+    terminal = ProductDistribution.uniform(n, d)
+    report = markov_bridge.elbo_estimate(
+        lambda xt, t: np.ones((xt.shape[0], d, n)), rng.integers(0, n, size=(20, d)), Q, NoiseSchedule(),
+        terminal, 64, rng,
+    )
+    assert np.isfinite(report.mc_std_error) and report.mc_std_error > 0.0

@@ -281,6 +281,25 @@ class TestCliExitCodes:
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1
 
+    def test_sample_to_an_unwritable_path_is_bad_input(self, tmp_path, capsys):
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(small_checkpoint(), path)
+        for out in (tmp_path, tmp_path / "missing" / "x.txt"):
+            assert cli(["sample", path, "--count", "2", "--steps", "1", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write samples to {str(out)!r}"), err
+
+    def test_train_into_an_out_dir_that_is_a_file_is_bad_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("DMB_SEED", raising=False)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"n = 3\nd = 2\nsynthetic_samples = 20\nout_dir = {taken}\n", encoding="utf-8")
+        assert cli(["train", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create out_dir {str(taken)!r}"), err
+        assert taken.read_text(encoding="utf-8") == ""
+
     @pytest.mark.parametrize("argv", [
         [],
         ["bogus"],

@@ -17,7 +17,7 @@ from markov_bridge import core
 from markov_bridge.checkpoint import Checkpoint
 from markov_bridge.core import rate_columns, row_kl_sum, sample_categorical, state_frequencies
 from markov_bridge.data import Dataset
-from markov_bridge.matrix_learning import MatrixLearnState, init_rate_matrices, jq_grad
+from markov_bridge.matrix_learning import init_rate_matrices, jq_grad
 from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.score_learning import ScoreBatch
@@ -139,12 +139,12 @@ class TestChainsMatchOneRowObjects:
         p0 = ProductDistribution(rng.dirichlet(np.ones(Q.n), size=Q.d))
         freqs = state_frequencies(rng.integers(0, Q.n, size=(B, Q.d)), Q.n)
         schedule = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
-        grads = jq_grad(MatrixLearnState(Q=Q, p0_estimate=p0), freqs, schedule)[1]
+        grads = jq_grad(Q, p0, freqs, schedule)[1]
         kl = row_kl_sum(Q, 1.3, freqs, p0.probs)[0]
         kl_parts = 0.0
         for i, one in enumerate(slices):
             p0_i = ProductDistribution(p0.probs[i:i + 1])
-            grad_i = jq_grad(MatrixLearnState(Q=one, p0_estimate=p0_i), freqs[i:i + 1], schedule)[1]
+            grad_i = jq_grad(one, p0_i, freqs[i:i + 1], schedule)[1]
             np.testing.assert_allclose(grads[i], grad_i[0], rtol=1e-12, atol=1e-12 * np.abs(grad_i).max())
             kl_parts += row_kl_sum(one, 1.3, freqs[i:i + 1], p0.probs[i:i + 1])[0]
         assert kl == pytest.approx(kl_parts, rel=1e-12, abs=0.0)

@@ -137,6 +137,9 @@ class TestSynthetic:
         want = np.stack([rng.choice(n, size=size, p=row) for row in ds.ground_truth.probs], axis=1).astype(np.int64)
         assert ds.samples.dtype == np.int64
         np.testing.assert_array_equal(ds.samples, want)
+        again = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
+        np.testing.assert_array_equal(core.draw_columns(ds.ground_truth.probs, size, again), want)
+        assert again.bit_generator.state == rng.bit_generator.state
 
     def test_memory_holds_the_samples_and_a_few_cache_chunks(self):
         # a (d, N) float64 temporary alone is as large as the samples

@@ -7,7 +7,6 @@ import pytest
 
 from markov_bridge import (
     FactorizedRateMatrix,
-    MatrixLearnState,
     NoiseSchedule,
     ProductDistribution,
     evolve_rows,
@@ -27,9 +26,10 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)  # beta(T) = 1
 
 
 def make_state(a_vectors, p0_rows):
+    """``(Q, p0)``: identity-permutation rates ``a_vectors`` and the rows ``p0_rows``."""
     a = np.asarray(a_vectors, dtype=np.float64)
     Q = FactorizedRateMatrix(np.broadcast_to(np.arange(a.shape[1] + 1), (a.shape[0], a.shape[1] + 1)), a)
-    return MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0_rows))
+    return Q, ProductDistribution(p0_rows)
 
 
 def frozen_target_loss(Q, targets, batch, beta_T):
@@ -49,12 +49,12 @@ class TestJqLoss:
         p0[0, 2] = 1.0
         state = make_state([np.zeros(3)], p0)
         batch = np.array([[2], [2], [2]])
-        assert jq_grad(state, state_frequencies(batch, 4), SCHEDULE_UNIT)[0] == 0.0
+        assert jq_grad(*state, state_frequencies(batch, 4), SCHEDULE_UNIT)[0] == 0.0
 
     def test_hand_kl_example(self):
         # kernel row (0.5, 0.5) against evolved target (0.25, 0.75)
         state = make_state([[LN2]], [[0.5, 0.5]])
-        loss = jq_grad(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
+        loss = jq_grad(*state, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
         expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.1438, abs=2e-4)
@@ -62,8 +62,8 @@ class TestJqLoss:
     def test_identical_dims_double(self):
         one = make_state([[LN2]], [[0.5, 0.5]])
         two = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
-        l1 = jq_grad(one, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
-        l2 = jq_grad(two, state_frequencies([[0, 0]], 2), SCHEDULE_UNIT)[0]
+        l1 = jq_grad(*one, state_frequencies([[0]], 2), SCHEDULE_UNIT)[0]
+        l2 = jq_grad(*two, state_frequencies([[0, 0]], 2), SCHEDULE_UNIT)[0]
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
     def test_nonnegative_fuzz(self):
@@ -75,7 +75,7 @@ class TestJqLoss:
                 rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n,
             )
             batch = rng.integers(0, n, size=(5, d))
-            assert jq_grad(state, state_frequencies(batch, n), SCHEDULE_UNIT)[0] >= 0.0
+            assert jq_grad(*state, state_frequencies(batch, n), SCHEDULE_UNIT)[0] >= 0.0
 
     # the matrix stage takes the table state_frequencies makes of the data,
     # so the batch checks live there
@@ -97,10 +97,10 @@ class TestJqLoss:
     def test_batch_width_must_match_dimensions(self):
         state = make_state([[LN2], [LN2]], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="shape"):
-            jq_grad(state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
+            jq_grad(*state, state_frequencies([[0]], 2), SCHEDULE_UNIT)
         with pytest.raises(ValueError, match="shape"):
             matrix_learning_loop(
-                state, state_frequencies([[0]], 2), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=0.1
+                *state, state_frequencies([[0]], 2), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=0.1
             )
 
 
@@ -109,7 +109,7 @@ class TestJqGrad:
         p0 = np.zeros((1, 4))
         p0[0, 1] = 1.0
         state = make_state([np.zeros(3)], p0)
-        grad = jq_grad(state, state_frequencies([[1], [1]], 4), SCHEDULE_UNIT)[1]
+        grad = jq_grad(*state, state_frequencies([[1], [1]], 4), SCHEDULE_UNIT)[1]
         assert np.abs(grad).max() <= 1e-8
 
     def test_matches_finite_differences(self):
@@ -125,9 +125,8 @@ class TestJqGrad:
             p0 = rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n
             perms = np.stack([rng.permutation(n) for _ in range(d)])
             Q = FactorizedRateMatrix(perms, a)
-            state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
             batch = rng.integers(0, n, size=(6, d))
-            grad = jq_grad(state, state_frequencies(batch, n), schedule)[1]
+            grad = jq_grad(Q, ProductDistribution(p0), state_frequencies(batch, n), schedule)[1]
             targets = evolve_rows(p0, Q, beta_T)[0]
             fd = np.zeros_like(grad)
             for i, k in itertools.product(range(d), range(n - 1)):
@@ -143,7 +142,7 @@ class TestJqGrad:
 
     def test_identical_dims_identical_gradients(self):
         state = make_state([[0.4, 0.9], [0.4, 0.9]], [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
-        grad = jq_grad(state, state_frequencies([[1, 1], [0, 0]], 3), SCHEDULE_UNIT)[1]
+        grad = jq_grad(*state, state_frequencies([[1, 1], [0, 0]], 3), SCHEDULE_UNIT)[1]
         assert np.allclose(grad[0], grad[1], atol=1e-14)
 
 
@@ -155,10 +154,9 @@ class TestCountsFormMatchesPerRow:
     SCHEDULE = NoiseSchedule(sigma_min=0.4, sigma_max=2.0)
 
     def check(self, Q, p0, batch):
-        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(p0))
         freqs = state_frequencies(batch, Q.n)
         want_loss, want_grad = jq_per_row(Q.perm, Q.a, p0, batch, self.SCHEDULE.beta(1.0))
-        loss, grad = jq_grad(state, freqs, self.SCHEDULE)
+        loss, grad = jq_grad(Q, ProductDistribution(p0), freqs, self.SCHEDULE)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
@@ -192,10 +190,10 @@ class TestMatrixLearningLoop:
     def test_converged_state_returns_without_updates(self):
         p0 = np.zeros((1, 3))
         p0[0, 0] = 1.0
-        state = make_state([np.zeros(2)], p0)
-        a_before = state.Q.a[0].copy()
+        Q, p0 = make_state([np.zeros(2)], p0)
+        a_before = Q.a[0].copy()
         out = matrix_learning_loop(
-            state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=50, eps_Q=1e-6, step_size=0.1
+            Q, p0, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=50, eps_Q=1e-6, step_size=0.1
         )
         assert np.array_equal(out.Q.a[0], a_before)
         assert len(out.loss_history) == 1
@@ -205,7 +203,7 @@ class TestMatrixLearningLoop:
         state = make_state([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
         with pytest.raises(ValueError, match="step_size"):
             matrix_learning_loop(
-                state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=step_size
+                *state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=step_size
             )
 
     def test_step_cap_respected(self):
@@ -213,7 +211,7 @@ class TestMatrixLearningLoop:
         state = make_state([[0.5, 0.5, 0.5]], [rng.dirichlet(np.ones(4))])
         batch = rng.integers(0, 4, size=(8, 1))
         out = matrix_learning_loop(
-            state, state_frequencies(batch, 4), SCHEDULE_UNIT, max_step=3, eps_Q=0.0, step_size=0.1
+            *state, state_frequencies(batch, 4), SCHEDULE_UNIT, max_step=3, eps_Q=0.0, step_size=0.1
         )
         # initial loss plus at most 3 accepted updates
         assert len(out.loss_history) <= 4
@@ -224,7 +222,7 @@ class TestMatrixLearningLoop:
         state = make_state([[1.5, 0.01, 0.8]], [rng.dirichlet(np.ones(4))])
         batch = rng.integers(0, 4, size=(16, 1))
         out = matrix_learning_loop(
-            state, state_frequencies(batch, 4), schedule, max_step=60, eps_Q=0.0, step_size=0.5
+            *state, state_frequencies(batch, 4), schedule, max_step=60, eps_Q=0.0, step_size=0.5
         )
         history = np.asarray(out.loss_history)
         assert np.all(np.diff(history) <= 1e-15)
@@ -236,7 +234,7 @@ class TestMatrixLearningLoop:
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=10.0)
         batch = np.array([[0]])
         out = matrix_learning_loop(
-            state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8, step_size=0.1
+            *state, state_frequencies(batch, 2), schedule, max_step=500, eps_Q=1e-8, step_size=0.1
         )
         assert out.loss_history[-1] < 0.05 * out.loss_history[0]
         assert out.Q.a[0][0] > 0.0
@@ -254,7 +252,7 @@ class TestOneEvaluationPerCandidate:
         rng = np.random.default_rng(241)
         n, d, k = 4, 2, 6
         Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.3, 1.5, (d, n - 1)))
-        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution(rng.dirichlet(np.ones(n), size=d)))
+        p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         freqs = state_frequencies(rng.integers(0, n, size=(16, d)), n)
         calls = []
 
@@ -263,7 +261,7 @@ class TestOneEvaluationPerCandidate:
             return jq_grad(*args, **kwargs)
 
         monkeypatch.setattr(matrix_learning, "jq_grad", counting)
-        out = matrix_learning_loop(state, freqs, NoiseSchedule(0.4, 2.0), max_step=k, eps_Q=0.0, step_size=0.05)
+        out = matrix_learning_loop(Q, p0, freqs, NoiseSchedule(0.4, 2.0), max_step=k, eps_Q=0.0, step_size=0.05)
         assert len(out.loss_history) == k + 1  # every step took its first candidate
         assert len(calls) == k + 1
         np.testing.assert_allclose(out.Q.a, self.FINAL_A, rtol=1e-14, atol=0.0)
@@ -273,20 +271,19 @@ class TestPredictTerminal:
     def test_zero_beta_returns_p0(self):
         state = make_state([[1.0, 2.0]], [[0.2, 0.3, 0.5]])
         schedule = NoiseSchedule(sigma_min=1e-9, sigma_max=1e-9)
-        out = predict_terminal(state.Q, state.p0_estimate, schedule)
+        out = predict_terminal(*state, schedule)
         assert np.allclose(out.probs, [[0.2, 0.3, 0.5]], atol=1e-8)
 
     def test_half_life_example(self):
         state = make_state([[LN2]], [[0.5, 0.5]])
-        out = predict_terminal(state.Q, state.p0_estimate, SCHEDULE_UNIT)
+        out = predict_terminal(*state, SCHEDULE_UNIT)
         assert np.allclose(out.probs, [[0.25, 0.75]], atol=1e-12)
 
     def test_absorbing_init_large_beta(self):
         perms = np.array([[2, 0, 1]])
         Q = init_rate_matrices(perms, "absorbing_text")
-        state = MatrixLearnState(Q=Q, p0_estimate=ProductDistribution.uniform(3, 1))
         schedule = NoiseSchedule(sigma_min=50.0, sigma_max=50.0)
-        out = predict_terminal(state.Q, state.p0_estimate, schedule)
+        out = predict_terminal(Q, ProductDistribution.uniform(3, 1), schedule)
         # mass concentrates on the state occupying the last sorted slot
         assert out.probs[0, perms[0][-1]] == pytest.approx(1.0, abs=1e-12)
 

@@ -53,6 +53,9 @@ class TestSamplerArguments:
             for steps, eps_t in [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, -1e-3)]:
                 with pytest.raises(ValueError):
                     run(terminal, Q, SCHEDULE_UNIT, ratios, np.random.default_rng(0), 4, steps, eps_t)
+            # so is an empty batch of trajectories
+            with pytest.raises(ValueError, match="at least one trajectory"):
+                run(terminal, Q, SCHEDULE_UNIT, ratios, np.random.default_rng(0), 0, 4, 1e-3)
         assert calls == []
 
 
@@ -138,6 +141,18 @@ class TestGenerate:
         a = generate(terminal, Q, schedule, fn, np.random.default_rng(77), 500, 32, 1e-3)
         b = generate(terminal, Q, schedule, fn, np.random.default_rng(77), 500, 32, 1e-3)
         assert np.array_equal(a, b)
+
+    def test_terminal_draw_is_one_choice_per_dimension(self):
+        # zero ratios: every Euler step keeps its state, so generate returns x_T
+        rng = np.random.default_rng(443)
+        n, d, count = 27, 6, 300
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.1, 2.0, (d, n - 1)))
+        zero = lambda xt, t: np.zeros((xt.shape[0], d, n))
+        draws = generate(terminal, Q, SCHEDULE_UNIT, zero, np.random.default_rng(9), count, 3, 1e-3)
+        choice = np.random.default_rng(9)
+        want = np.stack([choice.choice(n, size=count, p=row) for row in terminal.probs], axis=1)
+        assert np.array_equal(draws, want)
 
     @pytest.mark.parametrize("rate, n", OVERFLOW)
     def test_overflowing_ratios_raise(self, rate, n):

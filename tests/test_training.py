@@ -91,9 +91,9 @@ def test_kl_term_is_the_matrix_stage_loss(tmp_path, monkeypatch):
     final_losses = []
 
     def recording_loop(*args, **kwargs):
-        state = matrix_learning_loop(*args, **kwargs)
-        final_losses.append(state.loss_history[-1])
-        return state
+        fit = matrix_learning_loop(*args, **kwargs)
+        final_losses.append(fit.loss_history[-1])
+        return fit
 
     monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
     ck = train(config_in(tmp_path))
@@ -107,9 +107,9 @@ def test_kl_term_is_the_matrix_stage_loss(tmp_path, monkeypatch):
 def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
     p0_seen = []
 
-    def recording_loop(state, *args, **kwargs):
-        p0_seen.append(state.p0_estimate.probs.copy())
-        return matrix_learning_loop(state, *args, **kwargs)
+    def recording_loop(Q, p0, *args, **kwargs):
+        p0_seen.append(p0.probs.copy())
+        return matrix_learning_loop(Q, p0, *args, **kwargs)
 
     monkeypatch.setattr(training, "matrix_learning_loop", recording_loop)
     config = parse_config_text(CONFIG + f"out_dir = {tmp_path}\np0_init = data_marginal\nepochs = 1\n")
@@ -120,31 +120,42 @@ def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
 
 
 def test_resume_matches_uninterrupted(tmp_path):
-    full_dir, split_dir = tmp_path / "full", tmp_path / "split"
-    full = train(config_in(full_dir))
-    config = config_in(split_dir)
-    first = train(config, stop_after=1)
-    assert first.epoch == 1
-    resumed = train(config, resume_from=str(split_dir / "epoch_0001.ckpt"))
+    # resuming from a full run's first checkpoint redoes its last two epochs
+    config = config_in(tmp_path)
+    full = train(config)
+    want_rows = metrics_rows(tmp_path)
+    resumed = train(config, resume_from=str(tmp_path / "epoch_0001.ckpt"))
     assert resumed.epoch == full.epoch == 3
     for name in ("perms", "a", "p0_estimate", "epoch_history"):
         assert np.array_equal(getattr(resumed, name), getattr(full, name)), name
     for got, want in zip(resumed.score_weights + resumed.score_biases, full.score_weights + full.score_biases):
         assert np.array_equal(got, want)
     assert resumed.rng_state == full.rng_state
-    assert metrics_rows(split_dir) == metrics_rows(full_dir)
+    assert metrics_rows(tmp_path) == want_rows
 
 
 def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
     # a crash after the epoch-2 metrics row but before its checkpoint
-    full_dir, split_dir = tmp_path / "full", tmp_path / "split"
-    train(config_in(full_dir))
-    config = config_in(split_dir)
-    train(config, stop_after=1)
-    with open(split_dir / "metrics.csv", "a", encoding="utf-8") as fh:
-        fh.write("2,0.5,0.5,0.5,0.5,0.000\n")
-    train(config, resume_from=str(split_dir / "epoch_0001.ckpt"))
-    assert metrics_rows(split_dir) == metrics_rows(full_dir)
+    config = config_in(tmp_path)
+    train(config)
+    want_rows = metrics_rows(tmp_path)
+    metrics = tmp_path / "metrics.csv"
+    header_and_epoch_1 = metrics.read_text(encoding="utf-8").splitlines(keepends=True)[:2]
+    metrics.write_text("".join(header_and_epoch_1) + "2,0.5,0.5,0.5,0.5,0.000\n", encoding="utf-8")
+    train(config, resume_from=str(tmp_path / "epoch_0001.ckpt"))
+    assert metrics_rows(tmp_path) == want_rows
+
+
+def test_resume_from_the_final_checkpoint_is_bad_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DMB_SEED", raising=False)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(CONFIG + f"out_dir = {tmp_path / 'run'}\nepochs = 1\n", encoding="utf-8")
+    assert cli(["train", str(config_path)]) == 0
+    metrics = tmp_path / "run" / "metrics.csv"
+    before = metrics.read_bytes()
+    assert cli(["train", str(config_path), "--resume", str(tmp_path / "run" / "epoch_0001.ckpt")]) == 1
+    assert "nothing to do" in capsys.readouterr().err
+    assert metrics.read_bytes() == before
 
 
 def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
