@@ -24,7 +24,7 @@ from .errors import (
 )
 from .evaluation import ElboReport, elbo_estimate, kl_term
 from .matrix_learning import init_rate_matrices, jq_grad, matrix_learning_loop, predict_terminal
-from .sampler import estimate_mu, generate, tv_distance
+from .sampler import estimate_mu, generate
 from .score_learning import (
     ScoreBatch,
     ScoreModel,

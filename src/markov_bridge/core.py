@@ -13,11 +13,12 @@ operation takes all d chains at once.
 
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
-array) bounds what kernel rows and each step of the bound, its draws and
-its MLP forward, hold at once. A cache chunk (``CHUNK_ELEMENTS``, 256 KiB
-per array) is what a chain of elementwise passes works on, so that its
-temporaries stay in L2 between passes: categorical and product draws, the
-score-entropy terms and their gradient, and Adam. Chunking never reorders
+array) bounds what kernel rows and each step of the bound and of the
+reverse sampler, its draws and its MLP forward, hold at once. A cache chunk
+(``CHUNK_ELEMENTS``, 256 KiB per array) is what a chain of elementwise
+passes works on, so that its temporaries stay in L2 between passes:
+categorical and product draws, the reverse sampler's Euler rows and draw,
+the score-entropy terms and their gradient, and Adam. Chunking never reorders
 floating-point operations, so results do not depend on either budget. A
 distribution is a ``ProductDistribution``, one validated (d, n) array; a
 single chain or categorical is a one-row instance. Time runs over [0, T]
@@ -326,18 +327,36 @@ def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs, targets) -> tuple:
     return loss, -(sorted_freqs[:, None, :] @ np.cumsum(dE, axis=2, out=dE))[:, 0, : n - 1]
 
 
+def cumulative_pick(slabs: np.ndarray, u: np.ndarray, scaled: bool = False) -> np.ndarray:
+    """State drawn in each column of state-major rows ``slabs`` (n, ...) by the
+    uniforms ``u`` (shape slabs.shape[1:]): how many running sums are <= u.
+
+    The slabs are summed in place, T[k] += T[k-1]: the sequential sum a
+    ``cumsum`` over each row makes, with every add and compare running over
+    a contiguous slab rather than a short row. Counting the sums <= u is the
+    right-sided rule of ``rng.choice``, so no state of mass 0 is drawn, even
+    at u = 0. With ``scaled`` the rows need not be normalized: u is taken
+    times each row's total. A non-finite total raises ValueError.
+    """
+    n = slabs.shape[0]
+    for k in range(1, n):
+        slabs[k] += slabs[k - 1]
+    if not np.isfinite(slabs[-1]).all():
+        raise ValueError("a categorical row has a non-finite total")
+    if scaled:
+        u = u * slabs[-1]
+    return np.minimum(np.less_equal(slabs, u).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n)), n - 1)
+
+
 def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One state per row of an (..., n) array of row distributions: the first
-    whose cumulative mass reaches the row's uniform in ``u`` (shape rows.shape[:-1]).
+    """One state per row of an (..., n) array of row distributions, drawn by
+    its uniform in ``u`` (shape rows.shape[:-1]) with :func:`cumulative_pick`
+    on state-major copies of cache chunks of rows.
 
     Callers with (B, d, n) rows draw ``u`` as ``rng.random((d, B)).T``: the
     generator is consumed one dimension at a time, as d calls on (B, n)
-    rows in turn would consume it. Each cache chunk of rows is copied
-    state-major, (n, rows), and its slabs are summed in order, T[k] +=
-    T[k-1]: the same sequential sum a ``cumsum`` over each row makes, with
-    every add and compare running over a contiguous slab rather than a
-    short row. A non-finite uniform or row total (the last slab) raises
-    ValueError: NaN would otherwise draw state 0.
+    rows in turn would consume it. A non-finite uniform or row total raises
+    ValueError.
     """
     n = rows.shape[-1]
     flat = np.reshape(rows, (-1, n))
@@ -348,14 +367,8 @@ def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError("uniforms must be finite")
     idx = np.empty(flat.shape[0], dtype=np.int64)
     for part in row_blocks(flat.shape[0], n, cache=True):
-        cdf = flat[part].T.copy()
-        for k in range(1, n):
-            cdf[k] += cdf[k - 1]
-        if not np.isfinite(cdf[-1]).all():
-            raise ValueError("a categorical row has a non-finite total")
-        # the number of states whose cumulative mass is below u
-        idx[part] = np.greater(u[part], cdf).view(np.uint8).sum(axis=0)
-    return np.minimum(idx, n - 1).reshape(rows.shape[:-1])
+        idx[part] = cumulative_pick(flat[part].T.copy(), u[part])
+    return idx.reshape(rows.shape[:-1])
 
 
 def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Reverse-time generation by explicit Euler steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each Euler step is one pass over all d dimensions of the batch: one ratio
-call, the (B, d, n) array of categoricals delta_x(y) + dt * Qhat (negative
-entries clamped, rows renormalized), and one categorical draw for every
-row. Ratios so large that a row total overflows raise DivergenceError.
-Generation and the mu estimator share one trajectory loop; the estimator
-stops one step early and averages that last step's categorical instead of
-sampling it, which has the same expectation and strictly lower variance.
+Each step draws its uniforms, then runs one ratio call and the draw per
+memory block of rows; no (B, d, n) step row is built. Each cache chunk's
+unnormalized rows are written state-major, (n, rows, d): the mask "sorted
+before x" times the ratios times dt * sigma(t) * a(x), the rate into x, and
+the clamped stay mass at x. Comparing u times the row total with the running
+sums picks the state the normalized row would, up to rounding ties. A row
+total that overflows raises DivergenceError. The mu estimator averages the
+last step's normalized rows instead of sampling them: the same expectation
+and strictly lower variance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, draw_columns, rate_columns, sample_categorical
+from .core import NoiseSchedule, ProductDistribution, block_index, cumulative_pick, draw_columns, row_blocks
 from .errors import DivergenceError
 
 # Health counters read by name (perfbench's sampler.zero_rows). A row total
@@ -22,31 +24,51 @@ from .errors import DivergenceError
 diagnostics = {"euler_zero_rows": 0}
 
 
-def _euler_probs(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule) -> np.ndarray:
-    """Euler categoricals of all dimensions at once, shape (B, d, n).
+def _euler_chunks(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule):
+    """Yield (part, rows) for each cache chunk ``part`` of a (B, d) batch:
+    its unnormalized Euler rows, state-major (n, rows, d), in a reused buffer.
 
     ``ratios`` is (B, d, n). Non-finite or negative ratios, and finite ones
-    so large that a row total overflows, raise DivergenceError rather than
-    turning into a distribution.
+    so large that a row total overflows, raise DivergenceError. A chunk's
+    states are read before it is yielded, so the caller may overwrite them.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
-    if not (np.isfinite(ratios).all() and ratios.min() >= 0.0):
-        raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
-    # an overflow shows up as a non-finite row total, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        off = rate_columns(Q, schedule.sigma(t), xt)
-        off *= ratios
-        stay = 1.0 - dt * off.sum(axis=2)
-        rows = off  # dt * off, written over off, which is not needed past the stay
-        rows *= dt
-        np.put_along_axis(rows, xt[:, :, None], stay[:, :, None], axis=2)
-        np.clip(rows, 0.0, None, out=rows)
-        totals = rows.sum(axis=2)
-        if not np.isfinite(totals).all():
-            i = np.argwhere(~np.isfinite(totals))[0][1]
+    at = block_index(xt, Q.d, Q.n)
+    # sorted slots, state-major, as the narrowest integers: quick contiguous compares
+    order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n))
+    pos = np.take(Q.inv_perm, at).astype(order.dtype)
+    scale = np.take(Q.state_rates, at) * (schedule.sigma(t) * dt)
+    parts = row_blocks(xt.shape[0], Q.d * Q.n, cache=True)
+    buf = np.empty(Q.n * Q.d * parts[0].stop)
+    mask = np.empty(buf.shape, dtype=bool)
+    for part in parts:
+        r = ratios[part]
+        if not (r.min() >= 0.0 and r.max() < np.inf):
+            raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
+        # contiguous (n, rows, d) views of the reused buffers, the last chunk's too
+        shape = (Q.n, r.shape[0], Q.d)
+        below = np.less(order[:, None, :], pos[part], out=mask[: r.size].reshape(shape))
+        rows = np.multiply(r.transpose(2, 0, 1), below, out=buf[: r.size].reshape(shape))
+        # an overflow shows up as a non-finite off-diagonal total, which raises below
+        with np.errstate(over="ignore"):
+            rows *= scale[part]
+            stay = rows.sum(axis=0)
+        if not np.isfinite(stay).all():
+            i = np.argwhere(~np.isfinite(stay))[0][1]
             raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
-        rows /= totals[:, :, None]
-    return rows
+        # the clamped stay mass at x, whose own entry is masked to 0
+        stay = np.maximum(np.subtract(1.0, stay, out=stay), 0.0, out=stay)
+        buf.put(xt[part] * stay.size + np.arange(stay.size).reshape(stay.shape), stay)
+        yield part, rows
+
+
+def _euler_probs(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule) -> np.ndarray:
+    """Euler categoricals of all dimensions, shape (B, d, n): :func:`_euler_chunks` normalized."""
+    probs = np.empty(xt.shape + (Q.n,))
+    for part, rows in _euler_chunks(xt, t, dt, ratios, Q, schedule):
+        rows /= rows.sum(axis=0)
+        probs[part] = rows.transpose(1, 2, 0)
+    return probs
 
 
 def _grid_step(steps: int, eps_t: float) -> float:
@@ -58,21 +80,19 @@ def _grid_step(steps: int, eps_t: float) -> float:
     return (1.0 - eps_t) / steps
 
 
-def _step_probs(k: int, dt: float, xt, Q, schedule: NoiseSchedule, ratio_fn):
-    """Euler categoricals of step k of the grid with step dt."""
-    t = 1.0 - k * dt
-    return _euler_probs(xt, t, dt, ratio_fn(xt, t), Q, schedule)
-
-
 def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, count, steps, dt):
     """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
     if count < 1:
         raise ValueError("need at least one trajectory")
     xt = draw_columns(terminal.probs, count, rng)
     for k in range(steps):
-        probs = _step_probs(k, dt, xt, Q, schedule, ratio_fn)
+        t = 1.0 - k * dt
         # dimension-major, so the generator is consumed one dimension at a time
-        xt[:] = sample_categorical(probs, rng.random((terminal.d, count)).T)
+        u = rng.random((terminal.d, count)).T
+        for block in row_blocks(count, Q.d * Q.n):
+            x = xt[block]
+            for part, rows in _euler_chunks(x, t, dt, ratio_fn(x, t), Q, schedule):
+                x[part] = cumulative_pick(rows, u[block][part], scaled=True)
     return xt
 
 
@@ -114,15 +134,12 @@ def estimate_mu(
     dt = _grid_step(steps, eps_t)
     last = steps - 1
     xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, last, dt)
-    rows = _step_probs(last, dt, xt, Q, schedule, ratio_fn).mean(axis=0)
+    t = 1.0 - last * dt
+    rows = np.zeros((Q.d, Q.n))
+    for block in row_blocks(M, Q.d * Q.n):
+        probs = _euler_probs(xt[block], t, dt, ratio_fn(xt[block], t), Q, schedule)
+        # one sequential sum over all M rows, whatever the blocks
+        probs[0] += rows
+        np.sum(probs, axis=0, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return ProductDistribution(rows)
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance between two categorical distributions."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a state count")
-    return 0.5 * float(np.abs(p - q).sum())

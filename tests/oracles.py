@@ -112,6 +112,15 @@ def kl_brute(p, q, floor=1e-12):
     return float(np.sum(p * (np.log(np.maximum(p, floor)) - np.log(np.maximum(q, floor)))))
 
 
+def tv_distance(p, q) -> float:
+    """Total variation distance between two categorical distributions."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError("distributions must share a state count")
+    return 0.5 * float(np.abs(p - q).sum())
+
+
 def joint_kernel_row(rows):
     """Kronecker product of per-dimension kernel rows: the joint conditional."""
     out = np.ones(1)

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from markov_bridge import CheckpointError, load_checkpoint, load_config, save_checkpoint
+from markov_bridge import CheckpointError, DivergenceError, load_checkpoint, load_config, save_checkpoint
+import markov_bridge.cli as cli_module
 from markov_bridge.checkpoint import (
     Checkpoint,
     _pack_array,
@@ -259,6 +260,29 @@ class TestCliExitCodes:
         assert residual <= 1e-12
         assert cli(["solve", str(tmp_path / "bad.txt"), str(tmp_path / "q.txt")]) == 1
         assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "two.txt")]) == 1
+
+    def test_solve_of_an_unreadable_or_non_numeric_vector_is_bad_input(self, tmp_path, capsys):
+        (tmp_path / "q.txt").write_text("0.5 0.5\n", encoding="utf-8")
+        (tmp_path / "words.txt").write_text("0.5 half\n", encoding="utf-8")
+        assert cli(["solve", str(tmp_path), str(tmp_path / "q.txt")]) == 1  # a directory
+        assert "cannot read vector file" in capsys.readouterr().err
+        assert cli(["solve", str(tmp_path / "words.txt"), str(tmp_path / "q.txt")]) == 1
+        assert "non-numeric entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, message", [
+        (DivergenceError("Euler row total overflows"), "runtime failure: Euler row total overflows"),
+        (RuntimeError("boom"), "runtime failure: RuntimeError: boom"),
+    ])
+    def test_failure_inside_a_command_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys, exc, message):
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(small_checkpoint(), path)
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "generate", fail)
+        assert cli(["sample", path, "--count", "4"]) == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_solve_accepts_a_sum_off_by_less_than_the_tolerance(self, tmp_path, capsys):
         # 1 + 5e-10 is a valid probability vector, so the solver must not refuse it

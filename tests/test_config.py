@@ -72,6 +72,11 @@ def test_non_finite_floats_and_negative_seed_refused(key, value):
         RunConfig(**{key: value}).validate()
 
 
+def test_line_without_equals_sign_is_refused():
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+        parse_config_text("n = 4\nd 3\n")
+
+
 class TestLoadConfig:
     def write(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -462,11 +462,17 @@ class TestSmallHelpers:
         rows[rng.random((B, d)) < 0.2] *= rng.integers(0, 2, size=n)
         u = rng.random((d, B)).T
         u[0, 0] = np.nextafter(1.0, 0.0)
-        want = np.minimum((u[..., None] > np.cumsum(rows, axis=-1)).sum(axis=-1), n - 1)
+        want = np.minimum((np.cumsum(rows, axis=-1) <= u[..., None]).sum(axis=-1), n - 1)
         for chunk_rows in (1, 4, B * d):
             monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * n)
             assert len(core.row_blocks(B * d, n, cache=True)) == -(-(B * d) // chunk_rows)
             assert np.array_equal(sample_categorical(rows, u), want)
+
+    def test_sample_categorical_never_draws_a_state_of_mass_zero(self):
+        # the right-sided rule of rng.choice: count the cumulative sums <= u
+        assert sample_categorical(np.array([[0.0, 0.0, 1.0]]), np.array([0.0]))[0] == 2
+        rows = np.tile([0.25, 0.0, 0.75], (3, 1))
+        assert np.array_equal(sample_categorical(rows, np.array([0.0, 0.25, 0.5])), [0, 2, 2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_categorical_refuses_non_finite_rows_and_uniforms(self, bad):

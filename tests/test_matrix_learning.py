@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from markov_bridge import (
+    DivergenceError,
     FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
@@ -238,6 +239,27 @@ class TestMatrixLearningLoop:
         )
         assert out.loss_history[-1] < 0.05 * out.loss_history[0]
         assert out.Q.a[0][0] > 0.0
+
+
+    def test_non_finite_first_loss_raises_with_the_rates(self):
+        Q, p0 = make_state([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+        freqs = np.array([[np.nan, 0.5, 0.5]])
+        with pytest.raises(DivergenceError, match="non-finite matrix loss$") as err:
+            matrix_learning_loop(Q, p0, freqs, SCHEDULE_UNIT, max_step=5, eps_Q=0.0, step_size=0.1)
+        assert err.value.diagnostics["Q"] is Q and np.isnan(err.value.diagnostics["loss"])
+
+    def test_non_finite_candidate_loss_raises_with_the_last_accepted_rates(self, monkeypatch):
+        Q, p0 = make_state([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+        real = matrix_learning.jq_grad
+
+        def inf_but_at_the_start(rates, *args):
+            loss, grad = real(rates, *args)
+            return (loss if rates is Q else np.inf), grad
+
+        monkeypatch.setattr(matrix_learning, "jq_grad", inf_but_at_the_start)
+        with pytest.raises(DivergenceError, match="during line search") as err:
+            matrix_learning_loop(Q, p0, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=5, eps_Q=0.0, step_size=0.1)
+        assert err.value.diagnostics["Q"] is Q and err.value.diagnostics["loss"] == np.inf
 
 
 class TestOneEvaluationPerCandidate:

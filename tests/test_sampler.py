@@ -1,5 +1,7 @@
 """Reverse Euler sampling, the mu estimator, and the TV metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,21 @@ from markov_bridge import (
     FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
+    ScoreModel,
     estimate_mu,
     evolve_rows,
     generate,
     oracle_ratio_fn,
-    tv_distance,
 )
+from markov_bridge import core
+from markov_bridge.core import draw_columns, sample_categorical
 from markov_bridge.data import synthetic_ground_truth
 from markov_bridge.matrix_learning import predict_terminal
 from markov_bridge.reference import materialize_dense
 from markov_bridge.sampler import _euler_probs
 from markov_bridge.solver import exact_rate_matrices
 
-from oracles import random_chain_arrays
+from oracles import random_chain_arrays, tv_distance
 
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
@@ -40,6 +44,13 @@ def oracle_system(rng, n, sigma_max=10.0):
     Q = Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))
     terminal = ProductDistribution(evolve_rows(mu.probs, Q, schedule.beta(1.0))[0])
     return mu, Q, schedule, terminal
+
+
+def table_ratio_fn(rng, n, d):
+    """Ratios looked up by (dimension, state): any row block gets the same
+    values. About a fifth of them are 0."""
+    table = rng.uniform(0.0, 3.0, (d, n, n)) * (rng.random((d, n, n)) >= 0.2)
+    return lambda xt, t: table[np.arange(d), xt]
 
 
 class TestSamplerArguments:
@@ -215,6 +226,82 @@ class TestEstimateMu:
         arr = est.probs
         assert arr.min() >= 0.0
         assert np.abs(arr.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+class TestBlockedSteps:
+    """The sampled step, drawn chunk by chunk from the masked ratios without
+    normalized (B, d, n) rows, and the memory blocks of both loops."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("eps_t", [0.5, 0.97, 1.0])
+    def test_step_draws_what_the_normalized_rows_draw(self, seed, eps_t):
+        rng = np.random.default_rng(seed)
+        n, d, count = 27, 40, 200  # 30 rows to a cache chunk, the last one short
+        a = rng.uniform(0.0, 3.0, (d, n - 1)) * 10.0 ** rng.uniform(-3.0, 0.5, (d, 1))
+        a[rng.random(a.shape) < 0.1] = 0.0
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), a)
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        ratio_fn = table_ratio_fn(rng, n, d)
+        draws = generate(terminal, Q, SCHEDULE_UNIT, ratio_fn, np.random.default_rng(seed), count, 1, eps_t)
+        replay = np.random.default_rng(seed)
+        x = draw_columns(terminal.probs, count, replay)
+        dt = 1.0 - eps_t
+        probs = _euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
+        assert np.array_equal(draws, sample_categorical(probs, replay.random((d, count)).T))
+        # the edge cases are all there: x sorted first (a(x) = 0), a zero
+        # rate into x sorted later, and a stay mass clamped at 0
+        at = (x, np.arange(d))
+        pos, rate = Q.inv_perm.T[at], Q.state_rates.T[at]
+        assert (pos == 0).any() and ((rate == 0.0) & (pos > 0)).any()
+        out_mass = dt * rate * np.where(Q.inv_perm[None] < pos[:, :, None], ratio_fn(x, 1.0), 0.0).sum(axis=2)
+        if eps_t == 0.5:
+            assert (out_mass > 1.0).any()
+        if eps_t == 1.0:  # dt = 0
+            assert np.array_equal(draws, x)
+
+    def test_memory_blocks_and_cache_chunks_move_no_draw(self, monkeypatch):
+        rng = np.random.default_rng(461)
+        n, d, count = 6, 5, 300
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        model = ScoreModel(n, d, hidden=(16,), rng=rng)
+        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=4.0)
+
+        def run():
+            rows = []
+            fn = lambda xt, t: rows.append(len(xt)) or model.forward_batch(xt, t)
+            draws = generate(terminal, Q, schedule, fn, np.random.default_rng(1), count, 6, 1e-3)
+            p0 = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(2), count, 6, 1e-3).probs
+            return draws, p0, rows
+
+        draws, p0, rows = run()
+        assert rows == [count] * 12
+        for block_rows, chunk_rows in [(7, 3), (64, 1), (1, 1)]:
+            monkeypatch.setattr(core, "BLOCK_ELEMENTS", block_rows * d * n)
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
+            small_draws, small_p0, rows = run()
+            # one ratio call per memory block per step
+            assert len(rows) == 12 * -(-count // block_rows) and max(rows) == block_rows
+            assert np.array_equal(small_draws, draws)
+            np.testing.assert_allclose(small_p0, p0, rtol=0.0, atol=1e-15)
+
+    def test_estimate_mu_memory_does_not_grow_with_m_d_n(self):
+        # one (M, d, n) float array at these shapes is 226 MB
+        rng = np.random.default_rng(463)
+        n, d, M = 27, 256, 4096
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.1, 2.0, (d, n - 1)))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        model = ScoreModel(n, d, hidden=(8,), rng=rng)
+        tracemalloc.start()
+        try:
+            estimate_mu(terminal, Q, NoiseSchedule(), model.forward_batch, rng, M, 2, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (M, d) states and uniforms with room for one more, and four arrays of one memory block
+        bound = 3 * M * d * 8 + 4 * core.BLOCK_ELEMENTS * 8
+        assert bound < M * d * n * 8 / 3
+        assert peak < bound
 
 
 class TestTvDistance:

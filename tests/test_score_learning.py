@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from markov_bridge import (
+    DivergenceError,
     FactorizedRateMatrix,
     NoiseSchedule,
     ProductDistribution,
@@ -223,6 +224,18 @@ class TestScoreEntropyLoss:
             batch = make_score_batch(np.full((16, 1), x0_val, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
             loss = score_entropy_loss(oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), batch, Q, SCHEDULE_UNIT)
             assert 0.0 <= loss <= 1e-10
+
+    def test_non_finite_ratio_estimate_raises_naming_the_entry(self):
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 1.0]])
+        batch = ScoreBatch(t=[0.5, 0.25], xt=[[2], [2]], r=np.ones((2, 1, 3)))
+
+        def nan_at(xt, t):
+            s = np.ones((2, 1, 3))
+            s[1, 0, 1] = np.nan
+            return s
+
+        with pytest.raises(DivergenceError, match="non-finite score-entropy term at dim 0, state 1, t=0.25"):
+            score_entropy_loss(nan_at, batch, Q, SCHEDULE_UNIT)
 
     def test_scaled_ratio_contribution(self):
         # s = e * r shifts every active term to rate * r * (e - 2)
@@ -477,6 +490,19 @@ class TestScoreLearningLoop:
         # a huge eps_score stops before the first update
         score_learning_loop(model, stream, Q, SCHEDULE_UNIT, max_step=50, eps_score=1e9)
         assert all(np.array_equal(b, w) for b, w in zip(before, model.weights))
+
+    def test_loss_that_runs_away_raises(self):
+        # the second batch's targets are far from the untrained ratios, so
+        # the smoothed loss of two steps is over 10x that of the first
+        rng = np.random.default_rng(391)
+        Q = random_chain(rng, 4)
+        x = [[int(Q.perm[0, -1])]]  # sorted last: every other state has a rate into it
+        batches = iter([ScoreBatch(t=[0.5], xt=x, r=np.full((1, 1, 4), r)) for r in (1.0, 1e4)])
+        model = ScoreModel(4, 1, hidden=(8,), rng=rng)
+        with pytest.raises(DivergenceError, match="diverged") as err:
+            score_learning_loop(model, batches, Q, SCHEDULE_UNIT, max_step=5, eps_score=0.0, lr=0.0)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["step"] == 1 and diagnostics["smoothed"] > 10.0 * diagnostics["initial"]
 
     def test_converges_near_oracle_floor(self):
         # width-64 net on an n=8 toy must land within 10% of the oracle loss

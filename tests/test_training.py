@@ -119,6 +119,14 @@ def test_data_marginal_p0_init_starts_from_the_data(tmp_path, monkeypatch):
     np.testing.assert_array_equal(p0_seen[0], want)
 
 
+def test_bound_below_eps_total_stops_training_early(tmp_path):
+    ck = train(parse_config_text(CONFIG + f"out_dir = {tmp_path}\neps_total = 1e30\n"))
+    assert ck.epoch == 1
+    np.testing.assert_allclose(ck.epoch_history, GOLDEN_HISTORY[:1], rtol=1e-9, atol=0.0)
+    assert sorted(os.listdir(tmp_path)) == ["epoch_0001.ckpt", "metrics.csv"]
+    assert len(metrics_rows(tmp_path)) == 1
+
+
 def test_resume_matches_uninterrupted(tmp_path):
     # resuming from a full run's first checkpoint redoes its last two epochs
     config = config_in(tmp_path)
