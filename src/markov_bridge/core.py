@@ -17,12 +17,12 @@ array) bounds what kernel rows and each step of the bound and of the
 reverse sampler, its draws and its MLP forward, hold at once. A cache chunk
 (``CHUNK_ELEMENTS``, 256 KiB per array) is what a chain of elementwise
 passes works on, so that its temporaries stay in L2 between passes:
-categorical and product draws, the reverse sampler's Euler rows and draw,
-the score-entropy terms and their gradient, and Adam. Chunking never reorders
-floating-point operations, so results do not depend on either budget. A
-distribution is a ``ProductDistribution``, one validated (d, n) array; a
-single chain or categorical is a one-row instance. Time runs over [0, T]
-with T = 1.
+categorical, kernel and product draws, the reverse sampler's Euler rows and
+draw, the score-entropy targets, terms and gradient, and Adam. Chunking
+never reorders floating-point operations, so results do not depend on
+either budget. A distribution is a ``ProductDistribution``, one validated
+(d, n) array; a single chain or categorical is a one-row instance. Time
+runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     :func:`_sorted_rows` of a point mass on x, in state order: entry y is
     exp(beta * lambda(y)) times 1 at x, -expm1(-beta * a(y)) where y sorts
     after x and 0 before it, so no row is sorted and none is clamped. One
-    stacked pass per memory block, written into the output: the full kernel,
-    conditional sampling and the score-entropy loss use it. A negative or
-    non-finite beta raises ValueError.
+    stacked pass per memory block, written into the output: the full kernel
+    and the score-entropy targets use it. A negative or non-finite beta
+    raises ValueError.
     """
     x = np.asarray(states, dtype=np.int64)
     # the sorted slot of each state; block_index refuses states outside [0, n)
@@ -229,6 +229,28 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
                                 0.0, Q.inv_perm > pos[rows, :, None], out=out[rows])
         np.put_along_axis(block, at, np.take_along_axis(e, at, axis=2), axis=2)
     return out
+
+
+def kernel_draw(Q: FactorizedRateMatrix, betas, states, u) -> np.ndarray:
+    """States drawn from the rows exp(beta_b * Q_i)[states[b, i], :] by the
+    (B, d) uniforms ``u`` in [0, 1), one cache chunk at a time, with no row
+    built: row x summed over the sorted slots pos(x)..k telescopes to
+    e_k = exp(beta * lambda_k), rising to e_{n-1} = 1, so the right-sided draw
+    is the first k >= pos(x) with e_k > u, the larger of pos(x) and the count
+    of e_k <= u; a state of mass 0 repeats the e before it and is never drawn.
+    """
+    x = np.asarray(states, dtype=np.int64)
+    slots = np.take(Q.inv_perm, block_index(x, Q.d, Q.n))
+    u = np.asarray(u, dtype=np.float64)
+    # NaN fails both comparisons
+    if x.ndim != 2 or u.shape != x.shape or not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("need (B, d) states and as many uniforms in [0, 1)")
+    betas = np.broadcast_to(_check_betas(betas), (x.shape[0],))
+    for rows in row_blocks(x.shape[0], Q.d * Q.n, cache=True):
+        e = np.multiply(betas[rows, None, None], Q.lambdas)
+        below = np.less_equal(np.exp(e, out=e), u[rows, :, None]).sum(axis=2)
+        np.maximum(slots[rows], below, out=slots[rows])
+    return np.take(Q.perm, slots + Q.n * np.arange(Q.d))
 
 
 def transition_kernel(Q: FactorizedRateMatrix, beta: float) -> np.ndarray:
@@ -327,24 +349,24 @@ def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs, targets) -> tuple:
     return loss, -(sorted_freqs[:, None, :] @ np.cumsum(dE, axis=2, out=dE))[:, 0, : n - 1]
 
 
-def cumulative_pick(slabs: np.ndarray, u: np.ndarray, scaled: bool = False) -> np.ndarray:
+def cumulative_pick(slabs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """State drawn in each column of state-major rows ``slabs`` (n, ...) by the
-    uniforms ``u`` (shape slabs.shape[1:]): how many running sums are <= u.
+    uniforms ``u`` (shape slabs.shape[1:]): how many running sums are <= u
+    times the row total, so rows need not be normalized.
 
     The slabs are summed in place, T[k] += T[k-1]: the sequential sum a
     ``cumsum`` over each row makes, with every add and compare running over
-    a contiguous slab rather than a short row. Counting the sums <= u is the
-    right-sided rule of ``rng.choice``, so no state of mass 0 is drawn, even
-    at u = 0. With ``scaled`` the rows need not be normalized: u is taken
-    times each row's total. A non-finite total raises ValueError.
+    a contiguous slab rather than a short row. For u < 1, u times the total
+    stays below the last sum, so counting the sums <= it is the right-sided
+    rule of ``rng.choice``: no state of mass 0 is drawn, even at u = 0 or
+    in a row whose sum rounds under 1. A non-finite total raises ValueError.
     """
     n = slabs.shape[0]
     for k in range(1, n):
         slabs[k] += slabs[k - 1]
     if not np.isfinite(slabs[-1]).all():
         raise ValueError("a categorical row has a non-finite total")
-    if scaled:
-        u = u * slabs[-1]
+    u = u * slabs[-1]
     return np.minimum(np.less_equal(slabs, u).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n)), n - 1)
 
 

@@ -96,13 +96,12 @@ def load_dataset(config: RunConfig) -> Dataset:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
         samples = draw_columns(truth.probs, config.synthetic_samples, rng)
         return Dataset(samples=samples, n=config.n, ground_truth=truth)
-    if config.dataset == "char_corpus":
-        buf, vocab = read_corpus(config)
-        usable = (buf.size // config.d) * config.d
-        if usable == 0:
-            raise ConfigError(f"corpus shorter than one length-{config.d} tuple")
-        ids = np.zeros(256, dtype=np.int64)
-        ids[list(vocab)] = np.arange(len(vocab))
-        samples = ids[buf[:usable]].reshape(-1, config.d)
-        return Dataset(samples=samples, n=config.n, vocab=vocab)
-    raise ConfigError(f"unknown dataset kind {config.dataset!r}")
+    # RunConfig.validate admits no other kind: a char corpus
+    buf, vocab = read_corpus(config)
+    usable = (buf.size // config.d) * config.d
+    if usable == 0:
+        raise ConfigError(f"corpus shorter than one length-{config.d} tuple")
+    ids = np.zeros(256, dtype=np.int64)
+    ids[list(vocab)] = np.arange(len(vocab))
+    samples = ids[buf[:usable]].reshape(-1, config.d)
+    return Dataset(samples=samples, n=config.n, vocab=vocab)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import NoiseSchedule, ProductDistribution, row_blocks, row_kl_sum, state_frequencies
 from .errors import DivergenceError
-from .score_learning import DEFAULT_EPS_T, ScoreBatch, _per_sample_values, sample_xt_batch
+from .score_learning import DEFAULT_EPS_T, ScoreBatch, _per_sample_values, make_score_batch
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,6 @@ class ElboReport:
         for name in ("j_score", "kl_term", "total_nats", "bits_per_dim", "mc_std_error"):
             if not np.isfinite(getattr(self, name)):
                 raise DivergenceError(f"non-finite report field {name}")
-
-    @classmethod
-    def build(cls, j_score: float, kl: float, d: int, mc_std_error: float) -> "ElboReport":
-        total = j_score + kl
-        return cls(
-            j_score=j_score,
-            kl_term=kl,
-            total_nats=total,
-            bits_per_dim=total / (d * np.log(2.0)),
-            mc_std_error=mc_std_error,
-        )
 
 
 def kl_term(data, Q, schedule: NoiseSchedule, terminal: ProductDistribution) -> float:
@@ -71,10 +60,9 @@ def elbo_estimate(
     The score term is estimated with mc_samples iid draws (x0 uniform from
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
     the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
-    returns (B, d, n) ratio estimates. Every draw is made first, as one
-    score batch would make them; the rest runs one row block at a time, so
-    memory is O(mc_samples * d) plus the block budget. The reported
-    standard error covers the score term only.
+    returns (B, d, n) ratio estimates. All draws are one score batch, scored
+    one memory block at a time, so memory is O(mc_samples * d) plus the
+    block budget. The reported standard error covers the score term only.
     """
     data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
     if data.size == 0:
@@ -82,15 +70,13 @@ def elbo_estimate(
     if mc_samples < 2:
         raise ValueError("need at least 2 Monte Carlo samples")
     picks = rng.integers(0, data.shape[0], size=mc_samples)
-    t = rng.uniform(eps_t, 1.0, size=mc_samples)
-    u = rng.random((data.shape[1], mc_samples)).T
+    batch = make_score_batch(data[picks], Q, schedule, rng, eps_t)
     values = np.empty(mc_samples)
     for rows in row_blocks(mc_samples, Q.d * Q.n):
-        xt, r = sample_xt_batch(data[picks[rows]], Q, schedule, t[rows], u[rows])
-        batch = ScoreBatch(t=t[rows], xt=xt, r=r)
-        values[rows] = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)
+        part = ScoreBatch(batch.t[rows], batch.x0[rows], batch.xt[rows], eps_t)
+        values[rows] = _per_sample_values(ratio_fn(part.xt, part.t), part, Q, schedule)
     mean = float(values.sum()) / mc_samples
     var = max(float((values**2).sum()) / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))
     kl = kl_term(data, Q, schedule, terminal)
-    return ElboReport.build(mean, kl, data.shape[1], se)
+    return ElboReport(mean, kl, mean + kl, (mean + kl) / (data.shape[1] * np.log(2.0)), se)

@@ -92,7 +92,7 @@ def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, cou
         for block in row_blocks(count, Q.d * Q.n):
             x = xt[block]
             for part, rows in _euler_chunks(x, t, dt, ratio_fn(x, t), Q, schedule):
-                x[part] = cumulative_pick(rows, u[block][part], scaled=True)
+                x[part] = cumulative_pick(rows, u[block][part])
     return xt
 
 

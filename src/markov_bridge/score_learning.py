@@ -7,14 +7,14 @@ ratio, a Bregman divergence that is nonnegative and zero only at s = r. Time
 is sampled uniformly on (eps_t, T) and weighted by (T - eps_t); the full sum
 over y is taken (no y-subsampling) since desk-scale n keeps it cheap.
 
-A :class:`ScoreBatch` carries its target r = K_t[x0, :] / K_t[x0, xt], built
-from the kernel rows xt was drawn from: one kernel-row pass per batch.
+Training and the bound draw a :class:`ScoreBatch` alike: t, x0 and xt, O(B d).
+The loss builds its target r = K_t[x0, :] / K_t[x0, xt] per cache chunk.
 
 The elementwise work runs one cache chunk of rows at a time
-(``core.row_blocks`` with ``cache`` set): the score-entropy terms, their
-rates and the output gradient in one pass per chunk, and each Adam update in
-place over a parameter's memory. The MLP's matrix products and the kernel
-rows take whole batches, or memory blocks in the bound. No operation is
+(``core.row_blocks`` with ``cache`` set): the targets, the score-entropy
+terms, their rates and the output gradient in one pass per chunk, and each
+Adam update in place over a parameter's memory. The MLP's matrix products
+take whole batches, or memory blocks in the bound. No operation is
 reordered, so results do not depend on the chunk size.
 
 Everything works on batches: ratio estimators are functions
@@ -35,10 +35,10 @@ from .core import (
     ProductDistribution,
     block_index,
     evolve_rows,
+    kernel_draw,
     kernel_rows,
     rate_columns,
     row_blocks,
-    sample_categorical,
 )
 from .errors import DegenerateStateError, DivergenceError
 
@@ -181,49 +181,41 @@ class ScoreModel:
 
 @dataclass(frozen=True, eq=False)
 class ScoreBatch:
-    """Draws (t, xt) with the target r[b, i] = K[x0_bi, :] / K[x0_bi, xt_bi] of the
-    rows K = exp(beta(t_b) Q_i) xt was drawn from (denominator floored); no x0."""
+    """Draws (t, x0, xt): times on [eps_t, T] and each xt from the rows
+    exp(beta(t_b) Q_i)[x0_bi]. Every array is (B,) or (B, d)."""
 
     t: np.ndarray
+    x0: np.ndarray
     xt: np.ndarray
-    r: np.ndarray
+    eps_t: float
 
     def __post_init__(self):
+        x0 = np.atleast_2d(np.asarray(self.x0, dtype=np.int64))
         xt = np.atleast_2d(np.asarray(self.xt, dtype=np.int64))
         t = np.atleast_1d(np.asarray(self.t, dtype=np.float64))
-        r = np.asarray(self.r, dtype=np.float64)
-        if t.shape != (xt.shape[0],) or r.ndim != 3 or r.shape[:2] != xt.shape:
-            raise ValueError("xt must be (B, d), t (B,) and r (B, d, n)")
+        if xt.ndim != 2 or x0.shape != xt.shape or t.shape != (xt.shape[0],):
+            raise ValueError("x0 and xt must be (B, d) and t (B,)")
         if xt.shape[0] == 0:
             raise ValueError("batch is empty")
-        if np.any(t <= 0.0):
-            raise ValueError("t entries must be positive")
+        # NaN fails every comparison
+        if not (self.eps_t > 0.0 and np.all((t >= self.eps_t) & (t <= 1.0))):
+            raise ValueError("need 0 < eps_t <= t <= 1")
+        object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xt", xt)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
 
     @property
     def size(self) -> int:
         return self.xt.shape[0]
 
 
-def sample_xt_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, t, u):
-    """Draws xt from the rows exp(beta(t_b) Q_i)[x0_bi] with the (B, d) uniforms
-    ``u``, and the (B, d, n) ratio target r of the same rows: the one
-    kernel-row pass of a batch."""
-    r = kernel_rows(Q, schedule.beta(np.asarray(t, dtype=np.float64)), x0)
-    xt = sample_categorical(r, u)
-    r /= np.maximum(np.take_along_axis(r, xt[:, :, None], axis=2), RATIO_FLOOR)
-    return xt, r
-
-
 def make_score_batch(x0, Q: FactorizedRateMatrix, schedule: NoiseSchedule, rng, eps_t: float = DEFAULT_EPS_T) -> ScoreBatch:
-    """Draw times uniformly on (eps_t, T), then each xt and its ratio target."""
+    """Draw times uniformly on [eps_t, T), then each xt from the kernel rows of x0."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.int64))
     t = rng.uniform(eps_t, 1.0, size=x0.shape[0])
     # dimension-major, so the generator is consumed one dimension at a time
-    xt, r = sample_xt_batch(x0, Q, schedule, t, rng.random(x0.shape[::-1]).T)
-    return ScoreBatch(t=t, xt=xt, r=r)
+    xt = kernel_draw(Q, schedule.beta(t), x0, rng.random(x0.shape[::-1]).T)
+    return ScoreBatch(t=t, x0=x0, xt=xt, eps_t=eps_t)
 
 
 def oracle_ratio_fn(mu: ProductDistribution, Q: FactorizedRateMatrix, schedule: NoiseSchedule):
@@ -245,20 +237,22 @@ def oracle_ratio_fn(mu: ProductDistribution, Q: FactorizedRateMatrix, schedule: 
     return ratios
 
 
-def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float, d_out=None):
+def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=None):
     """Per-draw score-entropy values, weighted by (T - eps_t), one cache chunk
     of rows at a time; with ``d_out``, a (B, d, n) array, also the gradient
     of their mean in the pre-exp outputs, rate * (s - r) / B * (T - eps_t).
 
+    A chunk's target r comes from its kernel rows, the denominator floored.
     ``d_out`` may be ``s`` itself: a chunk is read before it is overwritten.
     """
-    r = batch.r
-    B, d, n = r.shape
+    B, d, n = s.shape
     sigmas = schedule.sigma(batch.t)
-    weight = 1.0 - eps_t
+    betas = schedule.beta(batch.t)
+    weight = 1.0 - batch.eps_t
     values = np.empty(B)
     for rows in row_blocks(B, d * n, cache=True):
-        rc, sc = r[rows], s[rows]
+        rc, sc = kernel_rows(Q, betas[rows], batch.x0[rows]), s[rows]
+        rc /= np.maximum(np.take_along_axis(rc, batch.xt[rows, :, None], axis=2), RATIO_FLOOR)
         # rate * (s - r + r (ln r - ln s)), in place on two chunk temporaries
         terms = np.maximum(rc, RATIO_FLOOR)
         np.log(terms, out=terms)
@@ -283,13 +277,13 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: 
     return values
 
 
-def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T) -> float:
+def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule) -> float:
     """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule, eps_t)
+    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule)
     return float(values.mean())
 
 
-def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule, eps_t: float = DEFAULT_EPS_T):
+def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule):
     """Batch loss and its exact reverse-mode gradients for a fixed batch.
 
     Returns (loss, grad_weights, grad_biases), the gradients shaped like the
@@ -297,7 +291,7 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
     """
     acts, out = model._forward_cached(batch.xt, batch.t)
     s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
-    values = _per_sample_values(s, batch, Q, schedule, eps_t, d_out=s)
+    values = _per_sample_values(s, batch, Q, schedule, d_out=s)
     grad_w, grad_b = model.backward(acts, out)
     return float(values.mean()), grad_w, grad_b
 
@@ -337,7 +331,6 @@ def score_learning_loop(
     max_step: int,
     eps_score: float,
     lr: float = DEFAULT_LR,
-    eps_t: float = DEFAULT_EPS_T,
 ) -> ScoreModel:
     """Adam on the score-entropy loss until the step cap or smoothed loss
     drops below eps_score; aborts if the smoothed loss exceeds 10x its start.
@@ -350,7 +343,7 @@ def score_learning_loop(
     initial_smoothed = None
     for step in range(max_step):
         batch = next(batches)
-        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, schedule, eps_t)
+        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, schedule)
         history.append(loss)
         smoothed = float(np.mean(history[-SMOOTH_WINDOW:]))
         if initial_smoothed is None:

@@ -149,7 +149,6 @@ def train(config: RunConfig, resume_from: str | None = None) -> Checkpoint:
                 config.max_step_score,
                 config.eps_score,
                 lr=config.score_lr,
-                eps_t=config.eps_t,
             )
 
             mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))

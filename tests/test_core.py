@@ -455,14 +455,15 @@ class TestSmallHelpers:
 
     @pytest.mark.parametrize("n, d, B", [(7, 5, 300), (27, 3, 40), (2, 1, 9)])
     def test_sample_categorical_matches_cumsum_in_every_chunking(self, monkeypatch, n, d, B):
-        # the row-major cumsum form the state-major slabs replace, with rows
-        # that sum to a little under 1 so the last-state clamp is exercised
+        # the row-major cumsum form the state-major slabs replace, u taken
+        # times each row's total, with rows that sum to a little under 1
         rng = np.random.default_rng(47)
         rows = rng.dirichlet(np.ones(n), size=(B, d)) * (1.0 - 1e-9)
         rows[rng.random((B, d)) < 0.2] *= rng.integers(0, 2, size=n)
         u = rng.random((d, B)).T
         u[0, 0] = np.nextafter(1.0, 0.0)
-        want = np.minimum((np.cumsum(rows, axis=-1) <= u[..., None]).sum(axis=-1), n - 1)
+        sums = np.cumsum(rows, axis=-1)
+        want = np.minimum((sums <= (u * sums[..., -1])[..., None]).sum(axis=-1), n - 1)
         for chunk_rows in (1, 4, B * d):
             monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * n)
             assert len(core.row_blocks(B * d, n, cache=True)) == -(-(B * d) // chunk_rows)
@@ -473,6 +474,23 @@ class TestSmallHelpers:
         assert sample_categorical(np.array([[0.0, 0.0, 1.0]]), np.array([0.0]))[0] == 2
         rows = np.tile([0.25, 0.0, 0.75], (3, 1))
         assert np.array_equal(sample_categorical(rows, np.array([0.0, 0.25, 0.5])), [0, 2, 2])
+        # a row whose sum rounds under 1, at the largest uniform: u alone
+        # would pass every running sum and land on the trailing 0
+        top = np.nextafter(1.0, 0.0)
+        assert sample_categorical(np.array([[0.25, 0.7499999999999998, 0.0]]), np.array([top]))[0] == 1
+
+    def test_no_state_of_mass_zero_at_any_uniform(self):
+        # rows with zeros in every place, some summing a little off 1, at
+        # uniforms spread over [0, 1) and at both of its ends
+        rng = np.random.default_rng(49)
+        n, rows_count = 6, 4000
+        rows = rng.dirichlet(np.ones(n), size=rows_count)
+        rows *= rng.random((rows_count, n)) < 0.6
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        rows *= 1.0 + rng.uniform(-1e-12, 1e-12, (rows_count, 1))
+        for u in (rng.random(rows_count), np.zeros(rows_count), np.full(rows_count, np.nextafter(1.0, 0.0))):
+            draws = sample_categorical(rows, u)
+            assert np.all(rows[np.arange(rows_count), draws] > 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_categorical_refuses_non_finite_rows_and_uniforms(self, bad):
@@ -493,10 +511,78 @@ class TestSmallHelpers:
         assert np.abs(freq - [0.1, 0.2, 0.7]).max() < 0.02
 
 
+class TestKernelDraw:
+    """x_t drawn as the first sorted slot k >= pos(x0) with exp(beta lambda_k) > u."""
+
+    @staticmethod
+    def chains():
+        # a zero rate, a 1e-9 rate, an absorbing chain and a generic one
+        perm = np.array([[2, 0, 3, 1], [1, 3, 0, 2], [3, 1, 2, 0], [0, 2, 1, 3]])
+        a = np.array([[0.7, 0.0, 1.3], [1e-9, 0.9, 0.4], [0.0, 0.0, 1.0], [0.5, 1.1, 2.0]])
+        return FactorizedRateMatrix(perm, a)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 3.0])
+    def test_frequencies_match_kernel_rows(self, beta):
+        Q = self.chains()
+        rng = np.random.default_rng(61)
+        B = 100_000  # one x0 per state and chain: 400k draws a chain
+        K = transition_kernel(Q, beta)
+        worst = 0.0
+        for x in range(Q.n):
+            draws = core.kernel_draw(Q, beta, np.full((B, Q.d), x), rng.random((B, Q.d)))
+            freq = state_frequencies(draws, Q.n)
+            p = K[:, x]
+            # a state of mass 0 is never drawn; elsewhere a binomial z-score
+            assert np.all(freq[p == 0.0] == 0.0)
+            se = np.sqrt(p * (1.0 - p) / B)
+            z = np.abs(freq - p)[p > 0.0] / np.maximum(se[p > 0.0], 1e-300)
+            worst = max(worst, float(z.max()))
+        assert worst <= 4.0
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_extreme_uniforms_never_draw_a_state_of_mass_zero(self, u):
+        rng = np.random.default_rng(63)
+        n, d = 7, 40
+        a = rng.uniform(0.0, 3.0, (d, n - 1))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), a)
+        for beta in (1e-12, 0.3, 5.0, 800.0):
+            x0 = np.tile(np.arange(n), (d, 1)).T
+            draws = core.kernel_draw(Q, beta, x0, np.full(x0.shape, u))
+            rows = kernel_rows(Q, beta, x0)
+            assert np.all(np.take_along_axis(rows, draws[:, :, None], axis=2) > 0.0)
+
+    def test_zero_beta_returns_x0(self):
+        rng = np.random.default_rng(65)
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(9) for _ in range(5)]), rng.uniform(0.0, 2.0, (5, 8)))
+        x0 = rng.integers(0, 9, size=(300, 5))
+        u = rng.random(x0.shape)
+        u[0] = np.nextafter(1.0, 0.0)
+        assert np.array_equal(core.kernel_draw(Q, 0.0, x0, u), x0)
+
+    def test_bit_identical_across_chunkings(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        n, d, B = 6, 5, 200
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.0, 2.0, (d, n - 1)))
+        betas, x0, u = rng.uniform(0.0, 4.0, B), rng.integers(0, n, size=(B, d)), rng.random((B, d))
+        one = core.kernel_draw(Q, betas, x0, u)
+        for chunk_rows in (1, 7, B):
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
+            assert np.array_equal(core.kernel_draw(Q, betas, x0, u), one)
+
+    @pytest.mark.parametrize("u", [1.0, -0.1, np.nan, "shape"])
+    def test_bad_uniforms_refused(self, u):
+        Q = self.chains()
+        x0 = np.zeros((3, Q.d), dtype=np.int64)
+        uniforms = np.full((2, Q.d), 0.5) if u == "shape" else np.full(x0.shape, u)
+        with pytest.raises(ValueError, match="uniforms"):
+            core.kernel_draw(Q, 1.0, x0, uniforms)
+
+
 ARRAY_RECORDS = {
     "ProductDistribution": lambda: ProductDistribution.uniform(2, 2),
     "FactorizedRateMatrix": lambda: FactorizedRateMatrix([[1, 0]], [[0.5]]),
-    "ScoreBatch": lambda: ScoreBatch(t=[0.5], xt=[[0]], r=np.ones((1, 1, 2))),
+    "ScoreBatch": lambda: ScoreBatch(t=[0.5], x0=[[0]], xt=[[0]], eps_t=1e-3),
     "Dataset": lambda: Dataset(samples=np.zeros((2, 1), dtype=np.int64), n=2),
     "Checkpoint": lambda: Checkpoint(
         config_text="n = 2\n", epoch=1, perms=np.array([[0, 1]]), a=np.ones((1, 1)),

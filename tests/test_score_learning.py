@@ -1,6 +1,7 @@
 """Score network, score-entropy loss, oracle ratios, gradients, training loop."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from markov_bridge import (
     transition_kernel,
 )
 from markov_bridge import core, evaluation, score_learning
-from markov_bridge.score_learning import sample_xt_batch
+from markov_bridge.core import kernel_draw
+from markov_bridge.reference import materialize_dense
 
 from oracles import random_chain_arrays
 
@@ -43,15 +45,13 @@ class TestSampleXt:
         rng = np.random.default_rng(301)
         Q = random_chain(rng, 5, d=3)
         x0 = rng.integers(0, 5, size=(20, 3))
-        xt, r = sample_xt_batch(x0, Q, SCHEDULE_UNIT, 0.0, rng.random((20, 3)))
-        assert np.array_equal(xt, x0)
-        # the identity kernel: r is the one-hot row of x0
-        assert np.array_equal(r, np.eye(5)[x0])
+        # the identity kernel, whatever the uniforms
+        assert np.array_equal(kernel_draw(Q, SCHEDULE_UNIT.beta(0.0), x0, rng.random((20, 3))), x0)
 
     def test_half_life_frequencies(self):
         Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
         rng = np.random.default_rng(303)
-        draws, _ = sample_xt_batch(np.zeros((100000, 1), dtype=np.int64), Q, SCHEDULE_UNIT, 1.0, rng.random((100000, 1)))
+        draws = kernel_draw(Q, SCHEDULE_UNIT.beta(1.0), np.zeros((100000, 1), dtype=np.int64), rng.random((100000, 1)))
         freq = float(np.mean(draws == 0))
         # binomial 3 sigma around 0.5 at 1e5 draws
         assert abs(freq - 0.5) <= 3.0 * 0.5 / np.sqrt(100000)
@@ -63,9 +63,8 @@ class TestSampleXt:
         Q = FactorizedRateMatrix(perm[None, :], a[None, :])
         schedule = NoiseSchedule(sigma_min=60.0, sigma_max=60.0)
         rng = np.random.default_rng(307)
-        draws, _ = sample_xt_batch(np.full((200, 1), 3, dtype=np.int64), Q, schedule, 1.0, rng.random((200, 1)))
+        draws = kernel_draw(Q, schedule.beta(1.0), np.full((200, 1), 3, dtype=np.int64), rng.random((200, 1)))
         assert np.all(draws == perm[-1])
-
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_x0_outside_the_chain_refused(self, bad):
@@ -74,12 +73,30 @@ class TestSampleXt:
         with pytest.raises(ValueError, match="states must lie in"):
             make_score_batch([[0, 1], [bad, 1]], Q, SCHEDULE_UNIT, np.random.default_rng(0))
 
+    def test_batch_memory_is_order_b_times_d(self):
+        # at the text8 shape one (B, d, n) float array is 14 MB; the batch
+        # holds (B,) and (B, d) arrays and draws one cache chunk at a time
+        rng = np.random.default_rng(311)
+        n, d, B = 27, 256, 256
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        x0 = rng.integers(0, n, size=(B, d))
+        tracemalloc.start()
+        try:
+            batch = make_score_batch(x0, Q, NoiseSchedule(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.xt.shape == (B, d)
+        assert peak < 4 * 2**20
+
 
 class TestOneKernelRowPass:
-    """A score batch carries the ratio target of the rows its xt was drawn
-    from; the loss and the bound build no kernel rows of their own."""
+    """A score batch holds draws only; the loss builds each cache chunk's
+    target from one kernel-row pass, and the bound draws as training does."""
 
     def test_ratio_target_matches_dense_kernel(self):
+        # per-draw values against the integrand summed over a dense kernel row
+        # and a dense generator column
         rng = np.random.default_rng(401)
         schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
         for _ in range(10):
@@ -87,29 +104,48 @@ class TestOneKernelRowPass:
             Q = random_chain(rng, n, d=d)
             x0 = rng.integers(0, n, size=(32, d))
             batch = make_score_batch(x0, Q, schedule, rng)
-            for b, i in itertools.product(range(batch.size), range(d)):
-                row = transition_kernel(Q, schedule.beta(batch.t[b]))[i, x0[b, i]]
-                np.testing.assert_allclose(batch.r[b, i], row / row[batch.xt[b, i]], rtol=1e-12, atol=0.0)
+            s = rng.uniform(0.1, 3.0, size=(batch.size, d, n))
+            got = score_learning._per_sample_values(s, batch, Q, schedule)
+            dense = materialize_dense(Q)
+            for b in range(batch.size):
+                K = transition_kernel(Q, schedule.beta(batch.t[b]))
+                want = 0.0
+                for i in range(d):
+                    row, xt = K[i, x0[b, i]], batch.xt[b, i]
+                    assert row[xt] > 0.0  # no state of mass 0 is drawn
+                    r = row / row[xt]
+                    rate = schedule.sigma(batch.t[b]) * dense[i, :, xt]
+                    rate[xt] = 0.0
+                    logs = np.log(np.maximum(r, 1e-12)) - np.log(s[b, i])
+                    want += float(np.sum(rate * (s[b, i] - r + r * logs)))
+                assert got[b] == pytest.approx(want * (1.0 - 1e-3), rel=1e-10, abs=1e-300)
 
-    def test_kernel_rows_built_once_per_batch(self, monkeypatch):
+    def test_kernel_rows_built_once_per_cache_chunk(self, monkeypatch):
         calls = []
         real = score_learning.kernel_rows
-        monkeypatch.setattr(score_learning, "kernel_rows", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(score_learning, "kernel_rows", lambda *a: calls.append(len(a[2])) or real(*a))
+        draws = []
+        make = evaluation.make_score_batch
+        monkeypatch.setattr(evaluation, "make_score_batch", lambda *a: draws.append(len(a[0])) or make(*a))
         rng = np.random.default_rng(409)
-        n, d = 5, 3
+        n, d, B = 5, 3, 16
         Q = random_chain(rng, n, d=d)
         model = ScoreModel(n, d, hidden=(8,), rng=rng)
-        batch = make_score_batch(rng.integers(0, n, size=(16, d)), Q, SCHEDULE_UNIT, rng)
-        assert len(calls) == 1
+        batch = make_score_batch(rng.integers(0, n, size=(B, d)), Q, SCHEDULE_UNIT, rng)
+        assert calls == []
+        monkeypatch.setattr(core, "CHUNK_ELEMENTS", 6 * d * n)
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
+        assert calls == [6, 6, 4]
         score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
-        assert len(calls) == 1
-        # the bound draws its row blocks the same way: one call per block
+        assert calls == [6, 6, 4] * 2
+        # the bound: one batch of draws, then each block's chunks
+        calls.clear()
         monkeypatch.setattr(core, "BLOCK_ELEMENTS", 40 * d * n)
         data = rng.integers(0, n, size=(50, d))
         evaluation.elbo_estimate(model.forward_batch, data, Q, SCHEDULE_UNIT,
                                  ProductDistribution.uniform(n, d), 100, rng)
-        assert len(calls) == 1 + 3
+        assert draws == [100]
+        assert calls == [6] * 6 + [4] + [6] * 6 + [4] + [6] * 3 + [2]
 
 
 class TestScoreForward:
@@ -227,7 +263,7 @@ class TestScoreEntropyLoss:
 
     def test_non_finite_ratio_estimate_raises_naming_the_entry(self):
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 1.0]])
-        batch = ScoreBatch(t=[0.5, 0.25], xt=[[2], [2]], r=np.ones((2, 1, 3)))
+        batch = ScoreBatch(t=[0.5, 0.25], x0=[[2], [2]], xt=[[2], [2]], eps_t=1e-3)
 
         def nan_at(xt, t):
             s = np.ones((2, 1, 3))
@@ -249,8 +285,6 @@ class TestScoreEntropyLoss:
         scaled = lambda xt, t: np.e * oracle(xt, t)
         loss = score_entropy_loss(scaled, batch, Q, SCHEDULE_UNIT)
         # independent accumulation of rate * r * (e - 2)
-        from markov_bridge.reference import materialize_dense
-
         dense = materialize_dense(Q)[0]
         expected = 0.0
         eps_t = 1e-3
@@ -268,7 +302,16 @@ class TestScoreEntropyLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ScoreBatch(t=np.empty(0), xt=np.empty((0, 1), dtype=np.int64), r=np.empty((0, 1, 2)))
+            ScoreBatch(t=np.empty(0), x0=np.empty((0, 1)), xt=np.empty((0, 1)), eps_t=1e-3)
+
+    @pytest.mark.parametrize("t, eps_t", [(0.5, 0.0), (0.5, np.nan), (1e-4, 1e-3), (1.5, 1e-3), (np.nan, 1e-3)])
+    def test_times_outside_eps_t_to_one_rejected(self, t, eps_t):
+        with pytest.raises(ValueError, match="eps_t <= t <= 1"):
+            ScoreBatch(t=[0.5, t], x0=[[0], [1]], xt=[[0], [1]], eps_t=eps_t)
+
+    def test_x0_and_xt_of_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match="x0 and xt"):
+            ScoreBatch(t=[0.5], x0=[[0, 1]], xt=[[0]], eps_t=1e-3)
 
     def test_pointwise_bregman_nonnegative(self):
         # the integrand term s - r + r (ln r - ln s) is a Bregman divergence:
@@ -323,11 +366,13 @@ class TestScoreEntropyLoss:
 
 class TestScoreGrad:
     def test_zero_gradient_when_targets_match_fresh_model(self):
-        # uniform kernel row makes every true ratio 1, which is exactly what a
-        # zero-initialized model outputs, so the gradient vanishes
-        Q = FactorizedRateMatrix([[0, 1]], [[LN2]])
+        # the kernel row of state 0 at beta = ln 2 is uniform, so every true
+        # ratio is 1, exactly what a zero-initialized model outputs, and the
+        # gradient vanishes
+        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
         model = ScoreModel(2, 1, hidden=(8,), rng=np.random.default_rng(3))
-        batch = ScoreBatch(t=np.ones(8), xt=np.array([[0], [1]] * 4, dtype=np.int64), r=np.ones((8, 1, 2)))
+        t = np.full(8, LN2)
+        batch = ScoreBatch(t=t, x0=np.zeros((8, 1)), xt=[[0], [1]] * 4, eps_t=1e-3)
         _, grad_w, grad_b = score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert max(np.abs(g).max() for g in grad_w) <= 1e-14
         assert max(np.abs(g).max() for g in grad_b) <= 1e-14
@@ -367,10 +412,9 @@ class TestScoreGrad:
         Q = random_chain(rng, 4)
         model = ScoreModel(4, 1, hidden=(8,), rng=rng)
         model.weights[-1] += rng.normal(0, 0.1, model.weights[-1].shape)
-        row = transition_kernel(Q, SCHEDULE_UNIT.beta(0.7))[0, 2]
-        r = row / max(row[1], 1e-12)
-        single = ScoreBatch(t=[0.7], xt=[[1]], r=[[r]])
-        tripled = ScoreBatch(t=[0.7] * 3, xt=[[1]] * 3, r=[[r]] * 3)
+        # the target of x0 = 2, xt = 1, as one draw and three alike
+        single = ScoreBatch(t=[0.7], x0=[[2]], xt=[[1]], eps_t=1e-3)
+        tripled = ScoreBatch(t=[0.7] * 3, x0=[[2]] * 3, xt=[[1]] * 3, eps_t=1e-3)
         _, gw1, gb1 = score_loss_and_grad(model, single, Q, SCHEDULE_UNIT)
         _, gw3, gb3 = score_loss_and_grad(model, tripled, Q, SCHEDULE_UNIT)
         for g1, g3 in zip(gw1 + gb1, gw3 + gb3):
@@ -493,11 +537,16 @@ class TestScoreLearningLoop:
 
     def test_loss_that_runs_away_raises(self):
         # the second batch's targets are far from the untrained ratios, so
-        # the smoothed loss of two steps is over 10x that of the first
+        # the smoothed loss of two steps is over 10x that of the first. Both
+        # draws sit at the sorted-last state, which every other state has a
+        # rate into. The first starts there, so its targets are 0 off it; the
+        # second starts sorted first and reaches it at a rate of 1e-4, so at
+        # beta = 0.5 its targets are 5e3 to 8e3
         rng = np.random.default_rng(391)
-        Q = random_chain(rng, 4)
-        x = [[int(Q.perm[0, -1])]]  # sorted last: every other state has a rate into it
-        batches = iter([ScoreBatch(t=[0.5], xt=x, r=np.full((1, 1, 4), r)) for r in (1.0, 1e4)])
+        perm = rng.permutation(4)
+        Q = FactorizedRateMatrix(perm[None, :], [[1.0, 1.0, 1e-4]])
+        first, last = [[int(perm[0])]], [[int(perm[-1])]]
+        batches = iter([ScoreBatch(t=[0.5], x0=x0, xt=last, eps_t=1e-3) for x0 in (last, first)])
         model = ScoreModel(4, 1, hidden=(8,), rng=rng)
         with pytest.raises(DivergenceError, match="diverged") as err:
             score_learning_loop(model, batches, Q, SCHEDULE_UNIT, max_step=5, eps_score=0.0, lr=0.0)
