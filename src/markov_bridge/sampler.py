@@ -1,15 +1,15 @@
 """Reverse-time generation by explicit Euler steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each step draws its uniforms, then runs one ratio call and the draw per
-memory block of rows; no (B, d, n) step row is built. Each cache chunk's
-unnormalized rows are written state-major, (n, rows, d): the mask "sorted
-before x" times the ratios times dt * sigma(t) * a(x), the rate into x, and
-the clamped stay mass at x. Comparing u times the row total with the running
-sums picks the state the normalized row would, up to rounding ties. A row
-total that overflows raises DivergenceError. The mu estimator averages the
-last step's normalized rows instead of sampling them: the same expectation
-and strictly lower variance.
+Each step draws its uniforms, then runs one ratio call, at the step's one time
+given as a scalar, and the draw per memory block of rows; no (B, d, n) step
+row is built. Each cache chunk's unnormalized rows are written state-major,
+(n, rows, d): the mask "sorted before x" times the ratios times
+dt * sigma(t) * a(x), the rate into x, and the clamped stay mass at x.
+Comparing u times the row total with the running sums picks the state the
+normalized row would, up to rounding ties. A row total that overflows raises
+DivergenceError. The mu estimator averages the last step's normalized rows
+instead of sampling them: the same expectation and strictly lower variance.
 """
 
 from __future__ import annotations

@@ -61,8 +61,11 @@ _FREQS = np.pi * 2.0 ** np.arange(TIME_EMBED_WIDTH // 2)
 
 
 def time_embedding(t) -> np.ndarray:
-    """Sinusoidal embedding of shape (B, 16) on geometric frequencies."""
+    """Sinusoidal embedding (B, 16) of a scalar or B times in [0, 1] on geometric frequencies."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    # NaN fails both comparisons
+    if t.ndim != 1 or not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValueError("times must be a scalar or a vector of values in [0, 1]")
     phases = np.outer(t, _FREQS)
     return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
 
@@ -75,14 +78,15 @@ def layer_sizes(n: int, d: int, hidden) -> list:
 class ScoreModel:
     """MLP from (state per dimension, time embedding) to d*n ratios.
 
-    The forward takes state indices, not a one-hot input: the first layer
-    sums the columns of W1 that the states pick, plus the time embedding's
-    product, so h1 = emb(t) W1[:, d*n:]^T + b1 + sum_i W1[:, i*n + x_i]. W1
-    is stored column-major, which makes its token block a contiguous
-    (d*n, H) table of those columns. Only ``backward`` builds the one-hot
-    input, for dW1. The output head is exponentiated so every ratio estimate
-    is strictly positive, and the final layer starts at zero so a fresh
-    model outputs the uniform ratio 1 everywhere.
+    The forward takes state indices, not a one-hot input: the first layer sums
+    the columns of W1 that the states pick, plus the time embedding's product,
+    so h1 = emb(t) W1[:, d*n:]^T + b1 + sum_i W1[:, i*n + x_i], the time term
+    built once per time given (one row for a reverse step's one t). W1 is
+    stored column-major, which makes its token block a contiguous (d*n, H)
+    table of those columns. Only ``backward`` builds the one-hot input, for
+    dW1, from the forward's emb(t). The output head is exponentiated so every
+    ratio estimate is strictly positive, and the final layer starts at zero so
+    a fresh model outputs the uniform ratio 1 everywhere.
     """
 
     def __init__(self, n: int, d: int, hidden=(128, 128), rng=None, params=None):
@@ -101,60 +105,67 @@ class ScoreModel:
                         for layer, w in enumerate(params[0])]
         self.biases = [np.array(b, dtype=np.float64) for b in params[1]]
 
-    def encode(self, xt, t) -> np.ndarray:
-        """The (B, d*n + 16) one-hot and time-embedding input that W1 multiplies."""
+    def encode(self, xt, emb) -> np.ndarray:
+        """The (B, d*n + 16) input W1 multiplies: one-hot states, then time rows ``emb``."""
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
         dn = self.d * self.n
         X = np.zeros((B, dn + TIME_EMBED_WIDTH))
         X[np.arange(B)[:, None], block_index(xt, self.d, self.n)] = 1.0
-        X[:, dn:] = time_embedding(np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (B,)))
+        X[:, dn:] = emb
         return X
 
-    def first_layer(self, xt, t) -> np.ndarray:
-        """Pre-activation h1 = encode(xt, t) @ W1.T + b1, gathered without the one-hot.
+    def first_layer(self, xt, emb) -> np.ndarray:
+        """Pre-activation h1 = encode(xt, emb) @ W1.T + b1, gathered without the one-hot.
 
-        Each block of GATHER_ROWS rows starts from its time term and bias,
-        then adds each dimension's picked columns in place, so the block's
-        running sum stays in cache throughout.
+        ``emb`` holds one time row or one per state row, else ValueError. Each
+        block of GATHER_ROWS rows starts from its time terms, or the one time
+        term broadcast, plus bias, then adds each dimension's picked columns
+        in place, so the block's running sum stays in cache throughout.
         """
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
+        if len(emb) not in (1, B):
+            raise ValueError(f"need one time or one per state row, not {len(emb)} for {B} rows")
         dn = self.d * self.n
         W1 = self.weights[0]
         table = np.ascontiguousarray(W1[:, :dn].T)  # a view while W1 stays column-major
         tokens = block_index(xt, self.d, self.n).T.copy()
-        t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (B,))
-        emb = time_embedding(t)
         h = np.empty((B, W1.shape[0]))
         for start in range(0, B, GATHER_ROWS):
             rows = slice(start, start + GATHER_ROWS)
             hb = h[rows]
-            np.matmul(emb[rows], W1[:, dn:].T, out=hb)
-            hb += self.biases[0]
+            own = emb[start % len(emb):][: len(hb)]  # the block's time rows, or the only one
+            np.matmul(own, W1[:, dn:].T, out=hb[: len(own)])
+            hb[: len(own)] += self.biases[0]
+            hb[len(own):] = hb[:1]
             for col in tokens[:, rows]:
                 hb += table[col]
         return h
 
-    def _forward_cached(self, xt, t):
-        """Forward pass keeping what ``backward`` needs: the inputs (xt, t),
-        then each hidden activation."""
-        h = self.first_layer(xt, t)
+    def _forward_cached(self, xt, t, acts=None) -> np.ndarray:
+        """Pre-exp outputs, and into the list ``acts``, if given, what ``backward``
+        needs: (xt, emb(t)), then each hidden activation; else none is kept."""
+        emb = time_embedding(t)
+        h = self.first_layer(xt, emb)
         np.tanh(h, out=h)
-        acts = [(xt, t), h]
+        if acts is not None:
+            acts += [(xt, emb), h]
+        del emb
         # each layer in place, so none holds two (B, width) temporaries
         for W, b in zip(self.weights[1:-1], self.biases[1:-1]):
             h = h @ W.T
             h += b
             np.tanh(h, out=h)
-            acts.append(h)
+            if acts is not None:
+                acts.append(h)
         out = h @ self.weights[-1].T
         out += self.biases[-1]
-        return acts, out
+        return out
 
     def forward_batch(self, xt, t) -> np.ndarray:
         """Positive ratio estimates of shape (B, d, n)."""
-        _, out = self._forward_cached(xt, t)
+        out = self._forward_cached(xt, t)
         return np.exp(out, out=out).reshape(-1, self.d, self.n)
 
     def backward(self, acts, d_out):
@@ -289,7 +300,8 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
     Returns (loss, grad_weights, grad_biases), the gradients shaped like the
     model parameters. The output gradient overwrites the ratios in place.
     """
-    acts, out = model._forward_cached(batch.xt, batch.t)
+    acts = []
+    out = model._forward_cached(batch.xt, batch.t, acts)
     s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
     values = _per_sample_values(s, batch, Q, schedule, d_out=s)
     grad_w, grad_b = model.backward(acts, out)

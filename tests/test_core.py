@@ -163,10 +163,11 @@ class TestNoiseSchedule:
 
     def test_domain_error(self):
         schedule = NoiseSchedule()
-        with pytest.raises(ValueError):
-            schedule.beta(-0.1)
-        with pytest.raises(ValueError):
-            schedule.beta(1.5)
+        for t in (-0.1, 1.5, float("nan"), [0.5, float("nan")]):
+            with pytest.raises(ValueError):
+                schedule.beta(t)
+            with pytest.raises(ValueError):
+                schedule.sigma(t)
 
     def test_monotone(self):
         schedule = NoiseSchedule(sigma_min=0.2, sigma_max=4.0)

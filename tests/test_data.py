@@ -122,15 +122,24 @@ class TestSynthetic:
         [
             (2, 5, 300, None, 1),  # two states
             (5, 4, 1, None, 1),  # one draw per dimension
-            (27, 7, 10000, None, 3),  # blocks of three dimensions, the last one of one
-            (27, 65, 50, 200, 17),  # blocks of four dimensions, the last one of one
+            (27, 17, 10000, None, 3),  # blocks of eight dimensions, the floor, the last one of one
+            (27, 65, 50, 600, 6),  # blocks of twelve dimensions, the last one of five
             (300, 3, 500, None, 1),  # more states than a uint8 counts
         ],
     )
     def test_draws_match_one_choice_per_dimension(self, monkeypatch, n, d, size, chunk, blocks):
         if chunk is not None:
             monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk)
-        assert len(core.row_blocks(d, size, cache=True)) == blocks
+        draws = []
+
+        class Spy:  # a generator recording each block's (dims, size) draw of uniforms
+            def random(self, shape):
+                draws.append(shape)
+                return uniforms.random(shape)
+
+        uniforms = np.random.default_rng(0)
+        core.draw_columns(np.full((d, n), 1.0 / n), size, Spy())
+        assert len(draws) == blocks and all(dims >= 8 for dims, _ in draws[:-1])
         config = RunConfig(n=n, d=d, seed=11, synthetic_samples=size)
         ds = load_dataset(config)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))

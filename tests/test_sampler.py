@@ -16,7 +16,7 @@ from markov_bridge import (
     generate,
     oracle_ratio_fn,
 )
-from markov_bridge import core
+from markov_bridge import core, score_learning
 from markov_bridge.core import draw_columns, sample_categorical
 from markov_bridge.data import synthetic_ground_truth
 from markov_bridge.matrix_learning import predict_terminal
@@ -284,6 +284,22 @@ class TestBlockedSteps:
             assert len(rows) == 12 * -(-count // block_rows) and max(rows) == block_rows
             assert np.array_equal(small_draws, draws)
             np.testing.assert_allclose(small_p0, p0, rtol=0.0, atol=1e-15)
+
+    def test_each_ratio_call_embeds_one_time(self, monkeypatch):
+        rng = np.random.default_rng(467)
+        n, d, count = 5, 3, 200
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        model = ScoreModel(n, d, hidden=(8,), rng=rng)
+        calls, embedded = [], []
+        embed = score_learning.time_embedding
+        monkeypatch.setattr(score_learning, "time_embedding", lambda t: embedded.append(np.size(t)) or embed(t))
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * d * n)  # several ratio calls a step
+        fn = lambda xt, t: calls.append(len(xt)) or model.forward_batch(xt, t)
+        generate(terminal, Q, NoiseSchedule(), fn, rng, count, 3, 1e-3)
+        estimate_mu(terminal, Q, NoiseSchedule(), fn, rng, count, 3, 1e-3)
+        # two runs of 3 steps, each step one call per block of 64 rows
+        assert len(calls) == 2 * 3 * 4 and embedded == [1] * len(calls)
 
     def test_estimate_mu_memory_does_not_grow_with_m_d_n(self):
         # one (M, d, n) float array at these shapes is 226 MB

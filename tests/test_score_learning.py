@@ -190,10 +190,11 @@ class TestScoreForward:
         xt = rng.integers(0, n, size=(B, d))
         if t == "per row":
             t = rng.uniform(1e-3, 1.0, B)
-        dense = model.encode(xt, t) @ model.weights[0].T + model.biases[0]
+        emb = score_learning.time_embedding(t)
+        dense = model.encode(xt, emb) @ model.weights[0].T + model.biases[0]
         # entries that cancel to near 0 are held to rtol of the layer's scale
         scale = np.abs(dense).max()
-        np.testing.assert_allclose(model.first_layer(xt, t), dense, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(model.first_layer(xt, emb), dense, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("xt", [[[0, 4]], [[-1, 0]], [[0, 1, 2]]])
     def test_state_rows_outside_the_model_refused(self, xt):
@@ -201,6 +202,39 @@ class TestScoreForward:
         model = ScoreModel(4, 2, hidden=(8,), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             model.forward_batch(xt, 0.5)
+
+    def test_one_time_matches_the_time_repeated_per_row(self):
+        rng = np.random.default_rng(319)
+        n, d, B = 6, 4, 600  # more rows than one gather block
+        model = ScoreModel(n, d, hidden=(32, 32), rng=rng)
+        model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
+        model.biases[0] += rng.normal(0.0, 0.1, 32)
+        xt = rng.integers(0, n, size=(B, d))
+        # the one-row and the B-row BLAS products of the time term may round
+        # apart by an ulp, which two hidden layers and the exp head carry on
+        few_ulp = dict(rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+        for t in (0.0, 0.37, 1.0):
+            per_row = model.forward_batch(xt, np.full(B, t))
+            np.testing.assert_allclose(model.forward_batch(xt, t), per_row, **few_ulp)
+            np.testing.assert_allclose(model.forward_batch(xt, [t]), per_row, **few_ulp)
+
+    @pytest.mark.parametrize("t", [float("nan"), 2.0, -0.1, [0.5, float("nan"), 0.5], [0.5, 0.5], [[0.5], [0.5], [0.5]]])
+    def test_times_outside_zero_one_or_of_other_counts_refused(self, t):
+        # 3 rows: a time must lie in [0, 1] and come once or once per row
+        model = ScoreModel(4, 2, hidden=(8,), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            model.forward_batch([[0, 1], [2, 3], [1, 1]], t)
+
+    def test_time_embedded_once_per_score_step(self, monkeypatch):
+        rng = np.random.default_rng(323)
+        model = ScoreModel(4, 3, hidden=(8,), rng=rng)
+        Q = random_chain(rng, 4, d=3)
+        batch = make_score_batch(rng.integers(0, 4, size=(10, 3)), Q, SCHEDULE_UNIT, rng)
+        embedded = []
+        embed = score_learning.time_embedding
+        monkeypatch.setattr(score_learning, "time_embedding", lambda t: embedded.append(np.size(t)) or embed(t))
+        score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
+        assert embedded == [10]
 
     def test_only_backward_builds_the_one_hot(self, monkeypatch):
         rng = np.random.default_rng(317)
