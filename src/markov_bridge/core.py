@@ -13,14 +13,14 @@ operation takes all d chains at once.
 
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
-array) bounds what kernel rows and each step of the bound and of the
-reverse sampler, its draws and its MLP forward, hold at once. A cache chunk
-(``CHUNK_ELEMENTS``, 512 KiB per array) is what a chain of elementwise
-passes works on, so that its temporaries stay in L2 between passes:
-categorical, kernel and product draws, the reverse sampler's Euler rows and
-draw, the score-entropy targets, terms and gradient, and Adam. Chunking
-never reorders floating-point operations, so results do not depend on
-either budget. A distribution is a ``ProductDistribution``, one validated
+array) bounds a ratio call's (rows, d*n) arrays in the bound and the reverse
+sampler; the score model cuts its own activations to it by its widest layer.
+A cache chunk (``CHUNK_ELEMENTS``, 512 KiB per array) keeps the temporaries
+of a chain of elementwise passes in L2: categorical, kernel and product
+draws, kernel rows, Euler rows and draws, score-entropy terms, and Adam.
+Chunks never reorder floating-point operations, so results do not depend on
+their size; BLAS may round a matrix product's last bits by its row count,
+which memory blocks set. A distribution is a ``ProductDistribution``, one validated
 (d, n) array; a single chain or categorical is a one-row instance. Time
 runs over [0, T] with T = 1.
 """
@@ -172,9 +172,7 @@ def row_blocks(rows: int, width: int, cache: bool = False, least: int = 1) -> li
     budget // width rows (at least ``least``), the last one possibly shorter.
 
     The budget is BLOCK_ELEMENTS, a memory block, or with ``cache`` set
-    CHUNK_ELEMENTS, a cache chunk: several arrays of one chunk fit in a
-    core's L2 cache, so a chain of elementwise passes over it reads memory
-    once, where passes over whole arrays would stream each from RAM.
+    CHUNK_ELEMENTS, a cache chunk, as the module docstring describes.
     """
     step = max(least, (CHUNK_ELEMENTS if cache else BLOCK_ELEMENTS) // width)
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
@@ -214,9 +212,9 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
     :func:`_sorted_rows` of a point mass on x, in state order: entry y is
     exp(beta * lambda(y)) times 1 at x, -expm1(-beta * a(y)) where y sorts
     after x and 0 before it, so no row is sorted and none is clamped. One
-    stacked pass per memory block, written into the output: the full kernel
-    and the score-entropy targets use it. A negative or non-finite beta
-    raises ValueError.
+    stacked pass written into the output, with one float temporary of its
+    size: callers cut the rows, as the score loss does by cache chunk. A
+    negative or non-finite beta raises ValueError.
     """
     x = np.asarray(states, dtype=np.int64)
     # the sorted slot of each state; block_index refuses states outside [0, n)
@@ -225,12 +223,9 @@ def kernel_rows(Q: FactorizedRateMatrix, betas, states) -> np.ndarray:
         raise ValueError("states must be a (B, d) array")
     betas = np.broadcast_to(_check_betas(betas), (x.shape[0],))
     out = np.empty((x.shape[0], Q.d, Q.n))
-    for rows in row_blocks(x.shape[0], Q.d * Q.n):
-        at = x[rows, :, None]
-        # the mass term, e at x, is put in place rather than added as a one-hot
-        e, block = _sorted_rows(Q.state_lambdas, Q.state_rates, betas[rows, None, None],
-                                0.0, Q.inv_perm > pos[rows, :, None], out=out[rows])
-        np.put_along_axis(block, at, np.take_along_axis(e, at, axis=2), axis=2)
+    # the mass term, e at x, is put in place rather than added as a one-hot
+    e = _sorted_rows(Q.state_lambdas, Q.state_rates, betas[:, None, None], 0.0, Q.inv_perm > pos[:, :, None], out=out)[0]
+    np.put_along_axis(out, x[:, :, None], np.take_along_axis(e, x[:, :, None], axis=2), axis=2)
     return out
 
 

@@ -61,8 +61,8 @@ def elbo_estimate(
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
     the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
     returns (B, d, n) ratio estimates. All draws are one score batch, scored
-    one memory block at a time, so memory is O(mc_samples * d) plus the
-    block budget. The reported standard error covers the score term only.
+    one memory block of (rows, d*n) ratios at a time, so memory is
+    O(mc_samples * d) plus a few blocks. The standard error covers the score term only.
     """
     data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
     if data.size == 0:

@@ -1,10 +1,11 @@
 """Reverse-time generation by explicit Euler steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each step draws its uniforms, then runs one ratio call, at the step's one time
-given as a scalar, and the draw per memory block of rows; no (B, d, n) step
-row is built. Each cache chunk's unnormalized rows are written state-major,
-(n, rows, d): the mask "sorted before x" times the ratios times
+Each step draws its uniforms, then makes one ratio call, at the step's one
+time given as a scalar, per memory block of (rows, d*n) ratios; the ratio
+function bounds its own temporaries, and no (B, d, n) step row is built.
+Each cache chunk's unnormalized rows are written state-major, (n, rows, d):
+the mask "sorted before x" times the ratios times
 dt * sigma(t) * a(x), the rate into x, and the clamped stay mass at x.
 Comparing u times the row total with the running sums picks the state the
 normalized row would, up to rounding ties. A row total that overflows raises
@@ -24,51 +25,47 @@ from .errors import DivergenceError
 diagnostics = {"euler_zero_rows": 0}
 
 
-def _euler_chunks(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule):
+def _euler_chunks(xt, t: float, dt: float, ratio_fn, Q, schedule: NoiseSchedule):
     """Yield (part, rows) for each cache chunk ``part`` of a (B, d) batch:
     its unnormalized Euler rows, state-major (n, rows, d), in a reused buffer.
 
-    ``ratios`` is (B, d, n). Non-finite or negative ratios, and finite ones
-    so large that a row total overflows, raise DivergenceError. A chunk's
-    states are read before it is yielded, so the caller may overwrite them.
+    ``ratio_fn(states, t) -> (rows, d, n)`` is called once per memory block,
+    whose ratios are released before the next call. Non-finite or negative
+    ratios, and finite ones so large that a row total overflows, raise
+    DivergenceError. A chunk's states are read before it is yielded, so the
+    caller may overwrite them.
     """
-    ratios = np.asarray(ratios, dtype=np.float64)
-    at = block_index(xt, Q.d, Q.n)
     # sorted slots, state-major, as the narrowest integers: quick contiguous compares
     order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n))
-    pos = np.take(Q.inv_perm, at).astype(order.dtype)
-    scale = np.take(Q.state_rates, at) * (schedule.sigma(t) * dt)
-    parts = row_blocks(xt.shape[0], Q.d * Q.n, cache=True)
-    buf = np.empty(Q.n * Q.d * parts[0].stop)
-    mask = np.empty(buf.shape, dtype=bool)
-    for part in parts:
-        r = ratios[part]
-        if not (r.min() >= 0.0 and r.max() < np.inf):
-            raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
-        # contiguous (n, rows, d) views of the reused buffers, the last chunk's too
-        shape = (Q.n, r.shape[0], Q.d)
-        below = np.less(order[:, None, :], pos[part], out=mask[: r.size].reshape(shape))
-        rows = np.multiply(r.transpose(2, 0, 1), below, out=buf[: r.size].reshape(shape))
-        # an overflow shows up as a non-finite off-diagonal total, which raises below
-        with np.errstate(over="ignore"):
-            rows *= scale[part]
-            stay = rows.sum(axis=0)
-        if not np.isfinite(stay).all():
-            i = np.argwhere(~np.isfinite(stay))[0][1]
-            raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
-        # the clamped stay mass at x, whose own entry is masked to 0
-        stay = np.maximum(np.subtract(1.0, stay, out=stay), 0.0, out=stay)
-        buf.put(xt[part] * stay.size + np.arange(stay.size).reshape(stay.shape), stay)
-        yield part, rows
-
-
-def _euler_probs(xt, t: float, dt: float, ratios, Q, schedule: NoiseSchedule) -> np.ndarray:
-    """Euler categoricals of all dimensions, shape (B, d, n): :func:`_euler_chunks` normalized."""
-    probs = np.empty(xt.shape + (Q.n,))
-    for part, rows in _euler_chunks(xt, t, dt, ratios, Q, schedule):
-        rows /= rows.sum(axis=0)
-        probs[part] = rows.transpose(1, 2, 0)
-    return probs
+    for block in row_blocks(xt.shape[0], Q.d * Q.n):
+        ratios = np.asarray(ratio_fn(xt[block], t), dtype=np.float64)
+        at = block_index(xt[block], Q.d, Q.n)
+        pos = np.take(Q.inv_perm, at).astype(order.dtype)
+        scale = np.take(Q.state_rates, at) * (schedule.sigma(t) * dt)
+        # made after the ratio call, so as not to lie above its freed temporaries
+        buf = np.empty(Q.n * Q.d * row_blocks(len(at), Q.d * Q.n, cache=True)[0].stop)
+        mask = np.empty(buf.shape, dtype=bool)
+        for chunk in row_blocks(len(at), Q.d * Q.n, cache=True):
+            r = ratios[chunk]
+            if not (r.min() >= 0.0 and r.max() < np.inf):
+                raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
+            # contiguous (n, rows, d) views of the reused buffers, the last chunk's too
+            shape = (Q.n, r.shape[0], Q.d)
+            below = np.less(order[:, None, :], pos[chunk], out=mask[: r.size].reshape(shape))
+            rows = np.multiply(r.transpose(2, 0, 1), below, out=buf[: r.size].reshape(shape))
+            # an overflow shows up as a non-finite off-diagonal total, which raises below
+            with np.errstate(over="ignore"):
+                rows *= scale[chunk]
+                stay = rows.sum(axis=0)
+            if not np.isfinite(stay).all():
+                i = np.argwhere(~np.isfinite(stay))[0][1]
+                raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
+            # the clamped stay mass at x, whose own entry is masked to 0
+            stay = np.maximum(np.subtract(1.0, stay, out=stay), 0.0, out=stay)
+            part = slice(block.start + chunk.start, block.start + chunk.stop)
+            buf.put(xt[part] * stay.size + np.arange(stay.size).reshape(stay.shape), stay)
+            yield part, rows
+        del ratios, r  # so that two blocks' ratios are never alive at once
 
 
 def _grid_step(steps: int, eps_t: float) -> float:
@@ -89,10 +86,8 @@ def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, cou
         t = 1.0 - k * dt
         # dimension-major, so the generator is consumed one dimension at a time
         u = rng.random((terminal.d, count)).T
-        for block in row_blocks(count, Q.d * Q.n):
-            x = xt[block]
-            for part, rows in _euler_chunks(x, t, dt, ratio_fn(x, t), Q, schedule):
-                x[part] = cumulative_pick(rows, u[block][part])
+        for part, rows in _euler_chunks(xt, t, dt, ratio_fn, Q, schedule):
+            xt[part] = cumulative_pick(rows, u[part])
     return xt
 
 
@@ -135,11 +130,11 @@ def estimate_mu(
     last = steps - 1
     xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, last, dt)
     t = 1.0 - last * dt
-    rows = np.zeros((Q.d, Q.n))
-    for block in row_blocks(M, Q.d * Q.n):
-        probs = _euler_probs(xt[block], t, dt, ratio_fn(xt[block], t), Q, schedule)
-        # one sequential sum over all M rows, whatever the blocks
-        probs[0] += rows
-        np.sum(probs, axis=0, out=rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return ProductDistribution(rows)
+    total = np.zeros((Q.n, Q.d))
+    for _, rows in _euler_chunks(xt, t, dt, ratio_fn, Q, schedule):
+        rows /= rows.sum(axis=0)
+        # one sequential sum over all M rows, whatever the blocks and chunks
+        rows[:, 0] += total
+        total = np.cumsum(rows, axis=1)[:, -1]
+    p0 = total.T.copy()  # normalized from a contiguous copy, as the (d, n) rows always were
+    return ProductDistribution(p0 / p0.sum(axis=1, keepdims=True))

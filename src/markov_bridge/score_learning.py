@@ -13,9 +13,9 @@ The loss builds its target r = K_t[x0, :] / K_t[x0, xt] per cache chunk.
 The elementwise work runs one cache chunk of rows at a time
 (``core.row_blocks`` with ``cache`` set): the targets, the score-entropy
 terms, their rates and the output gradient in one pass per chunk, and each
-Adam update in place over a parameter's memory. The MLP's matrix products
-take whole batches, or memory blocks in the bound. No operation is
-reordered, so results do not depend on the chunk size.
+Adam update in place over a parameter's memory. No operation is reordered,
+so results do not depend on the chunk size. A training step's matrix
+products take the whole batch; ``forward_batch`` takes memory blocks.
 
 Everything works on batches: ratio estimators are functions
 ``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
@@ -118,15 +118,13 @@ class ScoreModel:
     def first_layer(self, xt, emb) -> np.ndarray:
         """Pre-activation h1 = encode(xt, emb) @ W1.T + b1, gathered without the one-hot.
 
-        ``emb`` holds one time row or one per state row, else ValueError. Each
-        block of GATHER_ROWS rows starts from its time terms, or the one time
-        term broadcast, plus bias, then adds each dimension's picked columns
-        in place, so the block's running sum stays in cache throughout.
+        ``emb`` holds one time row or one per state row (``forward_batch``
+        checks). Each block of GATHER_ROWS rows starts from its time terms, or
+        the one time term broadcast, plus bias, then adds each dimension's
+        picked columns in place, so the block's running sum stays in cache.
         """
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         B = xt.shape[0]
-        if len(emb) not in (1, B):
-            raise ValueError(f"need one time or one per state row, not {len(emb)} for {B} rows")
         dn = self.d * self.n
         W1 = self.weights[0]
         table = np.ascontiguousarray(W1[:, :dn].T)  # a view while W1 stays column-major
@@ -143,15 +141,13 @@ class ScoreModel:
                 hb += table[col]
         return h
 
-    def _forward_cached(self, xt, t, acts=None) -> np.ndarray:
-        """Pre-exp outputs, and into the list ``acts``, if given, what ``backward``
-        needs: (xt, emb(t)), then each hidden activation; else none is kept."""
-        emb = time_embedding(t)
+    def _hidden(self, xt, emb, acts=None) -> np.ndarray:
+        """The last hidden activation for time rows ``emb``; into a list ``acts``
+        also what ``backward`` needs: (xt, emb), then each hidden activation."""
         h = self.first_layer(xt, emb)
         np.tanh(h, out=h)
         if acts is not None:
             acts += [(xt, emb), h]
-        del emb
         # each layer in place, so none holds two (B, width) temporaries
         for W, b in zip(self.weights[1:-1], self.biases[1:-1]):
             h = h @ W.T
@@ -159,13 +155,24 @@ class ScoreModel:
             np.tanh(h, out=h)
             if acts is not None:
                 acts.append(h)
-        out = h @ self.weights[-1].T
-        out += self.biases[-1]
-        return out
+        return h
 
     def forward_batch(self, xt, t) -> np.ndarray:
-        """Positive ratio estimates of shape (B, d, n)."""
-        out = self._forward_cached(xt, t)
+        """Positive ratio estimates (B, d, n), one memory block of the widest
+        layer at a time, each block's last layer written into one (B, d*n)
+        result. That is made after the first block's hidden layers, in the
+        space the earlier ones free: made first, it would leave their space for
+        the allocator to return to the system and fault in again."""
+        xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
+        emb = time_embedding(t)
+        if len(emb) not in (1, len(xt)):
+            raise ValueError(f"need one time or one per state row, not {len(emb)} for {len(xt)} rows")
+        out = None
+        for rows in row_blocks(len(xt), max(len(W) for W in self.weights)):
+            h = self._hidden(xt[rows], emb if len(emb) == 1 else emb[rows])
+            out = np.empty((len(xt), self.d * self.n)) if out is None else out
+            np.add(np.matmul(h, self.weights[-1].T, out=out[rows]), self.biases[-1], out=out[rows])
+            del h  # so that two blocks' activations are never alive at once
         return np.exp(out, out=out).reshape(-1, self.d, self.n)
 
     def backward(self, acts, d_out):
@@ -301,7 +308,8 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
     model parameters. The output gradient overwrites the ratios in place.
     """
     acts = []
-    out = model._forward_cached(batch.xt, batch.t, acts)
+    out = model._hidden(batch.xt, time_embedding(batch.t), acts) @ model.weights[-1].T
+    out += model.biases[-1]
     s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
     values = _per_sample_values(s, batch, Q, schedule, d_out=s)
     grad_w, grad_b = model.backward(acts, out)

@@ -2,9 +2,13 @@
 
 Everything here is deliberately written against dense matrices and brute
 force, not the package's closed-form eigen route, so agreement is meaningful.
+The one exception, :func:`euler_probs`, only reshapes the sampler's own rows.
 """
 
 import numpy as np
+
+from markov_bridge import core
+from markov_bridge.sampler import _euler_chunks
 
 
 def taylor_expm(M, terms=45):
@@ -167,3 +171,16 @@ def random_chain_arrays(rng, n, d, a_lo, a_hi):
     as a permutation of n states followed by its n-1 uniform rates."""
     chains = [(rng.permutation(n), rng.uniform(a_lo, a_hi, n - 1)) for _ in range(d)]
     return np.stack([perm for perm, _ in chains]), np.stack([a for _, a in chains])
+
+
+def euler_probs(xt, t, dt, ratios, Q, schedule):
+    """Euler categoricals of one reverse step, shape (B, d, n): the sampler's
+    state-major chunk rows for the (B, d, n) ``ratios`` of a (B, d) batch,
+    normalized. The batch must fit one memory block, whose one ratio call
+    gets ``ratios``."""
+    xt = np.asarray(xt, dtype=np.int64)
+    assert len(core.row_blocks(xt.shape[0], Q.d * Q.n)) == 1
+    probs = np.empty(xt.shape + (Q.n,))
+    for part, rows in _euler_chunks(xt, t, dt, lambda states, s: ratios, Q, schedule):
+        probs[part] = (rows / rows.sum(axis=0)).transpose(1, 2, 0)
+    return probs

@@ -19,10 +19,9 @@ from markov_bridge.core import rate_columns, row_kl_sum, sample_categorical, sta
 from markov_bridge.data import Dataset
 from markov_bridge.matrix_learning import init_rate_matrices, jq_grad
 from markov_bridge.reference import materialize_dense
-from markov_bridge.sampler import _euler_probs
 from markov_bridge.score_learning import ScoreBatch
 
-from oracles import kernel_longdouble, taylor_expm
+from oracles import euler_probs, kernel_longdouble, taylor_expm
 
 LN2 = np.log(2.0)
 
@@ -419,7 +418,7 @@ class TestReverseRateRow:
         Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
         schedule = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
         with pytest.raises(DivergenceError):
-            _euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
+            euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
 
 
 class TestSmallHelpers:
@@ -447,7 +446,7 @@ class TestSmallHelpers:
         Q = init_chain(rng, n, d, scheme)
         xt = rng.integers(0, n, size=(B, d))
         ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
-        rows = _euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule())
+        rows = euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule())
         once = sample_categorical(rows, np.random.default_rng(7).random((d, B)).T)
         gen = np.random.default_rng(7)
         in_turn = np.stack([sample_categorical(rows[:, i], gen.random(B)) for i in range(d)], axis=1)

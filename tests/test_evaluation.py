@@ -256,6 +256,22 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_memory_of_a_wide_model_at_the_desk_shape(self):
+        # one memory block holds all 32768 draws at n=8, d=4, and the
+        # 128-wide hidden layers would hold 32 MB each across it
+        rng = np.random.default_rng(569)
+        n, d = 8, 4
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.05, 1.5))
+        model = ScoreModel(n, d, hidden=(128, 128), rng=rng)
+        data = rng.integers(0, n, size=(400, d))
+        tracemalloc.start()
+        try:
+            elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), ProductDistribution.uniform(n, d), 32768, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
 
 class TestElboReportType:
     def test_nonfinite_rejected(self):

@@ -21,10 +21,9 @@ from markov_bridge.core import draw_columns, sample_categorical
 from markov_bridge.data import synthetic_ground_truth
 from markov_bridge.matrix_learning import predict_terminal
 from markov_bridge.reference import materialize_dense
-from markov_bridge.sampler import _euler_probs
 from markov_bridge.solver import exact_rate_matrices
 
-from oracles import random_chain_arrays, tv_distance
+from oracles import euler_probs, random_chain_arrays, tv_distance
 
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
@@ -76,13 +75,13 @@ class TestEulerReverseStep:
     def test_dt_zero_returns_xt(self):
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
         xt = np.arange(3)[:, None]
-        probs = _euler_probs(xt, 0.5, 0.0, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
+        probs = euler_probs(xt, 0.5, 0.0, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
         assert np.array_equal(probs[:, 0, :], np.eye(3))
 
     def test_two_state_move_probability(self):
         # reversed row at x=1 is (1, -1); dt = 0.1 moves with probability 0.1
         Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
-        probs = _euler_probs(np.array([[1]]), 0.5, 0.1, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
+        probs = euler_probs(np.array([[1]]), 0.5, 0.1, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
         assert probs[0, 0, 0] == 0.1
         assert probs[0, 0, 1] == 0.9
 
@@ -90,7 +89,7 @@ class TestEulerReverseStep:
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 2.0]])
         ratios = np.zeros((1, 1, 3))
         ratios[0, 0, 1] = 1.0
-        probs = _euler_probs(np.array([[1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
+        probs = euler_probs(np.array([[1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
         assert np.array_equal(probs[0, 0], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -99,13 +98,13 @@ class TestEulerReverseStep:
         ratios = np.ones((2, 1, 3))
         ratios[1, 0, 2] = bad
         with pytest.raises(DivergenceError):
-            _euler_probs(np.array([[0], [1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
+            euler_probs(np.array([[0], [1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
 
     @pytest.mark.parametrize("rate, n", OVERFLOW)
     def test_overflowing_row_rejected(self, rate, n):
         Q = FactorizedRateMatrix(np.arange(n)[None, :], np.full((1, n - 1), rate))
         with pytest.raises(DivergenceError, match="overflows"):
-            _euler_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
+            euler_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
 
     def test_matches_batched_path(self):
         # per-tuple reference built from the dense generator's columns
@@ -114,7 +113,7 @@ class TestEulerReverseStep:
         Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.2, 2.0))
         xt = rng.integers(0, n, size=(1, d))
         ratios = rng.uniform(0.1, 3.0, size=(1, d, n))
-        probs = _euler_probs(xt, 0.6, 0.05, ratios, Q, SCHEDULE_UNIT)
+        probs = euler_probs(xt, 0.6, 0.05, ratios, Q, SCHEDULE_UNIT)
         for i in range(d):
             x = int(xt[0, i])
             off = SCHEDULE_UNIT.sigma(0.6) * materialize_dense(Q)[i][:, x] * ratios[0, i]
@@ -131,7 +130,7 @@ class TestEulerReverseStep:
             Q = FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0, 2, (1, n - 1)))
             xt = rng.integers(0, n, size=(8, 1))
             ratios = rng.uniform(0.0, 4.0, size=(8, 1, n))
-            probs = _euler_probs(xt, 0.8, rng.uniform(0.0, 0.5), ratios, Q, SCHEDULE_UNIT)
+            probs = euler_probs(xt, 0.8, rng.uniform(0.0, 0.5), ratios, Q, SCHEDULE_UNIT)
             assert probs.min() >= 0.0
             assert np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-12
 
@@ -190,7 +189,7 @@ class TestEstimateMu:
         # reproduce by hand: one terminal draw, one full categorical at t = T
         draw_rng = np.random.default_rng(3)
         xt = np.array([[np.searchsorted(np.cumsum(terminal.probs[0]), draw_rng.random())]])
-        probs = _euler_probs(xt, 1.0, 0.5, fn(xt, 1.0), Q, schedule)
+        probs = euler_probs(xt, 1.0, 0.5, fn(xt, 1.0), Q, schedule)
         assert np.allclose(est.probs[0], probs[0, 0] / probs[0, 0].sum(), atol=1e-12)
 
     def test_frozen_chain_returns_terminal(self):
@@ -230,7 +229,7 @@ class TestEstimateMu:
 
 class TestBlockedSteps:
     """The sampled step, drawn chunk by chunk from the masked ratios without
-    normalized (B, d, n) rows, and the memory blocks of both loops."""
+    normalized (B, d, n) rows, and the memory blocks of its ratio calls."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("eps_t", [0.5, 0.97, 1.0])
@@ -246,7 +245,7 @@ class TestBlockedSteps:
         replay = np.random.default_rng(seed)
         x = draw_columns(terminal.probs, count, replay)
         dt = 1.0 - eps_t
-        probs = _euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
+        probs = euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
         assert np.array_equal(draws, sample_categorical(probs, replay.random((d, count)).T))
         # the edge cases are all there: x sorted first (a(x) = 0), a zero
         # rate into x sorted later, and a stay mass clamped at 0

@@ -236,6 +236,45 @@ class TestScoreForward:
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert embedded == [10]
 
+    def test_blocks_of_the_widest_layer_embed_the_time_once(self, monkeypatch):
+        rng = np.random.default_rng(331)
+        n, d, B = 3, 2, 250
+        model = ScoreModel(n, d, hidden=(20, 12), rng=rng)
+        model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
+        xt = rng.integers(0, n, size=(B, d))
+        few_ulp = dict(rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+        for t in (0.37, rng.uniform(0.0, 1.0, B)):
+            whole = model.forward_batch(xt, t)
+            rows, embedded = [], []
+            first, embed = model.first_layer, score_learning.time_embedding
+            monkeypatch.setattr(model, "first_layer", lambda x, e: rows.append(len(x)) or first(x, e))
+            monkeypatch.setattr(score_learning, "time_embedding", lambda t: embedded.append(np.size(t)) or embed(t))
+            # 64 rows of the widest layer, 20 wide, to a block
+            monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * 20)
+            np.testing.assert_allclose(model.forward_batch(xt, t), whole, **few_ulp)
+            assert rows == [64, 64, 64, 58] and embedded == [np.size(t)]
+            # a time count that fits some block but not the batch is still refused
+            with pytest.raises(ValueError, match="one per state row"):
+                model.forward_batch(xt, np.full(64, 0.5))
+            monkeypatch.undo()
+
+    def test_forward_memory_set_by_the_block_budget(self):
+        # at the desk shape the 128-wide hidden layers are four times the
+        # (B, d*n) output: whole-batch activations would hold 64 MB here
+        rng = np.random.default_rng(337)
+        n, d, B = 8, 4, 32768
+        model = ScoreModel(n, d, hidden=(128, 128), rng=rng)
+        xt = rng.integers(0, n, size=(B, d))
+        for t in (0.4, rng.uniform(0.0, 1.0, B)):
+            tracemalloc.start()
+            try:
+                model.forward_batch(xt, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the output plus three arrays of one memory block
+            assert peak < B * d * n * 8 + 3 * core.BLOCK_ELEMENTS * 8
+
     def test_only_backward_builds_the_one_hot(self, monkeypatch):
         rng = np.random.default_rng(317)
         model = ScoreModel(4, 3, hidden=(8,), rng=rng)

@@ -1,4 +1,4 @@
-"""A wide fixed-seed golden: generate and the bound's score term at n=27, d=32.
+"""A wide fixed-seed golden: generate, estimate_mu and the bound's score term at n=27, d=32.
 
 The training goldens run at n=4, d=3, too narrow to notice a change in the
 order in which the reverse sampler or the score batch consumes the random
@@ -8,12 +8,16 @@ exactly and the score term to rounding. The score term also pins the
 bound's x_t draws, made by ``core.kernel_draw``: summing a kernel row in
 another slot order maps a uniform to another state of the same distribution
 and moves the term by Monte Carlo noise (its standard error is about 165
-nats), while the draws of ``generate`` stay.
+nats), while the draws of ``generate`` stay. The p0 estimate is pinned to
+the byte: it spans two memory blocks and many cache chunks, so it sees any
+change in the order of its running sum or of its final normalization.
 """
+
+import hashlib
 
 import numpy as np
 
-from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution, ScoreModel, generate
+from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution, ScoreModel, estimate_mu, generate
 from markov_bridge.evaluation import elbo_estimate
 
 from oracles import random_chain_arrays
@@ -89,6 +93,9 @@ GOLDEN_DRAWS = [
     "jnemjvdnfguhexzcqmwxkwkll_fnrhjj",
 ]
 
+# sha256 of the bytes of estimate_mu(M=1500, steps=4, eps_t=1e-3).probs with rng seed 17
+GOLDEN_P0_SHA256 = "e6bb6e91ed70a8542199447f09db4f26172dfcf72c7322d111109a21b20f3a09"
+
 # elbo_estimate(mc_samples=256) with rng seed 13
 GOLDEN_J_SCORE = 4307.611540032509
 
@@ -107,6 +114,12 @@ def test_generate_draws():
     Q, terminal, model, _ = wide_system()
     draws = generate(terminal, Q, NoiseSchedule(), model.forward_batch, np.random.default_rng(11), 64, 4, 1e-3)
     assert ["".join(ALPHABET[x] for x in row) for row in draws] == GOLDEN_DRAWS
+
+
+def test_estimate_mu_bytes():
+    Q, terminal, model, _ = wide_system()
+    p0 = estimate_mu(terminal, Q, NoiseSchedule(), model.forward_batch, np.random.default_rng(17), 1500, 4, 1e-3)
+    assert hashlib.sha256(p0.probs.tobytes()).hexdigest() == GOLDEN_P0_SHA256
 
 
 def test_elbo_score_term():
