@@ -1,9 +1,21 @@
-"""Length-prefixed binary checkpoint container.
+"""Checkpoints in numpy's uncompressed ``.npz`` container.
 
-Layout: 8-byte magic, 1 version byte, then a fixed sequence of blocks, each a
-little-endian u64 length followed by the payload; no bytes follow the last
-block. Arrays carry an explicit dtype tag and shape so the round trip is
-byte-exact on any host.
+One stored zip member (an ``.npy`` array, as ``np.savez`` writes it) per
+field, each dated 1980-01-01 so that equal checkpoints are equal files:
+
+- ``version`` (2), ``epoch``, ``layers``: 0-d int64. ``layers`` counts the
+  MLP layers, so an archive whose damaged directory hides some entries
+  does not read as a smaller, consistent network;
+- ``config_text``, ``rng_state``: 0-d unicode;
+- ``perms``: (d, n) int64;
+- ``a`` (d, n-1), ``p0_estimate`` (d, n), ``epoch_history`` (epoch, 4),
+  and for k < layers ``weight_<k>`` (fan_out, fan_in) and ``bias_<k>``
+  (fan_out,): float64.
+
+Every member is read to its end, so zip's CRC-32 covers all of it: a
+damaged or truncated file raises CheckpointError instead of loading changed
+contents, as do another version, other members, and a compressed member or
+one of another dtype or rank. ``training.restore`` checks the shapes.
 """
 
 from __future__ import annotations
@@ -11,18 +23,21 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CheckpointError
 
-MAGIC = b"DMBCHKPT"
-VERSION = 1
+VERSION = 2
 
-_DTYPES = {0: "<i8", 1: "<f8"}
-_DTYPE_CODES = {np.dtype("int64"): 0, np.dtype("float64"): 1}
+# each member's dtype.str (its prefix, for text) and rank, apart from the layers'
+_FIELDS = {"version": ("<i8", 0), "epoch": ("<i8", 0), "layers": ("<i8", 0), "config_text": ("<U", 0),
+           "rng_state": ("<U", 0), "perms": ("<i8", 2), "a": ("<f8", 2), "p0_estimate": ("<f8", 2),
+           "epoch_history": ("<f8", 2)}
+# what a damaged zip or .npy header raises while it is read
+_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, RuntimeError, NotImplementedError, zipfile.BadZipFile)
 
 
 @dataclass(eq=False)
@@ -40,122 +55,27 @@ class Checkpoint:
     epoch_history: np.ndarray  # (k, 4) float64: kl_term, j_score, elbo_bpd, kl_mu
 
 
-def _pack_block(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr)
-    code = _DTYPE_CODES[arr.dtype]
-    header = struct.pack("<BB", code, arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return _pack_block(header + arr.astype(_DTYPES[code]).tobytes())
-
-
-def _pack_text(text: str) -> bytes:
-    return _pack_block(text.encode("utf-8"))
-
-
-def _pack_u64(value: int) -> bytes:
-    return _pack_block(struct.pack("<Q", value))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, offset: int):
-        self.blob = blob
-        self.offset = offset
-
-    def block(self) -> bytes:
-        if self.offset + 8 > len(self.blob):
-            raise CheckpointError("truncated checkpoint")
-        (length,) = struct.unpack_from("<Q", self.blob, self.offset)
-        self.offset += 8
-        if self.offset + length > len(self.blob):
-            raise CheckpointError("truncated checkpoint block")
-        payload = self.blob[self.offset : self.offset + length]
-        self.offset += length
-        return payload
-
-    def text(self) -> str:
-        return self.block().decode("utf-8")
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.block())[0]
-
-    def array(self) -> np.ndarray:
-        payload = self.block()
-        code, ndim = struct.unpack_from("<BB", payload, 0)
-        shape = struct.unpack_from(f"<{ndim}Q", payload, 2)
-        if code not in _DTYPES:
-            raise CheckpointError(f"unknown dtype code {code}")
-        data = np.frombuffer(payload, dtype=_DTYPES[code], offset=2 + 8 * ndim)
-        return data.reshape(shape).copy()
-
-
-def serialize_checkpoint(ck: Checkpoint) -> bytes:
-    parts = [MAGIC, bytes([VERSION])]
-    parts.append(_pack_text(ck.config_text))
-    parts.append(_pack_u64(ck.epoch))
-    parts.append(_pack_array(np.asarray(ck.perms, dtype=np.int64)))
-    parts.append(_pack_array(np.asarray(ck.a, dtype=np.float64)))
-    parts.append(_pack_array(np.asarray(ck.p0_estimate, dtype=np.float64)))
-    parts.append(_pack_u64(len(ck.score_weights)))
-    for w, b in zip(ck.score_weights, ck.score_biases):
-        parts.append(_pack_array(np.asarray(w, dtype=np.float64)))
-        parts.append(_pack_array(np.asarray(b, dtype=np.float64)))
-    parts.append(_pack_text(ck.rng_state))
-    parts.append(_pack_array(np.asarray(ck.epoch_history, dtype=np.float64).reshape(-1, 4)))
-    return b"".join(parts)
-
-
-def deserialize_checkpoint(blob: bytes) -> Checkpoint:
-    if len(blob) < 9 or blob[:8] != MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    version = blob[8]
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    reader = _Reader(blob, 9)
-    try:
-        config_text = reader.text()
-        epoch = reader.u64()
-        perms = reader.array()
-        a = reader.array()
-        p0 = reader.array()
-        layers = reader.u64()
-        weights, biases = [], []
-        for _ in range(layers):
-            weights.append(reader.array())
-            biases.append(reader.array())
-        rng_state = reader.text()
-        history = reader.array()
-    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
-        raise CheckpointError(f"corrupted checkpoint: {exc}") from exc
-    if reader.offset != len(blob):
-        raise CheckpointError(f"{len(blob) - reader.offset} unexpected bytes after the last checkpoint block")
-    return Checkpoint(
-        config_text=config_text,
-        epoch=epoch,
-        perms=perms,
-        a=a,
-        p0_estimate=p0,
-        score_weights=weights,
-        score_biases=biases,
-        rng_state=rng_state,
-        epoch_history=history,
-    )
+def _fields(layers: int) -> dict:
+    return {**_FIELDS, **{f"{kind}_{k}": ("<f8", rank) for k in range(layers)
+                          for kind, rank in (("weight", 2), ("bias", 1))}}
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
-    """Write ``ck`` to ``path`` so that a crash mid-save never damages it.
-
-    The bytes go to ``path + ".tmp"`` in the same directory, are flushed to
-    disk, and only then replace ``path`` in one rename; on any failure the
-    temp file is removed and the previous file at ``path`` is left as it was.
-    """
+    """Write ``ck`` to ``path`` so that a crash mid-save never damages it:
+    the archive goes to ``path + ".tmp"``, is flushed to disk, and only then
+    replaces ``path`` in one rename; on any failure the temp file is removed
+    and the previous file at ``path`` is left as it was."""
     tmp = path + ".tmp"
     try:
-        blob = serialize_checkpoint(ck)
+        layers = len(ck.score_weights)
+        values = {"version": VERSION, "layers": layers, **vars(ck)}
+        for k, (w, b) in enumerate(zip(ck.score_weights, ck.score_biases, strict=True)):
+            values[f"weight_{k}"], values[f"bias_{k}"] = w, b
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            with zipfile.ZipFile(fh, "w") as archive:
+                for name, (dtype, _) in _fields(layers).items():
+                    with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as out:
+                        np.lib.format.write_array(out, np.asarray(values[name], dtype=dtype), allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -165,13 +85,51 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         raise
 
 
+def _read_members(path: str) -> dict:
+    """Every member of the archive at ``path``, each read to its last byte:
+    ``np.load`` stops where the array header says the data ends, so a
+    damaged header that shortens a large member would skip its CRC check."""
+    members = {}
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            if info.compress_type != zipfile.ZIP_STORED:  # refused before a decompressor sees raw bytes
+                raise ValueError(f"member {info.filename!r} is not stored uncompressed")
+            with archive.open(info) as fh:
+                members[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
+                if fh.read(1):
+                    raise ValueError(f"member {info.filename!r} holds bytes past its array")
+    return members
+
+
+def _member(members: dict, name: str, dtype: str, rank: int) -> np.ndarray:
+    value = members.get(name)
+    if value is None or not value.dtype.str.startswith(dtype) or value.ndim != rank:
+        raise CheckpointError(f"checkpoint member {name!r} is missing or not a rank-{rank} {dtype} array")
+    return value
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint at ``path``. A file that cannot be read, is damaged or
+    truncated, has another version, or holds other members, dtypes or ranks
+    than ``layers`` implies raises CheckpointError."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    return deserialize_checkpoint(blob)
+        members = _read_members(path)
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
+    version = int(_member(members, "version", *_FIELDS["version"]))
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
+    layers = int(_member(members, "layers", *_FIELDS["layers"]))
+    fields = _fields(layers) if 0 <= layers <= len(members) else {}
+    if set(members) != set(fields):
+        raise CheckpointError(f"checkpoint members {sorted(members)} are not those of {layers} layers")
+    ck = {name: _member(members, name, *kind) for name, kind in fields.items()}
+    return Checkpoint(
+        config_text=str(ck["config_text"]), epoch=int(ck["epoch"]), rng_state=str(ck["rng_state"]),
+        perms=ck["perms"], a=ck["a"], p0_estimate=ck["p0_estimate"], epoch_history=ck["epoch_history"],
+        score_weights=[ck[f"weight_{k}"] for k in range(layers)],
+        score_biases=[ck[f"bias_{k}"] for k in range(layers)],
+    )
 
 
 def rng_state_to_json(rng: np.random.Generator) -> str:

@@ -147,17 +147,10 @@ def cli(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    commands = {"train": _cmd_train, "sample": _cmd_sample, "eval": _cmd_eval, "solve": _cmd_solve,
+                "selftest": lambda args: 0 if run_selftest() else 2}
     try:
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "selftest":
-            return 0 if run_selftest() else 2
+        return commands[args.command](args)
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -167,7 +160,6 @@ def cli(argv) -> int:
     except Exception as exc:  # internal failures map to the runtime code
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 1
 
 
 def main() -> None:

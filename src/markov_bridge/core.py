@@ -418,8 +418,8 @@ def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
     return samples
 
 
-def kl_divergence(p, q, floor: float = RATIO_FLOOR) -> float:
-    """KL(p || q) in nats with clamped logs; the 0 log 0 terms contribute 0."""
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats with logs clamped at RATIO_FLOOR; the 0 log 0 terms contribute 0."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    return float(np.sum(p * (np.log(np.maximum(p, floor)) - np.log(np.maximum(q, floor)))))
+    return float(np.sum(p * (np.log(np.maximum(p, RATIO_FLOOR)) - np.log(np.maximum(q, RATIO_FLOOR)))))

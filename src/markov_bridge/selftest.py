@@ -32,8 +32,8 @@ def _positive_pair(rng, n):
     return ProductDistribution((p / p.sum())[None, :]), ProductDistribution((q / q.sum())[None, :])
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Run the bundled check suite; returns True when everything passes."""
+def run_selftest() -> bool:
+    """Run the bundled check suite, printing one line per check; returns True when everything passes."""
     rng = np.random.default_rng(2024)
     checks = []
 
@@ -93,13 +93,10 @@ def run_selftest(verbose: bool = True) -> bool:
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
     checks.append(("matrix-loss gradient vs finite differences", ok_grad, ""))
 
-    all_ok = True
     for name, ok, detail in checks:
-        all_ok = all_ok and ok
-        if verbose:
-            suffix = f" ({detail})" if detail else ""
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
-    return all_ok
+        suffix = f" ({detail})" if detail else ""
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
+    return all(ok for _, ok, _ in checks)
 
 
 def _fixed_n_matrix(rng, n):

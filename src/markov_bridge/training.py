@@ -51,8 +51,9 @@ def restore(ck: Checkpoint):
     """Rebuild a run from a checkpoint: (config, schedule, Q, model, p0).
 
     A configuration that no longer parses, arrays whose shapes disagree with
-    it, an epoch history without one row per epoch, and rates or p0 that
-    violate their invariants raise CheckpointError.
+    it, an epoch history without one row per epoch, rates or p0 that violate
+    their invariants, and non-finite score weights raise CheckpointError.
+    The history may hold NaN: its kl_mu column has no value for a corpus.
     """
     try:
         config = parse_config_text(ck.config_text)
@@ -66,6 +67,8 @@ def restore(ck: Checkpoint):
     arrays = [ck.perms, ck.a, ck.p0_estimate, ck.epoch_history, *ck.score_weights, *ck.score_biases]
     if [np.shape(x) for x in arrays] != expected:
         raise CheckpointError("checkpoint arrays do not have the shapes its configuration and epoch imply")
+    if not all(np.isfinite(x).all() for x in ck.score_weights + ck.score_biases):
+        raise CheckpointError("checkpoint score weights are not all finite")
     try:
         Q = FactorizedRateMatrix(ck.perms, ck.a)
         p0 = ProductDistribution(ck.p0_estimate)

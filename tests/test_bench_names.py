@@ -1,13 +1,15 @@
-"""The names the benchmark traces and reads exist in the package.
+"""The names the benchmark traces and reads exist in the package, and the
+checkpoint it writes loads.
 
 perfbench wraps functions by name and reports a missing one as 0 rather than
 failing, so a rename would silently zero its metrics. This pins the names,
-and the result attributes its hooks read.
+the result attributes its hooks read, and its input file.
 """
 
 import importlib
 import importlib.util
 import pkgutil
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +18,20 @@ import pytest
 import markov_bridge
 from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution
 from markov_bridge.core import state_frequencies
+from markov_bridge.training import restore
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_names():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.FULL
+    return perfbench_module("spans").FULL
 
 
 MODULES = [markov_bridge] + [
@@ -77,3 +84,29 @@ def test_elbo_report_has_a_finite_standard_error():
         terminal, 64, rng,
     )
     assert np.isfinite(report.mc_std_error) and report.mc_std_error > 0.0
+
+
+workloads = perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_checkpoint_loads_and_restores(workload, tmp_path):
+    # write_checkpoint saves through the module it is given, so a stand-in
+    # keeps the checkpoint it built
+    written = []
+
+    def save(ck, path):
+        written.append(ck)
+        markov_bridge.save_checkpoint(ck, path)
+
+    mb = types.SimpleNamespace(Checkpoint=markov_bridge.Checkpoint, checkpoint=markov_bridge.checkpoint,
+                               save_checkpoint=save)
+    path = str(tmp_path / "bench.ckpt")
+    workloads.write_checkpoint(mb, workloads.spec(workload, toy=True), 1, path)
+    (ck,) = written
+    loaded = markov_bridge.load_checkpoint(path)
+    assert (loaded.config_text, loaded.epoch, loaded.rng_state) == (ck.config_text, ck.epoch, ck.rng_state)
+    _, _, Q, model, p0 = restore(loaded)
+    pairs = [(Q.perm, ck.perms), (Q.a, ck.a), (p0.probs, ck.p0_estimate), (loaded.epoch_history, ck.epoch_history)]
+    pairs += list(zip(model.weights + model.biases, ck.score_weights + ck.score_biases))
+    assert all(np.array_equal(got, want) for got, want in pairs)

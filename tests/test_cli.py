@@ -1,21 +1,17 @@
-"""Checkpoint decoding of damaged files, CLI exit codes and the bundled self-checks."""
+"""Checkpoint archives and their damage, CLI exit codes and the bundled self-checks."""
 
 import json
 import os
 import struct
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markov_bridge import CheckpointError, DivergenceError, load_checkpoint, load_config, save_checkpoint
 import markov_bridge.cli as cli_module
-from markov_bridge.checkpoint import (
-    Checkpoint,
-    _pack_array,
-    deserialize_checkpoint,
-    rng_state_to_json,
-    serialize_checkpoint,
-)
+from markov_bridge.checkpoint import Checkpoint, rng_state_to_json
 from markov_bridge.cli import cli
 from markov_bridge.training import restore
 from markov_bridge.config import config_echo
@@ -51,71 +47,159 @@ def resume_config(tmp_path, ck):
     return str(config_path)
 
 
-def loads_or_checkpoint_error(blob):
-    try:
-        deserialize_checkpoint(blob)
-    except CheckpointError:
-        return False
-    return True
+def same_checkpoint(got, want):
+    """Equal strings and epoch, and arrays equal in dtype, shape and value."""
+    arrays = [[ck.perms, ck.a, ck.p0_estimate, ck.epoch_history, *ck.score_weights, *ck.score_biases]
+              for ck in (got, want)]
+    return (
+        (got.config_text, got.epoch, got.rng_state) == (want.config_text, want.epoch, want.rng_state)
+        and len(arrays[0]) == len(arrays[1])
+        and all(x.dtype == np.asarray(y).dtype and np.array_equal(x, y) and x.shape == np.shape(y)
+                for x, y in zip(*arrays))
+    )
+
+
+def rewrite_members(path, **changes):
+    """Rewrite the archive at ``path`` with members replaced; a None drops one."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: value for name, value in members.items() if value is not None})
+
+
+def saved_small_checkpoint(tmp_path):
+    ck = small_checkpoint()
+    path = str(tmp_path / "run.ckpt")
+    save_checkpoint(ck, path)
+    return ck, path
 
 
 class TestCorruptedCheckpoint:
-    def test_round_trip(self):
-        ck = small_checkpoint()
-        blob = serialize_checkpoint(ck)
-        assert serialize_checkpoint(deserialize_checkpoint(blob)) == blob
+    def test_round_trip(self, tmp_path):
+        ck, path = saved_small_checkpoint(tmp_path)
+        assert same_checkpoint(load_checkpoint(path), ck)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.testzip() is None
+            # a fixed date on every member: equal checkpoints are equal files
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
-    def test_every_truncation(self):
-        blob = serialize_checkpoint(small_checkpoint())
-        loaded = [loads_or_checkpoint_error(blob[:k]) for k in range(len(blob))]
-        assert not any(loaded)
+    def test_every_truncation(self, tmp_path):
+        # every length within the central directory and the end record, and every 11th before them
+        ck, path = saved_small_checkpoint(tmp_path)
+        blob = Path(path).read_bytes()
+        directory = struct.unpack_from("<I", blob, len(blob) - 6)[0]
+        lengths = sorted(set(range(0, directory, 11)) | set(range(directory, len(blob))))
+        for k in lengths:
+            Path(path).write_bytes(blob[:k])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
-    def test_byte_flips(self):
-        blob = serialize_checkpoint(small_checkpoint())
-        rng = np.random.default_rng(2)
+    def test_byte_flips(self, tmp_path):
+        """No flipped byte loads changed contents: each flip is refused or
+        loads what was saved. Every byte of the central directory and the end
+        record is flipped, and every 61st byte of the members before them;
+        odd positions flip all eight bits, even ones the lowest."""
+        ck, path = saved_small_checkpoint(tmp_path)
+        blob = Path(path).read_bytes()
+        directory = struct.unpack_from("<I", blob, len(blob) - 6)[0]  # the end record's directory offset
+        assert blob[directory:directory + 4] == b"PK\x01\x02"
         outcomes = []
-        for _ in range(600):
+        for i in sorted(set(range(0, directory, 61)) | set(range(directory, len(blob)))):
             damaged = bytearray(blob)
-            damaged[int(rng.integers(0, len(blob)))] ^= int(rng.integers(1, 256))
-            outcomes.append(loads_or_checkpoint_error(bytes(damaged)))
-        # both outcomes occur: payload bytes load, framing bytes are refused
+            damaged[i] ^= 0xFF if i % 2 else 0x01
+            Path(path).write_bytes(damaged)
+            try:
+                got = load_checkpoint(path)
+            except CheckpointError:
+                outcomes.append(False)
+                continue
+            assert same_checkpoint(got, ck), i
+            outcomes.append(True)
+        # both occur: a damaged timestamp loads, a damaged CRC or name is refused
         assert any(outcomes) and not all(outcomes)
 
-    @staticmethod
-    def perms_payload(ck):
-        """Offset of the perms array's payload: magic, version, the config
-        text block and the epoch block come first, then the perms length."""
-        return 9 + (8 + len(ck.config_text.encode("utf-8"))) + (8 + 8) + 8
+    def test_compression_method_flips(self, tmp_path):
+        # zipfile takes each member's method from the central directory; one flipped
+        # bit there (0x08 makes it DEFLATED) must not hand raw .npy bytes to a decompressor
+        ck, path = saved_small_checkpoint(tmp_path)
+        blob = Path(path).read_bytes()
+        entry = struct.unpack_from("<I", blob, len(blob) - 6)[0]
+        while blob[entry:entry + 4] == b"PK\x01\x02":
+            for bit in range(8):
+                damaged = bytearray(blob)
+                damaged[entry + 10] ^= 1 << bit
+                Path(path).write_bytes(damaged)
+                with pytest.raises(CheckpointError, match="is not stored uncompressed"):
+                    load_checkpoint(path)
+            entry += 46 + sum(struct.unpack_from("<3H", blob, entry + 28))  # header, name, extra, comment
 
-    def test_unsupported_version(self):
-        blob = bytearray(serialize_checkpoint(small_checkpoint()))
-        blob[8] = 2
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
-            deserialize_checkpoint(bytes(blob))
+    def test_shape_header_disagrees_with_payload(self, tmp_path):
+        # an .npy header shape that does not match its payload, with a valid CRC:
+        # (2, 3) becomes (1, 3), which leaves bytes past the array, or (3, 3)
+        for shape in (b"(1, 3)", b"(3, 3)"):
+            ck, path = saved_small_checkpoint(tmp_path)
+            with zipfile.ZipFile(path) as archive:
+                members = {name: archive.read(name) for name in archive.namelist()}
+            assert b"(2, 3)" in members["perms.npy"]
+            members["perms.npy"] = members["perms.npy"].replace(b"(2, 3)", shape, 1)
+            with zipfile.ZipFile(path, "w") as archive:
+                for name, data in members.items():
+                    archive.writestr(name, data)
+            with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+                load_checkpoint(path)
 
-    def test_unknown_dtype_code(self):
-        ck = small_checkpoint()
-        blob = bytearray(serialize_checkpoint(ck))
-        start = self.perms_payload(ck)
-        assert blob[start] == 0  # int64
-        blob[start] = 7
-        with pytest.raises(CheckpointError, match="unknown dtype code 7"):
-            deserialize_checkpoint(bytes(blob))
+    def test_unknown_dtype_code(self, tmp_path):
+        # a member stored with another dtype or rank
+        ck, path = saved_small_checkpoint(tmp_path)
+        for name, value in [("perms", ck.perms.astype(np.int32)), ("a", ck.a.astype(np.float32)),
+                            ("weight_1", ck.score_weights[1].astype(">f8")), ("epoch", np.float64(1.0)),
+                            ("config_text", np.bytes_(ck.config_text.encode())), ("layers", np.array([2])),
+                            ("bias_0", ck.score_biases[0][None, :])]:
+            save_checkpoint(ck, path)
+            rewrite_members(path, **{name: value})
+            with pytest.raises(CheckpointError, match=f"checkpoint member '{name}' is missing or not a rank-"):
+                load_checkpoint(path)
 
-    def test_shape_header_disagrees_with_payload(self):
-        ck = small_checkpoint()
-        blob = bytearray(serialize_checkpoint(ck))
-        start = self.perms_payload(ck)
-        # dtype code, ndim, then the first extent: (2, 3) becomes (3, 3)
-        assert struct.unpack_from("<BBQ", blob, start) == (0, 2, 2)
-        struct.pack_into("<Q", blob, start + 2, 3)
-        with pytest.raises(CheckpointError, match="corrupted checkpoint"):
-            deserialize_checkpoint(bytes(blob))
+    def test_unsupported_version(self, tmp_path):
+        ck, path = saved_small_checkpoint(tmp_path)
+        for version in (1, 3):
+            rewrite_members(path, version=np.int64(version))
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version} "):
+                load_checkpoint(path)
 
-    def test_bytes_after_the_last_block(self):
-        blob = serialize_checkpoint(small_checkpoint())
-        with pytest.raises(CheckpointError, match="after the last checkpoint block"):
-            deserialize_checkpoint(blob + b"junk")
+    def test_version_one_file_is_refused(self, tmp_path):
+        # the length-prefixed container that version 1 wrote: magic, version byte, blocks
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"DMBCHKPT\x01" + struct.pack("<Q", 6) + b"n = 3\n")
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("changes", [
+        {"junk": np.zeros(3)},
+        {"bias_1": None},
+        {"rng_state": None},
+        {"layers": np.int64(1)},  # the last layer's two members are left over
+        {"layers": np.int64(3)},  # a third layer's two members are missing
+        {"layers": np.int64(-1)},
+    ])
+    def test_other_members_than_the_layers_imply(self, tmp_path, changes):
+        ck, path = saved_small_checkpoint(tmp_path)
+        rewrite_members(path, **changes)
+        with pytest.raises(CheckpointError, match="are not those of"):
+            load_checkpoint(path)
+
+    def test_bytes_around_the_archive_leave_its_contents_unchanged(self, tmp_path):
+        # zip readers find the archive by its end record, so bytes around it load the same contents
+        ck, path = saved_small_checkpoint(tmp_path)
+        blob = Path(path).read_bytes()
+        for framed in (blob + b"junk", b"junk" + blob):
+            Path(path).write_bytes(framed)
+            assert same_checkpoint(load_checkpoint(path), ck)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(str(tmp_path))
 
 
 class TestCrashSafeSave:
@@ -127,12 +211,12 @@ class TestCrashSafeSave:
         break_save()
         with pytest.raises((ValueError, OSError)):
             save_checkpoint(next_checkpoint, path)
-        assert serialize_checkpoint(load_checkpoint(path)) == serialize_checkpoint(small_checkpoint(seed=0))
+        assert same_checkpoint(load_checkpoint(path), small_checkpoint(seed=0))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
     def test_serialization_error(self, tmp_path):
         broken = small_checkpoint(seed=1)
-        # the last block does not convert to float64, so serialization fails late
+        # the last bias does not convert to float64, so the save fails
         broken.score_biases[-1] = np.array(["not a number"] * broken.score_biases[-1].size)
         self.check_failed_save_keeps_previous(tmp_path, broken)
 
@@ -173,10 +257,10 @@ class TestCliExitCodes:
         assert len(capsys.readouterr().out.splitlines()) == 5 + 4
 
     def test_eval_of_truncated_checkpoint_is_bad_input(self, tmp_path):
-        blob = serialize_checkpoint(small_checkpoint())
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(blob[: len(blob) // 2])
-        assert cli(["eval", str(path)]) == 1
+        _, path = saved_small_checkpoint(tmp_path)
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: len(blob) // 2])
+        assert cli(["eval", path]) == 1
 
     @pytest.mark.parametrize("damage", [
         lambda ck: ck.perms.__setitem__(0, [0, 0, 1]),  # not a permutation
@@ -184,6 +268,7 @@ class TestCliExitCodes:
         lambda ck: ck.score_weights.__setitem__(0, np.ascontiguousarray(ck.score_weights[0].T)),
         lambda ck: setattr(ck, "p0_estimate", np.full((3, 3), 1.0 / 3.0)),  # one row too many
         lambda ck: ck.perms.__setitem__(1, [0, 1, 7]),  # a state outside 0..n-1
+        lambda ck: ck.score_weights[0].__setitem__((2, 5), np.nan),
     ])
     def test_checkpoint_that_loads_but_is_invalid_is_bad_input(self, tmp_path, damage):
         ck = small_checkpoint()
@@ -226,11 +311,9 @@ class TestCliExitCodes:
         monkeypatch.delenv("DMB_SEED", raising=False)
         ck = small_checkpoint()
         config_path = resume_config(tmp_path, ck)
-        blob = serialize_checkpoint(ck)
-        # serialization reshapes a history to rows of 4, so swap the last block by hand
-        tail = len(_pack_array(ck.epoch_history))
+        ck.epoch_history = np.zeros(shape)
         path = tmp_path / "epoch_0001.ckpt"
-        path.write_bytes(blob[:-tail] + _pack_array(np.zeros(shape)))
+        save_checkpoint(ck, str(path))
         assert load_checkpoint(str(path)).epoch_history.shape == shape
         assert cli(["train", config_path, "--resume", str(path)]) == 1
         assert cli(["eval", str(path)]) == 1
@@ -268,6 +351,9 @@ class TestCliExitCodes:
         assert "cannot read vector file" in capsys.readouterr().err
         assert cli(["solve", str(tmp_path / "words.txt"), str(tmp_path / "q.txt")]) == 1
         assert "non-numeric entry" in capsys.readouterr().err
+        (tmp_path / "empty.txt").write_text(" \n", encoding="utf-8")
+        assert cli(["solve", str(tmp_path / "empty.txt"), str(tmp_path / "q.txt")]) == 1
+        assert "no entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc, message", [
         (DivergenceError("Euler row total overflows"), "runtime failure: Euler row total overflows"),

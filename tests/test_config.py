@@ -72,9 +72,19 @@ def test_non_finite_floats_and_negative_seed_refused(key, value):
         RunConfig(**{key: value}).validate()
 
 
+def test_corpus_path_that_does_not_exist_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="does not exist"):
+        RunConfig(dataset="char_corpus", corpus_path=str(tmp_path / "absent.txt")).validate()
+
+
 def test_line_without_equals_sign_is_refused():
     with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
         parse_config_text("n = 4\nd 3\n")
+
+
+def test_value_that_does_not_parse_is_refused():
+    with pytest.raises(ConfigError, match="bad value for n: 'abc'"):
+        parse_config_text("n = abc\n")
 
 
 class TestLoadConfig:

@@ -244,6 +244,12 @@ class TestKernelRows:
             for b, (beta, x) in enumerate(zip(betas, states)):
                 assert np.allclose(rows[b], transition_kernel(Q, beta)[0, x], atol=1e-13)
 
+    def test_evolve_rows_refuses_rows_of_another_shape(self):
+        Q = FactorizedRateMatrix([[2, 0, 1], [0, 1, 2]], [[0.7, 1.2], [0.3, 0.4]])
+        for p in ([[0.2, 0.3, 0.5]], np.full((2, 4), 0.25)):
+            with pytest.raises(ValueError, match="shape"):
+                evolve_rows(p, Q, 0.5)
+
     def test_evolve_rows_matches_evolve(self):
         # the telescoped marginals equal p pushed through the full kernel
         rng = np.random.default_rng(19)
@@ -503,6 +509,10 @@ class TestSmallHelpers:
         u[2] = bad
         with pytest.raises(ValueError, match="uniforms"):
             sample_categorical(rows, u)
+
+    def test_sample_categorical_needs_one_uniform_per_row(self):
+        with pytest.raises(ValueError, match="one uniform per row"):
+            sample_categorical(np.full((6, 3), 1.0 / 3.0), np.full(5, 0.5))
 
     def test_sample_categorical_frequencies(self):
         probs = np.tile([0.1, 0.2, 0.7], (30000, 1))

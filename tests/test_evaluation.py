@@ -151,6 +151,14 @@ class TestElboEstimate:
         ratio = r1.mc_std_error / r2.mc_std_error
         assert 0.8 * np.sqrt(2.0) <= ratio <= 1.2 * np.sqrt(2.0)
 
+    @pytest.mark.parametrize("rows, mc_samples, message", [(0, 8, "dataset is empty"), (4, 1, "at least 2")])
+    def test_empty_dataset_or_one_draw_refused(self, rows, mc_samples, message):
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.5, 0.5]])
+        data = np.zeros((rows, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            elbo_estimate(lambda xt, t: np.ones((xt.shape[0], 1, 3)), data, Q, SCHEDULE_UNIT,
+                          ProductDistribution.uniform(3, 1), mc_samples, np.random.default_rng(0))
+
     def test_report_identities_and_finiteness(self):
         rng = np.random.default_rng(523)
         n, d = 3, 2

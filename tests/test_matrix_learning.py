@@ -207,6 +207,34 @@ class TestMatrixLearningLoop:
                 *state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=1, eps_Q=0.0, step_size=step_size
             )
 
+    def test_step_cap_below_one_rejected(self):
+        state = make_state([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+        with pytest.raises(ValueError, match="max_step"):
+            matrix_learning_loop(*state, state_frequencies([[0]], 3), SCHEDULE_UNIT, max_step=0, eps_Q=0.0, step_size=0.1)
+
+    def test_candidate_that_raises_the_loss_halves_the_step(self, monkeypatch):
+        # here the loss falls along the projected gradient at every step
+        # length from 0.5 to 50, so the first candidate's loss is raised by hand
+        rng = np.random.default_rng(241)
+        n, d, k = 4, 2, 6
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.3, 1.5, (d, n - 1)))
+        p0 = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        freqs = state_frequencies(rng.integers(0, n, size=(16, d)), n)
+        losses = []
+
+        def first_candidate_worse(*args):
+            loss, grad = jq_grad(*args)
+            losses.append(loss)
+            return (loss + 1.0 if len(losses) == 2 else loss), grad
+
+        monkeypatch.setattr(matrix_learning, "jq_grad", first_candidate_worse)
+        out = matrix_learning_loop(Q, p0, freqs, NoiseSchedule(0.4, 2.0), max_step=k, eps_Q=0.0, step_size=0.05)
+        assert isinstance(out, matrix_learning.MatrixFit)
+        assert len(losses) > len(out.loss_history)  # more calls than accepted steps + 1
+        assert len(out.loss_history) == k + 1  # the halved step was accepted
+        assert out.loss_history[1] == losses[2]
+        assert np.all(np.diff(out.loss_history) <= 0.0)
+
     def test_step_cap_respected(self):
         rng = np.random.default_rng(227)
         state = make_state([[0.5, 0.5, 0.5]], [rng.dirichlet(np.ones(4))])

@@ -548,6 +548,11 @@ class TestCacheChunks:
             assert np.array_equal(mc, want_m) and np.array_equal(vc, want_v)
             assert np.array_equal(p, want)
 
+    def test_adam_update_refuses_a_non_contiguous_parameter(self):
+        param = np.zeros((6, 8))[:, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            score_learning._adam_update(param, np.zeros((6, 4)), np.zeros((6, 4)), np.zeros((6, 4)), 1e-3)
+
     def test_training_bit_identical_across_chunkings(self, monkeypatch):
         rng = np.random.default_rng(419)
         Q, model, batch = self.system(rng)
@@ -582,6 +587,14 @@ class TestScoreLearningLoop:
         score_learning_loop(model, stream, Q, SCHEDULE_UNIT, max_step=5, eps_score=0.0)
         changed = any(not np.array_equal(b, w) for b, w in zip(before, model.weights))
         assert changed
+
+    def test_step_cap_below_one_rejected(self):
+        rng = np.random.default_rng(373)
+        Q = random_chain(rng, 4)
+        stream = _batch_stream(rng, 4, 1, Q, ProductDistribution.uniform(4, 1), 16)
+        with pytest.raises(ValueError, match="max_step"):
+            score_learning_loop(ScoreModel(4, 1, hidden=(8,), rng=rng), stream, Q, SCHEDULE_UNIT, max_step=0,
+                                eps_score=0.0)
 
     def test_lr_zero_leaves_parameters(self):
         rng = np.random.default_rng(379)

@@ -39,7 +39,7 @@ BREAKAGES = {
 
 
 def report(capsys):
-    ok = selftest.run_selftest(verbose=True)
+    ok = selftest.run_selftest()
     lines = capsys.readouterr().out.splitlines()
     return ok, {line.split("] ", 1)[1].split(" (")[0]: line.startswith("[PASS]") for line in lines}
 

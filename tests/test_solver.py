@@ -163,6 +163,10 @@ class TestPermutationFromData:
         perms = permutation_from_data(mu, term)
         assert [list(p) for p in perms] == [[1, 2, 0], [1, 2, 0]]
 
+    def test_pair_of_another_shape_refused(self):
+        with pytest.raises(ValueError, match="share"):
+            permutation_from_data(ProductDistribution.uniform(4, 3), ProductDistribution.uniform(4, 2))
+
     def test_identity_when_equal(self):
         mu = ProductDistribution.uniform(4, 3)
         perms = permutation_from_data(mu, mu)
