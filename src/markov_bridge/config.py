@@ -1,7 +1,6 @@
 """Flat key = value run configuration.
 
 One ``key = value`` per line, ``#`` starts a comment, blank lines ignored.
-The DMB_SEED environment variable overrides the seed at load time.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def _parse_value(key: str, raw: str):
         if kind == "float":
             return float(raw)
         if kind == "tuple":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
+            return tuple(int(part) for part in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -130,20 +129,13 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a config file; DMB_SEED in the environment overrides the seed."""
+    """Parse a config file: its text alone sets the run."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    cfg = parse_config_text(text)
-    env_seed = os.environ.get("DMB_SEED")
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"DMB_SEED is not an integer: {env_seed!r}") from exc
-    return cfg.validate()
+    return parse_config_text(text)
 
 
 def config_echo(cfg: RunConfig) -> str:

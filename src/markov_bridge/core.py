@@ -167,14 +167,14 @@ class NoiseSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def row_blocks(rows: int, width: int, cache: bool = False, least: int = 1) -> list:
+def row_blocks(rows: int, width: int, cache: bool = False) -> list:
     """Slices cutting ``rows`` rows of ``width`` elements into runs of at most
-    budget // width rows (at least ``least``), the last one possibly shorter.
+    budget // width rows (at least one), the last one possibly shorter.
 
     The budget is BLOCK_ELEMENTS, a memory block, or with ``cache`` set
     CHUNK_ELEMENTS, a cache chunk, as the module docstring describes.
     """
-    step = max(least, (CHUNK_ELEMENTS if cache else BLOCK_ELEMENTS) // width)
+    step = max(1, (CHUNK_ELEMENTS if cache else BLOCK_ELEMENTS) // width)
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
@@ -408,7 +408,7 @@ def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     samples = np.empty((size, d), dtype=np.int64)
-    for block in row_blocks(d, size, cache=True, least=8):
+    for block in row_blocks(d, max(1, min(size, CHUNK_ELEMENTS // 8)), cache=True):
         u = rng.random((block.stop - block.start, size))
         below = np.empty(u.shape, dtype=bool)
         count = np.zeros(u.shape, dtype=np.min_scalar_type(n - 1))

@@ -72,8 +72,8 @@ def _grid_step(steps: int, eps_t: float) -> float:
     """Step of the uniform grid of ``steps`` steps from T down to eps_t."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if eps_t <= 0.0:
-        raise ValueError("eps_t must be positive")
+    if not 0.0 < eps_t < 1.0:
+        raise ValueError("need 0 < eps_t < 1")
     return (1.0 - eps_t) / steps
 
 

@@ -5,8 +5,8 @@ The matrix stage fits the full data's state frequencies, counted once per
 run (the same table, smoothed, gives the data marginals that fix the
 permutations), and draws nothing at random; its final loss is the epoch's
 ``kl_term``, the KL part of the bound written to ``metrics.csv``. Q and p0
-pass from stage to stage as plain values; a run resumes from any epoch's
-checkpoint.
+pass from stage to stage as plain values. Every run starts from a
+checkpoint: a fresh one from epoch 0's, a resumed one from its own.
 
 Permutations are fixed once at startup from the data histograms (sorted
 against a uniform terminal, i.e. by ascending marginal) and never re-sorted.
@@ -78,18 +78,45 @@ def restore(ck: Checkpoint):
     return config, config.schedule(), Q, model, p0
 
 
+def _checkpoint_of(config: RunConfig, epoch: int, Q, model, p0, rng, history) -> Checkpoint:
+    """The run's state after ``epoch`` epochs, as a checkpoint holding copies of it."""
+    return Checkpoint(
+        config_text=config_echo(config),
+        epoch=epoch,
+        perms=Q.perm.copy(),
+        # in its own order: a fresh run's rates are column-major, and the
+        # matrix stage's first gradient reads that order to the last bit
+        a=Q.a.copy(order="K"),
+        p0_estimate=p0.probs.copy(),
+        score_weights=[w.copy() for w in model.weights],
+        score_biases=[b.copy() for b in model.biases],
+        rng_state=rng_state_to_json(rng),
+        epoch_history=np.asarray(history, dtype=np.float64).reshape(-1, 4),
+    )
+
+
+def initial_checkpoint(config: RunConfig, freqs) -> Checkpoint:
+    """Epoch 0 of a run on data with the (d, n) state-frequency table ``freqs``."""
+    mu_hat = estimate_marginals(freqs)
+    uniform = ProductDistribution.uniform(config.n, config.d)
+    Q = init_rate_matrices(permutation_from_data(mu_hat, uniform), config.init_scheme)
+    p0 = mu_hat if config.p0_init == "data_marginal" else uniform
+    model_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_SALT]))
+    model = ScoreModel(config.n, config.d, hidden=config.score_hidden, rng=model_rng)
+    return _checkpoint_of(config, 0, Q, model, p0, np.random.default_rng(config.seed), [])
+
+
 def train(config: RunConfig, resume_from: str | None = None) -> Checkpoint:
     """Run the alternating loop until convergence or the epoch cap.
 
     Writes one metrics row and one checkpoint per epoch under
-    ``config.out_dir`` and returns the final checkpoint. ``resume_from``
-    restores an earlier checkpoint of the same config and carries on from
-    the epoch after it, dropping any metrics rows past it. A checkpoint
-    already at the epoch cap, or an ``out_dir`` that cannot be created,
-    raises ConfigError.
+    ``config.out_dir`` and returns the final checkpoint. The run starts from
+    :func:`initial_checkpoint`, or from ``resume_from``, a checkpoint of the
+    same config, dropping any metrics rows past it. A checkpoint already at
+    the epoch cap, or an ``out_dir`` that cannot be created, raises
+    ConfigError.
     """
     config.validate()
-    schedule = config.schedule()
     dataset = load_dataset(config)
     freqs = state_frequencies(dataset.samples, config.n)
     try:
@@ -97,30 +124,16 @@ def train(config: RunConfig, resume_from: str | None = None) -> Checkpoint:
     except OSError as exc:
         raise ConfigError(f"cannot create out_dir {config.out_dir!r}: {exc}") from exc
 
-    if resume_from is None:
-        mu_hat = estimate_marginals(freqs)
-        perms = permutation_from_data(mu_hat, ProductDistribution.uniform(config.n, config.d))
-        Q = init_rate_matrices(perms, config.init_scheme)
-        p0 = mu_hat if config.p0_init == "data_marginal" else ProductDistribution.uniform(config.n, config.d)
-        model = ScoreModel(
-            config.n,
-            config.d,
-            hidden=config.score_hidden,
-            rng=np.random.default_rng(np.random.SeedSequence([config.seed, _MODEL_SALT])),
-        )
-        run_rng = np.random.default_rng(config.seed)
-        history = []
-        start_epoch = 0
-    else:
-        saved = load_checkpoint(resume_from)
-        if saved.config_text != config_echo(config):
-            raise ConfigError("checkpoint was written with a different configuration")
-        _, _, Q, model, p0 = restore(saved)
-        run_rng = rng_from_json(saved.rng_state)
-        history = list(saved.epoch_history)
-        start_epoch = saved.epoch
-        if start_epoch >= config.epochs:
-            raise ConfigError("nothing to do: epoch cap already reached by the resumed checkpoint")
+    start = initial_checkpoint(config, freqs) if resume_from is None else load_checkpoint(resume_from)
+    if start.config_text != config_echo(config):
+        raise ConfigError("checkpoint was written with a different configuration")
+    if start.epoch >= config.epochs:
+        raise ConfigError("nothing to do: epoch cap already reached by the resumed checkpoint")
+    _, schedule, Q, model, p0 = restore(start)
+    run_rng = rng_from_json(start.rng_state)
+    history = list(start.epoch_history)
+    start_epoch = start.epoch
+    del start  # its weight copies: the restored model holds its own
 
     metrics_path = os.path.join(config.out_dir, "metrics.csv")
     if start_epoch > 0 and os.path.exists(metrics_path):
@@ -129,70 +142,50 @@ def train(config: RunConfig, resume_from: str | None = None) -> Checkpoint:
         with open(metrics_path, "rb") as fh:
             keep = sum(len(line) for line in itertools.islice(fh, start_epoch + 1))
         os.truncate(metrics_path, keep)
-        metrics = open(metrics_path, "a", encoding="utf-8")
     else:
-        metrics = open(metrics_path, "w", encoding="utf-8")
-        metrics.write(METRICS_HEADER + "\n")
-        metrics.flush()
+        with open(metrics_path, "w", encoding="utf-8") as fh:
+            fh.write(METRICS_HEADER + "\n")
 
-    try:
-        for epoch in range(start_epoch + 1, config.epochs + 1):
-            tick = time.perf_counter()
+    for epoch in range(start_epoch + 1, config.epochs + 1):
+        tick = time.perf_counter()
 
-            Q = matrix_learning_loop(
-                Q, p0, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
-            ).Q
-            terminal = predict_terminal(Q, p0, schedule)
+        Q = matrix_learning_loop(
+            Q, p0, freqs, schedule, config.max_step_matrix, config.eps_q, config.matrix_step_size
+        ).Q
+        terminal = predict_terminal(Q, p0, schedule)
 
-            model = score_learning_loop(
-                model,
-                _score_batches(dataset, Q, schedule, config, run_rng),
-                Q,
-                schedule,
-                config.max_step_score,
-                config.eps_score,
-                lr=config.score_lr,
-            )
+        model = score_learning_loop(
+            model,
+            _score_batches(dataset, Q, schedule, config, run_rng),
+            Q,
+            schedule,
+            config.max_step_score,
+            config.eps_score,
+            lr=config.score_lr,
+        )
 
-            mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
-            p0 = estimate_mu(
-                terminal, Q, schedule, model.forward_batch, mu_rng,
-                config.mu_trajectories, config.sampler_steps, config.eps_t,
-            )
+        mu_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MU_SALT]))
+        p0 = estimate_mu(
+            terminal, Q, schedule, model.forward_batch, mu_rng,
+            config.mu_trajectories, config.sampler_steps, config.eps_t,
+        )
 
-            report = elbo_estimate(
-                model.forward_batch, dataset.samples, Q, schedule, terminal,
-                config.mc_samples, run_rng, eps_t=config.eps_t,
-            )
-            kl_mu = ""
-            kl_value = np.nan
-            if dataset.ground_truth is not None:
-                # the KL of product distributions is the sum of the row KLs
-                kl_value = kl_divergence(dataset.ground_truth.probs, p0.probs)
-                kl_mu = f"{kl_value:.12g}"
-            wall = time.perf_counter() - tick
-            metrics.write(
-                f"{epoch},{report.kl_term:.12g},{report.j_score:.12g},"
-                f"{report.bits_per_dim:.12g},{kl_mu},{wall:.3f}\n"
-            )
-            metrics.flush()
-            history.append([report.kl_term, report.j_score, report.bits_per_dim, kl_value])
+        report = elbo_estimate(
+            model.forward_batch, dataset.samples, Q, schedule, terminal,
+            config.mc_samples, run_rng, eps_t=config.eps_t,
+        )
+        # the KL of product distributions is the sum of the row KLs; a
+        # corpus has no true distribution to compare with
+        kl_mu = np.nan if dataset.ground_truth is None else kl_divergence(dataset.ground_truth.probs, p0.probs)
+        history.append([report.kl_term, report.j_score, report.bits_per_dim, kl_mu])
+        wall = time.perf_counter() - tick
+        row = ",".join("" if np.isnan(v) else f"{v:.12g}" for v in history[-1])
+        with open(metrics_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{epoch},{row},{wall:.3f}\n")
 
-            ck = Checkpoint(
-                config_text=config_echo(config),
-                epoch=epoch,
-                perms=Q.perm.copy(),
-                a=Q.a.copy(),
-                p0_estimate=p0.probs.copy(),
-                score_weights=[w.copy() for w in model.weights],
-                score_biases=[b.copy() for b in model.biases],
-                rng_state=rng_state_to_json(run_rng),
-                epoch_history=np.asarray(history, dtype=np.float64).reshape(-1, 4),
-            )
-            save_checkpoint(ck, os.path.join(config.out_dir, f"epoch_{epoch:04d}.ckpt"))
+        ck = _checkpoint_of(config, epoch, Q, model, p0, run_rng, history)
+        save_checkpoint(ck, os.path.join(config.out_dir, f"epoch_{epoch:04d}.ckpt"))
 
-            if report.total_nats < config.eps_total:
-                break
-    finally:
-        metrics.close()
+        if report.total_nats < config.eps_total:
+            break
     return ck

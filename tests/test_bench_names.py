@@ -1,9 +1,12 @@
-"""The names the benchmark traces and reads exist in the package, and the
-checkpoint it writes loads.
+"""The names the benchmark traces and reads exist in the package, the
+inputs it writes load, and its output checks pass.
 
 perfbench wraps functions by name and reports a missing one as 0 rather than
 failing, so a rename would silently zero its metrics. This pins the names,
-the result attributes its hooks read, and its input file.
+the result attributes its hooks read, and its input files. A config key the
+package no longer knows, or a `dmb eval` whose total is not j_score +
+kl_term, would fail every repetition of the benchmark: its output checks run
+here on the toy session.
 """
 
 import importlib
@@ -16,7 +19,8 @@ import numpy as np
 import pytest
 
 import markov_bridge
-from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution
+from markov_bridge import FactorizedRateMatrix, NoiseSchedule, ProductDistribution, parse_config_text
+from markov_bridge.cli import cli
 from markov_bridge.core import state_frequencies
 from markov_bridge.training import restore
 
@@ -110,3 +114,30 @@ def test_benchmark_checkpoint_loads_and_restores(workload, tmp_path):
     pairs = [(Q.perm, ck.perms), (Q.a, ck.a), (p0.probs, ck.p0_estimate), (loaded.epoch_history, ck.epoch_history)]
     pairs += list(zip(model.weights + model.biases, ck.score_weights + ck.score_biases))
     assert all(np.array_equal(got, want) for got, want in pairs)
+
+
+checks = perfbench_module("checks")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_config_parses(workload, tmp_path):
+    spec = workloads.spec(workload)
+    config = parse_config_text(workloads.config_text(spec, 1, str(tmp_path)))
+    assert (config.n, config.d, config.seed, config.out_dir) == (spec["n"], spec["d"], 1, str(tmp_path))
+
+
+def test_toy_session_passes_the_benchmark_checks(tmp_path, capsys):
+    # the session of every benchmark repetition, at the self-tests' sizes
+    spec = workloads.spec("train-desk", toy=True)
+    n, d = spec["n"], spec["d"]
+    ck = markov_bridge.train(parse_config_text(workloads.config_text(spec, 1, str(tmp_path / "train"))))
+    assert checks.check_train(ck, n, d) is None
+    path = str(tmp_path / "bench.ckpt")
+    workloads.write_checkpoint(markov_bridge, spec, 1, path)
+    out = tmp_path / "samples.txt"
+    count, steps = spec["sample"]["count"], spec["sample"]["steps"]
+    assert cli(["sample", path, "--count", str(count), "--steps", str(steps), "--out", str(out)]) == 0
+    assert checks.check_sample(out.read_text(encoding="utf-8"), count, n, d) is None
+    capsys.readouterr()
+    assert cli(["eval", path, "--mc-samples", str(spec["eval"]["mc_samples"])]) == 0
+    assert checks.check_eval(checks.parse_eval(capsys.readouterr().out)) is None

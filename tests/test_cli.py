@@ -292,8 +292,7 @@ class TestCliExitCodes:
         ("{not json", 1),
         (json.dumps(np.random.PCG64DXSM(0).state), 1),  # another generator's state
     ])
-    def test_resume_from_damaged_rng_state(self, tmp_path, monkeypatch, capsys, rng_state, code):
-        monkeypatch.delenv("DMB_SEED", raising=False)
+    def test_resume_from_damaged_rng_state(self, tmp_path, capsys, rng_state, code):
         ck = small_checkpoint()
         config_path = resume_config(tmp_path, ck)
         if rng_state is not None:
@@ -306,9 +305,8 @@ class TestCliExitCodes:
         assert ("no valid generator state" in err) == (code == 1)
 
     @pytest.mark.parametrize("shape", [(1, 3), (0, 4), (5, 4)])
-    def test_epoch_history_without_one_row_per_epoch_is_bad_input(self, tmp_path, monkeypatch, capsys, shape):
+    def test_epoch_history_without_one_row_per_epoch_is_bad_input(self, tmp_path, capsys, shape):
         # the checkpoint is at epoch 1, so its history must be (1, 4)
-        monkeypatch.delenv("DMB_SEED", raising=False)
         ck = small_checkpoint()
         config_path = resume_config(tmp_path, ck)
         ck.epoch_history = np.zeros(shape)
@@ -399,8 +397,7 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot write samples to {str(out)!r}"), err
 
-    def test_train_into_an_out_dir_that_is_a_file_is_bad_input(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("DMB_SEED", raising=False)
+    def test_train_into_an_out_dir_that_is_a_file_is_bad_input(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
         config_path = tmp_path / "run.cfg"

@@ -16,7 +16,7 @@ from markov_bridge import (
     generate,
     oracle_ratio_fn,
 )
-from markov_bridge import core, score_learning
+from markov_bridge import core, sampler, score_learning
 from markov_bridge.core import draw_columns, sample_categorical
 from markov_bridge.data import synthetic_ground_truth
 from markov_bridge.matrix_learning import predict_terminal
@@ -54,13 +54,14 @@ def table_ratio_fn(rng, n, d):
 
 class TestSamplerArguments:
     def test_validation(self):
-        # an empty grid is refused before the first step asks for ratios
+        # an empty grid, or one that does not end inside (0, 1), is refused
+        # before the first step asks for ratios
         terminal = ProductDistribution.uniform(3, 1)
         Q = FactorizedRateMatrix([[0, 1, 2]], [[0.5, 1.0]])
         calls = []
         ratios = lambda xt, t: calls.append(t) or np.ones((xt.shape[0], 1, 3))
         for run in (generate, estimate_mu):
-            for steps, eps_t in [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, -1e-3)]:
+            for steps, eps_t in [(0, 1e-3), (-1, 1e-3), (4, 0.0), (4, -1e-3), (1, 1.5), (4, 1.0), (4, np.nan)]:
                 with pytest.raises(ValueError):
                     run(terminal, Q, SCHEDULE_UNIT, ratios, np.random.default_rng(0), 4, steps, eps_t)
             # so is an empty batch of trajectories
@@ -234,6 +235,8 @@ class TestBlockedSteps:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("eps_t", [0.5, 0.97, 1.0])
     def test_step_draws_what_the_normalized_rows_draw(self, seed, eps_t):
+        # one step of the loop under generate, whose grid refuses eps_t = 1:
+        # the step itself still takes dt = 0
         rng = np.random.default_rng(seed)
         n, d, count = 27, 40, 200  # 30 rows to a cache chunk, the last one short
         a = rng.uniform(0.0, 3.0, (d, n - 1)) * 10.0 ** rng.uniform(-3.0, 0.5, (d, 1))
@@ -241,10 +244,10 @@ class TestBlockedSteps:
         Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), a)
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         ratio_fn = table_ratio_fn(rng, n, d)
-        draws = generate(terminal, Q, SCHEDULE_UNIT, ratio_fn, np.random.default_rng(seed), count, 1, eps_t)
+        dt = 1.0 - eps_t
+        draws = sampler._trajectories(terminal, Q, SCHEDULE_UNIT, ratio_fn, np.random.default_rng(seed), count, 1, dt)
         replay = np.random.default_rng(seed)
         x = draw_columns(terminal.probs, count, replay)
-        dt = 1.0 - eps_t
         probs = euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
         assert np.array_equal(draws, sample_categorical(probs, replay.random((d, count)).T))
         # the edge cases are all there: x sorted first (a(x) = 0), a zero

@@ -14,9 +14,12 @@ import os
 import numpy as np
 import pytest
 
-from markov_bridge import ConfigError, core, load_checkpoint, matrix_learning_loop, parse_config_text, train, training
+from markov_bridge import (ConfigError, core, load_checkpoint, matrix_learning_loop, parse_config_text, save_checkpoint,
+                           train, training)
 from markov_bridge.data import load_dataset
-from markov_bridge.solver import estimate_marginals
+from markov_bridge.matrix_learning import init_rate_matrices, jq_grad
+from markov_bridge.solver import estimate_marginals, permutation_from_data
+from markov_bridge.training import restore
 from markov_bridge.cli import cli
 
 CONFIG = """\
@@ -132,19 +135,60 @@ def test_bound_below_eps_total_stops_training_early(tmp_path):
     assert len(metrics_rows(tmp_path)) == 1
 
 
+def assert_same_run(got, want):
+    assert got.epoch == want.epoch == 3
+    for name in ("perms", "a", "p0_estimate", "epoch_history"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for a, b in zip(got.score_weights + got.score_biases, want.score_weights + want.score_biases, strict=True):
+        assert np.array_equal(a, b)
+    assert got.rng_state == want.rng_state
+
+
 def test_resume_matches_uninterrupted(tmp_path):
     # resuming from a full run's first checkpoint redoes its last two epochs
     config = config_in(tmp_path)
     full = train(config)
     want_rows = metrics_rows(tmp_path)
     resumed = train(config, resume_from=str(tmp_path / "epoch_0001.ckpt"))
-    assert resumed.epoch == full.epoch == 3
-    for name in ("perms", "a", "p0_estimate", "epoch_history"):
-        assert np.array_equal(getattr(resumed, name), getattr(full, name)), name
-    for got, want in zip(resumed.score_weights + resumed.score_biases, full.score_weights + full.score_biases):
-        assert np.array_equal(got, want)
-    assert resumed.rng_state == full.rng_state
+    assert_same_run(resumed, full)
     assert metrics_rows(tmp_path) == want_rows
+
+
+def test_fresh_run_is_a_resume_from_epoch_0(tmp_path, monkeypatch):
+    # a fresh run restores epoch 0's checkpoint as a resumed run restores its
+    # own, so the same state saved to a file and resumed repeats it bit for bit
+    restored = []
+
+    def recording_restore(ck):
+        restored.append(ck.epoch)
+        return restore(ck)
+
+    monkeypatch.setattr(training, "restore", recording_restore)
+    config = config_in(tmp_path)
+    fresh = train(config)
+    want_rows = metrics_rows(tmp_path)
+    start = training.initial_checkpoint(config, core.state_frequencies(load_dataset(config).samples, config.n))
+    path = str(tmp_path / "epoch_0000.ckpt")
+    save_checkpoint(start, path)
+    assert load_checkpoint(path).epoch_history.shape == (0, 4)
+    assert_same_run(train(config, resume_from=path), fresh)
+    assert metrics_rows(tmp_path) == want_rows
+    assert restored == [0, 0]
+
+
+def test_epoch_0_rates_restore_as_built(tmp_path):
+    # at this shape the last bits of the matrix stage's gradient depend on
+    # the memory order of the rates, so a saved and restored epoch 0 must
+    # keep the order init_rate_matrices gives them
+    config = parse_config_text(f"n = 8\nd = 4\nseed = 1\nout_dir = {tmp_path}\n")
+    freqs = core.state_frequencies(load_dataset(config).samples, config.n)
+    path = str(tmp_path / "epoch_0000.ckpt")
+    save_checkpoint(training.initial_checkpoint(config, freqs), path)
+    _, schedule, Q, _, p0 = restore(load_checkpoint(path))
+    uniform = core.ProductDistribution.uniform(config.n, config.d)
+    built = init_rate_matrices(permutation_from_data(estimate_marginals(freqs), uniform), config.init_scheme)
+    got, want = jq_grad(Q, p0, freqs, schedule), jq_grad(built, p0, freqs, schedule)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
@@ -159,8 +203,7 @@ def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path):
     assert metrics_rows(tmp_path) == want_rows
 
 
-def test_resume_from_the_final_checkpoint_is_bad_input(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("DMB_SEED", raising=False)
+def test_resume_from_the_final_checkpoint_is_bad_input(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(CONFIG + f"out_dir = {tmp_path / 'run'}\nepochs = 1\n", encoding="utf-8")
     assert cli(["train", str(config_path)]) == 0
@@ -184,8 +227,7 @@ def test_resume_under_another_config_is_refused(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["epoch_0001.ckpt", "metrics.csv"]
 
 
-def test_cli_train_sample_eval(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("DMB_SEED", raising=False)
+def test_cli_train_sample_eval(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(CONFIG + f"out_dir = {tmp_path / 'run'}\n", encoding="utf-8")
     assert cli(["train", str(config_path)]) == 0
