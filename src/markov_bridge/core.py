@@ -40,7 +40,7 @@ CHUNK_ELEMENTS = 2**16
 
 
 def _frozen(arr, dtype):
-    out = np.array(arr, dtype=dtype, copy=True)
+    out = np.array(arr, dtype=dtype, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -347,48 +347,32 @@ def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs, targets) -> tuple:
     return loss, -(sorted_freqs[:, None, :] @ np.cumsum(dE, axis=2, out=dE))[:, 0, : n - 1]
 
 
-def cumulative_pick(slabs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_categorical(slabs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """State drawn in each column of state-major rows ``slabs`` (n, ...) by the
     uniforms ``u`` (shape slabs.shape[1:]): how many running sums are <= u
     times the row total, so rows need not be normalized.
 
     The slabs are summed in place, T[k] += T[k-1]: the sequential sum a
     ``cumsum`` over each row makes, with every add and compare running over
-    a contiguous slab rather than a short row. For u < 1, u times the total
-    stays below the last sum, so counting the sums <= it is the right-sided
-    rule of ``rng.choice``: no state of mass 0 is drawn, even at u = 0 or
-    in a row whose sum rounds under 1. A non-finite total raises ValueError.
+    a contiguous slab rather than a short row. Callers cut their own cache
+    chunks. For u < 1, u times the total stays below the last sum, so
+    counting the sums <= it is the right-sided rule of ``rng.choice``: no
+    state of mass 0 is drawn, even at u = 0 or in a row whose sum rounds
+    under 1. A ``u`` of another shape, a non-finite uniform, or a row total
+    that is not finite and positive raises ValueError.
     """
     n = slabs.shape[0]
-    for k in range(1, n):
-        slabs[k] += slabs[k - 1]
-    if not np.isfinite(slabs[-1]).all():
-        raise ValueError("a categorical row has a non-finite total")
-    u = u * slabs[-1]
-    return np.minimum(np.less_equal(slabs, u).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n)), n - 1)
-
-
-def sample_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One state per row of an (..., n) array of row distributions, drawn by
-    its uniform in ``u`` (shape rows.shape[:-1]) with :func:`cumulative_pick`
-    on state-major copies of cache chunks of rows.
-
-    Callers with (B, d, n) rows draw ``u`` as ``rng.random((d, B)).T``: the
-    generator is consumed one dimension at a time, as d calls on (B, n)
-    rows in turn would consume it. A non-finite uniform or row total raises
-    ValueError.
-    """
-    n = rows.shape[-1]
-    flat = np.reshape(rows, (-1, n))
-    u = np.reshape(u, -1)
-    if u.shape != flat.shape[:1]:
+    if np.shape(u) != slabs.shape[1:]:
         raise ValueError("need one uniform per row")
     if not np.isfinite(u).all():
         raise ValueError("uniforms must be finite")
-    idx = np.empty(flat.shape[0], dtype=np.int64)
-    for part in row_blocks(flat.shape[0], n, cache=True):
-        idx[part] = cumulative_pick(flat[part].T.copy(), u[part])
-    return idx.reshape(rows.shape[:-1])
+    for k in range(1, n):
+        slabs[k] += slabs[k - 1]
+    # NaN fails both comparisons
+    if not ((slabs[-1] > 0.0) & (slabs[-1] < np.inf)).all():
+        raise ValueError("a categorical row has a non-finite or non-positive total")
+    u = u * slabs[-1]
+    return np.minimum(np.less_equal(slabs, u).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n)), n - 1)
 
 
 def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, block_index, cumulative_pick, draw_columns, row_blocks
+from .core import NoiseSchedule, ProductDistribution, block_index, draw_columns, row_blocks, sample_categorical
 from .errors import DivergenceError
 
 # Health counters read by name (perfbench's sampler.zero_rows). A row total
@@ -87,7 +87,7 @@ def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, cou
         # dimension-major, so the generator is consumed one dimension at a time
         u = rng.random((terminal.d, count)).T
         for part, rows in _euler_chunks(xt, t, dt, ratio_fn, Q, schedule):
-            xt[part] = cumulative_pick(rows, u[part])
+            xt[part] = sample_categorical(rows, u[part])
     return xt
 
 

@@ -216,8 +216,8 @@ class ScoreBatch:
         if xt.shape[0] == 0:
             raise ValueError("batch is empty")
         # NaN fails every comparison
-        if not (self.eps_t > 0.0 and np.all((t >= self.eps_t) & (t <= 1.0))):
-            raise ValueError("need 0 < eps_t <= t <= 1")
+        if not (0.0 < self.eps_t < 1.0 and np.all((t >= self.eps_t) & (t <= 1.0))):
+            raise ValueError("need 0 < eps_t < 1 and eps_t <= t <= 1")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xt", xt)
         object.__setattr__(self, "t", t)

@@ -84,9 +84,7 @@ def _checkpoint_of(config: RunConfig, epoch: int, Q, model, p0, rng, history) ->
         config_text=config_echo(config),
         epoch=epoch,
         perms=Q.perm.copy(),
-        # in its own order: a fresh run's rates are column-major, and the
-        # matrix stage's first gradient reads that order to the last bit
-        a=Q.a.copy(order="K"),
+        a=Q.a.copy(),
         p0_estimate=p0.probs.copy(),
         score_weights=[w.copy() for w in model.weights],
         score_biases=[b.copy() for b in model.biases],

@@ -58,6 +58,30 @@ def test_sampler_diagnostics_is_a_dict():
     assert isinstance(markov_bridge.sampler.diagnostics, dict)
 
 
+def test_reverse_sampler_draws_through_the_traced_categorical(monkeypatch):
+    # perfbench's sampler.categorical_* count and time sample_categorical
+    # under generate and estimate_mu: one call per cache chunk of each sampled
+    # step, and estimate_mu averages its last step's rows instead
+    rng = np.random.default_rng(11)
+    n, d, count, steps = 8, 4, 5000, 4
+    Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.3, 1.5, (d, n - 1)))
+    terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+    table = rng.uniform(0.0, 3.0, (d, n, n))
+    args = (terminal, Q, NoiseSchedule(), lambda xt, t: table[np.arange(d), xt])
+    run_generate = lambda: markov_bridge.generate(*args, np.random.default_rng(1), count, steps, 1e-3)
+    run_mu = lambda: markov_bridge.estimate_mu(*args, np.random.default_rng(2), count, steps, 1e-3).probs
+    want_draws, want_p0 = run_generate(), run_mu()
+    blocks = markov_bridge.core.row_blocks(count, d * n)
+    chunks = sum(len(markov_bridge.core.row_blocks(b.stop - b.start, d * n, cache=True)) for b in blocks)
+    assert chunks > 1
+    calls = []
+    draw = markov_bridge.sampler.sample_categorical
+    monkeypatch.setattr(markov_bridge.sampler, "sample_categorical", lambda slabs, u: calls.append(1) or draw(slabs, u))
+    assert np.array_equal(run_generate(), want_draws) and len(calls) == steps * chunks
+    calls.clear()
+    assert np.array_equal(run_mu(), want_p0) and len(calls) == (steps - 1) * chunks
+
+
 # perfbench's hooks read two attributes of stage results, and a missing or
 # zero value reads as absent: matrix_learning.steps_accepted is the length of
 # matrix_learning_loop's loss_history less one, evaluation.mc_std_error is

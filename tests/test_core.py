@@ -438,8 +438,8 @@ class TestSmallHelpers:
     def test_sample_categorical_deterministic_and_in_range(self):
         rng = np.random.default_rng(41)
         rows = rng.dirichlet(np.ones(4), size=1000)
-        draws = sample_categorical(rows, np.random.default_rng(5).random(1000))
-        again = sample_categorical(rows, np.random.default_rng(5).random(1000))
+        draws = sample_categorical(np.moveaxis(rows, -1, 0).copy(), np.random.default_rng(5).random(1000))
+        again = sample_categorical(np.moveaxis(rows, -1, 0).copy(), np.random.default_rng(5).random(1000))
         assert np.array_equal(draws, again)
         assert draws.min() >= 0 and draws.max() < 4
 
@@ -453,14 +453,14 @@ class TestSmallHelpers:
         xt = rng.integers(0, n, size=(B, d))
         ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
         rows = euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule())
-        once = sample_categorical(rows, np.random.default_rng(7).random((d, B)).T)
+        once = sample_categorical(np.moveaxis(rows, -1, 0).copy(), np.random.default_rng(7).random((d, B)).T)
         gen = np.random.default_rng(7)
-        in_turn = np.stack([sample_categorical(rows[:, i], gen.random(B)) for i in range(d)], axis=1)
+        in_turn = [sample_categorical(np.moveaxis(rows[:, i], -1, 0).copy(), gen.random(B)) for i in range(d)]
         assert once.shape == (B, d)
-        assert np.array_equal(once, in_turn)
+        assert np.array_equal(once, np.stack(in_turn, axis=1))
 
     @pytest.mark.parametrize("n, d, B", [(7, 5, 300), (27, 3, 40), (2, 1, 9)])
-    def test_sample_categorical_matches_cumsum_in_every_chunking(self, monkeypatch, n, d, B):
+    def test_sample_categorical_matches_cumsum_in_every_chunking(self, n, d, B):
         # the row-major cumsum form the state-major slabs replace, u taken
         # times each row's total, with rows that sum to a little under 1
         rng = np.random.default_rng(47)
@@ -470,20 +470,17 @@ class TestSmallHelpers:
         u[0, 0] = np.nextafter(1.0, 0.0)
         sums = np.cumsum(rows, axis=-1)
         want = np.minimum((sums <= (u * sums[..., -1])[..., None]).sum(axis=-1), n - 1)
-        for chunk_rows in (1, 4, B * d):
-            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * n)
-            assert len(core.row_blocks(B * d, n, cache=True)) == -(-(B * d) // chunk_rows)
-            assert np.array_equal(sample_categorical(rows, u), want)
+        assert np.array_equal(sample_categorical(np.moveaxis(rows, -1, 0).copy(), u), want)
 
     def test_sample_categorical_never_draws_a_state_of_mass_zero(self):
         # the right-sided rule of rng.choice: count the cumulative sums <= u
-        assert sample_categorical(np.array([[0.0, 0.0, 1.0]]), np.array([0.0]))[0] == 2
-        rows = np.tile([0.25, 0.0, 0.75], (3, 1))
-        assert np.array_equal(sample_categorical(rows, np.array([0.0, 0.25, 0.5])), [0, 2, 2])
+        assert sample_categorical(np.array([[0.0], [0.0], [1.0]]), np.array([0.0]))[0] == 2
+        slabs = np.tile([[0.25], [0.0], [0.75]], (1, 3))
+        assert np.array_equal(sample_categorical(slabs, np.array([0.0, 0.25, 0.5])), [0, 2, 2])
         # a row whose sum rounds under 1, at the largest uniform: u alone
         # would pass every running sum and land on the trailing 0
         top = np.nextafter(1.0, 0.0)
-        assert sample_categorical(np.array([[0.25, 0.7499999999999998, 0.0]]), np.array([top]))[0] == 1
+        assert sample_categorical(np.array([[0.25], [0.7499999999999998], [0.0]]), np.array([top]))[0] == 1
 
     def test_no_state_of_mass_zero_at_any_uniform(self):
         # rows with zeros in every place, some summing a little off 1, at
@@ -495,28 +492,36 @@ class TestSmallHelpers:
         rows[rows.sum(axis=1) == 0.0, 0] = 1.0
         rows *= 1.0 + rng.uniform(-1e-12, 1e-12, (rows_count, 1))
         for u in (rng.random(rows_count), np.zeros(rows_count), np.full(rows_count, np.nextafter(1.0, 0.0))):
-            draws = sample_categorical(rows, u)
+            draws = sample_categorical(rows.T.copy(), u)
             assert np.all(rows[np.arange(rows_count), draws] > 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_categorical_refuses_non_finite_rows_and_uniforms(self, bad):
-        rows = np.full((6, 3), 1.0 / 3.0)
+        slabs = np.full((3, 6), 1.0 / 3.0)
         u = np.linspace(0.1, 0.9, 6)
-        rows[4, 1] = bad
+        slabs[1, 4] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sample_categorical(rows, u)
-        rows[4, 1] = 1.0 / 3.0
+            sample_categorical(slabs.copy(), u)
+        slabs[1, 4] = 1.0 / 3.0
         u[2] = bad
         with pytest.raises(ValueError, match="uniforms"):
-            sample_categorical(rows, u)
+            sample_categorical(slabs, u)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [-0.5, 0.25, 0.0]])
+    def test_sample_categorical_refuses_a_row_without_positive_total(self, row):
+        # no state can be drawn in proportion to masses that total 0 or less
+        slabs = np.full((3, 2), 1.0 / 3.0)
+        slabs[:, 1] = row
+        with pytest.raises(ValueError, match="non-positive total"):
+            sample_categorical(slabs, np.array([0.3, 0.9]))
 
     def test_sample_categorical_needs_one_uniform_per_row(self):
         with pytest.raises(ValueError, match="one uniform per row"):
-            sample_categorical(np.full((6, 3), 1.0 / 3.0), np.full(5, 0.5))
+            sample_categorical(np.full((3, 6), 1.0 / 3.0), np.full(5, 0.5))
 
     def test_sample_categorical_frequencies(self):
-        probs = np.tile([0.1, 0.2, 0.7], (30000, 1))
-        draws = sample_categorical(probs, np.random.default_rng(43).random(30000))
+        slabs = np.tile([[0.1], [0.2], [0.7]], (1, 30000))
+        draws = sample_categorical(slabs, np.random.default_rng(43).random(30000))
         freq = np.bincount(draws, minlength=3) / draws.size
         assert np.abs(freq - [0.1, 0.2, 0.7]).max() < 0.02
 

@@ -159,6 +159,13 @@ class TestElboEstimate:
             elbo_estimate(lambda xt, t: np.ones((xt.shape[0], 1, 3)), data, Q, SCHEDULE_UNIT,
                           ProductDistribution.uniform(3, 1), mc_samples, np.random.default_rng(0))
 
+    def test_eps_t_of_one_refused(self):
+        # every time would be T, and the score term weighted by T - eps_t = 0
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="0 < eps_t < 1"):
+            elbo_estimate(lambda xt, t: np.ones((xt.shape[0], 1, 3)), np.zeros((4, 1), dtype=np.int64), Q,
+                          SCHEDULE_UNIT, ProductDistribution.uniform(3, 1), 8, np.random.default_rng(0), eps_t=1.0)
+
     def test_report_identities_and_finiteness(self):
         rng = np.random.default_rng(523)
         n, d = 3, 2

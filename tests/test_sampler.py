@@ -249,7 +249,7 @@ class TestBlockedSteps:
         replay = np.random.default_rng(seed)
         x = draw_columns(terminal.probs, count, replay)
         probs = euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
-        assert np.array_equal(draws, sample_categorical(probs, replay.random((d, count)).T))
+        assert np.array_equal(draws, sample_categorical(np.moveaxis(probs, -1, 0).copy(), replay.random((d, count)).T))
         # the edge cases are all there: x sorted first (a(x) = 0), a zero
         # rate into x sorted later, and a stay mass clamped at 0
         at = (x, np.arange(d))

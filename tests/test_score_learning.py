@@ -377,10 +377,14 @@ class TestScoreEntropyLoss:
         with pytest.raises(ValueError):
             ScoreBatch(t=np.empty(0), x0=np.empty((0, 1)), xt=np.empty((0, 1)), eps_t=1e-3)
 
-    @pytest.mark.parametrize("t, eps_t", [(0.5, 0.0), (0.5, np.nan), (1e-4, 1e-3), (1.5, 1e-3), (np.nan, 1e-3)])
+    @pytest.mark.parametrize(
+        "t, eps_t", [(0.5, 0.0), (0.5, np.nan), (1e-4, 1e-3), (1.5, 1e-3), (np.nan, 1e-3), (1.0, 1.0)]
+    )
     def test_times_outside_eps_t_to_one_rejected(self, t, eps_t):
+        # the first time lies in [eps_t, 1] whenever eps_t does, so only the
+        # second time or eps_t itself is refused
         with pytest.raises(ValueError, match="eps_t <= t <= 1"):
-            ScoreBatch(t=[0.5, t], x0=[[0], [1]], xt=[[0], [1]], eps_t=eps_t)
+            ScoreBatch(t=[max(0.5, eps_t), t], x0=[[0], [1]], xt=[[0], [1]], eps_t=eps_t)
 
     def test_x0_and_xt_of_other_shapes_rejected(self):
         with pytest.raises(ValueError, match="x0 and xt"):

@@ -176,10 +176,20 @@ def test_fresh_run_is_a_resume_from_epoch_0(tmp_path, monkeypatch):
     assert restored == [0, 0]
 
 
+def test_rates_in_either_memory_order_give_one_gradient(tmp_path):
+    # at this shape the last bits of the matrix stage's gradient would move
+    # with the memory order of the rates, so they are frozen row-major
+    config = parse_config_text(f"n = 8\nd = 4\nseed = 1\nout_dir = {tmp_path}\n")
+    freqs = core.state_frequencies(load_dataset(config).samples, config.n)
+    _, schedule, Q, _, p0 = restore(training.initial_checkpoint(config, freqs))
+    by_column = jq_grad(core.FactorizedRateMatrix(Q.perm, np.asfortranarray(Q.a)), p0, freqs, schedule)
+    by_row = jq_grad(core.FactorizedRateMatrix(Q.perm, np.ascontiguousarray(Q.a)), p0, freqs, schedule)
+    assert by_column[0] == by_row[0] and np.array_equal(by_column[1], by_row[1])
+
+
 def test_epoch_0_rates_restore_as_built(tmp_path):
-    # at this shape the last bits of the matrix stage's gradient depend on
-    # the memory order of the rates, so a saved and restored epoch 0 must
-    # keep the order init_rate_matrices gives them
+    # a saved and restored epoch 0 gives the matrix stage the loss and
+    # gradient, to the last bit, of the rates init_rate_matrices builds
     config = parse_config_text(f"n = 8\nd = 4\nseed = 1\nout_dir = {tmp_path}\n")
     freqs = core.state_frequencies(load_dataset(config).samples, config.n)
     path = str(tmp_path / "epoch_0000.ckpt")
