@@ -17,7 +17,7 @@ array) bounds a ratio call's (rows, d*n) arrays in the bound and the reverse
 sampler; the score model cuts its own activations to it by its widest layer.
 A cache chunk (``CHUNK_ELEMENTS``, 512 KiB per array) keeps the temporaries
 of a chain of elementwise passes in L2: categorical, kernel and product
-draws, kernel rows, Euler rows and draws, score-entropy terms, and Adam.
+draws, kernel rows, reverse-step rows and draws, score-entropy terms, and Adam.
 Chunks never reorder floating-point operations, so results do not depend on
 their size; BLAS may round a matrix product's last bits by its row count,
 which memory blocks set. A distribution is a ``ProductDistribution``, one validated
@@ -144,8 +144,8 @@ class NoiseSchedule:
     sigma_max: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_min <= self.sigma_max):
-            raise ValueError("need 0 < sigma_min <= sigma_max")
+        if not (0.0 < self.sigma_min <= self.sigma_max < np.inf):
+            raise ValueError("need 0 < sigma_min <= sigma_max < inf")
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=np.float64)

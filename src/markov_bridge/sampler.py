@@ -1,16 +1,15 @@
-"""Reverse-time generation by explicit Euler steps on the reversed chain,
+"""Reverse-time generation by exact kernel steps on the reversed chain,
 plus the trajectory-averaged estimator of the data distribution.
 
-Each step draws its uniforms, then makes one ratio call, at the step's one
-time given as a scalar, per memory block of (rows, d*n) ratios; the ratio
-function bounds its own temporaries, and no (B, d, n) step row is built.
-Each cache chunk's unnormalized rows are written state-major, (n, rows, d):
-the mask "sorted before x" times the ratios times
-dt * sigma(t) * a(x), the rate into x, and the clamped stay mass at x.
-Comparing u times the row total with the running sums picks the state the
-normalized row would, up to rounding ties. A row total that overflows raises
-DivergenceError. The mu estimator averages the last step's normalized rows
-instead of sampling them: the same expectation and strictly lower variance.
+A step from t to s weights state y by the ratio at s times K_{s,t}[y, x],
+column x of exp((beta(t) - beta(s)) Q): over its entry at x, that is
+g(x) = -expm1(-(beta(t) - beta(s)) * a(x)), a(x) the rate into x, on the
+states sorted before x, 1 at x and 0 after. Each step makes one ratio call,
+at s, per memory block of (rows, d*n) ratios, and writes each cache chunk's
+unnormalized rows state-major, (n, rows, d), for one categorical draw. A row
+total that overflows raises DivergenceError. The mu estimator averages the
+last step's normalized rows instead of sampling them: the same expectation
+and strictly lower variance.
 """
 
 from __future__ import annotations
@@ -20,16 +19,15 @@ import numpy as np
 from .core import NoiseSchedule, ProductDistribution, block_index, draw_columns, row_blocks, sample_categorical
 from .errors import DivergenceError
 
-# Health counters read by name (perfbench's sampler.zero_rows). A row total
-# of finite, nonnegative ratios is always positive, so no row ever lands here.
-diagnostics = {"euler_zero_rows": 0}
+# Health counters read by name (perfbench's sampler.zero_rows); a row holds 1 at x, so none is zero.
+diagnostics = {"zero_rows": 0}
 
 
-def _euler_chunks(xt, t: float, dt: float, ratio_fn, Q, schedule: NoiseSchedule):
+def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
     """Yield (part, rows) for each cache chunk ``part`` of a (B, d) batch:
-    its unnormalized Euler rows, state-major (n, rows, d), in a reused buffer.
+    its unnormalized rows of the step from t to s, state-major (n, rows, d), reused.
 
-    ``ratio_fn(states, t) -> (rows, d, n)`` is called once per memory block,
+    ``ratio_fn(states, s) -> (rows, d, n)`` is called once per memory block,
     whose ratios are released before the next call. Non-finite or negative
     ratios, and finite ones so large that a row total overflows, raise
     DivergenceError. A chunk's states are read before it is yielded, so the
@@ -37,33 +35,33 @@ def _euler_chunks(xt, t: float, dt: float, ratio_fn, Q, schedule: NoiseSchedule)
     """
     # sorted slots, state-major, as the narrowest integers: quick contiguous compares
     order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n))
+    # column x of exp((beta(t) - beta(s)) Q) over its entry at x, on the states sorted before x
+    g = -np.expm1((schedule.beta(s) - schedule.beta(t)) * Q.state_rates)
     for block in row_blocks(xt.shape[0], Q.d * Q.n):
-        ratios = np.asarray(ratio_fn(xt[block], t), dtype=np.float64)
+        ratios = np.asarray(ratio_fn(xt[block], s), dtype=np.float64)
         at = block_index(xt[block], Q.d, Q.n)
         pos = np.take(Q.inv_perm, at).astype(order.dtype)
-        scale = np.take(Q.state_rates, at) * (schedule.sigma(t) * dt)
+        scale = np.take(g, at)
         # made after the ratio call, so as not to lie above its freed temporaries
         buf = np.empty(Q.n * Q.d * row_blocks(len(at), Q.d * Q.n, cache=True)[0].stop)
         mask = np.empty(buf.shape, dtype=bool)
         for chunk in row_blocks(len(at), Q.d * Q.n, cache=True):
             r = ratios[chunk]
             if not (r.min() >= 0.0 and r.max() < np.inf):
-                raise DivergenceError(f"non-finite or negative probability ratios at t={t:.6g}")
+                raise DivergenceError(f"non-finite or negative probability ratios at t={s:.6g}")
             # contiguous (n, rows, d) views of the reused buffers, the last chunk's too
             shape = (Q.n, r.shape[0], Q.d)
             below = np.less(order[:, None, :], pos[chunk], out=mask[: r.size].reshape(shape))
             rows = np.multiply(r.transpose(2, 0, 1), below, out=buf[: r.size].reshape(shape))
-            # an overflow shows up as a non-finite off-diagonal total, which raises below
+            rows *= scale[chunk]
+            # each weight is at most its finite ratio, so only the total can overflow
             with np.errstate(over="ignore"):
-                rows *= scale[chunk]
-                stay = rows.sum(axis=0)
-            if not np.isfinite(stay).all():
-                i = np.argwhere(~np.isfinite(stay))[0][1]
-                raise DivergenceError(f"Euler row total overflows at t={t:.6g}, dimension {i}")
-            # the clamped stay mass at x, whose own entry is masked to 0
-            stay = np.maximum(np.subtract(1.0, stay, out=stay), 0.0, out=stay)
+                total = rows.sum(axis=0)
+            if not np.isfinite(total).all():
+                i = np.argwhere(~np.isfinite(total))[0][1]
+                raise DivergenceError(f"row total overflows at t={s:.6g}, dimension {i}")
             part = slice(block.start + chunk.start, block.start + chunk.stop)
-            buf.put(xt[part] * stay.size + np.arange(stay.size).reshape(stay.shape), stay)
+            buf.put(xt[part] * total.size + np.arange(total.size).reshape(total.shape), 1.0)
             yield part, rows
         del ratios, r  # so that two blocks' ratios are never alive at once
 
@@ -78,15 +76,14 @@ def _grid_step(steps: int, eps_t: float) -> float:
 
 
 def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, count, steps, dt):
-    """Draw x_T from the terminal, then take ``steps`` sampled Euler steps."""
+    """Draw x_T from the terminal, then take ``steps`` sampled steps of ``dt``."""
     if count < 1:
         raise ValueError("need at least one trajectory")
     xt = draw_columns(terminal.probs, count, rng)
     for k in range(steps):
-        t = 1.0 - k * dt
         # dimension-major, so the generator is consumed one dimension at a time
         u = rng.random((terminal.d, count)).T
-        for part, rows in _euler_chunks(xt, t, dt, ratio_fn, Q, schedule):
+        for part, rows in _step_chunks(xt, 1.0 - k * dt, 1.0 - (k + 1) * dt, ratio_fn, Q, schedule):
             xt[part] = sample_categorical(rows, u[part])
     return xt
 
@@ -101,7 +98,7 @@ def generate(
     steps: int,
     eps_t: float,
 ) -> np.ndarray:
-    """Draw x_T from the terminal and run ``steps`` Euler steps down to eps_t.
+    """Draw x_T from the terminal and run ``steps`` reverse steps down to eps_t.
 
     ``ratio_fn(xt_batch, t) -> (B, d, n)`` supplies the probability ratios
     (a trained model or the exact oracle). Returns an (count, d) int array.
@@ -120,18 +117,16 @@ def estimate_mu(
     steps: int,
     eps_t: float,
 ) -> ProductDistribution:
-    """Average the final Euler categorical over M reverse trajectories.
+    """Average the final reverse step's categorical over M trajectories.
 
     Runs steps - 1 sampled steps from T, then takes the last step's full
     per-dimension distribution instead of sampling it, and averages across
     trajectories.
     """
     dt = _grid_step(steps, eps_t)
-    last = steps - 1
-    xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, last, dt)
-    t = 1.0 - last * dt
+    xt = _trajectories(terminal, Q, schedule, ratio_fn, rng, M, steps - 1, dt)
     total = np.zeros((Q.n, Q.d))
-    for _, rows in _euler_chunks(xt, t, dt, ratio_fn, Q, schedule):
+    for _, rows in _step_chunks(xt, 1.0 - (steps - 1) * dt, 1.0 - steps * dt, ratio_fn, Q, schedule):
         rows /= rows.sum(axis=0)
         # one sequential sum over all M rows, whatever the blocks and chunks
         rows[:, 0] += total

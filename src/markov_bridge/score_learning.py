@@ -260,8 +260,9 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
     of rows at a time; with ``d_out``, a (B, d, n) array, also the gradient
     of their mean in the pre-exp outputs, rate * (s - r) / B * (T - eps_t).
 
-    A chunk's target r comes from its kernel rows, the denominator floored.
-    ``d_out`` may be ``s`` itself: a chunk is read before it is overwritten.
+    A chunk's target r comes from its kernel rows, the denominator floored; a
+    negative ratio in ``s`` raises DivergenceError. ``d_out`` may be ``s``
+    itself: a chunk is read before it is overwritten.
     """
     B, d, n = s.shape
     sigmas = schedule.sigma(batch.t)
@@ -270,6 +271,9 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
     values = np.empty(B)
     for rows in row_blocks(B, d * n, cache=True):
         rc, sc = kernel_rows(Q, betas[rows], batch.x0[rows]), s[rows]
+        if sc.min() < 0.0:  # NaN compares false, and the terms' check below names it
+            b, i, y = np.argwhere(sc < 0.0)[0]
+            raise DivergenceError(f"negative ratio estimate at dim {i}, state {y}, t={batch.t[rows][b]:.6g}")
         rc /= np.maximum(np.take_along_axis(rc, batch.xt[rows, :, None], axis=2), RATIO_FLOOR)
         # rate * (s - r + r (ln r - ln s)), in place on two chunk temporaries
         terms = np.maximum(rc, RATIO_FLOOR)

@@ -2,13 +2,13 @@
 
 Everything here is deliberately written against dense matrices and brute
 force, not the package's closed-form eigen route, so agreement is meaningful.
-The one exception, :func:`euler_probs`, only reshapes the sampler's own rows.
+The one exception, :func:`step_probs`, only reshapes the sampler's own rows.
 """
 
 import numpy as np
 
 from markov_bridge import core
-from markov_bridge.sampler import _euler_chunks
+from markov_bridge.sampler import _step_chunks
 
 
 def taylor_expm(M, terms=45):
@@ -133,33 +133,6 @@ def joint_kernel_row(rows):
     return out
 
 
-def reverse_marginal_dense(terminal, dense_Q, schedule, eps_t, steps, ratio_of_t):
-    """Reverse-process marginal at eps_t by dense per-step matrix products.
-
-    ``ratio_of_t(t)`` must return the (n, n) matrix of ratios p_t(y)/p_t(x)
-    indexed [x, y]. Follows the same uniform grid and clamped Euler
-    categoricals as the production sampler, but entirely through dense
-    row-vector multiplications.
-    """
-    n = dense_Q.shape[0]
-    dt = (1.0 - eps_t) / steps
-    dist = np.asarray(terminal, dtype=np.float64).copy()
-    for k in range(steps):
-        t = 1.0 - k * dt
-        sigma = schedule.sigma(t)
-        ratios = ratio_of_t(t)
-        step_kernel = np.empty((n, n))
-        for x in range(n):
-            off = sigma * dense_Q[:, x] * ratios[x]
-            off[x] = 0.0
-            row = dt * off
-            row[x] = 1.0 - dt * off.sum()
-            np.clip(row, 0.0, None, out=row)
-            step_kernel[x] = row / row.sum()
-        dist = dist @ step_kernel
-    return dist
-
-
 def random_positive_vector(rng, n, floor_scale=0.15):
     """Dirichlet draw mixed with uniform mass so entries stay interior."""
     v = rng.dirichlet(np.ones(n)) * (1.0 - floor_scale) + floor_scale / n
@@ -173,14 +146,14 @@ def random_chain_arrays(rng, n, d, a_lo, a_hi):
     return np.stack([perm for perm, _ in chains]), np.stack([a for _, a in chains])
 
 
-def euler_probs(xt, t, dt, ratios, Q, schedule):
-    """Euler categoricals of one reverse step, shape (B, d, n): the sampler's
-    state-major chunk rows for the (B, d, n) ``ratios`` of a (B, d) batch,
-    normalized. The batch must fit one memory block, whose one ratio call
-    gets ``ratios``."""
+def step_probs(xt, t, s, ratios, Q, schedule):
+    """Categoricals of one reverse step from t to s, shape (B, d, n): the
+    sampler's state-major chunk rows for the (B, d, n) ``ratios`` of a (B, d)
+    batch, normalized. The batch must fit one memory block, whose one ratio
+    call gets ``ratios``."""
     xt = np.asarray(xt, dtype=np.int64)
     assert len(core.row_blocks(xt.shape[0], Q.d * Q.n)) == 1
     probs = np.empty(xt.shape + (Q.n,))
-    for part, rows in _euler_chunks(xt, t, dt, lambda states, s: ratios, Q, schedule):
+    for part, rows in _step_chunks(xt, t, s, lambda states, time: ratios, Q, schedule):
         probs[part] = (rows / rows.sum(axis=0)).transpose(1, 2, 0)
     return probs

@@ -354,7 +354,7 @@ class TestCliExitCodes:
         assert "no entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc, message", [
-        (DivergenceError("Euler row total overflows"), "runtime failure: Euler row total overflows"),
+        (DivergenceError("row total overflows"), "runtime failure: row total overflows"),
         (RuntimeError("boom"), "runtime failure: RuntimeError: boom"),
     ])
     def test_failure_inside_a_command_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys, exc, message):

@@ -21,7 +21,7 @@ from markov_bridge.matrix_learning import init_rate_matrices, jq_grad
 from markov_bridge.reference import materialize_dense
 from markov_bridge.score_learning import ScoreBatch
 
-from oracles import euler_probs, kernel_longdouble, taylor_expm
+from oracles import kernel_longdouble, step_probs, taylor_expm
 
 LN2 = np.log(2.0)
 
@@ -167,6 +167,12 @@ class TestNoiseSchedule:
                 schedule.beta(t)
             with pytest.raises(ValueError):
                 schedule.sigma(t)
+
+    @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (2.0, 1.0), (0.1, np.inf), (np.inf, np.inf), (0.1, np.nan)])
+    def test_invalid_sigmas_refused(self, sigmas):
+        # an infinite sigma_max once gave sigma(0.0) = nan
+        with pytest.raises(ValueError, match="sigma_min <= sigma_max < inf"):
+            NoiseSchedule(*sigmas)
 
     def test_monotone(self):
         schedule = NoiseSchedule(sigma_min=0.2, sigma_max=4.0)
@@ -424,7 +430,7 @@ class TestReverseRateRow:
         Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
         schedule = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
         with pytest.raises(DivergenceError):
-            euler_probs(np.array([[1]]), 0.5, 0.1, np.array([[[-1.0, 1.0]]]), Q, schedule)
+            step_probs(np.array([[1]]), 0.5, 0.4, np.array([[[-1.0, 1.0]]]), Q, schedule)
 
 
 class TestSmallHelpers:
@@ -445,14 +451,14 @@ class TestSmallHelpers:
 
     @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
     def test_sample_categorical_stack_matches_calls_in_turn(self, scheme):
-        # the sampler's one draw per step on the (B, d, n) Euler rows, with
+        # the sampler's one draw per step on the (B, d, n) reverse-step rows, with
         # uniforms drawn dimension-major as one draw per dimension would
         rng = np.random.default_rng(45)
         n, d, B = 7, 5, 300
         Q = init_chain(rng, n, d, scheme)
         xt = rng.integers(0, n, size=(B, d))
         ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
-        rows = euler_probs(xt, 0.8, 0.3, ratios, Q, NoiseSchedule())
+        rows = step_probs(xt, 0.8, 0.5, ratios, Q, NoiseSchedule())
         once = sample_categorical(np.moveaxis(rows, -1, 0).copy(), np.random.default_rng(7).random((d, B)).T)
         gen = np.random.default_rng(7)
         in_turn = [sample_categorical(np.moveaxis(rows[:, i], -1, 0).copy(), gen.random(B)) for i in range(d)]

@@ -1,4 +1,4 @@
-"""Reverse Euler sampling, the mu estimator, and the TV metric."""
+"""Reverse sampling by exact kernel steps, the mu estimator, and the TV metric."""
 
 import tracemalloc
 
@@ -23,15 +23,15 @@ from markov_bridge.matrix_learning import predict_terminal
 from markov_bridge.reference import materialize_dense
 from markov_bridge.solver import exact_rate_matrices
 
-from oracles import euler_probs, random_chain_arrays, tv_distance
+from oracles import random_chain_arrays, step_probs, taylor_expm, tv_distance
 
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
 # (rate, n): finite ratios of 1e308 into the sorted-last state overflow the
-# Euler step of dt = 0.5. Rates of 2.5 overflow each entry, so the row would
-# come out NaN; rates of 0.3 overflow only the row total, so the row would
-# come out all zero.
-OVERFLOW = [(2.5, 3), (0.3, 16)]
+# row total of the step from T to 0.5 though no weight does, each being its
+# ratio times -expm1(-0.5 * rate) < 1: a few large weights, or many small ones.
+# The row would come out all zero.
+OVERFLOW = [(2.5, 4), (0.3, 16)]
 
 
 def oracle_system(rng, n, sigma_max=10.0):
@@ -71,26 +71,29 @@ class TestSamplerArguments:
 
 
 class TestEulerReverseStep:
-    """The batched Euler categoricals of one reverse step."""
+    """The batched categoricals of one exact reverse step. The class keeps the
+    name of the first-order step it used to test, so that test ids stay."""
 
     def test_dt_zero_returns_xt(self):
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
         xt = np.arange(3)[:, None]
-        probs = euler_probs(xt, 0.5, 0.0, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
+        probs = step_probs(xt, 0.5, 0.5, np.ones((3, 1, 3)), Q, SCHEDULE_UNIT)
         assert np.array_equal(probs[:, 0, :], np.eye(3))
 
     def test_two_state_move_probability(self):
-        # reversed row at x=1 is (1, -1); dt = 0.1 moves with probability 0.1
+        # column 1 of exp(0.5 Q) is (1 - e^-0.5, 1): with unit ratios the
+        # step from 1 to 0.5 weights a move by -expm1(-0.5) against 1 to stay
         Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
-        probs = euler_probs(np.array([[1]]), 0.5, 0.1, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
-        assert probs[0, 0, 0] == 0.1
-        assert probs[0, 0, 1] == 0.9
+        probs = step_probs(np.array([[1]]), 1.0, 0.5, np.ones((1, 1, 2)), Q, SCHEDULE_UNIT)
+        move = -np.expm1(-0.5)
+        assert probs[0, 0, 0] == pytest.approx(move / (1.0 + move), rel=1e-15)
+        assert probs[0, 0, 1] == pytest.approx(1.0 / (1.0 + move), rel=1e-15)
 
     def test_zero_ratios_stay(self):
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 2.0]])
         ratios = np.zeros((1, 1, 3))
         ratios[0, 0, 1] = 1.0
-        probs = euler_probs(np.array([[1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
+        probs = step_probs(np.array([[1]]), 0.7, 0.5, ratios, Q, SCHEDULE_UNIT)
         assert np.array_equal(probs[0, 0], [0.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -99,30 +102,29 @@ class TestEulerReverseStep:
         ratios = np.ones((2, 1, 3))
         ratios[1, 0, 2] = bad
         with pytest.raises(DivergenceError):
-            euler_probs(np.array([[0], [1]]), 0.7, 0.2, ratios, Q, SCHEDULE_UNIT)
+            step_probs(np.array([[0], [1]]), 0.7, 0.5, ratios, Q, SCHEDULE_UNIT)
 
     @pytest.mark.parametrize("rate, n", OVERFLOW)
     def test_overflowing_row_rejected(self, rate, n):
         Q = FactorizedRateMatrix(np.arange(n)[None, :], np.full((1, n - 1), rate))
         with pytest.raises(DivergenceError, match="overflows"):
-            euler_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
+            step_probs(np.array([[n - 1]]), 1.0, 0.5, np.full((1, 1, n), 1e308), Q, SCHEDULE_UNIT)
 
     def test_matches_batched_path(self):
-        # per-tuple reference built from the dense generator's columns
+        # per-tuple reference: the ratios times column x of a dense series
+        # kernel over the step, the ratio of x to itself being 1
         rng = np.random.default_rng(409)
         n, d = 5, 3
         Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.2, 2.0))
         xt = rng.integers(0, n, size=(1, d))
         ratios = rng.uniform(0.1, 3.0, size=(1, d, n))
-        probs = euler_probs(xt, 0.6, 0.05, ratios, Q, SCHEDULE_UNIT)
+        probs = step_probs(xt, 0.6, 0.45, ratios, Q, SCHEDULE_UNIT)
+        dbeta = SCHEDULE_UNIT.beta(0.6) - SCHEDULE_UNIT.beta(0.45)
         for i in range(d):
             x = int(xt[0, i])
-            off = SCHEDULE_UNIT.sigma(0.6) * materialize_dense(Q)[i][:, x] * ratios[0, i]
-            off[x] = 0.0
-            row = 0.05 * off
-            row[x] = 1.0 - row.sum()
-            np.clip(row, 0.0, None, out=row)
-            assert np.allclose(probs[0, i], row / row.sum(), atol=1e-14)
+            row = taylor_expm(dbeta * materialize_dense(Q)[i])[:, x] * ratios[0, i]
+            row[x] /= ratios[0, i, x]
+            np.testing.assert_allclose(probs[0, i], row / row.sum(), rtol=0.0, atol=1e-14)
 
     def test_categoricals_are_valid(self):
         rng = np.random.default_rng(419)
@@ -131,9 +133,28 @@ class TestEulerReverseStep:
             Q = FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0, 2, (1, n - 1)))
             xt = rng.integers(0, n, size=(8, 1))
             ratios = rng.uniform(0.0, 4.0, size=(8, 1, n))
-            probs = euler_probs(xt, 0.8, rng.uniform(0.0, 0.5), ratios, Q, SCHEDULE_UNIT)
+            probs = step_probs(xt, 0.8, rng.uniform(0.3, 0.8), ratios, Q, SCHEDULE_UNIT)
             assert probs.min() >= 0.0
             assert np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_one_step_from_T_with_oracle_ratios_is_exact(self):
+        # every state of every dimension in one batch, stepped from T to eps_t
+        # with the exact ratios of a product truth and averaged over x_T by
+        # the terminal, lands on the truth evolved to eps_t
+        rng = np.random.default_rng(487)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 28)), int(rng.integers(1, 9))
+            mu = ProductDistribution(rng.dirichlet(np.ones(n), size=d) * 0.8 + 0.2 / n)
+            Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+            schedule = NoiseSchedule(sigma_min=0.1, sigma_max=rng.uniform(0.5, 5.0))
+            eps_t = 1e-3
+            xt = np.repeat(np.arange(n)[:, None], d, axis=1)
+            ratios = oracle_ratio_fn(mu, Q, schedule)(xt, eps_t)
+            probs = step_probs(xt, 1.0, eps_t, ratios, Q, schedule)
+            terminal = evolve_rows(mu.probs, Q, schedule.beta(1.0))[0]
+            got = np.einsum("ix,xiy->iy", terminal, probs)
+            want = evolve_rows(mu.probs, Q, schedule.beta(eps_t))[0]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestGenerate:
@@ -154,7 +175,7 @@ class TestGenerate:
         assert np.array_equal(a, b)
 
     def test_terminal_draw_is_one_choice_per_dimension(self):
-        # zero ratios: every Euler step keeps its state, so generate returns x_T
+        # zero ratios: every step keeps its state, so generate returns x_T
         rng = np.random.default_rng(443)
         n, d, count = 27, 6, 300
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
@@ -173,6 +194,20 @@ class TestGenerate:
         with pytest.raises(DivergenceError, match="overflows"):
             generate(terminal, Q, SCHEDULE_UNIT, huge, np.random.default_rng(5), 4, 1, 0.5)
 
+    def test_ratio_calls_at_destination_times(self):
+        # step k runs from 1 - k dt to 1 - (k + 1) dt, and asks for ratios at the latter
+        rng = np.random.default_rng(491)
+        mu, Q, schedule, terminal = oracle_system(rng, 5)
+        oracle = oracle_ratio_fn(mu, Q, schedule)
+        calls = []
+        fn = lambda xt, t: calls.append(t) or oracle(xt, t)
+        for steps in (1, 4):
+            calls.clear()
+            generate(terminal, Q, schedule, fn, rng, 50, steps, 1e-3)
+            dt = (1.0 - 1e-3) / steps
+            assert calls == pytest.approx([1.0 - (k + 1) * dt for k in range(steps)], rel=0.0, abs=1e-15)
+            assert calls[-1] == pytest.approx(1e-3, rel=1e-12)
+
     def test_oracle_reversal_recovers_target(self):
         rng = np.random.default_rng(433)
         mu, Q, schedule, terminal = oracle_system(rng, 8)
@@ -187,10 +222,11 @@ class TestEstimateMu:
         mu, Q, schedule, terminal = oracle_system(rng, 4)
         fn = oracle_ratio_fn(mu, Q, schedule)
         est = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(3), 1, 1, 0.5)
-        # reproduce by hand: one terminal draw, one full categorical at t = T
+        # reproduce by hand: one terminal draw, one full categorical from T
+        # to 0.5 with the ratios at its destination
         draw_rng = np.random.default_rng(3)
         xt = np.array([[np.searchsorted(np.cumsum(terminal.probs[0]), draw_rng.random())]])
-        probs = euler_probs(xt, 1.0, 0.5, fn(xt, 1.0), Q, schedule)
+        probs = step_probs(xt, 1.0, 0.5, fn(xt, 0.5), Q, schedule)
         assert np.allclose(est.probs[0], probs[0, 0] / probs[0, 0].sum(), atol=1e-12)
 
     def test_frozen_chain_returns_terminal(self):
@@ -214,6 +250,21 @@ class TestEstimateMu:
         est = estimate_mu(terminal, Q, schedule, oracle_ratio_fn(mu, Q, schedule), rng, 4096, 128, 1e-3)
         err = np.abs(est.probs[0] - mu.probs[0]).max()
         assert err <= 0.02
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_oracle_accuracy_in_few_steps(self, steps):
+        # exact steps need no fine grid: one or two land on p_eps up to Monte
+        # Carlo noise, where first-order (Euler) steps read TV 0.14 and 0.07
+        n, d, M = 27, 8, 20000
+        mu = ProductDistribution(synthetic_ground_truth(n, d, seed=3).probs * 0.9 + 0.1 / n)
+        schedule = NoiseSchedule()
+        Q_unit = exact_rate_matrices(ProductDistribution.uniform(n, d), mu)
+        Q = Q_unit.replace_a(Q_unit.a / schedule.beta(1.0))
+        terminal = ProductDistribution(evolve_rows(mu.probs, Q, schedule.beta(1.0))[0])
+        fn = oracle_ratio_fn(mu, Q, schedule)
+        est = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(steps), M, steps, 1e-3)
+        p_eps = evolve_rows(mu.probs, Q, schedule.beta(1e-3))[0]
+        assert max(tv_distance(est.probs[i], p_eps[i]) for i in range(d)) <= 0.02
 
     def test_valid_product_distribution(self):
         rng = np.random.default_rng(449)
@@ -248,16 +299,16 @@ class TestBlockedSteps:
         draws = sampler._trajectories(terminal, Q, SCHEDULE_UNIT, ratio_fn, np.random.default_rng(seed), count, 1, dt)
         replay = np.random.default_rng(seed)
         x = draw_columns(terminal.probs, count, replay)
-        probs = euler_probs(x, 1.0, dt, ratio_fn(x, 1.0), Q, SCHEDULE_UNIT)
+        probs = step_probs(x, 1.0, 1.0 - dt, ratio_fn(x, 1.0 - dt), Q, SCHEDULE_UNIT)
         assert np.array_equal(draws, sample_categorical(np.moveaxis(probs, -1, 0).copy(), replay.random((d, count)).T))
         # the edge cases are all there: x sorted first (a(x) = 0), a zero
-        # rate into x sorted later, and a stay mass clamped at 0
+        # rate into x sorted later, and a row likelier to move than to stay
         at = (x, np.arange(d))
         pos, rate = Q.inv_perm.T[at], Q.state_rates.T[at]
         assert (pos == 0).any() and ((rate == 0.0) & (pos > 0)).any()
-        out_mass = dt * rate * np.where(Q.inv_perm[None] < pos[:, :, None], ratio_fn(x, 1.0), 0.0).sum(axis=2)
+        move = -np.expm1(-dt * rate) * np.where(Q.inv_perm[None] < pos[:, :, None], ratio_fn(x, 1.0), 0.0).sum(axis=2)
         if eps_t == 0.5:
-            assert (out_mass > 1.0).any()
+            assert (move > 1.0).any()
         if eps_t == 1.0:  # dt = 0
             assert np.array_equal(draws, x)
 

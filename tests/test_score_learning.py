@@ -346,6 +346,18 @@ class TestScoreEntropyLoss:
         with pytest.raises(DivergenceError, match="non-finite score-entropy term at dim 0, state 1, t=0.25"):
             score_entropy_loss(nan_at, batch, Q, SCHEDULE_UNIT)
 
+    def test_negative_ratio_estimate_raises_naming_the_entry(self):
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 1.0]])
+        batch = ScoreBatch(t=[0.5, 0.25], x0=[[2], [2]], xt=[[2], [2]], eps_t=1e-3)
+
+        def negative_at(xt, t):
+            s = np.ones((2, 1, 3))
+            s[1, 0, 0] = -1e-300
+            return s
+
+        with pytest.raises(DivergenceError, match="negative ratio estimate at dim 0, state 0, t=0.25"):
+            score_entropy_loss(negative_at, batch, Q, SCHEDULE_UNIT)
+
     def test_scaled_ratio_contribution(self):
         # s = e * r shifts every active term to rate * r * (e - 2)
         rng = np.random.default_rng(337)

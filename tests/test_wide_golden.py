@@ -27,74 +27,74 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz_"
 
 # generate(count=64, steps=4, eps_t=1e-3) with rng seed 11, one row per draw
 GOLDEN_DRAWS = [
-    "rn_wavwnffuhwxzcflwxmwwxq_vswhuj",
-    "rnlmavdnffuhwcrcblwxowznl_tsrhhz",
-    "rnemavdnffuhwyzcbmwxmdwnlpfhrhjj",
-    "rnemavdnffuhwnzcnlwpmwwxl_iswhjz",
-    "fnlmavdnfguiewzubmwxmwenl_fsrhjj",
-    "rn_mavdiffuhwyzcbmwpcwwxl_fsrebi",
-    "rn_lavdoffuhwczhblwxmrknqefsthoj",
-    "rcemmvdnffuhxcqcfmwpmwwnl_izrhjz",
-    "rn_mavdnfnuhwyzcbjwxmwwxllfhwzuj",
-    "rn_wmvdzfhuhxnzcbmwxmycx__fsrhjz",
-    "rn_mavdnfguhwyzcfmwxmwexq_rswwjz",
-    "jn_mmvdzofu_wxzcbmkymwwhl_tsuhjj",
-    "rnlmavtnffuhwnzcqlwsmwwnq_fsthjj",
-    "rn_majdffguhwxzcbmwfmqknn_fswhjj",
-    "rr_mavdnfnuhwyzcqmwxmqwhlpivweji",
-    "rr_mv_dnftuhenzcbmwxmqwxl_fbrhji",
-    "rr_mavdnfguheyzcbmwxadwnloiorhjj",
-    "en_mavdnffuhwyucbmwxmwwxq_fswhja",
-    "znemavdnfwuhwnvcfewxmwsxq_fsthhz",
-    "rn_whvdnffuhwxzcfmwxmqwnl_f_rhjj",
-    "rnlmavdnfguhwxzcbmwxnwwxq_frrejz",
-    "rn_mavtnfguhwcncfmlxmwkhlqfhwhji",
-    "rrquavdnffuheyzcbmwxmwwnl_i_rhjz",
-    "rn_mavdnfguhwyzcqmkxjrwnq_tswhjj",
-    "rn_mavonffuhwxzcfmwkmwkxt_lsrhkz",
-    "rn_mavteffuawyucqmwxmasxlhfsrhjj",
-    "rc_mavdnfguhwnzcbmwxmqwxl_iswhjz",
-    "rn_mvvdnfguhwczcfmwxmwknlhfswhjz",
-    "rnlwavdnfgj_wdzcbmwxmaknl_i_thjp",
-    "jn_mavd_fgohwczcfjwxmwwnl_ihthjj",
-    "rneqavwnfguhenzhbmwbmwwh__f_rhjj",
-    "rj_mavdofguhwyuublwpmwwxl_fnwhhi",
-    "rnemagd_ffuhjnzcbmdxmrcxqefsrhjj",
-    "rn_baednfnuhzczufmkxmwwhlefowhjz",
-    "rnemmvdnffuhwyvcfmwxmdwnl_isrhjy",
-    "rc_mavdnffuheczcbmdxmwknl_iswhjz",
-    "rrewavdnfguhwyzcsmwxmwwxl_fhwhjz",
-    "rn_mmvdnffuhwnzcbmwxodwxn_fhwhhz",
-    "rn_mavdxffuhknzcbmwkmqwxq_fsuhkj",
-    "rc_ma_t_fgtheyzcbmwxmwwhl_imwhjj",
-    "rn_mm_dofgjhwyzcbmwxmrwnlhfnwhoj",
-    "rnemavdn_guiewzcflwfmwsxl_isghjj",
-    "rn_mavdnftuhwxzcbmwxmwkklzfnweji",
-    "rnsmavdnfguhwczcbmlxpwwhl_v_lhji",
-    "rn_mavdnfftheyvcfmxpmawhl_fhrhjj",
-    "fn_mavdnffjhwczcbmkxmwwnq_fsrhjj",
-    "rn_mavdnfguhex_cbmkxmwwnl_fstmjj",
-    "gn_mavon_njhwyzcbmwxmqwhl_isrhjj",
-    "rr_mzvdoffuhwozcbmwpmwknl_fsrhjz",
-    "rn_mavdzffudwxrcfmwxmwwxqhfhthji",
-    "fnqmavtnfguhxxzcbmwxmwcxl_fhrhjj",
-    "rn_ma_dnfguheczubmwknwwxlhfswhjz",
-    "rn_ma_d_fguhwyzcbmwxmwkh__lsrhjj",
-    "rn_mcvdoffthjczcnmwpmqwxl_fhrmbz",
-    "rr_ma_dnfgjhwizcbmwxmqwxl_fmrzjz",
-    "rn_mavdnftuhwczcbmwxmwwhlffsrhjy",
-    "rn_mmvdnfgudwxzcbmdkmwwxlufnwhjj",
-    "rn_mmvqnfgudwyzcbmwxmqkxl_isrwjz",
-    "rn_mavonfguhewzcbmkxmqwnl_tsrhjm",
-    "rcegavdnfguhwxuhbvwymwsxl_fswhjj",
-    "rr_mavtnfgudwcucbmwxmqwhlffsrrjj",
-    "ra_mavdnffjhwczcqmkxmwcnl_fnrzjz",
-    "jr_mavdnffqheozubmwxmqwnl_fsuhjj",
-    "jnemjvdnfguhexzcqmwxkwkll_fnrhjj",
+    "rm_uavwzmhs_wxscqbkymywxn_v_wzli",
+    "drlmavtz_gjhwchcfjuxqqkxl_rsrsjz",
+    "rnelavoofgudwozcbmwkmawhlhrnrmjj",
+    "rjemavtajfwdwyzhqmwfjqsnlpfswmuv",
+    "rnnwvvdnfnuyen_cblwxmwkhlpf_wejj",
+    "rnlmavonjfjdwxrcbplkcwwh__fsrhjp",
+    "frlbvjqnfnuheizcbjwxlwenqefsrhum",
+    "wglmmhtnfguhwcicfmwxmawnl_lrrhjz",
+    "rc_mavdzjnudxnzcbawimqwxlofhtxoz",
+    "rn_wzvdzfjwgxizufmwknwfl__fhghhi",
+    "zn_qmvdnfguhxczcqmuxmrfxq_fswujz",
+    "gv_mmvdnofjhwxzcfmwpnywhl_isthjz",
+    "rnlwagonffwgwnuuqjkfmwwnqpisrmjp",
+    "wn_mmvdnfgjhxxzcblwkmdjxlovhwhhm",
+    "rnvmavdnftudwy_csmwsmqwn_hsrrhji",
+    "orqmz_dnfntgjnzcbmkxodwnlhrerioy",
+    "rc_wagdojguheyzcfmwkadwnlhtsumjj",
+    "hr_lahdofguhwivcbmwkjywnlhfswhjj",
+    "rnemavdzfyudwnvhuenxjroxn_rstzhz",
+    "rc_wj_dojgugwxrhqmwxppfll_isrhfz",
+    "rnema_dnjfu_extcfmwxnwzxl_ihahjz",
+    "rnemavtnfguawchfillimwchnjihwwui",
+    "rcmmm_dnfgqheyufbmwxmwshl_i_rmuz",
+    "rnlwavomfguhwc_cqmkpjpwlq_rsrhjj",
+    "ra_uavtnjfuhwxvrnudimrjxl_frrhhj",
+    "rnkua_dnffugjxucfmupnakn_eiswmtk",
+    "rnlmavdnfgndwnucbmwpmdwx__lswhhz",
+    "rn_mzvd_jgfiecucnjwkcrsllhfhwhjz",
+    "rneumvqnmguywizubmwkmacllzinrhjp",
+    "rnemm_t_jguhwc_cscwklwwnlpisrhjz",
+    "rnema_tnfnwhjcrubmwfmqwhl_isrzki",
+    "rr_ma_dnjgu_wcuufmwymrwn__fowhdm",
+    "fnlmavdnfgjdkxzcqldkopcnqeisrihz",
+    "zn_ljednfnjdxnvuimbfmwwkbhfxwtjj",
+    "rnemzgo__fjhzmucbmkxjawhlofhrhuy",
+    "rcllqvtnofuhenrcflwxmwfnl_isthjz",
+    "jnluavtofgu_wyzcumkpmqkxlpomwhdz",
+    "rc_mcfdzffuhjnucbmwxmdwxbefhwhoi",
+    "rn_uavdxfgmhknucfmwpmrwxl_rmumjj",
+    "rr_waeonjguhewzhbjwxowwh__imwwjj",
+    "rc_mveonfihdwyucbmkknywnl_fnuzjz",
+    "rnlmm_yzhpuhexzrqjlpmwfx_hforhhj",
+    "rr_uavwnfnuhjxhcbmwbnwknlffnweji",
+    "srlumvonhfuhwczrbmnpxwwhl_xmrmdi",
+    "rn_wavtojfuhew_fqlwkmawh__isthui",
+    "fi_mj_defgqhxdrcfmkpmwjxq_fstmkj",
+    "frsmcvoxfnjdex_cbmkxnqwnq_rorhhi",
+    "rnnmmvqi_wjhjyzcnjdxmwwd__fhlzjj",
+    "rcswvvtnffq_wezcbmkxmrcnlffsrhjz",
+    "rn_wmjdnffqdwxrhnlukpqwx_hierhji",
+    "oclmmvtnfguiwyucbmwpmwcdqpfhnztj",
+    "jn_mavdojhuhjcuhqwlknrknnhtswhjz",
+    "fn_umvbn_gu_wnzcqmkkmwkhl_tsumhz",
+    "jiemawtoffudwcrcqmwbmrkxlpfnrzhz",
+    "fn_mpjdnjgudxizhblwkmqwxl_fmrwjd",
+    "rnlwmhdzfnuhxcvcbmwxmwwelhf_thhy",
+    "rn_mvytnffudwxzubmwxnwshqpfhwhjj",
+    "rr_mtvonfeudxihcbmwxmrehl_isrsjz",
+    "jnewa_onfgudewzcbmlpnqcnn_tnrhuz",
+    "rnejaedzfgtdlnrbfpbxmrwxq_iowhjm",
+    "jn_mjvwnfgudwircblwkmdwxlffswsjz",
+    "jcewavdnafuhwnzdnmbkmycll_tnrmuj",
+    "jc_mavtnfgsheuzsfmkxmqwxqpfsrhjj",
+    "jremmvdnfeuhexuhqmkxnwcelhfhrhja",
 ]
 
 # sha256 of the bytes of estimate_mu(M=1500, steps=4, eps_t=1e-3).probs with rng seed 17
-GOLDEN_P0_SHA256 = "e6bb6e91ed70a8542199447f09db4f26172dfcf72c7322d111109a21b20f3a09"
+GOLDEN_P0_SHA256 = "5f751f04ec3d9e2b0478001f4ee5a1d4ae0460967d3bf68fee9aa5ee63176220"
 
 # elbo_estimate(mc_samples=256) with rng seed 13
 GOLDEN_J_SCORE = 4307.611540032509
