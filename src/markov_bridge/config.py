@@ -76,11 +76,12 @@ class RunConfig:
             "score_batch_size",
             "sampler_steps",
             "mu_trajectories",
-            "mc_samples",
             "synthetic_samples",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.mc_samples < 2:  # the bound's standard error needs two draws
+            raise ConfigError("mc_samples must be >= 2")
         if not self.score_hidden or any(width < 1 for width in self.score_hidden):
             raise ConfigError("score_hidden needs at least one width, each >= 1")
         if self.seed < 0:

@@ -8,8 +8,11 @@ lambda_j = -(a_ij + ... + a_i,n-2) and lambda_{n-1} = 0 against the all-ones
 upper-triangular eigenbasis, so exp(beta * Q_i) has a closed form assembled
 in O(n^2), written once, in ``_sorted_rows``, as nonnegative elementwise
 terms that keep full relative accuracy at tiny rates. Only this module knows
-the sorted-slot layout: callers pass and get arrays by state. Every
-operation takes all d chains at once.
+the sorted-slot layout: it builds every closed form, and callers pass and get
+arrays by state. The reverse sampler and the score loss mask the generator's
+column x with the per-state arrays ``inv_perm`` and ``state_rates`` alone:
+the rate into x on the states whose ``inv_perm`` is below x's, 0 elsewhere.
+Every operation takes all d chains at once.
 
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
@@ -287,23 +290,6 @@ def block_index(xt, d: int, n: int) -> np.ndarray:
     if xt.size and (xt.min() < 0 or xt.max() >= n):
         raise ValueError(f"states must lie in [0, {n})")
     return xt + n * np.arange(d)
-
-
-def rate_columns(Q: FactorizedRateMatrix, sigmas, xt) -> np.ndarray:
-    """Off-diagonal rates into each state: sigma_b * Q_i[y, x_bi], 0 at y = x_bi.
-
-    Column x of a generator is the constant a[pos(x) - 1] on the sorted slots
-    before pos(x) and 0 after it, so no dense matrix is built: each (b, i)
-    takes one product sigma_b * state_rates[i, x_bi], spread over the states
-    that sort before x_bi. ``xt`` is (B, d), one column per chain;
-    ``sigmas`` is a scalar or one value per row. Shape (B, d, n).
-    """
-    at = block_index(xt, Q.d, Q.n)
-    rates = np.take(Q.state_rates, at) * np.reshape(np.asarray(sigmas, dtype=np.float64), (-1, 1))
-    # 1 or 0 times a finite nonnegative rate: the rate itself, or +0.0
-    out = np.less(Q.inv_perm, np.take(Q.inv_perm, at)[:, :, None]).astype(np.float64)
-    out *= rates[:, :, None]
-    return out
 
 
 def state_frequencies(samples, n: int) -> np.ndarray:

@@ -37,7 +37,6 @@ from .core import (
     evolve_rows,
     kernel_draw,
     kernel_rows,
-    rate_columns,
     row_blocks,
 )
 from .errors import DegenerateStateError, DivergenceError
@@ -260,6 +259,10 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
     of rows at a time; with ``d_out``, a (B, d, n) array, also the gradient
     of their mean in the pre-exp outputs, rate * (s - r) / B * (T - eps_t).
 
+    The rate is column x_t of sigma(t) Q_i off its diagonal: one value,
+    sigma(t) times ``Q.state_rates`` at x_t (the rate into x_t), on the
+    states sorted before x_t and 0 elsewhere, applied as a boolean mask and a
+    (rows, d) factor. States outside [0, n) are refused before any gather.
     A chunk's target r comes from its kernel rows, the denominator floored; a
     negative ratio in ``s`` raises DivergenceError. ``d_out`` may be ``s``
     itself: a chunk is read before it is overwritten.
@@ -270,11 +273,12 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
     weight = 1.0 - batch.eps_t
     values = np.empty(B)
     for rows in row_blocks(B, d * n, cache=True):
+        at = block_index(batch.xt[rows], d, n)  # refuses states outside [0, n) before any gather
         rc, sc = kernel_rows(Q, betas[rows], batch.x0[rows]), s[rows]
         if sc.min() < 0.0:  # NaN compares false, and the terms' check below names it
             b, i, y = np.argwhere(sc < 0.0)[0]
             raise DivergenceError(f"negative ratio estimate at dim {i}, state {y}, t={batch.t[rows][b]:.6g}")
-        rc /= np.maximum(np.take_along_axis(rc, batch.xt[rows, :, None], axis=2), RATIO_FLOOR)
+        rc /= np.maximum(np.take_along_axis(rc.reshape(len(at), -1), at, axis=1), RATIO_FLOOR)[:, :, None]
         # rate * (s - r + r (ln r - ln s)), in place on two chunk temporaries
         terms = np.maximum(rc, RATIO_FLOOR)
         np.log(terms, out=terms)
@@ -284,8 +288,10 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
         terms += np.subtract(sc, rc, out=diff)
         # each term is a Bregman divergence, so negatives can only be roundoff
         np.clip(terms, 0.0, None, out=terms)
-        rates = rate_columns(Q, sigmas[rows], batch.xt[rows])
-        terms *= rates
+        rate = np.take(Q.state_rates, at) * sigmas[rows, None]
+        below = Q.inv_perm < np.take(Q.inv_perm, at)[:, :, None]
+        terms *= below
+        terms *= rate[:, :, None]
         if not np.isfinite(terms).all():
             b, i, y = np.argwhere(~np.isfinite(terms))[0]
             raise DivergenceError(
@@ -294,7 +300,7 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
         values[rows] = weight * terms.sum(axis=(1, 2))
         if d_out is not None:
             # d(term)/d(pre-exp output) = rate * (s - r) via the exp head
-            grad = np.multiply(weight / B, rates, out=d_out[rows])
+            grad = np.multiply(below, (weight / B) * rate[:, :, None], out=d_out[rows])
             grad *= diff
     return values
 

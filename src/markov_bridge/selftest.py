@@ -14,8 +14,9 @@ from .core import (
     state_frequencies,
     transition_kernel,
 )
-from .matrix_learning import jq_grad
+from .matrix_learning import jq_grad, predict_terminal
 from .reference import materialize_dense, taylor_expm
+from .sampler import _step_chunks
 from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
 from .solver import exact_rate_matrices
 
@@ -92,6 +93,23 @@ def run_selftest() -> bool:
         denom = max(np.abs(fd).max(), 1e-8)
         ok_grad = ok_grad and np.abs(grad[0] - fd).max() / denom < 1e-4
     checks.append(("matrix-loss gradient vs finite differences", ok_grad, ""))
+
+    # with exact ratios, one step from T of every state, weighted by the
+    # terminal, is the data marginal evolved to eps_t
+    worst = 0.0
+    d, eps_t = 3, 1e-3
+    for _ in range(5):
+        n = int(rng.integers(2, 13))
+        Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.2, 2.0, (d, n - 1)))
+        mu = ProductDistribution(rng.dirichlet(np.ones(n), size=d) * 0.9 + 0.1 / n)
+        states = np.repeat(np.arange(n)[:, None], d, axis=1)
+        terminal = predict_terminal(Q, mu, schedule).probs
+        got = np.zeros((d, n))
+        for part, rows in _step_chunks(states, 1.0, eps_t, oracle_ratio_fn(mu, Q, schedule), Q, schedule):
+            got += np.einsum("ybi,ib->iy", rows / rows.sum(axis=0), terminal[:, part])
+        want = evolve_rows(mu.probs, Q, schedule.beta(eps_t))[0]
+        worst = max(worst, float(np.abs(got - want).max()))
+    checks.append(("exact reverse step from T (5 chains)", worst <= 1e-12, f"max-abs {worst:.3g}"))
 
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail else ""

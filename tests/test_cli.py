@@ -331,6 +331,14 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: corpus has 10 distinct bytes but n = 4")
 
+    def test_train_with_one_monte_carlo_sample_is_bad_input(self, tmp_path, capsys):
+        # refused before any work, not after a whole epoch
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"n = 4\nd = 2\nmc_samples = 1\nout_dir = {tmp_path / 'run'}\n", encoding="utf-8")
+        assert cli(["train", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: mc_samples must be >= 2")
+        assert not (tmp_path / "run").exists()
+
     def test_solve(self, tmp_path, capsys):
         (tmp_path / "p.txt").write_text("0.2 0.3 0.5\n", encoding="utf-8")
         (tmp_path / "q.txt").write_text("0.5 0.25 0.25\n", encoding="utf-8")
@@ -428,4 +436,4 @@ class TestCliExitCodes:
     def test_selftest_passes(self, capsys):
         assert cli(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.count("[PASS]") == 6
+        assert "FAIL" not in out and out.count("[PASS]") == 7

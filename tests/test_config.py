@@ -72,6 +72,12 @@ def test_non_finite_floats_and_negative_seed_refused(key, value):
         RunConfig(**{key: value}).validate()
 
 
+def test_fewer_than_two_monte_carlo_samples_refused():
+    with pytest.raises(ConfigError, match="mc_samples must be >= 2"):
+        RunConfig(mc_samples=1).validate()
+    assert RunConfig(mc_samples=2).validate().mc_samples == 2
+
+
 def test_corpus_path_that_does_not_exist_is_refused(tmp_path):
     with pytest.raises(ConfigError, match="does not exist"):
         RunConfig(dataset="char_corpus", corpus_path=str(tmp_path / "absent.txt")).validate()

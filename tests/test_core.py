@@ -15,7 +15,7 @@ from markov_bridge import (
 )
 from markov_bridge import core
 from markov_bridge.checkpoint import Checkpoint
-from markov_bridge.core import rate_columns, row_kl_sum, sample_categorical, state_frequencies
+from markov_bridge.core import row_kl_sum, sample_categorical, state_frequencies
 from markov_bridge.data import Dataset
 from markov_bridge.matrix_learning import init_rate_matrices, jq_grad
 from markov_bridge.reference import materialize_dense
@@ -119,18 +119,16 @@ class TestChainsMatchOneRowObjects:
         slices = [FactorizedRateMatrix(Q.perm[i:i + 1], Q.a[i:i + 1]) for i in range(d)]
         return rng, Q, slices, B
 
-    def test_kernels_marginals_and_rate_columns_bit_for_bit(self, system):
+    def test_kernels_and_marginals_bit_for_bit(self, system):
         rng, Q, slices, B = system
         betas = rng.uniform(0.0, 4.0, B)
         states = rng.integers(0, Q.n, size=(B, Q.d))
         p = rng.dirichlet(np.ones(Q.n), size=Q.d)
         rows = kernel_rows(Q, betas, states)
         marginals = evolve_rows(p, Q, betas)
-        cols = rate_columns(Q, betas, states)
         for i, one in enumerate(slices):
             assert np.array_equal(rows[:, i], kernel_rows(one, betas, states[:, i:i + 1])[:, 0])
             assert np.array_equal(marginals[:, i], evolve_rows(p[i:i + 1], one, betas)[:, 0])
-            assert np.array_equal(cols[:, i], rate_columns(one, betas, states[:, i:i + 1])[:, 0])
 
     def test_gradient_rows_and_row_kl_sum(self, system):
         # one pass over all chains sums in another order than one call per chain
@@ -371,60 +369,8 @@ class TestEvolve:
 
 
 class TestReverseRateRow:
-    """Rates into the current state, the off-diagonal part of the reversed row."""
-
-    def test_uniform_ratios_transpose(self):
-        # with ratio 1 everywhere the reversed row is sigma times column x of Q
-        rng = np.random.default_rng(37)
-        Q = random_matrix(rng, n=5)
-        dense = materialize_dense(Q)[0]
-        sigma = 1.7
-        cols = rate_columns(Q, sigma, np.arange(5)[:, None])[:, 0]
-        for x in range(5):
-            expected = sigma * dense[:, x].copy()
-            expected[x] = 0.0
-            assert np.array_equal(cols[x], expected)
-
-    def test_per_state_sigmas(self):
-        rng = np.random.default_rng(39)
-        Q = random_matrix(rng, n=6)
-        states = rng.integers(0, 6, 10)
-        sigmas = rng.uniform(0.1, 3.0, 10)
-        cols = rate_columns(Q, sigmas, states[:, None])[:, 0]
-        expected = sigmas[:, None] * materialize_dense(Q)[0].T[states]
-        expected[np.arange(10), states] = 0.0
-        assert np.array_equal(cols, expected)
-
-    def test_two_state_ratio_example(self):
-        Q = FactorizedRateMatrix([[0, 1]], [[1.0]])
-        row = rate_columns(Q, 1.0, [[1]])[0, 0] * np.array([2.0, 1.0])
-        assert np.array_equal(row, [2.0, 0.0])
-
-    def test_zero_ratios_zero_flux(self):
-        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
-        ratios = np.zeros(3)
-        ratios[1] = 1.0
-        row = rate_columns(Q, 2.0, [[1]])[0, 0] * ratios
-        assert np.all(row == 0.0)
-
-    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small"])
-    def test_all_dimensions_match_dense_columns(self, scheme):
-        rng = np.random.default_rng(43)
-        n, d, B = 9, 6, 40
-        Q = init_chain(rng, n, d, scheme)
-        xt = rng.integers(0, n, size=(B, d))
-        sigmas = rng.uniform(0.1, 3.0, B)
-        cols = rate_columns(Q, sigmas, xt)
-        assert cols.shape == (B, d, n)
-        for i, dense in enumerate(materialize_dense(Q)):
-            np.fill_diagonal(dense, 0.0)
-            assert np.array_equal(cols[:, i], sigmas[:, None] * dense.T[xt[:, i]])
-
-    @pytest.mark.parametrize("xt", [[[0, 3]], [[-1, 0]], [[0, 1, 2]]])
-    def test_state_rows_outside_the_chain_refused(self, xt):
-        Q = FactorizedRateMatrix([[0, 1, 2]] * 2, [[1.0, 0.5]] * 2)
-        with pytest.raises(ValueError):
-            rate_columns(Q, 1.0, xt)
+    """The reversed row refuses a negative ratio; the rates into the current
+    state are checked against dense generator columns in the score loss's tests."""
 
     def test_negative_ratio_rejected(self):
         Q = FactorizedRateMatrix([[0, 1]], [[1.0]])

@@ -22,6 +22,7 @@ from markov_bridge import (
 )
 from markov_bridge import core, evaluation, score_learning
 from markov_bridge.core import kernel_draw
+from markov_bridge.matrix_learning import init_rate_matrices
 from markov_bridge.reference import materialize_dense
 
 from oracles import random_chain_arrays
@@ -119,6 +120,33 @@ class TestOneKernelRowPass:
                     logs = np.log(np.maximum(r, 1e-12)) - np.log(s[b, i])
                     want += float(np.sum(rate * (s[b, i] - r + r * logs)))
                 assert got[b] == pytest.approx(want * (1.0 - 1e-3), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("scheme", ["absorbing_text", "uniform_small", "random"])
+    def test_rate_factor_is_the_dense_generator_column(self, scheme):
+        # values and output gradient against sigma(t) times column x_t of the
+        # dense generator, its diagonal zeroed; the init schemes hold zero rates
+        rng = np.random.default_rng(43)
+        n, d, B = 9, 6, 40
+        perms = np.stack([rng.permutation(n) for _ in range(d)])
+        if scheme == "random":
+            Q = FactorizedRateMatrix(perms, rng.uniform(0.0, 2.0, (d, n - 1)))
+        else:
+            Q = init_rate_matrices(perms, scheme)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
+        batch = make_score_batch(rng.integers(0, n, size=(B, d)), Q, schedule, rng)
+        s = rng.uniform(0.1, 3.0, size=(B, d, n))
+        grad = np.empty_like(s)
+        values = score_learning._per_sample_values(s, batch, Q, schedule, d_out=grad)
+        rate = materialize_dense(Q)[np.arange(d)[None, :], :, batch.xt]
+        np.put_along_axis(rate, batch.xt[:, :, None], 0.0, axis=2)
+        rate *= schedule.sigma(batch.t)[:, None, None]
+        rows = core.kernel_rows(Q, schedule.beta(batch.t), batch.x0)
+        r = rows / np.maximum(np.take_along_axis(rows, batch.xt[:, :, None], axis=2), 1e-12)
+        weight = 1.0 - batch.eps_t
+        assert np.array_equal(grad, weight / B * rate * (s - r))
+        logs = np.log(np.maximum(r, 1e-12)) - np.log(s)
+        want = weight * np.sum(rate * (s - r + r * logs), axis=(1, 2))
+        assert values == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_kernel_rows_built_once_per_cache_chunk(self, monkeypatch):
         calls = []
@@ -401,6 +429,15 @@ class TestScoreEntropyLoss:
     def test_x0_and_xt_of_other_shapes_rejected(self):
         with pytest.raises(ValueError, match="x0 and xt"):
             ScoreBatch(t=[0.5], x0=[[0, 1]], xt=[[0]], eps_t=1e-3)
+
+    @pytest.mark.parametrize("xt, message", [([3], "states must lie in"), ([-1], "states must lie in"),
+                                             ([0, 1], "state rows must hold d=1")], ids=["n", "minus_one", "long_row"])
+    def test_xt_outside_the_chain_refused_before_any_gather(self, xt, message):
+        # without the check, 3 is an out-of-bounds index and -1 wraps to state 2
+        Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 0.5]])
+        batch = ScoreBatch(t=[0.5], x0=[[0] * len(xt)], xt=[xt], eps_t=1e-3)
+        with pytest.raises(ValueError, match=message):
+            score_learning._per_sample_values(np.ones((1, 1, 3)), batch, Q, NoiseSchedule())
 
     def test_pointwise_bregman_nonnegative(self):
         # the integrand term s - r + r (ln r - ln s) is a Bregman divergence:

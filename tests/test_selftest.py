@@ -25,6 +25,14 @@ def faster_rates(fn):
     return solve
 
 
+def squared_rows(fn):
+    def chunks(*args):
+        for part, rows in fn(*args):
+            yield part, rows * rows
+
+    return chunks
+
+
 BREAKAGES = {
     "kernel vs series oracle": ("transition_kernel", lambda fn: scaled(fn, 1.0 + 1e-6)),
     "bridge round trip": ("exact_rate_matrices", faster_rates),
@@ -35,6 +43,7 @@ BREAKAGES = {
     ),
     "score loss positive once perturbed": ("score_entropy_loss", lambda fn: lambda *args, **kwargs: 0.0),
     "matrix-loss gradient vs finite differences": ("jq_grad", lambda fn: scaled_gradient(fn, 2.0)),
+    "exact reverse step from T": ("_step_chunks", squared_rows),
 }
 
 
