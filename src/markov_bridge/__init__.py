@@ -30,7 +30,7 @@ from .score_learning import (
     ScoreModel,
     make_score_batch,
     oracle_ratio_fn,
-    score_entropy_loss,
+    score_entropy_values,
     score_learning_loop,
     score_loss_and_grad,
 )

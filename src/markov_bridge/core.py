@@ -266,11 +266,14 @@ def evolve_rows(p, Q: FactorizedRateMatrix, betas) -> np.ndarray:
     :func:`_sorted_rows` in state order with the masses p and, before each
     state, the mass of p sorted before it; O(B d n). Row sums are conserved,
     so unnormalized nonnegative inputs are fine. A negative or non-finite
-    beta raises ValueError.
+    mass or beta raises ValueError.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (Q.d, Q.n):
         raise ValueError(f"p must have shape (d, n) = {(Q.d, Q.n)}")
+    # NaN fails both comparisons
+    if not np.all((p >= 0.0) & (p < np.inf)):
+        raise ValueError("masses must be finite and nonnegative")
     betas = _check_betas(betas)[:, None, None]
     c = np.cumsum(np.take_along_axis(p, Q.perm, axis=1)[:, :-1], axis=1)
     before = np.take_along_axis(np.concatenate((np.zeros((Q.d, 1)), c), axis=1), Q.inv_perm, axis=1)
@@ -312,8 +315,9 @@ def row_kl_sum(Q: FactorizedRateMatrix, beta: float, freqs, targets) -> tuple:
     frequency. Row k's loss depends on e_j (j >= k) through d(loss)/d(e_j) =
     w_j - w_{j+1}, w the log ratio, and d(lambda_j)/d(a_k) = -1 for j <= k.
     Both the matrix-stage loss and the bound's KL term; ``freqs`` and
-    ``targets`` must be (d, n).
+    ``targets`` must be (d, n). A negative or non-finite beta raises ValueError.
     """
+    (beta,) = _check_betas(beta)
     freqs = np.asarray(freqs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     d, n = Q.d, Q.n

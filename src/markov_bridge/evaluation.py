@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, ProductDistribution, row_blocks, row_kl_sum, state_frequencies
+from .core import NoiseSchedule, ProductDistribution, row_kl_sum, state_frequencies
 from .errors import DivergenceError
-from .score_learning import DEFAULT_EPS_T, ScoreBatch, _per_sample_values, make_score_batch
+from .score_learning import DEFAULT_EPS_T, make_score_batch, score_entropy_values
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ def elbo_estimate(
     The score term is estimated with mc_samples iid draws (x0 uniform from
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
     the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
-    returns (B, d, n) ratio estimates. All draws are one score batch, scored
-    one memory block of (rows, d*n) ratios at a time, so memory is
-    O(mc_samples * d) plus a few blocks. The standard error covers the score term only.
+    returns (B, d, n) ratio estimates. All draws are one score batch, scored by
+    ``score_entropy_values``, the training objective's one estimator, so memory
+    is O(mc_samples * d) plus a few blocks. The standard error covers the score term only.
     """
     data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
     if data.size == 0:
@@ -71,10 +71,7 @@ def elbo_estimate(
         raise ValueError("need at least 2 Monte Carlo samples")
     picks = rng.integers(0, data.shape[0], size=mc_samples)
     batch = make_score_batch(data[picks], Q, schedule, rng, eps_t)
-    values = np.empty(mc_samples)
-    for rows in row_blocks(mc_samples, Q.d * Q.n):
-        part = ScoreBatch(batch.t[rows], batch.x0[rows], batch.xt[rows], eps_t)
-        values[rows] = _per_sample_values(ratio_fn(part.xt, part.t), part, Q, schedule)
+    values = score_entropy_values(ratio_fn, batch, Q, schedule)
     mean = float(values.sum()) / mc_samples
     var = max(float((values**2).sum()) / mc_samples - mean**2, 0.0)
     se = float(np.sqrt(var / mc_samples))

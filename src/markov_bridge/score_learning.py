@@ -17,9 +17,9 @@ Adam update in place over a parameter's memory. No operation is reordered,
 so results do not depend on the chunk size. A training step's matrix
 products take the whole batch; ``forward_batch`` takes memory blocks.
 
-Everything works on batches: ratio estimators are functions
-``(xt_batch, t) -> (B, d, n)`` such as ``ScoreModel.forward_batch`` or
-:func:`oracle_ratio_fn`, and single tuples are batches of one.
+Everything works on batches: ratio estimators ``(xt_batch, t) -> (B, d, n)``
+such as ``ScoreModel.forward_batch`` or :func:`oracle_ratio_fn` are scored by
+the one estimator, :func:`score_entropy_values`; single tuples are batches of one.
 """
 
 from __future__ import annotations
@@ -305,10 +305,13 @@ def _per_sample_values(s, batch: ScoreBatch, Q, schedule: NoiseSchedule, d_out=N
     return values
 
 
-def score_entropy_loss(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule) -> float:
-    """Monte Carlo estimate of the score-entropy objective; always >= 0."""
-    values = _per_sample_values(ratio_fn(batch.xt, batch.t), batch, Q, schedule)
-    return float(values.mean())
+def score_entropy_values(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule) -> np.ndarray:
+    """Per-draw score-entropy values (B,), each >= 0: one ``ratio_fn`` call per memory block of ratios."""
+    values = np.empty(batch.size)
+    for rows in row_blocks(batch.size, Q.d * Q.n):
+        part = ScoreBatch(batch.t[rows], batch.x0[rows], batch.xt[rows], batch.eps_t)
+        values[rows] = _per_sample_values(ratio_fn(part.xt, part.t), part, Q, schedule)
+    return values
 
 
 def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule):

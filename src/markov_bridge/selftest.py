@@ -17,7 +17,7 @@ from .core import (
 from .matrix_learning import jq_grad, predict_terminal
 from .reference import materialize_dense, taylor_expm
 from .sampler import _step_chunks
-from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_loss
+from .score_learning import make_score_batch, oracle_ratio_fn, score_entropy_values
 from .solver import exact_rate_matrices
 
 
@@ -74,9 +74,9 @@ def run_selftest() -> bool:
         x0 = int(Q.perm[0, 0])
         batch = make_score_batch(np.full((16, 1), x0, dtype=np.int64), Q, schedule, rng)
         oracle = oracle_ratio_fn(_point_mass(n, x0), Q, schedule)
-        loss = score_entropy_loss(oracle, batch, Q, schedule)
+        loss = score_entropy_values(oracle, batch, Q, schedule).mean()
         worst = max(worst, loss)
-        bumped = score_entropy_loss(lambda xt, t: np.e * oracle(xt, t), batch, Q, schedule)
+        bumped = score_entropy_values(lambda xt, t: np.e * oracle(xt, t), batch, Q, schedule).mean()
         perturbed_ok = perturbed_ok and bumped > 0.0
     checks.append(("score loss at the exact ratio (20 batches)", worst <= 1e-10, f"max {worst:.3g}"))
     checks.append(("score loss positive once perturbed", perturbed_ok, ""))

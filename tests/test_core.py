@@ -235,6 +235,8 @@ class TestTransitionKernel:
                 evolve_rows([[0.2, 0.3, 0.5]], Q, betas)
         with pytest.raises(ValueError, match="beta"):
             transition_kernel(Q, beta)
+        with pytest.raises(ValueError, match="beta"):
+            row_kl_sum(Q, beta, [[0.2, 0.3, 0.5]], [[0.3, 0.3, 0.4]])
 
 
 class TestKernelRows:
@@ -253,6 +255,13 @@ class TestKernelRows:
         for p in ([[0.2, 0.3, 0.5]], np.full((2, 4), 0.25)):
             with pytest.raises(ValueError, match="shape"):
                 evolve_rows(p, Q, 0.5)
+
+    @pytest.mark.parametrize("p", [[[np.nan, 0.5, 0.5]], [[-0.5, 1.0, 0.5]], [[np.inf, 0.0, 0.0]]])
+    def test_evolve_rows_refuses_bad_masses(self, p):
+        # these gave [[nan, nan, 0.193]], [[-0.193, 1, 0.193]] and [[inf, inf, 0]]
+        Q = FactorizedRateMatrix([[2, 0, 1]], [[0.7, 1.2]])
+        with pytest.raises(ValueError, match="masses"):
+            evolve_rows(p, Q, 0.5)
 
     def test_evolve_rows_matches_evolve(self):
         # the telescoped marginals equal p pushed through the full kernel

@@ -16,7 +16,9 @@ from markov_bridge import (
     elbo_estimate,
     evolve_rows,
     kl_term,
+    make_score_batch,
     oracle_ratio_fn,
+    score_entropy_values,
     transition_kernel,
 )
 from markov_bridge import core
@@ -256,6 +258,19 @@ class TestRowBlocks:
         for chunk_rows in (1, 7, mc):
             monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
             assert estimate() == one
+
+    def test_score_term_is_the_estimators_mean(self, monkeypatch):
+        # the bound scores its draws with the training objective's estimator
+        rng = np.random.default_rng(561)
+        n, d, mc = 6, 4, 500
+        Q, model, data = self.system(rng, n, d)
+        schedule = NoiseSchedule(sigma_min=0.3, sigma_max=3.0)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 150 * d * n)
+        report = elbo_estimate(model.forward_batch, data, Q, schedule, ProductDistribution.uniform(n, d), mc,
+                               np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        batch = make_score_batch(data[draws.integers(0, len(data), size=mc)], Q, schedule, draws)
+        assert report.j_score == score_entropy_values(model.forward_batch, batch, Q, schedule).mean()
 
     def test_memory_set_by_the_block_budget(self):
         # at n=27, d=64 one (mc, d, n) array of 4096 draws is 57 MB, and an

@@ -15,7 +15,7 @@ from markov_bridge import (
     ScoreModel,
     make_score_batch,
     oracle_ratio_fn,
-    score_entropy_loss,
+    score_entropy_values,
     score_learning_loop,
     score_loss_and_grad,
     transition_kernel,
@@ -164,7 +164,7 @@ class TestOneKernelRowPass:
         monkeypatch.setattr(core, "CHUNK_ELEMENTS", 6 * d * n)
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert calls == [6, 6, 4]
-        score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
+        score_entropy_values(model.forward_batch, batch, Q, SCHEDULE_UNIT).mean()
         assert calls == [6, 6, 4] * 2
         # the bound: one batch of draws, then each block's chunks
         calls.clear()
@@ -359,7 +359,7 @@ class TestScoreEntropyLoss:
             x0_val = int(rng.integers(0, n))
             mu = point_mass(n, x0_val)
             batch = make_score_batch(np.full((16, 1), x0_val, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
-            loss = score_entropy_loss(oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), batch, Q, SCHEDULE_UNIT)
+            loss = score_entropy_values(oracle_ratio_fn(mu, Q, SCHEDULE_UNIT), batch, Q, SCHEDULE_UNIT).mean()
             assert 0.0 <= loss <= 1e-10
 
     def test_non_finite_ratio_estimate_raises_naming_the_entry(self):
@@ -372,7 +372,7 @@ class TestScoreEntropyLoss:
             return s
 
         with pytest.raises(DivergenceError, match="non-finite score-entropy term at dim 0, state 1, t=0.25"):
-            score_entropy_loss(nan_at, batch, Q, SCHEDULE_UNIT)
+            score_entropy_values(nan_at, batch, Q, SCHEDULE_UNIT).mean()
 
     def test_negative_ratio_estimate_raises_naming_the_entry(self):
         Q = FactorizedRateMatrix([[0, 1, 2]], [[1.0, 1.0]])
@@ -384,7 +384,7 @@ class TestScoreEntropyLoss:
             return s
 
         with pytest.raises(DivergenceError, match="negative ratio estimate at dim 0, state 0, t=0.25"):
-            score_entropy_loss(negative_at, batch, Q, SCHEDULE_UNIT)
+            score_entropy_values(negative_at, batch, Q, SCHEDULE_UNIT).mean()
 
     def test_scaled_ratio_contribution(self):
         # s = e * r shifts every active term to rate * r * (e - 2)
@@ -396,7 +396,7 @@ class TestScoreEntropyLoss:
         batch = make_score_batch(np.full((64, 1), x0_val, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
         oracle = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)
         scaled = lambda xt, t: np.e * oracle(xt, t)
-        loss = score_entropy_loss(scaled, batch, Q, SCHEDULE_UNIT)
+        loss = score_entropy_values(scaled, batch, Q, SCHEDULE_UNIT).mean()
         # independent accumulation of rate * r * (e - 2)
         dense = materialize_dense(Q)[0]
         expected = 0.0
@@ -412,6 +412,21 @@ class TestScoreEntropyLoss:
         expected /= batch.size
         assert loss == pytest.approx(expected, rel=1e-9)
         assert loss > 0.0
+
+    def test_memory_set_by_the_block_budget(self):
+        # at the text8 shape one (B, d, n) array of 2048 draws is 108 MiB; the
+        # estimator holds one memory block of ratios and its chunks at a time
+        rng = np.random.default_rng(353)
+        n, d, B = 27, 256, 2048
+        Q = random_chain(rng, n, d=d)
+        batch = make_score_batch(rng.integers(0, n, size=(B, d)), Q, NoiseSchedule(), rng)
+        tracemalloc.start()
+        try:
+            score_entropy_values(lambda xt, t: np.ones((len(xt), d, n)), batch, Q, NoiseSchedule())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * core.BLOCK_ELEMENTS * 8
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -461,9 +476,9 @@ class TestScoreEntropyLoss:
         x0 = rng.choice(n, size=(4096, 1), p=mu.probs[0]).astype(np.int64)
         batch = make_score_batch(x0, Q, SCHEDULE_UNIT, rng)
         oracle = oracle_ratio_fn(mu, Q, SCHEDULE_UNIT)
-        base = score_entropy_loss(oracle, batch, Q, SCHEDULE_UNIT)
-        up = score_entropy_loss(lambda xt, t: np.e * oracle(xt, t), batch, Q, SCHEDULE_UNIT)
-        down = score_entropy_loss(lambda xt, t: oracle(xt, t) / np.e, batch, Q, SCHEDULE_UNIT)
+        base = score_entropy_values(oracle, batch, Q, SCHEDULE_UNIT).mean()
+        up = score_entropy_values(lambda xt, t: np.e * oracle(xt, t), batch, Q, SCHEDULE_UNIT).mean()
+        down = score_entropy_values(lambda xt, t: oracle(xt, t) / np.e, batch, Q, SCHEDULE_UNIT).mean()
         assert base > 0.0
         assert up > base and down > base
 
@@ -481,7 +496,7 @@ class TestScoreEntropyLoss:
             means = []
             for _ in range(chunks):
                 batch = make_score_batch(np.full((chunk, 1), 1, dtype=np.int64), Q, SCHEDULE_UNIT, rng)
-                means.append(score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT))
+                means.append(score_entropy_values(model.forward_batch, batch, Q, SCHEDULE_UNIT).mean())
             means = np.asarray(means)
             return means.mean(), means.std(ddof=1) / np.sqrt(chunks)
 
@@ -523,9 +538,9 @@ class TestScoreGrad:
                     idx = it.multi_index
                     orig = param[idx]
                     param[idx] = orig + h
-                    up = score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
+                    up = score_entropy_values(model.forward_batch, batch, Q, SCHEDULE_UNIT).mean()
                     param[idx] = orig - h
-                    down = score_entropy_loss(model.forward_batch, batch, Q, SCHEDULE_UNIT)
+                    down = score_entropy_values(model.forward_batch, batch, Q, SCHEDULE_UNIT).mean()
                     param[idx] = orig
                     fd = (up - down) / (2 * h)
                     worst_abs = max(worst_abs, abs(fd - grad[idx]))
@@ -570,7 +585,7 @@ class TestCacheChunks:
             assert loss == one[0]
             for got, want in zip(grad_w + grad_b, one[1] + one[2]):
                 assert np.array_equal(got, want)
-            assert score_entropy_loss(model.forward_batch, batch, Q, NoiseSchedule()) == loss
+            assert score_entropy_values(model.forward_batch, batch, Q, NoiseSchedule()).mean() == loss
 
     def test_weight_gradients_share_their_weights_layout(self):
         rng = np.random.default_rng(403)
@@ -706,7 +721,7 @@ class TestScoreLearningLoop:
 
         def big_loss(fn):
             losses = [
-                score_entropy_loss(fn, next(_batch_stream(eval_rng, n, 1, Q, mu, 16384, schedule)), Q, schedule)
+                score_entropy_values(fn, next(_batch_stream(eval_rng, n, 1, Q, mu, 16384, schedule)), Q, schedule).mean()
                 for _ in range(4)
             ]
             return float(np.mean(losses))

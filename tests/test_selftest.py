@@ -41,7 +41,7 @@ BREAKAGES = {
         "oracle_ratio_fn",
         lambda fn: lambda *args: scaled(fn(*args), 1.5),
     ),
-    "score loss positive once perturbed": ("score_entropy_loss", lambda fn: lambda *args, **kwargs: 0.0),
+    "score loss positive once perturbed": ("score_entropy_values", lambda fn: scaled(fn, 0.0)),
     "matrix-loss gradient vs finite differences": ("jq_grad", lambda fn: scaled_gradient(fn, 2.0)),
     "exact reverse step from T": ("_step_chunks", squared_rows),
 }
