@@ -17,7 +17,8 @@ Every operation takes all d chains at once.
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
 array) bounds a ratio call's (rows, d*n) arrays in the bound and the reverse
-sampler; the score model cuts its own activations to it by its widest layer.
+sampler, whose call gets only a block's distinct states; the score model cuts
+its own activations to it by its widest layer.
 A cache chunk (``CHUNK_ELEMENTS``, 512 KiB per array) keeps the temporaries
 of a chain of elementwise passes in L2: categorical, kernel and product
 draws, kernel rows, reverse-step rows and draws, score-entropy terms, and Adam.

@@ -5,8 +5,10 @@ A step from t to s weights state y by the ratio at s times K_{s,t}[y, x],
 column x of exp((beta(t) - beta(s)) Q): over its entry at x, that is
 g(x) = -expm1(-(beta(t) - beta(s)) * a(x)), a(x) the rate into x, on the
 states sorted before x, 1 at x and 0 after. Each step makes one ratio call,
-at s, per memory block of (rows, d*n) ratios, and writes each cache chunk's
-unnormalized rows state-major, (n, rows, d), for one categorical draw. A row
+at s, per memory block of (rows, d*n) ratios, on the block's distinct states:
+a ratio depends only on the state and the time, and trajectories on a small
+state space meet. It writes each cache chunk's unnormalized rows state-major,
+(n, rows, d), gathering their ratios by state, for one categorical draw. A row
 total that overflows raises DivergenceError. The mu estimator averages the
 last step's normalized rows instead of sampling them: the same expectation
 and strictly lower variance.
@@ -28,7 +30,8 @@ def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
     its unnormalized rows of the step from t to s, state-major (n, rows, d), reused.
 
     ``ratio_fn(states, s) -> (rows, d, n)`` is called once per memory block,
-    whose ratios are released before the next call. Non-finite or negative
+    on its distinct states (the block itself, in order, when none repeats),
+    and its ratios are released before the next call. Non-finite or negative
     ratios, and finite ones so large that a row total overflows, raise
     DivergenceError. A chunk's states are read before it is yielded, so the
     caller may overwrite them.
@@ -38,15 +41,20 @@ def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
     # column x of exp((beta(t) - beta(s)) Q) over its entry at x, on the states sorted before x
     g = -np.expm1((schedule.beta(s) - schedule.beta(t)) * Q.state_rates)
     for block in row_blocks(xt.shape[0], Q.d * Q.n):
-        ratios = np.asarray(ratio_fn(xt[block], s), dtype=np.float64)
-        at = block_index(xt[block], Q.d, Q.n)
+        x = xt[block]
+        # each row as one item of its states' bytes, as the narrowest integers: an exact key
+        keys = x.astype(order.dtype).view(np.dtype((np.void, Q.d * order.itemsize))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        repeats = len(first) < len(x)
+        ratios = np.asarray(ratio_fn(x[first] if repeats else x, s), dtype=np.float64)
+        at = block_index(x, Q.d, Q.n)
         pos = np.take(Q.inv_perm, at).astype(order.dtype)
         scale = np.take(g, at)
         # made after the ratio call, so as not to lie above its freed temporaries
         buf = np.empty(Q.n * Q.d * row_blocks(len(at), Q.d * Q.n, cache=True)[0].stop)
         mask = np.empty(buf.shape, dtype=bool)
         for chunk in row_blocks(len(at), Q.d * Q.n, cache=True):
-            r = ratios[chunk]
+            r = ratios[inverse[chunk]] if repeats else ratios[chunk]
             if not (r.min() >= 0.0 and r.max() < np.inf):
                 raise DivergenceError(f"non-finite or negative probability ratios at t={s:.6g}")
             # contiguous (n, rows, d) views of the reused buffers, the last chunk's too

@@ -7,7 +7,6 @@ The one exception, :func:`step_probs`, only reshapes the sampler's own rows.
 
 import numpy as np
 
-from markov_bridge import core
 from markov_bridge.sampler import _step_chunks
 
 
@@ -149,11 +148,20 @@ def random_chain_arrays(rng, n, d, a_lo, a_hi):
 def step_probs(xt, t, s, ratios, Q, schedule):
     """Categoricals of one reverse step from t to s, shape (B, d, n): the
     sampler's state-major chunk rows for the (B, d, n) ``ratios`` of a (B, d)
-    batch, normalized. The batch must fit one memory block, whose one ratio
-    call gets ``ratios``."""
+    batch, normalized. The sampler scores each distinct state once, so rows
+    that hold the same states must hold the same ratios, and each state a
+    ratio call gets is looked up among the batch's rows."""
     xt = np.asarray(xt, dtype=np.int64)
-    assert len(core.row_blocks(xt.shape[0], Q.d * Q.n)) == 1
+    ratios = np.asarray(ratios, dtype=np.float64)
+    first = (xt[:, None, :] == xt[None, :, :]).all(axis=2).argmax(axis=1)
+    assert np.array_equal(ratios[first], ratios, equal_nan=True), "ratios must be a function of the states"
+
+    def lookup(states, time):
+        same = (states[:, None, :] == xt[None, :, :]).all(axis=2)
+        assert same.any(axis=1).all(), "a ratio call got a state outside the batch"
+        return ratios[same.argmax(axis=1)]
+
     probs = np.empty(xt.shape + (Q.n,))
-    for part, rows in _step_chunks(xt, t, s, lambda states, time: ratios, Q, schedule):
+    for part, rows in _step_chunks(xt, t, s, lookup, Q, schedule):
         probs[part] = (rows / rows.sum(axis=0)).transpose(1, 2, 0)
     return probs

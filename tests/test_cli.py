@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import sys
 import zipfile
 from pathlib import Path
 
@@ -393,6 +394,15 @@ class TestCliExitCodes:
         assert cli(["solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no bridge from ") and message in err
+
+    @pytest.mark.parametrize("p, code", [("0.2 0.3 0.5", 0), ("0.5 0.6", 1)])
+    def test_main_exits_with_the_code_of_its_command(self, tmp_path, capsys, monkeypatch, p, code):
+        (tmp_path / "p.txt").write_text(p + "\n", encoding="utf-8")
+        (tmp_path / "q.txt").write_text("0.5 0.25 0.25\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["dmb", "solve", str(tmp_path / "p.txt"), str(tmp_path / "q.txt")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main()
+        assert exit_info.value.code == code
 
     def test_missing_checkpoint_is_bad_input(self, tmp_path):
         assert cli(["sample", str(tmp_path / "absent.ckpt")]) == 1

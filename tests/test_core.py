@@ -412,7 +412,8 @@ class TestSmallHelpers:
         n, d, B = 7, 5, 300
         Q = init_chain(rng, n, d, scheme)
         xt = rng.integers(0, n, size=(B, d))
-        ratios = rng.uniform(0.0, 4.0, size=(B, d, n))
+        # looked up by (dimension, state), as repeated states must share their ratios
+        ratios = rng.uniform(0.0, 4.0, size=(d, n, n))[np.arange(d), xt]
         rows = step_probs(xt, 0.8, 0.5, ratios, Q, NoiseSchedule())
         once = sample_categorical(np.moveaxis(rows, -1, 0).copy(), np.random.default_rng(7).random((d, B)).T)
         gen = np.random.default_rng(7)

@@ -34,6 +34,36 @@ SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 OVERFLOW = [(2.5, 4), (0.3, 16)]
 
 
+def distinct(states):
+    """The distinct rows of a (B, d) state array, in lexicographic order."""
+    return np.unique(states, axis=0)
+
+
+def row_by_row(terminal, Q, schedule, ratio_fn, rng, count, steps, eps_t, batches, average_last=False):
+    """generate's draws, or with ``average_last`` estimate_mu's p0, with each
+    step's whole batch scored in one ratio call and appended to ``batches``,
+    and each row stepped as a batch of its own, in which no state repeats."""
+    dt = (1.0 - eps_t) / steps
+    x = draw_columns(terminal.probs, count, rng)
+    total = np.zeros((Q.n, Q.d))
+    for k in range(steps):
+        t, s = 1.0 - k * dt, 1.0 - (k + 1) * dt
+        batches.append(x.copy())
+        ratios = ratio_fn(x, s)
+        last = average_last and k == steps - 1
+        u = None if last else rng.random((Q.d, count)).T
+        for b in range(count):
+            ((_, rows),) = sampler._step_chunks(x[b : b + 1], t, s, lambda states, time: ratios[b : b + 1], Q, schedule)
+            if last:
+                total = total + (rows / rows.sum(axis=0))[:, 0]
+            else:
+                x[b] = sample_categorical(rows, u[b : b + 1])[0]
+    if not average_last:
+        return x
+    p0 = total.T.copy()
+    return p0 / p0.sum(axis=1, keepdims=True)
+
+
 def oracle_system(rng, n, sigma_max=10.0):
     """Ground-truth factorized system: mu, bridged Q, terminal at t = 1."""
     mu = ProductDistribution(rng.dirichlet(2 * np.ones(n), size=1) * 0.8 + 0.2 / n)
@@ -132,7 +162,8 @@ class TestEulerReverseStep:
             n = int(rng.integers(2, 7))
             Q = FactorizedRateMatrix(rng.permutation(n)[None, :], rng.uniform(0, 2, (1, n - 1)))
             xt = rng.integers(0, n, size=(8, 1))
-            ratios = rng.uniform(0.0, 4.0, size=(8, 1, n))
+            # looked up by state, as repeated states must share their ratios
+            ratios = rng.uniform(0.0, 4.0, size=(n, 1, n))[xt[:, 0]]
             probs = step_probs(xt, 0.8, rng.uniform(0.3, 0.8), ratios, Q, SCHEDULE_UNIT)
             assert probs.min() >= 0.0
             assert np.abs(probs.sum(axis=2) - 1.0).max() <= 1e-12
@@ -318,23 +349,30 @@ class TestBlockedSteps:
         Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         model = ScoreModel(n, d, hidden=(16,), rng=rng)
+        model.weights[-1][:] = rng.normal(0.0, 0.5, model.weights[-1].shape)  # a fresh head's ratios are all 1
         schedule = NoiseSchedule(sigma_min=0.1, sigma_max=4.0)
 
         def run():
-            rows = []
-            fn = lambda xt, t: rows.append(len(xt)) or model.forward_batch(xt, t)
+            calls = []
+            fn = lambda xt, t: calls.append(np.array(xt)) or model.forward_batch(xt, t)
             draws = generate(terminal, Q, schedule, fn, np.random.default_rng(1), count, 6, 1e-3)
             p0 = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(2), count, 6, 1e-3).probs
-            return draws, p0, rows
+            return draws, p0, calls
 
-        draws, p0, rows = run()
-        assert rows == [count] * 12
+        draws, p0, calls = run()
+        # one call a step, on the batch's distinct states
+        assert len(calls) == 12 and all(len(distinct(c)) == len(c) <= count for c in calls)
         for block_rows, chunk_rows in [(7, 3), (64, 1), (1, 1)]:
             monkeypatch.setattr(core, "BLOCK_ELEMENTS", block_rows * d * n)
             monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
-            small_draws, small_p0, rows = run()
-            # one ratio call per memory block per step
-            assert len(rows) == 12 * -(-count // block_rows) and max(rows) == block_rows
+            small_draws, small_p0, small_calls = run()
+            # one ratio call per memory block per step, on that block's distinct states
+            per_step = -(-count // block_rows)
+            assert len(small_calls) == 12 * per_step
+            assert all(len(distinct(c)) == len(c) <= block_rows for c in small_calls)
+            for k, call in enumerate(calls):
+                step = np.concatenate(small_calls[k * per_step : (k + 1) * per_step])
+                assert np.array_equal(distinct(step), distinct(call))
             assert np.array_equal(small_draws, draws)
             np.testing.assert_allclose(small_p0, p0, rtol=0.0, atol=1e-15)
 
@@ -371,6 +409,52 @@ class TestBlockedSteps:
         bound = 3 * M * d * 8 + 4 * core.BLOCK_ELEMENTS * 8
         assert bound < M * d * n * 8 / 3
         assert peak < bound
+
+
+class TestDistinctRatioCalls:
+    """Each ratio call gets its memory block's distinct states, and the steps
+    draw what scoring every row draws."""
+
+    @pytest.mark.parametrize("block_rows", [None, 64])
+    def test_repeated_states_are_scored_once(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(491)
+        n, d, count, steps = 3, 2, 500, 4  # at most 9 distinct states
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        model = ScoreModel(n, d, hidden=(16,), rng=rng)
+        model.weights[-1][:] = rng.normal(0.0, 0.5, model.weights[-1].shape)  # a fresh head's ratios are all 1
+        schedule = NoiseSchedule(sigma_min=0.1, sigma_max=4.0)
+        if block_rows is not None:
+            monkeypatch.setattr(core, "BLOCK_ELEMENTS", block_rows * d * n)
+        calls, batches = [], []
+        fn = lambda xt, t: calls.append(np.array(xt)) or model.forward_batch(xt, t)
+        draws = generate(terminal, Q, schedule, fn, np.random.default_rng(1), count, steps, 1e-3)
+        p0 = estimate_mu(terminal, Q, schedule, fn, np.random.default_rng(2), count, steps, 1e-3).probs
+        assert all(len(distinct(c)) == len(c) <= n**d for c in calls)
+        args = (terminal, Q, schedule, model.forward_batch)
+        assert np.array_equal(draws, row_by_row(*args, np.random.default_rng(1), count, steps, 1e-3, batches))
+        want_p0 = row_by_row(*args, np.random.default_rng(2), count, steps, 1e-3, batches, average_last=True)
+        np.testing.assert_allclose(p0, want_p0, rtol=0.0, atol=1e-15)
+        # each call holds exactly the distinct states of its block
+        blocks = [x[block] for x in batches for block in core.row_blocks(count, d * n)]
+        assert len(calls) == len(blocks)
+        assert all(np.array_equal(distinct(c), distinct(b)) for c, b in zip(calls, blocks))
+
+    def test_a_block_without_repeats_is_passed_as_it_is(self, monkeypatch):
+        rng = np.random.default_rng(493)
+        n, d, count, steps = 27, 40, 200, 3
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        ratio_fn = table_ratio_fn(rng, n, d)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * d * n)  # four blocks a step
+        calls, batches = [], []
+        fn = lambda xt, t: calls.append(np.array(xt)) or ratio_fn(xt, t)
+        draws = generate(terminal, Q, SCHEDULE_UNIT, fn, np.random.default_rng(5), count, steps, 1e-3)
+        want = row_by_row(terminal, Q, SCHEDULE_UNIT, ratio_fn, np.random.default_rng(5), count, steps, 1e-3, batches)
+        assert np.array_equal(draws, want)
+        blocks = [x[block] for x in batches for block in core.row_blocks(count, d * n)]
+        assert len(calls) == len(blocks) == 4 * steps
+        assert all(np.array_equal(c, b) for c, b in zip(calls, blocks))
 
 
 class TestTvDistance:
