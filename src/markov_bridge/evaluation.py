@@ -38,11 +38,13 @@ def kl_term(data, Q, schedule: NoiseSchedule, terminal: ProductDistribution) -> 
 
     The row KL depends on x0 only through its per-dimension entries, so each
     dimension costs one kernel and a histogram, whatever the dataset size:
-    the loss half of ``core.row_kl_sum``, the matrix stage's loss. Data rows
-    or a terminal whose width is not the chains' d are refused.
+    the loss half of ``core.row_kl_sum``, the matrix stage's loss, clamped at
+    0 against roundoff when every row is near the terminal (the stage's line
+    search compares it unclamped). Data rows or a terminal whose width is
+    not the chains' d are refused.
     """
     freqs = state_frequencies(np.atleast_2d(data), terminal.n)
-    return row_kl_sum(Q, schedule.beta(1.0), freqs, terminal.probs)[0]
+    return max(row_kl_sum(Q, schedule.beta(1.0), freqs, terminal.probs)[0], 0.0)
 
 
 def elbo_estimate(

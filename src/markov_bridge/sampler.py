@@ -7,7 +7,9 @@ g(x) = -expm1(-(beta(t) - beta(s)) * a(x)), a(x) the rate into x, on the
 states sorted before x, 1 at x and 0 after. Each step makes one ratio call,
 at s, per memory block of (rows, d*n) ratios, on the block's distinct states:
 a ratio depends only on the state and the time, and trajectories on a small
-state space meet. It writes each cache chunk's unnormalized rows state-major,
+state space meet. When the n**d joint states fit in the block's row count, a
+table addressed by state code finds them; otherwise a sort of the rows' bytes
+does. It writes each cache chunk's unnormalized rows state-major,
 (n, rows, d), gathering their ratios by state, for one categorical draw. A row
 total that overflows raises DivergenceError. The mu estimator averages the
 last step's normalized rows instead of sampling them: the same expectation
@@ -31,20 +33,32 @@ def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
 
     ``ratio_fn(states, s) -> (rows, d, n)`` is called once per memory block,
     on its distinct states (the block itself, in order, when none repeats),
-    and its ratios are released before the next call. Non-finite or negative
-    ratios, and finite ones so large that a row total overflows, raise
-    DivergenceError. A chunk's states are read before it is yielded, so the
-    caller may overwrite them.
+    and its ratios are released before the next call. When n**d <= the
+    block's rows, an (n**d,) table addressed by mixed-radix code finds them;
+    otherwise ``np.unique`` sorts the rows' bytes. For n <= 256 both give the
+    same lexicographic order. Non-finite or negative ratios, and finite ones
+    so large that a row total overflows, raise DivergenceError. A chunk's
+    states are read before it is yielded, so the caller may overwrite them.
     """
     # sorted slots, state-major, as the narrowest integers: quick contiguous compares
     order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n))
     # column x of exp((beta(t) - beta(s)) Q) over its entry at x, on the states sorted before x
     g = -np.expm1((schedule.beta(s) - schedule.beta(t)) * Q.state_rates)
+    size = Q.n**Q.d  # joint states, an exact integer
     for block in row_blocks(xt.shape[0], Q.d * Q.n):
         x = xt[block]
-        # each row as one item of its states' bytes, as the narrowest integers: an exact key
-        keys = x.astype(order.dtype).view(np.dtype((np.void, Q.d * order.itemsize))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if size <= len(x):
+            # each row's mixed-radix code, dimension 0 most significant, marked by one of its rows
+            code = np.ravel_multi_index(x.T, (Q.n,) * Q.d)
+            table = np.full(size, -1)
+            table[code] = np.arange(len(x))
+            first = table[table >= 0]  # by ascending code
+            table[code[first]] = np.arange(len(first))
+            inverse = table[code]
+        else:
+            # each row as one item of its states' bytes, as the narrowest integers: an exact key
+            keys = x.astype(order.dtype).view(np.dtype((np.void, Q.d * order.itemsize))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         repeats = len(first) < len(x)
         ratios = np.asarray(ratio_fn(x[first] if repeats else x, s), dtype=np.float64)
         at = block_index(x, Q.d, Q.n)

@@ -180,7 +180,8 @@ class ScoreModel:
         The one-hot input is built here, for dW1 = delta^T X at the training
         batch size. Each weight gradient has its weight's memory order, so
         an update can walk both in memory order: dW1 is taken as
-        (X^T delta)^T, column-major like W1.
+        (X^T delta)^T, column-major like W1. ``acts`` is consumed: each hidden
+        activation a is overwritten by tanh' = 1 - a**2 and then by the next delta.
         """
         grad_w = [None] * len(self.weights)
         grad_b = [None] * len(self.biases)
@@ -192,7 +193,9 @@ class ScoreModel:
                 grad_w[layer] = delta.T @ acts[layer]
             grad_b[layer] = delta.sum(axis=0)
             if layer > 0:
-                delta = (delta @ self.weights[layer]) * (1.0 - acts[layer] ** 2)
+                a = acts[layer]  # tanh' in the activation's own memory: delta @ W is the one temporary
+                np.subtract(1.0, np.square(a, out=a), out=a)
+                delta = np.multiply(delta @ self.weights[layer], a, out=a)
         return grad_w, grad_b
 
 

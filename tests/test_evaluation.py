@@ -93,6 +93,18 @@ class TestKlTerm:
         per_row = [sum(kl_divergence(kernels[i][x[i]], terminal.probs[i]) for i in range(d)) for x in data]
         assert kl_term(data, Q, schedule, terminal) == pytest.approx(np.mean(per_row), rel=1e-12, abs=0.0)
 
+    def test_never_below_zero_where_roundoff_is(self):
+        # at rates x1000 every kernel row is the terminal to roundoff, and the
+        # matrix stage's loss, which is left unclamped, sums to a hair below 0
+        rng = np.random.default_rng(513)
+        perm, a = random_chain_arrays(rng, 27, 8, 0.1, 2.0)
+        Q = FactorizedRateMatrix(perm, 1000.0 * a)
+        data = rng.integers(0, 27, size=(100, 8))
+        freqs = core.state_frequencies(data, 27)
+        terminal = ProductDistribution(evolve_rows(freqs, Q, SCHEDULE_UNIT.beta(1.0))[0])
+        assert core.row_kl_sum(Q, SCHEDULE_UNIT.beta(1.0), freqs, terminal.probs)[0] < 0.0
+        assert kl_term(data, Q, SCHEDULE_UNIT, terminal) == 0.0
+
     def test_width_mismatch_refused(self):
         # d = 3 chains: neither a (B, 1) dataset nor a d = 1 terminal may broadcast against them
         rng = np.random.default_rng(511)

@@ -457,6 +457,62 @@ class TestDistinctRatioCalls:
         assert all(np.array_equal(c, b) for c, b in zip(calls, blocks))
 
 
+class TestDistinctStatesByDirectAddress:
+    """When the n**d joint states fit in a block's rows, its distinct states are
+    read from a table addressed by state code, and no sort runs; the steps
+    draw what the sort's do."""
+
+    @pytest.mark.parametrize("block_rows", [None, 12])  # one block a step; 12-row blocks, the last of 8
+    def test_draws_and_calls_equal_the_sorts(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(521)
+        n, d, count, steps = 3, 2, 500, 4  # 9 joint states
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
+        ratio_fn = table_ratio_fn(rng, n, d)
+        real_unique, real_step = np.unique, sampler._step_chunks
+        sorts, batches = [], []
+        monkeypatch.setattr(np, "unique", lambda keys, **kw: sorts.append(len(keys)) or real_unique(keys, **kw))
+        monkeypatch.setattr(sampler, "_step_chunks", lambda xt, *args: batches.append(xt.copy()) or real_step(xt, *args))
+
+        def run(rows):
+            """Draws, p0, the ratio calls, each call's block and the sorts' row counts."""
+            if rows is not None:
+                monkeypatch.setattr(core, "BLOCK_ELEMENTS", rows * d * n)
+            calls = []
+            fn = lambda xt, t: calls.append(np.array(xt)) or ratio_fn(xt, t)
+            draws = generate(terminal, Q, SCHEDULE_UNIT, fn, np.random.default_rng(7), count, steps, 1e-3)
+            p0 = estimate_mu(terminal, Q, SCHEDULE_UNIT, fn, np.random.default_rng(8), count, steps, 1e-3).probs
+            blocks = [x[block] for x in batches for block in core.row_blocks(count, d * n)]
+            out = draws, p0, calls, blocks, sorts.copy()
+            batches.clear()
+            sorts.clear()
+            return out
+
+        draws, p0, calls, blocks, direct_sorts = run(block_rows)
+        want_draws, want_p0, _, _, sort_sorts = run(8)  # every block below n**d rows: the sort path
+        assert len(sort_sorts) == 2 * steps * -(-count // 8)
+        assert all(rows < n**d for rows in direct_sorts) and len(direct_sorts) == (0 if block_rows is None else 2 * steps)
+        assert np.array_equal(draws, want_draws)
+        np.testing.assert_allclose(p0, want_p0, rtol=0.0, atol=1e-15)
+        # each call holds its block's distinct states in np.unique's order, or a block without repeats as it is
+        assert len(calls) == len(blocks)
+        want_calls = [b if len(distinct(b)) == len(b) else distinct(b) for b in blocks]
+        assert all(np.array_equal(c, w) for c, w in zip(calls, want_calls))
+
+    def test_a_block_of_every_state_once_is_passed_as_it_is(self, monkeypatch):
+        rng = np.random.default_rng(523)
+        n, d = 3, 2
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
+        xt = rng.permutation(np.stack(np.unravel_index(np.arange(n**d), (n,) * d), axis=1))
+        assert not np.array_equal(xt, distinct(xt))
+        ratio_fn, calls = table_ratio_fn(rng, n, d), []
+        monkeypatch.setattr(np, "unique", None)  # no sort may run
+        fn = lambda x, t: calls.append(np.array(x)) or ratio_fn(x, t)
+        parts = [part for part, _ in sampler._step_chunks(xt, 1.0, 0.5, fn, Q, SCHEDULE_UNIT)]
+        assert parts == [slice(0, n**d)]
+        assert len(calls) == 1 and np.array_equal(calls[0], xt)
+
+
 class TestTvDistance:
     def test_identical(self):
         assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0

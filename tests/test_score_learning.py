@@ -562,6 +562,24 @@ class TestScoreGrad:
             assert np.allclose(g1, g3, atol=1e-14)
 
 
+    def test_backward_holds_one_hidden_temporary(self):
+        # tanh' is formed in each consumed activation's memory, so besides the
+        # gradients only delta @ W, one (B, H) array, is made per layer
+        rng = np.random.default_rng(371)
+        n, d, B, H = 2, 2, 4096, 256
+        model = ScoreModel(n, d, hidden=(H, H), rng=rng)
+        acts = []
+        model._hidden(rng.integers(0, n, (B, d)), score_learning.time_embedding(rng.uniform(0.1, 1.0, B)), acts)
+        d_out = rng.normal(size=(B, d * n))
+        tracemalloc.start()
+        try:
+            model.backward(acts, d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * B * H * 8
+
+
 class TestCacheChunks:
     """The elementwise passes of a score step run in cache chunks of rows;
     no chunking may move a bit of the result."""
