@@ -17,8 +17,9 @@ Every operation takes all d chains at once.
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
 array) bounds a ratio call's (rows, d*n) arrays in the bound and the reverse
-sampler, whose call gets only a block's distinct states; the score model cuts
-its own activations to it by its widest layer.
+sampler, whose call gets only a block's distinct states. The score model cuts
+its own activations to it by its widest layer; :func:`state_frequencies` and
+the corpus reader widen states to int64 indices one block at a time.
 A cache chunk (``CHUNK_ELEMENTS``, 512 KiB per array) keeps the temporaries
 of a chain of elementwise passes in L2: categorical, kernel and product
 draws, kernel rows, reverse-step rows and draws, score-entropy terms, and Adam.
@@ -297,12 +298,22 @@ def block_index(xt, d: int, n: int) -> np.ndarray:
 
 
 def state_frequencies(samples, n: int) -> np.ndarray:
-    """(d, n) table of how often each state occurs in each column of a (B, d) array."""
-    samples = np.asarray(samples, dtype=np.int64)
+    """(d, n) table of how often each state occurs in each column of a (B, d) integer array.
+
+    The range is checked once on the array as given, of any integer type;
+    the counts run one memory block of rows at a time, so no (B, d) int64
+    index is made. A state outside [0, n) is refused, as :func:`block_index` does.
+    """
+    samples = np.asarray(samples)
     if samples.ndim != 2 or samples.size == 0:
         raise ValueError("samples must be a nonempty (B, d) array")
+    if samples.min() < 0 or samples.max() >= n:
+        raise ValueError(f"states must lie in [0, {n})")
     B, d = samples.shape
-    counts = np.bincount(block_index(samples, d, n).ravel(), minlength=d * n)
+    offsets = n * np.arange(d)
+    counts = np.zeros(d * n, dtype=np.int64)
+    for rows in row_blocks(B, d):
+        counts += np.bincount(np.add(samples[rows], offsets).ravel(), minlength=d * n)
     return counts.reshape(d, n) / B
 
 
@@ -375,18 +386,20 @@ def draw_columns(probs: np.ndarray, size: int, rng) -> np.ndarray:
     each draw counts the entries of its row's normalized cumulative
     distribution that are <= its uniform, where ``choice``'s right-sided
     search lands. Dimensions go in cache-chunk blocks, of at least 8 so that
-    a block's counts fill a 64-byte line of each (size, d) int64 row: one
+    a block writes runs of adjacent entries of each (size, d) row: one
     (dims, size) draw of uniforms a block, then n-1 compares of each uniform
-    against a cdf entry, counted in place; none reaches the last, 1.0.
+    against a cdf entry, counted in place; none reaches the last, 1.0. The
+    draws keep the counts' type, the narrowest that holds n - 1
+    (``np.min_scalar_type``): uint8 for n <= 256.
     """
     d, n = probs.shape
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    samples = np.empty((size, d), dtype=np.int64)
+    samples = np.empty((size, d), dtype=np.min_scalar_type(n - 1))
     for block in row_blocks(d, max(1, min(size, CHUNK_ELEMENTS // 8)), cache=True):
         u = rng.random((block.stop - block.start, size))
         below = np.empty(u.shape, dtype=bool)
-        count = np.zeros(u.shape, dtype=np.min_scalar_type(n - 1))
+        count = np.zeros(u.shape, dtype=samples.dtype)
         for k in range(n - 1):
             count += np.less_equal(cdf[block, k, None], u, out=below).view(np.uint8)
         samples[:, block] = count.T

@@ -1,11 +1,14 @@
 """Dataset ingestion: seeded synthetic draws from a factorized ground truth,
 or a byte-level character corpus chunked into fixed-length tuples.
 
-Both kinds are built by whole-array passes. The synthetic draws come from
-``core.draw_columns``, the same numbers as one ``rng.choice`` per
+States are held in the narrowest unsigned type that holds n - 1
+(``np.min_scalar_type``): one byte each for n <= 256. The synthetic draws
+come from ``core.draw_columns``, the same numbers as one ``rng.choice`` per
 dimension. A corpus is read once into a byte array; its alphabet (every
 distinct byte, in ascending order) numbers the states, and a 256-entry
-lookup table maps bytes to state ids.
+lookup table maps bytes to state ids. The bytes are counted and looked up
+one memory block at a time, so a load holds the file's bytes, the samples
+and a block's index, never a wider copy of the whole corpus.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .core import ProductDistribution, draw_columns
+from .core import ProductDistribution, draw_columns, row_blocks
 from .errors import ConfigError, VocabularyOverflowError
 
 _DATA_SALT = 0x5EED
@@ -23,7 +26,8 @@ _DATA_SALT = 0x5EED
 
 @dataclass(eq=False)
 class Dataset:
-    """Integer samples of shape (N, d) plus optional vocab and ground truth."""
+    """Samples of shape (N, d), in the narrowest unsigned type that holds
+    n - 1, plus optional vocab and ground truth."""
 
     samples: np.ndarray
     n: int
@@ -78,7 +82,10 @@ def read_corpus(config: RunConfig) -> tuple:
     if not raw:
         raise ConfigError("corpus file is empty")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    alphabet = np.flatnonzero(np.bincount(buf, minlength=256))
+    counts = np.zeros(256, dtype=np.int64)
+    for part in row_blocks(buf.size, 1):
+        counts += np.bincount(buf[part], minlength=256)
+    alphabet = np.flatnonzero(counts)
     if alphabet.size > config.n:
         raise VocabularyOverflowError(f"corpus has {alphabet.size} distinct bytes but n = {config.n}")
     return buf, {int(byte): idx for idx, byte in enumerate(alphabet)}
@@ -101,7 +108,9 @@ def load_dataset(config: RunConfig) -> Dataset:
     usable = (buf.size // config.d) * config.d
     if usable == 0:
         raise ConfigError(f"corpus shorter than one length-{config.d} tuple")
-    ids = np.zeros(256, dtype=np.int64)
+    ids = np.zeros(256, dtype=np.min_scalar_type(config.n - 1))
     ids[list(vocab)] = np.arange(len(vocab))
-    samples = ids[buf[:usable]].reshape(-1, config.d)
-    return Dataset(samples=samples, n=config.n, vocab=vocab)
+    samples = np.empty(usable, dtype=ids.dtype)
+    for part in row_blocks(usable, 1):  # each block's bytes widen to an intp index
+        np.take(ids, buf[part], out=samples[part])
+    return Dataset(samples=samples.reshape(-1, config.d), n=config.n, vocab=vocab)

@@ -63,10 +63,12 @@ def elbo_estimate(
     the dataset, t uniform on (eps_t, T), xt from the conditional kernel);
     the KL term is averaged over the whole dataset. ``ratio_fn(xt, t)``
     returns (B, d, n) ratio estimates. All draws are one score batch, scored by
-    ``score_entropy_values``, the training objective's one estimator, so memory
-    is O(mc_samples * d) plus a few blocks. The standard error covers the score term only.
+    ``score_entropy_values``, the training objective's one estimator. The
+    dataset is read in its own integer type: the picked rows are gathered
+    from it and its frequencies counted by memory block, so memory is
+    O(mc_samples * d) plus a few blocks. The standard error covers the score term only.
     """
-    data = np.atleast_2d(np.asarray(dataset, dtype=np.int64))
+    data = np.atleast_2d(np.asarray(dataset))
     if data.size == 0:
         raise ValueError("dataset is empty")
     if mc_samples < 2:

@@ -83,7 +83,8 @@ def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
                 i = np.argwhere(~np.isfinite(total))[0][1]
                 raise DivergenceError(f"row total overflows at t={s:.6g}, dimension {i}")
             part = slice(block.start + chunk.start, block.start + chunk.stop)
-            buf.put(xt[part] * total.size + np.arange(total.size).reshape(total.shape), 1.0)
+            # offsets in int64, which states of a narrow type would overflow
+            buf.put(np.multiply(xt[part], total.size, dtype=np.int64) + np.arange(total.size).reshape(total.shape), 1.0)
             yield part, rows
         del ratios, r  # so that two blocks' ratios are never alive at once
 
@@ -101,7 +102,8 @@ def _trajectories(terminal: ProductDistribution, Q, schedule, ratio_fn, rng, cou
     """Draw x_T from the terminal, then take ``steps`` sampled steps of ``dt``."""
     if count < 1:
         raise ValueError("need at least one trajectory")
-    xt = draw_columns(terminal.probs, count, rng)
+    # trajectories are returned as int64, not in the draws' narrowest type
+    xt = draw_columns(terminal.probs, count, rng).astype(np.int64)
     for k in range(steps):
         # dimension-major, so the generator is consumed one dimension at a time
         u = rng.random((terminal.d, count)).T

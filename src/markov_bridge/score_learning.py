@@ -174,28 +174,31 @@ class ScoreModel:
             del h  # so that two blocks' activations are never alive at once
         return np.exp(out, out=out).reshape(-1, self.d, self.n)
 
-    def backward(self, acts, d_out):
-        """Gradients for a cached forward pass given d(loss)/d(pre-exp output).
+    def backward(self, acts, grads):
+        """Gradients for a cached forward pass, written into ``grads`` =
+        (grad_w, grad_b), lists of arrays laid out like the weights and biases.
 
-        The one-hot input is built here, for dW1 = delta^T X at the training
-        batch size. Each weight gradient has its weight's memory order, so
-        an update can walk both in memory order: dW1 is taken as
-        (X^T delta)^T, column-major like W1. ``acts`` is consumed: each hidden
-        activation a is overwritten by tanh' = 1 - a**2 and then by the next delta.
+        ``acts`` is the list ``_hidden`` filled, then d(loss)/d(pre-exp
+        output) appended. The one-hot input is built here, for dW1 = delta^T X
+        at the training batch size, into dW1 taken as (X^T delta)^T, so that
+        it is column-major like W1 and an update walks both in memory order.
+        ``acts`` is consumed, last entry first: each hidden activation a is
+        overwritten by tanh' = 1 - a**2 and then by the next delta, and each
+        entry is dropped from the list once that delta exists. The output
+        gradient, (B, d*n), is therefore freed as soon as delta @ W_last is
+        made, before the one-hot, if the caller holds no other reference to it.
         """
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
-        delta = d_out
-        for layer in range(len(self.weights) - 1, -1, -1):
-            if layer == 0:
-                grad_w[layer] = (self.encode(*acts[0]).T @ delta).T
-            else:
-                grad_w[layer] = delta.T @ acts[layer]
-            grad_b[layer] = delta.sum(axis=0)
-            if layer > 0:
-                a = acts[layer]  # tanh' in the activation's own memory: delta @ W is the one temporary
-                np.subtract(1.0, np.square(a, out=a), out=a)
-                delta = np.multiply(delta @ self.weights[layer], a, out=a)
+        grad_w, grad_b = grads
+        delta = acts.pop()
+        for layer in range(len(self.weights) - 1, 0, -1):
+            a = acts.pop()
+            np.matmul(delta.T, a, out=grad_w[layer])
+            np.sum(delta, axis=0, out=grad_b[layer])
+            # tanh' in the activation's own memory: delta @ W is the one temporary
+            np.subtract(1.0, np.square(a, out=a), out=a)
+            delta = np.multiply(delta @ self.weights[layer], a, out=a)
+        np.matmul(self.encode(*acts.pop()).T, delta, out=grad_w[0].T)
+        np.sum(delta, axis=0, out=grad_b[0])
         return grad_w, grad_b
 
 
@@ -317,18 +320,26 @@ def score_entropy_values(ratio_fn, batch: ScoreBatch, Q, schedule: NoiseSchedule
     return values
 
 
-def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule):
+def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: NoiseSchedule, grads=None):
     """Batch loss and its exact reverse-mode gradients for a fixed batch.
 
-    Returns (loss, grad_weights, grad_biases), the gradients shaped like the
-    model parameters. The output gradient overwrites the ratios in place.
+    Returns (loss, grad_weights, grad_biases), the gradients shaped and laid
+    out like the model parameters: written into ``grads``, an earlier call's
+    (grad_weights, grad_biases), when given, else into new arrays. The
+    output gradient overwrites the ratios in place and is handed to
+    ``backward`` as the last entry of ``acts``, with no other reference, so
+    it is freed before the one-hot input is built.
     """
     acts = []
     out = model._hidden(batch.xt, time_embedding(batch.t), acts) @ model.weights[-1].T
     out += model.biases[-1]
     s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
     values = _per_sample_values(s, batch, Q, schedule, d_out=s)
-    grad_w, grad_b = model.backward(acts, out)
+    acts.append(out)
+    del out, s
+    if grads is None:
+        grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+    grad_w, grad_b = model.backward(acts, grads)
     return float(values.mean()), grad_w, grad_b
 
 
@@ -370,16 +381,25 @@ def score_learning_loop(
 ) -> ScoreModel:
     """Adam on the score-entropy loss until the step cap or smoothed loss
     drops below eps_score; aborts if the smoothed loss exceeds 10x its start.
+
+    Every step writes its gradients into the arrays the first step made, and
+    a step's batch is released after its Adam update, before the next batch
+    is drawn, so only one step's arrays are alive at a time. Gradients made
+    afresh each step and freed after the update would hold no more, but at
+    small shapes the allocator would hand the freed top of its heap back to
+    the system every step and fault it in again.
     """
     if max_step < 1:
         raise ValueError("max_step must be >= 1")
     params = model.weights + model.biases
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     history = []
+    grads = None
     initial_smoothed = None
     for step in range(max_step):
         batch = next(batches)
-        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, schedule)
+        loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, schedule, grads)
+        grads = (grad_w, grad_b)
         history.append(loss)
         smoothed = float(np.mean(history[-SMOOTH_WINDOW:]))
         if initial_smoothed is None:
@@ -395,4 +415,5 @@ def score_learning_loop(
         scale = lr * np.sqrt(1.0 - ADAM_BETA2**tt) / (1.0 - ADAM_BETA1**tt)
         for param, grad, (m, v) in zip(params, grad_w + grad_b, moments):
             _adam_update(param, grad, m, v, scale)
+        del batch
     return model

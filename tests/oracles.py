@@ -3,11 +3,26 @@
 Everything here is deliberately written against dense matrices and brute
 force, not the package's closed-form eigen route, so agreement is meaningful.
 The one exception, :func:`step_probs`, only reshapes the sampler's own rows.
+:func:`peak_traced_bytes` is the one measure of the memory-budget tests.
 """
+
+import tracemalloc
 
 import numpy as np
 
 from markov_bridge.sampler import _step_chunks
+
+
+def peak_traced_bytes(fn):
+    """``(peak, result)``: the most bytes tracemalloc saw allocated at once
+    while ``fn()`` ran, counted from its start, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def taylor_expm(M, terms=45):

@@ -1,18 +1,31 @@
 """Dataset ingestion: the byte-level character corpus and the synthetic draws."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from markov_bridge import Checkpoint, ConfigError, RunConfig, VocabularyOverflowError, load_dataset, save_checkpoint
+from markov_bridge import (
+    Checkpoint,
+    ConfigError,
+    FactorizedRateMatrix,
+    NoiseSchedule,
+    ProductDistribution,
+    RunConfig,
+    VocabularyOverflowError,
+    elbo_estimate,
+    estimate_mu,
+    generate,
+    load_dataset,
+    save_checkpoint,
+)
 from markov_bridge import cli as cli_module
-from markov_bridge import core
+from markov_bridge import core, sampler
 from markov_bridge.checkpoint import rng_state_to_json
 from markov_bridge.cli import cli
 from markov_bridge.config import config_echo
 from markov_bridge.data import _DATA_SALT
 from markov_bridge.score_learning import ScoreModel
+
+from oracles import peak_traced_bytes, random_chain_arrays
 
 
 def corpus_config(tmp_path, raw: bytes, n=8, d=4):
@@ -86,8 +99,18 @@ class TestCharCorpus:
         usable = (ids.size // d) * d
         assert usable == len(raw) - 3
         assert ds.vocab == vocab and all(type(byte) is int for byte in ds.vocab)
-        assert ds.samples.dtype == np.int64
+        assert ds.samples.dtype == np.uint8
         np.testing.assert_array_equal(ds.samples, ids[:usable].reshape(-1, d))
+
+    def test_memory_holds_the_bytes_the_samples_and_a_few_blocks(self, tmp_path, monkeypatch):
+        # 2 MiB of text: an intp copy of the bytes, made by a whole-corpus count
+        # or lookup, would be 16 MiB, against memory blocks of 128 KiB an array
+        raw = np.random.default_rng(7).integers(ord("a"), ord("z") + 2, size=2**21, dtype=np.uint8).tobytes()
+        config = corpus_config(tmp_path, raw, n=27, d=256)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 2**14)
+        peak, samples = peak_traced_bytes(lambda: load_dataset(config).samples)
+        assert samples.dtype == np.uint8 and samples.shape == (2**21 // 256, 256)
+        assert peak < len(raw) + samples.nbytes + 4 * 8 * core.BLOCK_ELEMENTS
 
     def test_more_distinct_bytes_than_n(self, tmp_path):
         with pytest.raises(VocabularyOverflowError):
@@ -111,7 +134,7 @@ class TestSynthetic:
     def test_shape_range_and_seed(self):
         config = RunConfig(n=5, d=3, seed=4, synthetic_samples=200)
         ds = load_dataset(config)
-        assert ds.samples.shape == (200, 3) and ds.samples.dtype == np.int64
+        assert ds.samples.shape == (200, 3) and ds.samples.dtype == np.uint8
         assert 0 <= ds.samples.min() and ds.samples.max() < 5
         assert ds.ground_truth.d == 3 and ds.ground_truth.n == 5
         assert np.array_equal(load_dataset(config).samples, ds.samples)
@@ -144,7 +167,7 @@ class TestSynthetic:
         ds = load_dataset(config)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
         want = np.stack([rng.choice(n, size=size, p=row) for row in ds.ground_truth.probs], axis=1).astype(np.int64)
-        assert ds.samples.dtype == np.int64
+        assert ds.samples.dtype == np.min_scalar_type(n - 1)
         np.testing.assert_array_equal(ds.samples, want)
         again = np.random.default_rng(np.random.SeedSequence([config.seed, _DATA_SALT, 1]))
         np.testing.assert_array_equal(core.draw_columns(ds.ground_truth.probs, size, again), want)
@@ -154,13 +177,60 @@ class TestSynthetic:
         # a (d, N) float64 temporary alone is as large as the samples
         config = RunConfig(n=27, d=64, seed=3, synthetic_samples=4096)
         load_dataset(RunConfig(n=2, d=1, synthetic_samples=1))  # so the first draw's imports are not counted
-        tracemalloc.start()
-        try:
-            samples = load_dataset(config).samples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, samples = peak_traced_bytes(lambda: load_dataset(config).samples)
         assert peak < samples.nbytes + 4 * 8 * core.CHUNK_ELEMENTS
+
+
+@pytest.mark.parametrize("n", [256, 257])
+class TestNarrowStates:
+    """States are held in the narrowest type that holds n - 1: uint8 up to
+    n = 256, uint16 past it. Every user of the states reads the same numbers
+    from them as from the same states held as int64."""
+
+    def test_loads_hold_the_int64_states(self, tmp_path, n):
+        dtype = np.uint8 if n == 256 else np.uint16
+        ds = load_dataset(RunConfig(n=n, d=3, seed=2, synthetic_samples=4000))
+        rng = np.random.default_rng(np.random.SeedSequence([2, _DATA_SALT, 1]))
+        want = np.stack([rng.choice(n, size=4000, p=row) for row in ds.ground_truth.probs], axis=1)
+        assert ds.samples.dtype == dtype and ds.samples.max() == n - 1
+        np.testing.assert_array_equal(ds.samples, want)
+        # every byte value once per 256-byte tuple, so state 255 is in use
+        raw = np.random.default_rng(3).permuted(np.tile(np.arange(256, dtype=np.uint8), (6, 1)), axis=1).tobytes()
+        ds = load_dataset(corpus_config(tmp_path, raw, n=n, d=256))
+        assert ds.samples.dtype == dtype and ds.samples.max() == 255
+        np.testing.assert_array_equal(ds.samples, np.frombuffer(raw, dtype=np.uint8).reshape(6, 256))
+
+    def test_frequencies_and_bound_match_int64_states(self, n):
+        ds = load_dataset(RunConfig(n=n, d=3, seed=2, synthetic_samples=4000))
+        wide = ds.samples.astype(np.int64)
+        np.testing.assert_array_equal(core.state_frequencies(ds.samples, n), core.state_frequencies(wide, n))
+        rng = np.random.default_rng(5)
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, 3, 0.05, 1.5))
+        model = ScoreModel(n, 3, hidden=(8,), rng=rng)
+        model.weights[-1][:] = rng.normal(0.0, 0.1, model.weights[-1].shape)
+        terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=3))
+        reports = [elbo_estimate(model.forward_batch, x, Q, NoiseSchedule(), terminal, 300, np.random.default_rng(9))
+                   for x in (ds.samples, wide)]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("run", [generate, estimate_mu])
+    def test_sampler_matches_int64_terminal_draws(self, monkeypatch, n, run):
+        # the terminal puts half its mass on the last state; at n = 256, 85 rows
+        # of 3 states make a 255-entry cache chunk, 255 * 255 past a uint8
+        rng = np.random.default_rng(6)
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, 3, 0.05, 1.5))
+        terminal = ProductDistribution(0.5 * rng.dirichlet(np.ones(n), size=3) + 0.5 * np.eye(n)[[n - 1] * 3])
+        ratio_fn = ScoreModel(n, 3, hidden=(8,), rng=rng).forward_batch
+        args = (terminal, Q, NoiseSchedule(), ratio_fn)
+        narrow = run(*args, np.random.default_rng(8), 300, 3, 1e-3)
+        real = core.draw_columns
+        monkeypatch.setattr(sampler, "draw_columns", lambda *a: real(*a).astype(np.int64))
+        wide = run(*args, np.random.default_rng(8), 300, 3, 1e-3)
+        if run is generate:
+            assert narrow.dtype == np.int64
+            np.testing.assert_array_equal(narrow, wide)
+        else:
+            np.testing.assert_array_equal(narrow.probs, wide.probs)
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "char_corpus"])

@@ -1,7 +1,6 @@
 """Bound accounting: KL factorization, Monte Carlo score term, report identities."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from markov_bridge import core
 from markov_bridge.core import kl_divergence
 from markov_bridge.matrix_learning import init_rate_matrices
 
-from oracles import joint_kernel_row, kl_brute, random_chain_arrays
+from oracles import joint_kernel_row, kl_brute, peak_traced_bytes, random_chain_arrays
 
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
@@ -290,12 +289,9 @@ class TestRowBlocks:
         rng = np.random.default_rng(563)
         n, d = 27, 64
         Q, model, data = self.system(rng, n, d)
-        tracemalloc.start()
-        try:
-            elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), ProductDistribution.uniform(n, d), 4096, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        terminal = ProductDistribution.uniform(n, d)
+        estimate = lambda: elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), terminal, 4096, rng)
+        peak = peak_traced_bytes(estimate)[0]
         assert peak < 64 * 2**20
 
     def test_memory_of_a_wide_model_at_the_desk_shape(self):
@@ -306,13 +302,28 @@ class TestRowBlocks:
         Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.05, 1.5))
         model = ScoreModel(n, d, hidden=(128, 128), rng=rng)
         data = rng.integers(0, n, size=(400, d))
-        tracemalloc.start()
-        try:
-            elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), ProductDistribution.uniform(n, d), 32768, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        terminal = ProductDistribution.uniform(n, d)
+        estimate = lambda: elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), terminal, 32768, rng)
+        peak = peak_traced_bytes(estimate)[0]
         assert peak < 40 * 2**20
+
+
+    def test_a_narrow_dataset_is_not_widened_whole(self, monkeypatch):
+        # one byte a state: an (N, d) int64 copy would be 8 MiB here, against
+        # memory blocks of 128 KiB an array
+        rng = np.random.default_rng(571)
+        n, d, N = 27, 16, 2**16
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.05, 1.5))
+        data = rng.integers(0, n, size=(N, d)).astype(np.uint8)
+        wide = N * d * 8
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 2**14)
+        peak, freqs = peak_traced_bytes(lambda: core.state_frequencies(data, n))
+        assert peak < wide / 4
+        np.testing.assert_array_equal(freqs, core.state_frequencies(data.astype(np.int64), n))
+        ones = lambda xt, t: np.ones((len(xt), d, n))
+        terminal = ProductDistribution.uniform(n, d)
+        peak = peak_traced_bytes(lambda: elbo_estimate(ones, data, Q, NoiseSchedule(), terminal, 64, rng))[0]
+        assert peak < wide / 4
 
 
 class TestElboReportType:

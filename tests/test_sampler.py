@@ -1,6 +1,5 @@
 """Reverse sampling by exact kernel steps, the mu estimator, and the TV metric."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from markov_bridge.matrix_learning import predict_terminal
 from markov_bridge.reference import materialize_dense
 from markov_bridge.solver import exact_rate_matrices
 
-from oracles import random_chain_arrays, step_probs, taylor_expm, tv_distance
+from oracles import peak_traced_bytes, random_chain_arrays, step_probs, taylor_expm, tv_distance
 
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
 
@@ -399,12 +398,8 @@ class TestBlockedSteps:
         Q = FactorizedRateMatrix(np.stack([rng.permutation(n) for _ in range(d)]), rng.uniform(0.1, 2.0, (d, n - 1)))
         terminal = ProductDistribution(rng.dirichlet(np.ones(n), size=d))
         model = ScoreModel(n, d, hidden=(8,), rng=rng)
-        tracemalloc.start()
-        try:
-            estimate_mu(terminal, Q, NoiseSchedule(), model.forward_batch, rng, M, 2, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        run = lambda: estimate_mu(terminal, Q, NoiseSchedule(), model.forward_batch, rng, M, 2, 1e-3)
+        peak = peak_traced_bytes(run)[0]
         # the (M, d) states and uniforms with room for one more, and four arrays of one memory block
         bound = 3 * M * d * 8 + 4 * core.BLOCK_ELEMENTS * 8
         assert bound < M * d * n * 8 / 3

@@ -1,7 +1,6 @@
 """Score network, score-entropy loss, oracle ratios, gradients, training loop."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from markov_bridge.core import kernel_draw
 from markov_bridge.matrix_learning import init_rate_matrices
 from markov_bridge.reference import materialize_dense
 
-from oracles import random_chain_arrays
+from oracles import peak_traced_bytes, random_chain_arrays
 
 LN2 = np.log(2.0)
 SCHEDULE_UNIT = NoiseSchedule(sigma_min=1.0, sigma_max=1.0)
@@ -81,12 +80,7 @@ class TestSampleXt:
         n, d, B = 27, 256, 256
         Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.0, 2.0))
         x0 = rng.integers(0, n, size=(B, d))
-        tracemalloc.start()
-        try:
-            batch = make_score_batch(x0, Q, NoiseSchedule(), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, batch = peak_traced_bytes(lambda: make_score_batch(x0, Q, NoiseSchedule(), rng))
         assert batch.xt.shape == (B, d)
         assert peak < 4 * 2**20
 
@@ -294,12 +288,7 @@ class TestScoreForward:
         model = ScoreModel(n, d, hidden=(128, 128), rng=rng)
         xt = rng.integers(0, n, size=(B, d))
         for t in (0.4, rng.uniform(0.0, 1.0, B)):
-            tracemalloc.start()
-            try:
-                model.forward_batch(xt, t)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = peak_traced_bytes(lambda: model.forward_batch(xt, t))[0]
             # the output plus three arrays of one memory block
             assert peak < B * d * n * 8 + 3 * core.BLOCK_ELEMENTS * 8
 
@@ -420,12 +409,8 @@ class TestScoreEntropyLoss:
         n, d, B = 27, 256, 2048
         Q = random_chain(rng, n, d=d)
         batch = make_score_batch(rng.integers(0, n, size=(B, d)), Q, NoiseSchedule(), rng)
-        tracemalloc.start()
-        try:
-            score_entropy_values(lambda xt, t: np.ones((len(xt), d, n)), batch, Q, NoiseSchedule())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ones = lambda xt, t: np.ones((len(xt), d, n))
+        peak = peak_traced_bytes(lambda: score_entropy_values(ones, batch, Q, NoiseSchedule()))[0]
         assert peak < 3 * core.BLOCK_ELEMENTS * 8
 
     def test_empty_batch_rejected(self):
@@ -570,14 +555,39 @@ class TestScoreGrad:
         model = ScoreModel(n, d, hidden=(H, H), rng=rng)
         acts = []
         model._hidden(rng.integers(0, n, (B, d)), score_learning.time_embedding(rng.uniform(0.1, 1.0, B)), acts)
-        d_out = rng.normal(size=(B, d * n))
-        tracemalloc.start()
-        try:
-            model.backward(acts, d_out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        acts.append(rng.normal(size=(B, d * n)))
+        grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
+        peak = peak_traced_bytes(lambda: model.backward(acts, grads))[0]
         assert peak < 2 * B * H * 8
+
+    def test_gradients_into_an_earlier_calls_arrays(self):
+        # the loop's later steps write into the first step's arrays, bit for bit
+        rng = np.random.default_rng(399)
+        Q = random_chain(rng, 5, d=3)
+        model = ScoreModel(5, 3, hidden=(8, 8), rng=rng)
+        model.weights[-1][:] = rng.normal(0.0, 0.3, model.weights[-1].shape)
+        first, second = (make_score_batch(rng.integers(0, 5, (16, 3)), Q, SCHEDULE_UNIT, rng) for _ in range(2))
+        _, *grads = score_loss_and_grad(model, first, Q, SCHEDULE_UNIT)
+        loss, grad_w, grad_b = score_loss_and_grad(model, second, Q, SCHEDULE_UNIT, grads)
+        fresh = score_loss_and_grad(model, second, Q, SCHEDULE_UNIT)
+        assert grad_w is grads[0] and grad_b is grads[1]
+        assert grad_w[0].flags.f_contiguous and loss == fresh[0]
+        for got, want in zip(grad_w + grad_b, fresh[1] + fresh[2]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_output_array_beside_the_one_hot(self):
+        # d*n = 2048 outputs and a one-hot as wide, against 8 hidden units: the
+        # output gradient is freed once delta @ W_last exists, before the
+        # one-hot for dW1 is built, so one (B, d*n) array is alive at a time
+        rng = np.random.default_rng(397)
+        n, d, B = 8, 256, 512
+        Q = random_chain(rng, n, d=d)
+        model = ScoreModel(n, d, hidden=(8,), rng=rng)
+        model.weights[-1][:] = rng.normal(0.0, 0.1, model.weights[-1].shape)
+        batch = make_score_batch(rng.integers(0, n, (B, d)), Q, NoiseSchedule(), rng)
+        peak = peak_traced_bytes(lambda: score_loss_and_grad(model, batch, Q, NoiseSchedule()))[0]
+        # one (B, d*n) array and a few (B, d) index arrays
+        assert peak < B * d * n * 8 + 4 * B * d * 8
 
 
 class TestCacheChunks:
@@ -663,6 +673,20 @@ def _batch_stream(rng, n, d, Q, mu, size, schedule=SCHEDULE_UNIT):
 
 
 class TestScoreLearningLoop:
+    def test_holds_one_steps_gradients(self):
+        # at d*n = 2048 and 64 hidden units the gradients are 2 MB and a step's
+        # batch arrays 0.25 MB: the second step writes its gradients into the
+        # first step's arrays, so two steps' gradients are never alive at once
+        rng = np.random.default_rng(401)
+        n, d, B = 8, 256, 16
+        Q = random_chain(rng, n, d=d)
+        model = ScoreModel(n, d, hidden=(64,), rng=rng)
+        batches = [make_score_batch(rng.integers(0, n, (B, d)), Q, NoiseSchedule(), rng) for _ in range(2)]
+        grads = sum(p.nbytes for p in model.weights + model.biases)
+        peak = peak_traced_bytes(lambda: score_learning_loop(model, iter(batches), Q, NoiseSchedule(), 2, 0.0))[0]
+        # the two Adam moments, one step's gradients and three cache chunks
+        assert peak < 3 * grads + 3 * 8 * core.CHUNK_ELEMENTS
+
     def test_step_cap(self):
         rng = np.random.default_rng(373)
         Q = random_chain(rng, 4)
