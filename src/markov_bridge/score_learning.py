@@ -114,8 +114,9 @@ class ScoreModel:
         X[:, dn:] = emb
         return X
 
-    def first_layer(self, xt, emb) -> np.ndarray:
-        """Pre-activation h1 = encode(xt, emb) @ W1.T + b1, gathered without the one-hot.
+    def first_layer(self, xt, emb, out=None) -> np.ndarray:
+        """Pre-activation h1 = encode(xt, emb) @ W1.T + b1, gathered without the
+        one-hot, into ``out`` if given.
 
         ``emb`` holds one time row or one per state row (``forward_batch``
         checks). Each block of GATHER_ROWS rows starts from its time terms, or
@@ -128,7 +129,7 @@ class ScoreModel:
         W1 = self.weights[0]
         table = np.ascontiguousarray(W1[:, :dn].T)  # a view while W1 stays column-major
         tokens = block_index(xt, self.d, self.n).T.copy()
-        h = np.empty((B, W1.shape[0]))
+        h = np.empty((B, W1.shape[0])) if out is None else out
         for start in range(0, B, GATHER_ROWS):
             rows = slice(start, start + GATHER_ROWS)
             hb = h[rows]
@@ -140,16 +141,27 @@ class ScoreModel:
                 hb += table[col]
         return h
 
-    def _hidden(self, xt, emb, acts=None) -> np.ndarray:
+    def _hidden(self, xt, emb, acts=None, space=None) -> np.ndarray:
         """The last hidden activation for time rows ``emb``; into a list ``acts``
-        also what ``backward`` needs: (xt, emb), then each hidden activation."""
-        h = self.first_layer(xt, emb)
+        also what ``backward`` needs: (xt, emb), then each hidden activation.
+        Given a flat array ``space`` of len(xt) rows as wide as any two
+        consecutive hidden layers, the layers are written to its two ends in
+        turn rather than each to a new array."""
+        B = len(xt)
+
+        def new(layer):
+            if space is None:
+                return None
+            size = B * len(self.weights[layer])
+            return (space[:size] if layer % 2 == 0 else space[len(space) - size:]).reshape(B, -1)
+
+        h = self.first_layer(xt, emb, new(0))
         np.tanh(h, out=h)
         if acts is not None:
             acts += [(xt, emb), h]
         # each layer in place, so none holds two (B, width) temporaries
-        for W, b in zip(self.weights[1:-1], self.biases[1:-1]):
-            h = h @ W.T
+        for layer, (W, b) in enumerate(zip(self.weights[1:-1], self.biases[1:-1]), 1):
+            h = np.matmul(h, W.T, out=new(layer))
             h += b
             np.tanh(h, out=h)
             if acts is not None:
@@ -157,21 +169,31 @@ class ScoreModel:
         return h
 
     def forward_batch(self, xt, t) -> np.ndarray:
-        """Positive ratio estimates (B, d, n), one memory block of the widest
-        layer at a time, each block's last layer written into one (B, d*n)
-        result. That is made after the first block's hidden layers, in the
-        space the earlier ones free: made first, it would leave their space for
-        the allocator to return to the system and fault in again."""
+        """Positive ratio estimates (B, d, n), one memory block of rows at a
+        time, each block's last layer written into one (B, d*n) result.
+
+        A block holds a layer's input and product at once, so its rows are
+        cut by the widest pair of consecutive hidden widths (the one width,
+        for one layer), or by d*n if wider: 4096 rows at the desk shape, a
+        multiple of GATHER_ROWS, so the first layer's time products keep
+        their row counts and every bit. A scalar time is embedded once,
+        per-row times block by block. With more than one block, every block's
+        hidden layers are written into one array of a block's rows of that
+        pair width, made once per call: arrays made and freed per block would
+        be returned to the system and faulted in again each block."""
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
-        emb = time_embedding(t)
-        if len(emb) not in (1, len(xt)):
-            raise ValueError(f"need one time or one per state row, not {len(emb)} for {len(xt)} rows")
-        out = None
-        for rows in row_blocks(len(xt), max(len(W) for W in self.weights)):
-            h = self._hidden(xt[rows], emb if len(emb) == 1 else emb[rows])
-            out = np.empty((len(xt), self.d * self.n)) if out is None else out
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if len(t) not in (1, len(xt)):
+            raise ValueError(f"need one time or one per state row, not {len(t)} for {len(xt)} rows")
+        emb = time_embedding(t) if len(t) == 1 else None
+        hidden = [len(W) for W in self.weights[:-1]]
+        pair = max(map(sum, zip(hidden, hidden[1:])), default=hidden[0])
+        blocks = row_blocks(len(xt), max(pair, self.d * self.n))
+        space = np.empty(blocks[0].stop * pair) if len(blocks) > 1 else None
+        out = np.empty((len(xt), self.d * self.n))
+        for rows in blocks:
+            h = self._hidden(xt[rows], time_embedding(t[rows]) if emb is None else emb, space=space)
             np.add(np.matmul(h, self.weights[-1].T, out=out[rows]), self.biases[-1], out=out[rows])
-            del h  # so that two blocks' activations are never alive at once
         return np.exp(out, out=out).reshape(-1, self.d, self.n)
 
     def backward(self, acts, grads):

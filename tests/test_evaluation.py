@@ -307,6 +307,20 @@ class TestRowBlocks:
         peak = peak_traced_bytes(estimate)[0]
         assert peak < 40 * 2**20
 
+    def test_desk_bound_peaks_below_two_and_three_quarter_memory_blocks(self):
+        # the 32768 draws' ratios are one 8 MiB block; the forward's blocks of
+        # 4096 rows hold two 128-wide activations, one block more, and the
+        # draws and score-entropy chunks stay within three quarters of one
+        rng = np.random.default_rng(577)
+        n, d = 8, 4
+        Q = FactorizedRateMatrix(*random_chain_arrays(rng, n, d, 0.05, 1.5))
+        model = ScoreModel(n, d, hidden=(128, 128), rng=rng)
+        model.weights[-1] += rng.normal(0.0, 0.3, model.weights[-1].shape)
+        data = rng.integers(0, n, size=(400, d))
+        terminal = ProductDistribution.uniform(n, d)
+        estimate = lambda: elbo_estimate(model.forward_batch, data, Q, NoiseSchedule(), terminal, 32768, rng)
+        peak = peak_traced_bytes(estimate)[0]
+        assert peak < 2.75 * core.BLOCK_ELEMENTS * 8
 
     def test_a_narrow_dataset_is_not_widened_whole(self, monkeypatch):
         # one byte a state: an (N, d) int64 copy would be 8 MiB here, against

@@ -258,7 +258,7 @@ class TestScoreForward:
         score_loss_and_grad(model, batch, Q, SCHEDULE_UNIT)
         assert embedded == [10]
 
-    def test_blocks_of_the_widest_layer_embed_the_time_once(self, monkeypatch):
+    def test_blocks_of_two_hidden_layers_embed_their_own_times(self, monkeypatch):
         rng = np.random.default_rng(331)
         n, d, B = 3, 2, 250
         model = ScoreModel(n, d, hidden=(20, 12), rng=rng)
@@ -269,16 +269,36 @@ class TestScoreForward:
             whole = model.forward_batch(xt, t)
             rows, embedded = [], []
             first, embed = model.first_layer, score_learning.time_embedding
-            monkeypatch.setattr(model, "first_layer", lambda x, e: rows.append(len(x)) or first(x, e))
+            monkeypatch.setattr(model, "first_layer", lambda x, e, out=None: rows.append(len(x)) or first(x, e, out))
             monkeypatch.setattr(score_learning, "time_embedding", lambda t: embedded.append(np.size(t)) or embed(t))
-            # 64 rows of the widest layer, 20 wide, to a block
+            # a block holds both hidden layers, 20 + 12 wide: 40 rows to a block
             monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * 20)
             np.testing.assert_allclose(model.forward_batch(xt, t), whole, **few_ulp)
-            assert rows == [64, 64, 64, 58] and embedded == [np.size(t)]
-            # a time count that fits some block but not the batch is still refused
+            blocks = [40] * 6 + [10]
+            assert rows == blocks
+            # a scalar time is embedded once, per-row times once per block
+            assert embedded == ([1] if np.ndim(t) == 0 else blocks)
+            # a time count that fits some block but not the batch is refused
+            # before any block runs
             with pytest.raises(ValueError, match="one per state row"):
-                model.forward_batch(xt, np.full(64, 0.5))
+                model.forward_batch(xt, np.full(40, 0.5))
+            assert rows == blocks
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("hidden", [(8,), (20, 12, 16), (12, 20, 8, 24)])
+    def test_blocks_sharing_one_hidden_array_match_one_block(self, monkeypatch, hidden):
+        # the layers of every block alternate between the ends of one array,
+        # whatever the count and widths of the hidden layers
+        rng = np.random.default_rng(347)
+        n, d, B = 3, 2, 250
+        model = ScoreModel(n, d, hidden=hidden, rng=rng)
+        model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
+        xt = rng.integers(0, n, size=(B, d))
+        t = rng.uniform(0.0, 1.0, B)
+        whole = model.forward_batch(xt, t)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * 20)
+        few_ulp = dict(rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+        np.testing.assert_allclose(model.forward_batch(xt, t), whole, **few_ulp)
 
     def test_forward_memory_set_by_the_block_budget(self):
         # at the desk shape the 128-wide hidden layers are four times the
@@ -289,8 +309,9 @@ class TestScoreForward:
         xt = rng.integers(0, n, size=(B, d))
         for t in (0.4, rng.uniform(0.0, 1.0, B)):
             peak = peak_traced_bytes(lambda: model.forward_batch(xt, t))[0]
-            # the output plus three arrays of one memory block
-            assert peak < B * d * n * 8 + 3 * core.BLOCK_ELEMENTS * 8
+            # the output plus one memory block of two hidden activations, and
+            # a quarter block for the per-row times and the gather's indices
+            assert peak < B * d * n * 8 + 1.25 * core.BLOCK_ELEMENTS * 8
 
     def test_only_backward_builds_the_one_hot(self, monkeypatch):
         rng = np.random.default_rng(317)
