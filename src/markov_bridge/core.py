@@ -17,9 +17,8 @@ Every operation takes all d chains at once.
 Batched work is cut into row slices by :func:`row_blocks` under one of two
 element budgets. A memory block (``BLOCK_ELEMENTS``, 8 MiB per float64
 array) bounds a ratio call's (rows, d*n) arrays in the bound and the reverse
-sampler, whose call gets only a block's distinct states. The score model cuts
-its forward to it by the widest pair of consecutive hidden layers, which a
-block holds at once in one array made once per call, or by d*n if wider;
+sampler, whose call gets only a block's distinct states; the score model
+cuts its forward by the rule ``ScoreModel.forward_batch`` states;
 :func:`state_frequencies` and the corpus reader widen states to int64
 indices one block at a time.
 A cache chunk (``CHUNK_ELEMENTS``, 512 KiB per array) keeps the temporaries
@@ -27,11 +26,9 @@ of a chain of elementwise passes in L2: categorical, kernel and product
 draws, kernel rows, reverse-step rows and draws, score-entropy terms, and Adam.
 Chunks never reorder floating-point operations, so results do not depend on
 their size; BLAS may round a matrix product's last bits by its row count,
-which memory blocks set. At the desk shape the forward's blocks are 4096
-rows, a multiple of the first layer's 256 gather rows, so its time products
-keep their row counts and the forward every bit. A distribution is a
-``ProductDistribution``, one validated (d, n) array; a single chain or
-categorical is a one-row instance. Time runs over [0, T] with T = 1.
+which memory blocks set. A distribution is a ``ProductDistribution``, one
+validated (d, n) array; a single chain or categorical is a one-row instance.
+Time runs over [0, T] with T = 1.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ def _step_chunks(xt, t: float, s: float, ratio_fn, Q, schedule: NoiseSchedule):
     states are read before it is yielded, so the caller may overwrite them.
     """
     # sorted slots, state-major, as the narrowest integers: quick contiguous compares
-    order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n))
+    order = np.ascontiguousarray(Q.inv_perm.T, dtype=np.min_scalar_type(Q.n - 1))
     # column x of exp((beta(t) - beta(s)) Q) over its entry at x, on the states sorted before x
     g = -np.expm1((schedule.beta(s) - schedule.beta(t)) * Q.state_rates)
     size = Q.n**Q.d  # joint states, an exact integer

@@ -83,9 +83,10 @@ class ScoreModel:
     built once per time given (one row for a reverse step's one t). W1 is
     stored column-major, which makes its token block a contiguous (d*n, H)
     table of those columns. Only ``backward`` builds the one-hot input, for
-    dW1, from the forward's emb(t). The output head is exponentiated so every
-    ratio estimate is strictly positive, and the final layer starts at zero so
-    a fresh model outputs the uniform ratio 1 everywhere.
+    dW1, from the forward's emb(t). Training and ``forward_batch`` share one
+    forward, ``_forward``, whose output head is exponentiated so every ratio
+    estimate is strictly positive; the final layer starts at zero so a fresh
+    model outputs the uniform ratio 1 everywhere. It needs a hidden layer.
     """
 
     def __init__(self, n: int, d: int, hidden=(128, 128), rng=None, params=None):
@@ -103,6 +104,8 @@ class ScoreModel:
         self.weights = [np.array(w, dtype=np.float64, order="F" if layer == 0 else "C")
                         for layer, w in enumerate(params[0])]
         self.biases = [np.array(b, dtype=np.float64) for b in params[1]]
+        if len(self.weights) < 2:
+            raise ValueError("the score model needs at least one hidden layer")
 
     def encode(self, xt, emb) -> np.ndarray:
         """The (B, d*n + 16) input W1 multiplies: one-hot states, then time rows ``emb``."""
@@ -114,9 +117,9 @@ class ScoreModel:
         X[:, dn:] = emb
         return X
 
-    def first_layer(self, xt, emb, out=None) -> np.ndarray:
+    def first_layer(self, xt, emb, out) -> np.ndarray:
         """Pre-activation h1 = encode(xt, emb) @ W1.T + b1, gathered without the
-        one-hot, into ``out`` if given.
+        one-hot, into ``out``, a (len(xt), H1) array.
 
         ``emb`` holds one time row or one per state row (``forward_batch``
         checks). Each block of GATHER_ROWS rows starts from its time terms, or
@@ -124,83 +127,77 @@ class ScoreModel:
         picked columns in place, so the block's running sum stays in cache.
         """
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
-        B = xt.shape[0]
         dn = self.d * self.n
         W1 = self.weights[0]
         table = np.ascontiguousarray(W1[:, :dn].T)  # a view while W1 stays column-major
         tokens = block_index(xt, self.d, self.n).T.copy()
-        h = np.empty((B, W1.shape[0])) if out is None else out
-        for start in range(0, B, GATHER_ROWS):
+        for start in range(0, len(xt), GATHER_ROWS):
             rows = slice(start, start + GATHER_ROWS)
-            hb = h[rows]
+            hb = out[rows]
             own = emb[start % len(emb):][: len(hb)]  # the block's time rows, or the only one
             np.matmul(own, W1[:, dn:].T, out=hb[: len(own)])
             hb[: len(own)] += self.biases[0]
             hb[len(own):] = hb[:1]
             for col in tokens[:, rows]:
                 hb += table[col]
-        return h
+        return out
 
-    def _hidden(self, xt, emb, acts=None, space=None) -> np.ndarray:
-        """The last hidden activation for time rows ``emb``; into a list ``acts``
-        also what ``backward`` needs: (xt, emb), then each hidden activation.
-        Given a flat array ``space`` of len(xt) rows as wide as any two
-        consecutive hidden layers, the layers are written to its two ends in
-        turn rather than each to a new array."""
-        B = len(xt)
-
-        def new(layer):
-            if space is None:
-                return None
-            size = B * len(self.weights[layer])
-            return (space[:size] if layer % 2 == 0 else space[len(space) - size:]).reshape(B, -1)
-
-        h = self.first_layer(xt, emb, new(0))
-        np.tanh(h, out=h)
+    def _forward(self, xt, emb, out, acts=None, space=None) -> np.ndarray:
+        """Ratios exp(h W_last^T + b_last) of states ``xt`` at time rows ``emb``
+        into ``out``, (len(xt), d*n). The hidden layers go end to end into the
+        flat array ``space`` (made if not given) of len(xt) rows of their
+        widths' sum; into a list ``acts`` goes what ``backward`` needs:
+        (xt, emb), then each hidden activation."""
+        widths = [len(W) for W in self.weights[:-1]]
+        space = np.empty(len(xt) * sum(widths)) if space is None else space
         if acts is not None:
-            acts += [(xt, emb), h]
-        # each layer in place, so none holds two (B, width) temporaries
-        for layer, (W, b) in enumerate(zip(self.weights[1:-1], self.biases[1:-1]), 1):
-            h = np.matmul(h, W.T, out=new(layer))
-            h += b
+            acts.append((xt, emb))
+        for layer, width in enumerate(widths):
+            into, space = space[: len(xt) * width].reshape(-1, width), space[len(xt) * width:]
+            if layer == 0:
+                h = self.first_layer(xt, emb, into)
+            else:
+                # each layer into its own place, so none makes a (B, width) temporary
+                h = np.matmul(h, self.weights[layer].T, out=into)
+                h += self.biases[layer]
             np.tanh(h, out=h)
             if acts is not None:
                 acts.append(h)
-        return h
+        np.matmul(h, self.weights[-1].T, out=out)
+        out += self.biases[-1]
+        return np.exp(out, out=out)
 
     def forward_batch(self, xt, t) -> np.ndarray:
         """Positive ratio estimates (B, d, n), one memory block of rows at a
-        time, each block's last layer written into one (B, d*n) result.
+        time, each block's ratios written into one (B, d*n) result.
 
-        A block holds a layer's input and product at once, so its rows are
-        cut by the widest pair of consecutive hidden widths (the one width,
-        for one layer), or by d*n if wider: 4096 rows at the desk shape, a
-        multiple of GATHER_ROWS, so the first layer's time products keep
-        their row counts and every bit. A scalar time is embedded once,
-        per-row times block by block. With more than one block, every block's
-        hidden layers are written into one array of a block's rows of that
-        pair width, made once per call: arrays made and freed per block would
-        be returned to the system and faulted in again each block."""
+        A block holds all its hidden layers at once, so its rows are cut by
+        the sum of the hidden widths, or by d*n if wider: 4096 rows at the
+        desk shape, a multiple of GATHER_ROWS, so the first layer's time
+        products keep their row counts and every bit. Every block writes its
+        layers into one array made once per call: arrays made and freed per
+        block would be returned to the system and faulted in again each
+        block. A scalar time is embedded once, per-row times block by block.
+        """
         xt = np.atleast_2d(np.asarray(xt, dtype=np.int64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if len(t) not in (1, len(xt)):
             raise ValueError(f"need one time or one per state row, not {len(t)} for {len(xt)} rows")
         emb = time_embedding(t) if len(t) == 1 else None
-        hidden = [len(W) for W in self.weights[:-1]]
-        pair = max(map(sum, zip(hidden, hidden[1:])), default=hidden[0])
-        blocks = row_blocks(len(xt), max(pair, self.d * self.n))
-        space = np.empty(blocks[0].stop * pair) if len(blocks) > 1 else None
+        width = sum(len(W) for W in self.weights[:-1])
+        blocks = row_blocks(len(xt), max(width, self.d * self.n))
+        # the result before the hidden array: the other order slowed text8 sampling by 2-3%
         out = np.empty((len(xt), self.d * self.n))
+        space = np.empty(len(xt[blocks[0]]) * width) if blocks else None
         for rows in blocks:
-            h = self._hidden(xt[rows], time_embedding(t[rows]) if emb is None else emb, space=space)
-            np.add(np.matmul(h, self.weights[-1].T, out=out[rows]), self.biases[-1], out=out[rows])
-        return np.exp(out, out=out).reshape(-1, self.d, self.n)
+            self._forward(xt[rows], time_embedding(t[rows]) if emb is None else emb, out[rows], space=space)
+        return out.reshape(-1, self.d, self.n)
 
     def backward(self, acts, grads):
         """Gradients for a cached forward pass, written into ``grads`` =
         (grad_w, grad_b), lists of arrays laid out like the weights and biases.
 
-        ``acts`` is the list ``_hidden`` filled, then d(loss)/d(pre-exp
+        ``acts`` is the list ``_forward`` filled, then d(loss)/d(pre-exp
         output) appended. The one-hot input is built here, for dW1 = delta^T X
         at the training batch size, into dW1 taken as (X^T delta)^T, so that
         it is column-major like W1 and an update walks both in memory order.
@@ -347,15 +344,15 @@ def score_loss_and_grad(model: ScoreModel, batch: ScoreBatch, Q, schedule: Noise
 
     Returns (loss, grad_weights, grad_biases), the gradients shaped and laid
     out like the model parameters: written into ``grads``, an earlier call's
-    (grad_weights, grad_biases), when given, else into new arrays. The
+    (grad_weights, grad_biases), when given, else into new arrays. One
+    ``ScoreModel._forward`` call over the batch keeps the activations. The
     output gradient overwrites the ratios in place and is handed to
     ``backward`` as the last entry of ``acts``, with no other reference, so
     it is freed before the one-hot input is built.
     """
     acts = []
-    out = model._hidden(batch.xt, time_embedding(batch.t), acts) @ model.weights[-1].T
-    out += model.biases[-1]
-    s = np.exp(out, out=out).reshape(batch.size, model.d, model.n)
+    out = model._forward(batch.xt, time_embedding(batch.t), np.empty((batch.size, model.d * model.n)), acts)
+    s = out.reshape(batch.size, model.d, model.n)
     values = _per_sample_values(s, batch, Q, schedule, d_out=s)
     acts.append(out)
     del out, s

@@ -216,7 +216,14 @@ class TestScoreForward:
         dense = model.encode(xt, emb) @ model.weights[0].T + model.biases[0]
         # entries that cancel to near 0 are held to rtol of the layer's scale
         scale = np.abs(dense).max()
-        np.testing.assert_allclose(model.first_layer(xt, emb), dense, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(model.first_layer(xt, emb, np.empty((B, 32))), dense, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_a_model_without_a_hidden_layer_refused(self):
+        # fresh weights, or a single (d*n, d*n + 16) layer handed in as params
+        with pytest.raises(ValueError, match="hidden layer"):
+            ScoreModel(3, 2, hidden=())
+        with pytest.raises(ValueError, match="hidden layer"):
+            ScoreModel(3, 2, params=([np.zeros((6, 22))], [np.zeros(6)]))
 
     @pytest.mark.parametrize("xt", [[[0, 4]], [[-1, 0]], [[0, 1, 2]]])
     def test_state_rows_outside_the_model_refused(self, xt):
@@ -269,7 +276,7 @@ class TestScoreForward:
             whole = model.forward_batch(xt, t)
             rows, embedded = [], []
             first, embed = model.first_layer, score_learning.time_embedding
-            monkeypatch.setattr(model, "first_layer", lambda x, e, out=None: rows.append(len(x)) or first(x, e, out))
+            monkeypatch.setattr(model, "first_layer", lambda x, e, out: rows.append(len(x)) or first(x, e, out))
             monkeypatch.setattr(score_learning, "time_embedding", lambda t: embedded.append(np.size(t)) or embed(t))
             # a block holds both hidden layers, 20 + 12 wide: 40 rows to a block
             monkeypatch.setattr(core, "BLOCK_ELEMENTS", 64 * 20)
@@ -575,7 +582,8 @@ class TestScoreGrad:
         n, d, B, H = 2, 2, 4096, 256
         model = ScoreModel(n, d, hidden=(H, H), rng=rng)
         acts = []
-        model._hidden(rng.integers(0, n, (B, d)), score_learning.time_embedding(rng.uniform(0.1, 1.0, B)), acts)
+        emb = score_learning.time_embedding(rng.uniform(0.1, 1.0, B))
+        model._forward(rng.integers(0, n, (B, d)), emb, np.empty((B, d * n)), acts)
         acts.append(rng.normal(size=(B, d * n)))
         grads = ([np.empty_like(w) for w in model.weights], [np.empty_like(b) for b in model.biases])
         peak = peak_traced_bytes(lambda: model.backward(acts, grads))[0]
@@ -616,25 +624,29 @@ class TestCacheChunks:
     no chunking may move a bit of the result."""
 
     @staticmethod
-    def system(rng, n=5, d=3, B=16):
+    def system(rng, n=5, d=3, B=16, hidden=(8, 8)):
         Q = random_chain(rng, n, d=d)
-        model = ScoreModel(n, d, hidden=(8, 8), rng=rng)
+        model = ScoreModel(n, d, hidden=hidden, rng=rng)
         model.weights[-1] += rng.normal(0, 0.3, model.weights[-1].shape)
         return Q, model, make_score_batch(rng.integers(0, n, size=(B, d)), Q, NoiseSchedule(), rng)
 
     def test_loss_and_gradient_bit_identical_across_chunkings(self, monkeypatch):
         rng = np.random.default_rng(401)
         n, d, B = 5, 3, 16
-        Q, model, batch = self.system(rng, n, d, B)
-        one = score_loss_and_grad(model, batch, Q, NoiseSchedule())
-        for chunk_rows in (1, 3, B):  # 3 leaves a ragged last chunk
-            monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
-            assert len(core.row_blocks(B, d * n, cache=True)) == -(-B // chunk_rows)
-            loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, NoiseSchedule())
-            assert loss == one[0]
-            for got, want in zip(grad_w + grad_b, one[1] + one[2]):
-                assert np.array_equal(got, want)
-            assert score_entropy_values(model.forward_batch, batch, Q, NoiseSchedule()).mean() == loss
+        # training and the one-block forward agree bit for bit, also with
+        # three hidden layers of unequal widths
+        for hidden in ((8, 8), (12, 20, 8)):
+            Q, model, batch = self.system(rng, n, d, B, hidden)
+            one = score_loss_and_grad(model, batch, Q, NoiseSchedule())
+            for chunk_rows in (1, 3, B):  # 3 leaves a ragged last chunk
+                monkeypatch.setattr(core, "CHUNK_ELEMENTS", chunk_rows * d * n)
+                assert len(core.row_blocks(B, d * n, cache=True)) == -(-B // chunk_rows)
+                loss, grad_w, grad_b = score_loss_and_grad(model, batch, Q, NoiseSchedule())
+                assert loss == one[0]
+                for got, want in zip(grad_w + grad_b, one[1] + one[2]):
+                    assert np.array_equal(got, want)
+                assert score_entropy_values(model.forward_batch, batch, Q, NoiseSchedule()).mean() == loss
+            monkeypatch.undo()
 
     def test_weight_gradients_share_their_weights_layout(self):
         rng = np.random.default_rng(403)
